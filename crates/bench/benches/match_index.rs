@@ -18,7 +18,7 @@ fn bench_index_overhead(c: &mut Criterion) {
     let world = World::calibrated(7);
     let db = world.build_db(5);
     assert!(db.len() >= 110, "calibrated corpus must hold >=110 stops");
-    let mut matcher = Matcher::new(db.clone(), MatchConfig::default());
+    let matcher = Matcher::new(db.clone(), MatchConfig::default());
     let mut rng = StdRng::seed_from_u64(1);
     let samples: Vec<_> = world
         .network
@@ -36,13 +36,11 @@ fn bench_index_overhead(c: &mut Criterion) {
     });
 
     // The matching work the index optimizes: the exhaustive scan.
-    matcher.set_use_index(false);
     let mut k = 0usize;
     let brute_ns = ns_per_call(|| {
         k = (k + 1) % samples.len();
-        black_box(matcher.best_match(black_box(&samples[k])));
+        black_box(matcher.best_match_brute(black_box(&samples[k])));
     });
-    matcher.set_use_index(true);
 
     // Bookkeeping only: enumerate and order the bound-passing candidates
     // without aligning any of them.

@@ -49,7 +49,7 @@ fn bench_indexed_vs_brute(c: &mut Criterion) {
     let mut group = c.benchmark_group("match_index_scaling");
     for &stops in &[110usize, 500, 2000] {
         let db = World::synthetic_db(stops, 7);
-        let mut matcher = Matcher::new(db.clone(), MatchConfig::default());
+        let matcher = Matcher::new(db.clone(), MatchConfig::default());
         // Query with stored fingerprints of evenly-spaced sites: every
         // query has a real answer, and locality varies across the db.
         let samples: Vec<_> = db
@@ -64,12 +64,11 @@ fn bench_indexed_vs_brute(c: &mut Criterion) {
                 black_box(matcher.best_match(black_box(&samples[k])))
             })
         });
-        matcher.set_use_index(false);
         let mut k = 0usize;
         group.bench_function(BenchmarkId::new("brute", stops), |b| {
             b.iter(|| {
                 k = (k + 1) % samples.len();
-                black_box(matcher.best_match(black_box(&samples[k])))
+                black_box(matcher.best_match_brute(black_box(&samples[k])))
             })
         });
     }

@@ -14,5 +14,5 @@ pub mod stats;
 pub mod timing;
 pub mod world;
 
-pub use timing::{best_ns_per_call, ns_per_call, BENCH_REPS};
+pub use timing::{best_ns_per_call, ns_per_call};
 pub use world::World;

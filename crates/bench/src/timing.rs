@@ -1,14 +1,12 @@
-//! Shared wall-clock micro-benchmark helpers. Every perf harness in the
-//! workspace (the `busprobe bench` regression gate, the criterion
-//! benches) times hot paths the same way, so their numbers compare.
+//! Shared wall-clock micro-benchmark helpers: the criterion benches
+//! time hot paths the same way, so their numbers compare.
 
 use std::time::Instant;
 
 /// How many measurement windows [`best_ns_per_call`] takes. The minimum
 /// of three windows is what the machine can actually do, and it is far
-/// more stable run-to-run than any single window — which the perf
-/// regression tolerance depends on.
-pub const BENCH_REPS: usize = 3;
+/// more stable run-to-run than any single window.
+const REPS: usize = 3;
 
 /// Wall-clock of `f()` repeated until at least ~50 ms elapse, in
 /// nanoseconds per call (warmed up first).
@@ -30,9 +28,9 @@ pub fn ns_per_call(mut f: impl FnMut()) -> f64 {
     }
 }
 
-/// The minimum of [`BENCH_REPS`] [`ns_per_call`] measurements.
+/// The minimum of [`REPS`] [`ns_per_call`] measurements.
 pub fn best_ns_per_call(mut f: impl FnMut()) -> f64 {
-    (0..BENCH_REPS)
+    (0..REPS)
         .map(|_| ns_per_call(&mut f))
         .fold(f64::INFINITY, f64::min)
 }

@@ -110,17 +110,6 @@ impl Fingerprint {
     }
 }
 
-impl std::borrow::Borrow<[CellTowerId]> for Fingerprint {
-    /// A fingerprint *is* its ordered cell sequence, so maps keyed on
-    /// `Fingerprint` can be probed with a borrowed `&[CellTowerId]` —
-    /// no clone on the lookup path (the matcher's per-trip memo relies on
-    /// this). Sound because `Hash`/`Eq` are derived from the single
-    /// `cells` field and `Vec<T>` hashes exactly like `[T]`.
-    fn borrow(&self) -> &[CellTowerId] {
-        &self.cells
-    }
-}
-
 impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
@@ -211,18 +200,6 @@ mod tests {
     fn display_matches_paper_style() {
         assert_eq!(fp(&[3486, 3893, 3892]).to_string(), "[3486,3893,3892]");
         assert_eq!(fp(&[]).to_string(), "[]");
-    }
-
-    #[test]
-    fn borrowed_slice_probes_fingerprint_keyed_maps() {
-        // Hash(fingerprint) must equal Hash(its cell slice) for the
-        // Borrow bridge to be sound.
-        let mut map = std::collections::HashMap::new();
-        map.insert(fp(&[1, 2, 3]), "stop");
-        let probe = [CellTowerId(1), CellTowerId(2), CellTowerId(3)];
-        assert_eq!(map.get(probe.as_slice()), Some(&"stop"));
-        let miss = [CellTowerId(3), CellTowerId(2), CellTowerId(1)];
-        assert_eq!(map.get(miss.as_slice()), None, "order is significant");
     }
 
     #[test]

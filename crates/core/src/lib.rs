@@ -81,9 +81,11 @@ pub use estimation::{EstimatorConfig, SpeedObservation, TripEstimator};
 pub use fusion::{BayesianSpeed, SegmentFusion};
 pub use index::MatchIndex;
 pub use inference::{infer_regional, EstimateSource, InferenceConfig, RegionalMap};
-pub use map::{GoogleMapsIndicator, SegmentEstimate, SpeedLevel, TrafficMap};
+pub use map::{
+    latest_upload_s, GoogleMapsIndicator, SegmentEstimate, SpeedLevel, TrafficMap, HORIZON_GRACE_S,
+};
 pub use mapping::{MappedVisit, TripMapper};
-pub use matching::{MatchConfig, MatchExplanation, MatchMemo, MatchResult, Matcher};
+pub use matching::{MatchConfig, MatchExplanation, MatchResult, Matcher};
 pub use sanitize::{sanitize, SanitizeConfig, SanitizeReport};
 pub use server::{DropReason, IngestReport, MonitorConfig, MonitorState, TrafficMonitor};
 pub use updater::{DbUpdater, UpdaterConfig};

@@ -1,6 +1,7 @@
 //! The published traffic map (Fig. 9) and comparison indicators.
 
 use crate::fusion::SegmentFusion;
+use busprobe_mobile::Trip;
 use busprobe_network::{SegmentKey, TransitNetwork};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -117,6 +118,25 @@ impl SegmentEstimate {
     pub fn speed_kmh(&self) -> f64 {
         self.speed_mps * 3.6
     }
+}
+
+/// How long after the last upload a map is rendered when the caller
+/// names no snapshot time. Batch `ingest`, `recover` and every serve
+/// publisher add this to [`latest_upload_s`], so their maps compare
+/// byte for byte.
+pub const HORIZON_GRACE_S: f64 = 60.0;
+
+/// The latest finite last-sample time over `trips`, or `so_far` when
+/// that is later — a running fold. Faulted uploads may be empty or carry
+/// non-finite timestamps, which `Trip::end_s` does not survive.
+#[must_use]
+pub fn latest_upload_s<'a>(trips: impl IntoIterator<Item = &'a Trip>, so_far: f64) -> f64 {
+    trips
+        .into_iter()
+        .filter_map(|t| t.samples.last())
+        .map(|s| s.time_s)
+        .filter(|t| t.is_finite())
+        .fold(so_far, f64::max)
 }
 
 /// A snapshot of the instant traffic map.

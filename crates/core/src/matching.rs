@@ -227,55 +227,12 @@ fn rank(a: &MatchResult, b: &MatchResult) -> Ordering {
         .then(a.site.cmp(&b.site))
 }
 
-/// A small per-trip memo of `best_match` answers keyed on the sample's
-/// exact cell sequence. Consecutive samples taken while a bus waits at a
-/// stop frequently repeat fingerprints verbatim; the memo answers those
-/// without touching the index. Bounded: once `capacity` distinct
-/// fingerprints are cached, further misses are computed but not stored
-/// (a trip is short — the cap only guards against hostile uploads).
-#[derive(Debug)]
-pub struct MatchMemo {
-    map: HashMap<Fingerprint, Option<MatchResult>>,
-    capacity: usize,
-}
-
-impl MatchMemo {
-    /// A memo storing at most `capacity` distinct fingerprints.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        MatchMemo {
-            map: HashMap::new(),
-            capacity,
-        }
-    }
-
-    /// Number of memoized fingerprints.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the memo is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// Per-trip deduplication cap shared by [`MatchMemo::default`] and the
-/// batch scorer: both answer at most this many *distinct* fingerprints
-/// per trip from one computation; occurrences beyond the cap are
-/// recomputed (the cap only guards against hostile uploads).
+/// Per-trip deduplication cap of the batch scorer: it answers at most
+/// this many *distinct* fingerprints per trip from one computation;
+/// occurrences beyond the cap are recomputed (the cap only guards
+/// against hostile uploads — beeps arrive a few seconds apart, and a
+/// trip rarely carries more distinct scans).
 pub(crate) const TRIP_DISTINCT_CAP: usize = 64;
-
-impl Default for MatchMemo {
-    /// The per-trip default: [`TRIP_DISTINCT_CAP`] distinct fingerprints
-    /// (beeps arrive a few seconds apart; a trip rarely carries more
-    /// distinct scans).
-    fn default() -> Self {
-        MatchMemo::new(TRIP_DISTINCT_CAP)
-    }
-}
 
 /// Matches uploaded samples against a [`StopFingerprintDb`].
 #[derive(Debug, Clone)]
@@ -283,7 +240,6 @@ pub struct Matcher {
     db: StopFingerprintDb,
     index: MatchIndex,
     config: MatchConfig,
-    use_index: bool,
     metrics: MatcherMetrics,
 }
 
@@ -300,7 +256,6 @@ impl Matcher {
             db,
             index,
             config,
-            use_index: true,
             metrics,
         }
     }
@@ -323,19 +278,12 @@ impl Matcher {
         &self.index
     }
 
-    /// Enables or disables the indexed path. Matching results are
-    /// identical either way; this is an evaluation hook for measuring the
-    /// index's speedup and verifying equivalence end-to-end.
-    pub fn set_use_index(&mut self, enabled: bool) {
-        self.use_index = enabled;
-    }
-
     /// Whether queries will use the inverted index. Pruning is only sound
     /// when the threshold is positive: γ ≤ 0 accepts stops sharing zero
     /// cells with the sample, which no cell-driven index can enumerate.
     #[must_use]
     pub fn indexed(&self) -> bool {
-        self.use_index && self.config.accept_threshold > 0.0
+        self.config.accept_threshold > 0.0
     }
 
     /// Stores (or replaces) the fingerprint of `site` in both the
@@ -460,56 +408,28 @@ impl Matcher {
         out
     }
 
-    /// [`best_match`](Self::best_match) through a per-trip [`MatchMemo`]:
-    /// repeated fingerprints within one upload are answered from the memo
-    /// (counted under `busprobe_core_match_memo_hits_total`).
-    #[must_use]
-    pub fn best_match_memo(
-        &self,
-        sample: &Fingerprint,
-        memo: &mut MatchMemo,
-    ) -> Option<MatchResult> {
-        // The Borrow<[CellTowerId]> bridge looks the cell sequence up
-        // without cloning the fingerprint on the hit path.
-        if let Some(hit) = memo.map.get(sample.cells()) {
-            self.metrics.memo_hits.inc();
-            return *hit;
-        }
-        let result = self.best_match(sample);
-        if memo.map.len() < memo.capacity {
-            memo.map.insert(sample.clone(), result);
-        }
-        result
-    }
-
     /// [`best_match`](Self::best_match) for every sample of one trip,
     /// sharing the index probe across the whole upload.
     ///
     /// Samples within a trip hear the same few stops, so the batch path
     /// probes the inverted index once per trip: distinct fingerprints are
-    /// deduplicated (repeats count as memo hits, exactly like
-    /// [`best_match_memo`](Self::best_match_memo)), one
+    /// deduplicated (a repeat reuses the first occurrence's answer), one
     /// [`TripPool`] materializes the union of candidate posting lists
     /// with per-candidate shared-cell bitmasks and an SoA cell arena, and
     /// each distinct sample then scores its candidates by counting-sorted
     /// shared-count buckets — reproducing the per-sample visit order
     /// `(bound desc, site asc)` and early exit exactly. Results are
-    /// bit-identical to a per-sample [`MatchMemo`] loop;
+    /// bit-identical to [`best_match_brute`](Self::best_match_brute) per
+    /// sample;
     /// `crates/core/tests/batch_equivalence.rs` holds the property suite.
     ///
     /// Distinct fingerprints beyond [`TRIP_DISTINCT_CAP`] are answered
-    /// per occurrence through the per-sample path, mirroring the memo's
-    /// bounded capacity.
+    /// per occurrence through the per-sample path.
     #[must_use]
     pub fn match_trip(&self, fps: &[Fingerprint]) -> Vec<Option<MatchResult>> {
         if !self.indexed() {
-            // Pruning unsound (γ ≤ 0) or index disabled: the batch path
-            // degenerates to the per-sample memoized scan.
-            let mut memo = MatchMemo::default();
-            return fps
-                .iter()
-                .map(|fp| self.best_match_memo(fp, &mut memo))
-                .collect();
+            // Pruning is unsound at γ ≤ 0: scan the database per sample.
+            return fps.iter().map(|fp| self.best_match_brute(fp)).collect();
         }
 
         // Deduplicate on the exact cell sequence. `occ[i]` is sample i's
@@ -520,10 +440,7 @@ impl Matcher {
             HashMap::with_capacity_and_hasher(fps.len(), FxBuildHasher::default());
         for fp in fps {
             match ids.entry(fp.cells()) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    self.metrics.memo_hits.inc();
-                    occ.push(*e.get());
-                }
+                std::collections::hash_map::Entry::Occupied(e) => occ.push(*e.get()),
                 std::collections::hash_map::Entry::Vacant(e) => {
                     if distinct.len() < TRIP_DISTINCT_CAP {
                         let k = u32::try_from(distinct.len()).expect("cap fits in u32");
@@ -551,8 +468,7 @@ impl Matcher {
             .zip(fps)
             .map(|(&o, fp)| {
                 if o == u32::MAX {
-                    // Past the dedup cap: computed per occurrence, exactly
-                    // like a full memo answering a miss it cannot store.
+                    // Past the dedup cap: computed per occurrence.
                     self.best_match(fp)
                 } else {
                     answers[o as usize]
@@ -651,8 +567,8 @@ impl Matcher {
     }
 
     /// Reference implementation of [`best_match`](Self::best_match): a
-    /// full scan of the database. Kept public for equivalence tests and
-    /// the perf-regression harness.
+    /// full scan of the database. Kept public as the oracle of the
+    /// equivalence tests.
     #[must_use]
     pub fn best_match_brute(&self, sample: &Fingerprint) -> Option<MatchResult> {
         // min_by(rank): rank is a total order and sites are unique, so
@@ -953,30 +869,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_answers_repeats_and_stays_bounded() {
-        let mut db = StopFingerprintDb::new();
-        db.insert(StopSiteId(0), fp(&[1, 2, 3]));
-        let matcher = Matcher::new(db, config());
-        let mut memo = MatchMemo::new(2);
-        let sample = fp(&[1, 2, 3]);
-        let first = matcher.best_match_memo(&sample, &mut memo);
-        let second = matcher.best_match_memo(&sample, &mut memo);
-        assert_eq!(first, second);
-        assert_eq!(memo.len(), 1);
-        // Distinct fingerprints beyond the cap are computed, not stored.
-        for k in 0..10u32 {
-            let _ = matcher.best_match_memo(&fp(&[k + 10]), &mut memo);
-        }
-        assert!(memo.len() <= 2, "memo is bounded");
-        // Misses (and non-stored entries) still answer correctly.
-        assert_eq!(
-            matcher.best_match_memo(&fp(&[1, 2, 3]), &mut memo),
-            matcher.best_match(&fp(&[1, 2, 3]))
-        );
-    }
-
-    #[test]
-    fn match_trip_equals_per_sample_memo() {
+    fn match_trip_equals_per_sample_brute() {
         let mut db = StopFingerprintDb::new();
         db.insert(StopSiteId(0), fp(&[1, 2, 3, 4, 5]));
         db.insert(StopSiteId(1), fp(&[1, 2, 9, 8, 7]));
@@ -993,11 +886,7 @@ mod tests {
             fp(&[1, 2, 31]),
         ];
         let batch = matcher.match_trip(&trip);
-        let mut memo = MatchMemo::default();
-        let serial: Vec<_> = trip
-            .iter()
-            .map(|f| matcher.best_match_memo(f, &mut memo))
-            .collect();
+        let serial: Vec<_> = trip.iter().map(|f| matcher.best_match_brute(f)).collect();
         assert_eq!(batch, serial);
     }
 
@@ -1013,11 +902,7 @@ mod tests {
         let mut trip: Vec<Fingerprint> = (0..80u32).map(|k| fp(&[k, k + 1000, k + 2000])).collect();
         trip.push(fp(&[79, 1079, 2079]));
         let batch = matcher.match_trip(&trip);
-        let mut memo = MatchMemo::default();
-        let serial: Vec<_> = trip
-            .iter()
-            .map(|f| matcher.best_match_memo(f, &mut memo))
-            .collect();
+        let serial: Vec<_> = trip.iter().map(|f| matcher.best_match_brute(f)).collect();
         assert_eq!(batch, serial);
         assert_eq!(batch[79].unwrap().site, StopSiteId(79));
     }

@@ -1497,13 +1497,6 @@ impl TrafficMonitor {
         }
     }
 
-    /// Enables or disables the matcher's inverted index (on by default).
-    /// Results are identical either way; the evaluation harness flips this
-    /// to measure the indexed speedup against the brute-force scan.
-    pub fn set_indexed_matching(&self, enabled: bool) {
-        self.matcher.write().set_use_index(enabled);
-    }
-
     /// Attaches (or, with `None`, detaches) a per-upload decision-
     /// provenance sink: every subsequent commit finalizes a
     /// [`TripTrace`] and submits it under the tracer's sampling policy.
@@ -1600,8 +1593,7 @@ impl TrafficMonitor {
         // Trip-level batch matching (γ filter included). Samples within a
         // trip hear the same few stops, so the batch scorer deduplicates
         // repeated cell sequences and shares one index probe across the
-        // whole upload — bit-identical to the historical per-sample
-        // `best_match_memo` loop.
+        // whole upload — bit-identical to a per-sample `best_match` loop.
         let trace_start = now(trace.is_some());
         let span = self.metrics.span_matching();
         let matcher = self.matcher.read();

@@ -166,8 +166,6 @@ pub(crate) struct MatcherMetrics {
     pub candidates_pruned: Counter,
     /// Stops actually aligned per indexed query.
     pub candidates_scored: Counter,
-    /// `best_match_memo` answers served from the per-trip memo.
-    pub memo_hits: Counter,
     /// Wall time of inverted-index construction.
     stage_index_build: Arc<StageTimer>,
 }
@@ -178,7 +176,6 @@ impl MatcherMetrics {
         Self {
             candidates_pruned: registry.counter("busprobe_core_match_candidates_pruned_total"),
             candidates_scored: registry.counter("busprobe_core_match_candidates_scored_total"),
-            memo_hits: registry.counter("busprobe_core_match_memo_hits_total"),
             stage_index_build: registry.stage("busprobe_core_stage_index_build"),
         }
     }

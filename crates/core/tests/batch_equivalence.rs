@@ -1,13 +1,13 @@
 //! Equivalence suite for the trip-batched matcher: `match_trip` must be
 //! *bit-identical* — same sites, same score bits, same `common_cells`,
-//! same `None`s, in the same order — to a per-sample [`MatchMemo`] loop
-//! and to the brute-force scan, on random trips, across configurations,
+//! same `None`s, in the same order — to the per-sample indexed query and
+//! to the brute-force scan, on random trips, across configurations,
 //! past the distinct-fingerprint cap, and through arbitrary
 //! `insert`/`remove` maintenance sequences. The shared probe and the SoA
 //! candidate pool are an optimization, never an approximation.
 
 use busprobe_cellular::{CellTowerId, Fingerprint};
-use busprobe_core::{MatchConfig, MatchMemo, MatchResult, Matcher, StopFingerprintDb};
+use busprobe_core::{MatchConfig, MatchResult, Matcher, StopFingerprintDb};
 use busprobe_network::StopSiteId;
 use proptest::prelude::*;
 
@@ -59,25 +59,24 @@ fn assert_bit_identical(batched: Option<MatchResult>, reference: Option<MatchRes
 }
 
 /// Runs one trip through all three paths and demands positional
-/// bit-identity: batched ≡ memoized per-sample ≡ brute per sample.
+/// bit-identity: batched ≡ indexed per sample ≡ brute per sample.
 fn assert_trip_equivalent(matcher: &Matcher, trip: &[Fingerprint]) {
     let batched = matcher.match_trip(trip);
     assert_eq!(batched.len(), trip.len(), "one answer per scan");
-    let mut memo = MatchMemo::default();
     for (got, fp) in batched.into_iter().zip(trip) {
-        assert_bit_identical(got, matcher.best_match_memo(fp, &mut memo));
+        assert_bit_identical(got, matcher.best_match_brute(fp));
         assert_bit_identical(matcher.best_match(fp), matcher.best_match_brute(fp));
     }
 }
 
 /// The acceptance thresholds the suite sweeps: the paper's γ = 2, a
-/// permissive γ, a harsh one, and the degenerate γ ≤ 0 (index-off
-/// fallback, where the batch path must degrade to the memo loop).
+/// permissive γ, a harsh one, and the degenerate γ ≤ 0 (where pruning
+/// is unsound and the batch path must degrade to the per-sample scan).
 const GAMMAS: [f64; 4] = [2.0, 0.7, 4.5, 0.0];
 
 proptest! {
     #[test]
-    fn prop_batched_matches_memo_and_brute(
+    fn prop_batched_matches_indexed_and_brute(
         db in arb_db(24),
         trip in arb_trip(40),
         gamma_pick in 0usize..GAMMAS.len(),
@@ -119,23 +118,6 @@ proptest! {
             }
         }
         assert_trip_equivalent(&live, &trip);
-    }
-
-    #[test]
-    fn prop_batched_index_toggle_is_invisible(
-        db in arb_db(20),
-        trip in arb_trip(24),
-    ) {
-        // With the index off, `match_trip` falls back to the memoized
-        // per-sample scan — answers must not move by a bit.
-        let config = MatchConfig::default();
-        let mut matcher = Matcher::new(db, config);
-        let with_index = matcher.match_trip(&trip);
-        matcher.set_use_index(false);
-        let without = matcher.match_trip(&trip);
-        for (a, b) in with_index.into_iter().zip(without) {
-            assert_bit_identical(a, b);
-        }
     }
 
     #[test]

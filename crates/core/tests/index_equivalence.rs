@@ -119,34 +119,16 @@ proptest! {
     }
 
     #[test]
-    fn prop_index_toggle_is_invisible(
-        db in arb_db(20),
-        samples in arb_samples(10),
-    ) {
-        let config = MatchConfig::default();
-        let mut matcher = Matcher::new(db, config);
-        let with_index: Vec<_> = samples.iter().map(|s| matcher.best_match(s)).collect();
-        matcher.set_use_index(false);
-        let without: Vec<_> = samples.iter().map(|s| matcher.best_match(s)).collect();
-        for (a, b) in with_index.into_iter().zip(without) {
-            assert_bit_identical(a, b);
-        }
-    }
-
-    #[test]
-    fn prop_memo_never_changes_answers(
+    fn prop_trip_dedup_never_changes_answers(
         db in arb_db(20),
         samples in proptest::collection::vec(arb_fp(6), 0..20),
     ) {
         // Tight cell range + short fingerprints → plenty of repeats, so
-        // the memo's hit path is genuinely exercised.
+        // the batch scorer's repeated-fingerprint path is genuinely
+        // exercised.
         let matcher = Matcher::new(db, MatchConfig::default());
-        let mut memo = busprobe_core::MatchMemo::default();
-        for sample in &samples {
-            assert_bit_identical(
-                matcher.best_match_memo(sample, &mut memo),
-                matcher.best_match_brute(sample),
-            );
+        for (got, sample) in matcher.match_trip(&samples).into_iter().zip(&samples) {
+            assert_bit_identical(got, matcher.best_match_brute(sample));
         }
     }
 }

@@ -21,7 +21,7 @@
 use crate::protocol::{self, Request};
 use crate::queue::{BoundedQueue, Popped};
 use busprobe_core::geojson::map_to_geojson;
-use busprobe_core::{DropReason, TrafficMonitor};
+use busprobe_core::{latest_upload_s, DropReason, TrafficMonitor, HORIZON_GRACE_S};
 use busprobe_geo::LocalProjection;
 use busprobe_mobile::Trip;
 use busprobe_telemetry::{Counter, Gauge, Histogram, Level};
@@ -771,13 +771,7 @@ impl CommitLoop {
         }
         {
             let mut horizon = shared.horizon_last.lock();
-            for adm in &keep {
-                if let Some(sample) = adm.trip.samples.last() {
-                    if sample.time_s.is_finite() {
-                        *horizon = horizon.max(sample.time_s);
-                    }
-                }
-            }
+            *horizon = latest_upload_s(keep.iter().map(|adm| &adm.trip), *horizon);
         }
         for adm in &keep {
             shared
@@ -930,7 +924,7 @@ impl CommitLoop {
         }
         // Same horizon rule as the batch CLI's default: just after the
         // last upload, so the two maps compare byte for byte.
-        let horizon = *shared.horizon_last.lock() + 60.0;
+        let horizon = *shared.horizon_last.lock() + HORIZON_GRACE_S;
         let map = shared.monitor.snapshot_with_max_age(horizon, f64::INFINITY);
         let geojson = map_to_geojson(
             &map,

@@ -15,9 +15,10 @@
 //!   fall to a configurable [`OverflowPolicy`] that stays bit-exact by
 //!   scoring candidates in shard-id order.
 //! * [`ShardedMonitor`] — N `TrafficMonitor`s (own matcher, fusion,
-//!   duplicate state, WAL dir `<state>/shard-NNNN/`) behind one
-//!   batch-ingest façade with per-shard telemetry and conservation
-//!   accounting; recovery walks every shard directory.
+//!   duplicate state, WAL dir — the state root for one shard,
+//!   `<state>/shard-NNNN/` for more) behind one batch-ingest façade
+//!   with per-shard telemetry and conservation accounting; recovery
+//!   walks every shard's store.
 //! * [`CityAggregator`] — merges per-shard traffic maps into one city
 //!   map, byte-identical to the unsharded map for a single-shard plan.
 //! * [`ShardFront`] — a [`busprobe_serve::LineHandler`] that fans the
@@ -35,8 +36,8 @@ mod serve;
 
 pub use aggregate::CityAggregator;
 pub use monitor::{
-    is_sharded_state, read_manifest, shard_dir, CityManifest, ShardAccounting, ShardedMonitor,
-    CITY_FORMAT, CITY_MANIFEST,
+    city_layout, shard_dir, CityManifest, ShardAccounting, ShardedMonitor, CITY_FORMAT,
+    CITY_MANIFEST,
 };
 pub use partition::CityPlan;
 pub use router::{OverflowPolicy, Routed, ShardRouter};

@@ -4,6 +4,17 @@
 //!
 //! # State layout
 //!
+//! A state directory *is* a city of N ≥ 1 shards. One shard lives at
+//! the root — the plain busprobe-store layout, no manifest:
+//!
+//! ```text
+//! <state>/
+//!   0000000000000000.wal
+//!   00000000000002b4.snap
+//! ```
+//!
+//! Two or more get a manifest and one store directory each:
+//!
 //! ```text
 //! <state>/
 //!   city.json        manifest: {format, shards, policy}
@@ -12,10 +23,14 @@
 //!   ...
 //! ```
 //!
-//! The manifest records only the shard *count* and overflow policy —
-//! the site→shard assignment is recomputed from the (network, DB)
-//! pair on recovery, which [`CityPlan::build`] guarantees reproduces
-//! the exact plan that wrote the WALs.
+//! (A manifest declaring one shard — what `--shards 1` wrote before the
+//! root layout — is still read and appended to where it is.)
+//! [`city_layout`] is the one reader of this rule; it refuses a
+//! directory holding both layouts and a shard count that contradicts
+//! what is stored. The manifest records only the shard *count* and
+//! overflow policy — the site→shard assignment is recomputed from the
+//! (network, DB) pair on recovery, which [`CityPlan::build`] guarantees
+//! reproduces the exact plan that wrote the WALs.
 
 use crate::aggregate::CityAggregator;
 use crate::partition::CityPlan;
@@ -54,14 +69,11 @@ pub fn shard_dir(state: &Path, shard: usize) -> PathBuf {
     state.join(format!("shard-{shard:04}"))
 }
 
-/// Whether `state` is a sharded state directory (has a city manifest).
-#[must_use]
-pub fn is_sharded_state(state: &Path) -> bool {
+fn has_manifest(state: &Path) -> bool {
     state.join(CITY_MANIFEST).is_file()
 }
 
-/// Reads and validates the manifest of a sharded state directory.
-pub fn read_manifest(state: &Path) -> io::Result<CityManifest> {
+fn read_manifest(state: &Path) -> io::Result<CityManifest> {
     let raw = std::fs::read_to_string(state.join(CITY_MANIFEST))?;
     let manifest: CityManifest = serde_json::from_str(&raw)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad city.json: {e}")))?;
@@ -78,6 +90,50 @@ pub fn read_manifest(state: &Path) -> io::Result<CityManifest> {
         ));
     }
     Ok(manifest)
+}
+
+/// What city `state` holds: `None` for an absent or empty directory,
+/// else its manifest — for a store at the root, the one-shard manifest
+/// it stands for. Refuses a directory holding both a manifest and a
+/// root-level store, and — when the caller names the shard count it
+/// `requested` — a stored city of a different size.
+pub fn city_layout(state: &Path, requested: Option<usize>) -> io::Result<Option<CityManifest>> {
+    let refuse = |why: String| Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+    let at_root = Store::exists(state)?;
+    let stored = if has_manifest(state) {
+        if at_root {
+            return refuse(format!(
+                "{state:?} holds both a city manifest and WAL/snapshot files at its root \
+                 (an unsharded run wrote into a sharded directory); move the root-level \
+                 .wal/.snap files away or pick a fresh state dir"
+            ));
+        }
+        Some(read_manifest(state)?)
+    } else {
+        at_root.then(|| CityManifest {
+            format: CITY_FORMAT.to_string(),
+            shards: 1,
+            policy: OverflowPolicy::default().label().to_string(),
+        })
+    };
+    match (&stored, requested) {
+        (Some(m), Some(n)) if m.shards != n => refuse(format!(
+            "{state:?} was written with --shards {0}; re-run with --shards {0} \
+             (the WAL layout is per-shard) or pick a fresh state dir",
+            m.shards
+        )),
+        _ => Ok(stored),
+    }
+}
+
+/// Where shard `s` of the city under `state` keeps its store: the root
+/// for a manifest-less directory, `shard-NNNN/` otherwise.
+fn store_dir(state: &Path, s: usize) -> PathBuf {
+    if has_manifest(state) {
+        shard_dir(state, s)
+    } else {
+        state.to_path_buf()
+    }
 }
 
 /// Per-shard ingest accounting, mirrored into the global telemetry
@@ -225,17 +281,23 @@ impl ShardedMonitor {
             if bucket.is_empty() {
                 continue;
             }
-            let shard_trips: Vec<Trip> = bucket.iter().map(|&i| trips[i].clone()).collect();
-            let shard_received: Vec<f64> = if received_s.is_empty() {
-                Vec::new()
+            // A bucket holding the whole batch (always, for one shard)
+            // is the caller's slices in the caller's order: no copies.
+            let shard_reports = if bucket.len() == trips.len() {
+                self.shards[s].ingest_batch_received_parallel(trips, received_s, workers)
             } else {
-                bucket.iter().map(|&i| received_s[i]).collect()
+                let shard_trips: Vec<Trip> = bucket.iter().map(|&i| trips[i].clone()).collect();
+                let shard_received: Vec<f64> = if received_s.is_empty() {
+                    Vec::new()
+                } else {
+                    bucket.iter().map(|&i| received_s[i]).collect()
+                };
+                self.shards[s].ingest_batch_received_parallel(
+                    &shard_trips,
+                    &shard_received,
+                    workers,
+                )
             };
-            let shard_reports = self.shards[s].ingest_batch_received_parallel(
-                &shard_trips,
-                &shard_received,
-                workers,
-            );
             let mut ingested = 0u64;
             let mut dropped = 0u64;
             for (&orig, report) in bucket.iter().zip(shard_reports) {
@@ -263,41 +325,49 @@ impl ShardedMonitor {
         self.ingest_batch_received_parallel(trips, &[], workers)
     }
 
-    /// Attaches a grouped WAL store to every shard under `state` and
-    /// writes the city manifest. Directory layout is in the module
-    /// docs.
+    /// Attaches a grouped WAL store to every shard under `state`,
+    /// writing the city manifest when there are two or more. Directory
+    /// layout is in the module docs; a directory already holding a city
+    /// of another size is refused before anything is written.
     pub fn attach_stores(
         &self,
         state: &Path,
         snapshot_every: u64,
         group_every: u64,
     ) -> io::Result<()> {
+        city_layout(state, Some(self.shards.len()))?;
         std::fs::create_dir_all(state)?;
-        let manifest = CityManifest {
-            format: CITY_FORMAT.to_string(),
-            shards: self.shards.len(),
-            policy: self.policy().label().to_string(),
-        };
-        let json = serde_json::to_string_pretty(&manifest).map_err(io::Error::other)?;
-        std::fs::write(state.join(CITY_MANIFEST), json + "\n")?;
+        if self.shards.len() > 1 {
+            let manifest = CityManifest {
+                format: CITY_FORMAT.to_string(),
+                shards: self.shards.len(),
+                policy: self.policy().label().to_string(),
+            };
+            let json = serde_json::to_string_pretty(&manifest).map_err(io::Error::other)?;
+            std::fs::write(state.join(CITY_MANIFEST), json + "\n")?;
+        }
         for (s, shard) in self.shards.iter().enumerate() {
-            let store = Store::open(shard_dir(state, s))?;
+            let store = Store::open(store_dir(state, s))?;
             shard.attach_store_grouped(store, snapshot_every, group_every);
         }
         Ok(())
     }
 
-    /// Recovers a sharded monitor from `state`, rebuilding the plan
-    /// from the manifest's shard count and replaying every shard
-    /// directory. Returns per-shard recovery summaries in shard-id
-    /// order.
+    /// Recovers the city stored under `state`, rebuilding the plan from
+    /// the stored shard count and replaying every shard's store.
+    /// Returns per-shard recovery summaries in shard-id order.
     pub fn recover(
         network: TransitNetwork,
         db: &StopFingerprintDb,
         config: MonitorConfig,
         state: &Path,
     ) -> io::Result<(Self, Vec<RecoverySummary>)> {
-        let manifest = read_manifest(state)?;
+        let manifest = city_layout(state, None)?.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("{state:?} holds no WAL segments or snapshots"),
+            )
+        })?;
         let policy = OverflowPolicy::from_label(&manifest.policy).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -313,7 +383,7 @@ impl ShardedMonitor {
                 Arc::clone(&network),
                 plan.sub_db(db, s),
                 config,
-                shard_dir(state, s),
+                store_dir(state, s),
             )?;
             monitors.push(Arc::new(monitor));
             summaries.push(summary);

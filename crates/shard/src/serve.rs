@@ -8,11 +8,12 @@
 //! (withheld until that shard's WAL fsync) are exactly the single-shard
 //! engine's. Control lines fan out: `checkpoint` and `shutdown` reach
 //! every engine (the client reply comes from the front), `ping` and
-//! `stats` are answered by shard 0's engine.
+//! `stats` are answered by shard 0's engine. With one engine there is
+//! nothing to route: every line goes to it unparsed, and the front is
+//! that engine.
 
 use crate::router::{OverflowPolicy, ShardRouter};
-use busprobe_core::TrafficMonitor;
-use busprobe_mobile::Trip;
+use busprobe_core::{latest_upload_s, TrafficMonitor};
 use busprobe_serve::{protocol, EngineHandle, LineHandler, ReplySink, Request};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,8 +22,9 @@ struct FrontInner {
     engines: Vec<EngineHandle>,
     monitors: Vec<Arc<TrafficMonitor>>,
     router: ShardRouter,
-    /// Max finite sample timestamp seen (f64 bits), for the aggregated
-    /// publish horizon at drain. `u64::MAX` = none yet.
+    /// [`latest_upload_s`] over every routed upload, as f64 bits (never
+    /// negative, so bit order is numeric order), for the aggregated
+    /// publish horizon at drain.
     horizon_bits: AtomicU64,
     queue_depth: Vec<busprobe_telemetry::Gauge>,
     forwarded: Vec<busprobe_telemetry::Counter>,
@@ -62,7 +64,7 @@ impl ShardFront {
                 engines,
                 monitors,
                 router: ShardRouter::new(policy),
-                horizon_bits: AtomicU64::new(u64::MAX),
+                horizon_bits: AtomicU64::new(0.0f64.to_bits()),
                 queue_depth,
                 forwarded,
                 routed: busprobe_telemetry::counter("busprobe_shard_routed_total"),
@@ -90,42 +92,13 @@ impl ShardFront {
         self.inner.engines.iter().find_map(EngineHandle::fatal)
     }
 
-    /// The max finite sample timestamp across every routed upload —
-    /// the drain-time publish horizon (plus the engine's usual grace).
+    /// The latest finite last-sample time across every routed upload
+    /// (0 before the first) — the drain-time publish horizon, less the
+    /// usual grace. Not tracked by a one-engine front, whose engine
+    /// publishes its own map.
     #[must_use]
-    pub fn horizon(&self) -> Option<f64> {
-        match self.inner.horizon_bits.load(Ordering::Relaxed) {
-            u64::MAX => None,
-            bits => Some(f64::from_bits(bits)),
-        }
-    }
-
-    fn observe_horizon(&self, trip: &Trip) {
-        let latest = trip
-            .samples
-            .iter()
-            .map(|s| s.time_s)
-            .filter(|t| t.is_finite())
-            .fold(f64::NEG_INFINITY, f64::max);
-        if !latest.is_finite() {
-            return;
-        }
-        let inner = &self.inner;
-        let mut cur = inner.horizon_bits.load(Ordering::Relaxed);
-        loop {
-            if cur != u64::MAX && f64::from_bits(cur) >= latest {
-                return;
-            }
-            match inner.horizon_bits.compare_exchange_weak(
-                cur,
-                latest.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+    pub fn horizon(&self) -> f64 {
+        f64::from_bits(self.inner.horizon_bits.load(Ordering::Relaxed))
     }
 
     fn export_queue_depths(&self) {
@@ -139,8 +112,9 @@ impl LineHandler for ShardFront {
     fn handle_line(&self, line: &str, reply: Option<&ReplySink>) {
         let inner = &self.inner;
         // Oversized and unparseable frames go to shard 0, whose engine
-        // attributes and answers them exactly as a single shard would.
-        if line.len() > self.max_line_bytes() {
+        // attributes and answers them exactly as a single shard would —
+        // as does everything when shard 0 is the only one.
+        if inner.engines.len() == 1 || line.len() > self.max_line_bytes() {
             inner.engines[0].handle_line(line, reply);
             return;
         }
@@ -160,7 +134,9 @@ impl LineHandler for ShardFront {
                 if routed.overflow {
                     inner.overflow.inc();
                 }
-                self.observe_horizon(&trip);
+                inner
+                    .horizon_bits
+                    .fetch_max(latest_upload_s([&trip], 0.0).to_bits(), Ordering::Relaxed);
                 inner.forwarded[routed.shard].inc();
                 inner.engines[routed.shard].handle_line(line, reply);
                 self.export_queue_depths();

@@ -1,0 +1,158 @@
+//! `busprobe serve`: the resident streaming frontend.
+
+use crate::args::{flag_present, flag_value, parse_flag, parse_opt_flag, path_flag};
+use crate::ingest::open;
+use crate::world::{write_geojson, World};
+use busprobe::core::HORIZON_GRACE_S;
+use busprobe::serve::{signal, ServeConfig, ServeEngine, ServeSummary};
+use busprobe::shard::ShardFront;
+use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Loads the world, optionally recovers durable state, and serves the
+/// line-delimited JSON protocol over a unix socket or stdin until
+/// drained (SIGTERM, SIGINT, EOF or a `shutdown` command), a watchdog
+/// stall, or a store fail-stop. One [`ServeEngine`] — admission queue,
+/// commit thread, WAL and checkpoint cadence — per shard behind one
+/// [`ShardFront`]; acknowledgement semantics are the engine's, per
+/// shard.
+pub fn cmd_serve(args: &[String]) -> Result<(), String> {
+    let dir = path_flag(args, "--dir")?;
+    let world = World::load(&dir)?;
+    let socket = flag_value(args, "--socket").map(PathBuf::from);
+    match (&socket, flag_present(args, "--stdin")) {
+        (None, false) => return Err("serve needs --socket PATH or --stdin".into()),
+        (Some(_), true) => return Err("--socket and --stdin are mutually exclusive".into()),
+        _ => {}
+    }
+
+    let snapshot_every: u64 = parse_flag(args, "--snapshot-every", 0)?;
+    let seconds = |s: f64| (s > 0.0).then(|| Duration::from_secs_f64(s));
+    let config = ServeConfig {
+        queue_capacity: parse_flag(args, "--queue", 256)?,
+        full_policy: parse_flag(args, "--on-full", Default::default())?,
+        latency_budget: parse_opt_flag::<u64>(args, "--latency-budget-ms")?
+            .map(Duration::from_millis),
+        workers: parse_flag(args, "--jobs", 1)?,
+        sync_every: parse_flag(args, "--sync-every", 32)?,
+        checkpoint_every: parse_flag(args, "--checkpoint-every", 0)?,
+        checkpoint_interval: parse_opt_flag(args, "--checkpoint-interval-s")?.and_then(seconds),
+        publish_dir: flag_value(args, "--publish").map(PathBuf::from),
+        publish_interval: Duration::from_secs_f64(parse_flag(args, "--publish-interval-s", 2.0)?),
+        // 0 disables the watchdog; the default (30 s) is far above any
+        // healthy commit-loop iteration.
+        watchdog_stall: seconds(parse_flag(args, "--watchdog-s", 30.0)?),
+        // Fault injection for drills: artificially slow each batch so a
+        // stall (and the watchdog's reaction) can be provoked on demand.
+        commit_throttle: parse_opt_flag::<u64>(args, "--commit-throttle-ms")?
+            .map(Duration::from_millis),
+        ..ServeConfig::default()
+    };
+
+    // Group commit: the WAL appends one group frame (one fsync) per
+    // ack window, so `--sync-every` bounds both the fsync rate and the
+    // ack latency. Acks release only after the group fsync.
+    let backend = open(
+        &world.network,
+        &world.db,
+        args,
+        Some((snapshot_every, config.sync_every)),
+    )?;
+    let monitors = backend.monitor.shards().to_vec();
+    let sharded = monitors.len() > 1;
+    // One engine publishes its own live map; several would collide on
+    // one `--publish` dir, so the front publishes the federated map
+    // once, at drain.
+    let engine_config = ServeConfig {
+        publish_dir: config.publish_dir.clone().filter(|_| !sharded),
+        ..config.clone()
+    };
+    signal::trap_termination();
+    let engines: Vec<ServeEngine> = monitors
+        .iter()
+        .map(|m| {
+            ServeEngine::start_with(
+                Arc::clone(m),
+                engine_config.clone(),
+                Some(Box::new(|diag: &str| {
+                    eprintln!("fatal: {diag}");
+                    std::process::exit(2);
+                })),
+            )
+        })
+        .collect();
+    let handles = engines.iter().map(ServeEngine::handle).collect();
+    let front = ShardFront::new(handles, monitors, backend.monitor.policy());
+    eprintln!(
+        "serve: {} shard(s), queue capacity {} each (on-full: {}), durable: {}",
+        engines.len(),
+        config.queue_capacity,
+        config.full_policy.as_str(),
+        backend.state.is_some(),
+    );
+    match &socket {
+        Some(path) => {
+            eprintln!("listening on {}", path.display());
+            let drain = front.clone();
+            busprobe::serve::serve_unix(&front, path, move || {
+                if signal::termination_requested() {
+                    drain.begin_drain();
+                }
+            })
+            .map_err(|e| format!("serve on {path:?}: {e}"))?;
+        }
+        None => busprobe::serve::serve_stdio(&front),
+    }
+
+    // Socket loop exited (drain began or an engine died) or stdin hit
+    // EOF: stop admission either way and let the commit loops finish.
+    front.begin_drain();
+    let summaries: Vec<ServeSummary> = engines.into_iter().map(ServeEngine::join).collect();
+    let total = |f: fn(&ServeSummary) -> u64| -> u64 { summaries.iter().map(f).sum() };
+    println!(
+        "drained: {} received, {} admitted, {} committed, {} acked",
+        total(|s| s.received),
+        total(|s| s.admitted),
+        total(|s| s.committed),
+        total(|s| s.acked)
+    );
+    if total(ServeSummary::dropped) > 0 || total(|s| s.refused_draining) > 0 {
+        println!(
+            "drops (all attributed): {} shed-queue-full, {} shed-deadline, {} oversized, \
+             {} unparseable; {} refused while draining",
+            total(|s| s.shed_queue_full),
+            total(|s| s.shed_deadline),
+            total(|s| s.oversized),
+            total(|s| s.unparseable),
+            total(|s| s.refused_draining)
+        );
+    }
+    for (s, summary) in summaries.iter().enumerate() {
+        if sharded {
+            print!("shard {s:04}: {} committed, ", summary.committed);
+        }
+        println!(
+            "queue high water {} of {}; {} checkpoint(s)",
+            summary.queue_high_water, config.queue_capacity, summary.checkpoints
+        );
+        if let Some(seq) = summary.final_checkpoint_seq {
+            println!("final checkpoint covers {seq} records");
+        }
+    }
+    if let Some(pubdir) = config.publish_dir.filter(|_| sharded) {
+        std::fs::create_dir_all(&pubdir).map_err(|e| format!("create {pubdir:?}: {e}"))?;
+        let map = backend
+            .monitor
+            .city_map_with_max_age(front.horizon() + HORIZON_GRACE_S, f64::INFINITY);
+        let tmp = pubdir.join(".map.geojson.tmp");
+        write_geojson(&tmp, &map, None, &world.network)?;
+        std::fs::rename(&tmp, pubdir.join("map.geojson"))
+            .map_err(|e| format!("publish map.geojson: {e}"))?;
+        println!("published aggregated map.geojson to {pubdir:?}");
+    }
+    match summaries.into_iter().find_map(|s| s.fatal) {
+        Some(diag) => Err(format!("serve ended fatally: {diag}")),
+        None => Ok(()),
+    }
+}

@@ -163,6 +163,126 @@ fn state_dir_accumulates_and_rejects_replays() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file under `dir` with its length, name-sorted — equal listings
+/// before and after a refused command mean it touched nothing.
+fn listing(dir: &std::path::Path) -> Vec<(PathBuf, u64)> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let entry = entry.unwrap();
+            if entry.file_type().unwrap().is_dir() {
+                stack.push(entry.path());
+            } else {
+                out.push((entry.path(), entry.metadata().unwrap().len()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+fn root_store_files(state: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(state)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".wal") || n.ends_with(".snap"))
+        .collect()
+}
+
+/// A state dir is a city: every stateful command reads the shard count
+/// from it, so a flagless `ingest`/`serve` on a 4-shard directory
+/// resumes the four shards instead of starting a second, flat store at
+/// its root; a `--shards` that contradicts the directory, and a
+/// directory holding both layouts, are refused untouched.
+#[test]
+fn stateful_commands_read_the_layout_from_the_state_dir() {
+    let dir = temp_dir("layout");
+    let dir_s = dir.to_string_lossy().to_string();
+    assert!(
+        busprobe(&["init", "--dir", &dir_s, "--seed", "14", "--small"])
+            .status
+            .success()
+    );
+    assert!(
+        busprobe(&["simulate", "--dir", &dir_s, "--start", "08:00", "--end", "08:30"])
+            .status
+            .success()
+    );
+    let city = dir.join("city-state");
+    let city_s = city.to_string_lossy().to_string();
+    let flat = dir.join("flat-state");
+    let flat_s = flat.to_string_lossy().to_string();
+    let ingest = |extra: &[&str]| {
+        let mut args = vec!["ingest", "--dir", &dir_s];
+        args.extend_from_slice(extra);
+        busprobe(&args)
+    };
+    assert!(ingest(&["--state", &city_s, "--shards", "4"])
+        .status
+        .success());
+    assert!(ingest(&["--state", &flat_s]).status.success());
+    assert!(city.join("city.json").exists() && city.join("shard-0003").is_dir());
+    assert!(!flat.join("city.json").exists());
+
+    // Flagless ingest on the 4-shard dir: resumed, so every upload is a
+    // replay, and nothing lands at the root.
+    let again = ingest(&["--state", &city_s]);
+    let text = String::from_utf8_lossy(&again.stdout).to_string();
+    assert!(
+        again.status.success(),
+        "{}",
+        String::from_utf8_lossy(&again.stderr)
+    );
+    assert!(text.contains("recovered sharded state"), "{text}");
+    assert!(text.contains("(4 shards)"), "{text}");
+    assert!(text.contains("0 samples matched"), "{text}");
+    assert_eq!(root_store_files(&city), Vec::<String>::new());
+
+    // Flagless serve likewise (stdin is closed: it drains at once).
+    let serve = busprobe(&["serve", "--dir", &dir_s, "--state", &city_s, "--stdin"]);
+    let text = String::from_utf8_lossy(&serve.stdout).to_string();
+    assert!(
+        serve.status.success(),
+        "{}",
+        String::from_utf8_lossy(&serve.stderr)
+    );
+    assert!(text.contains("(4 shards)"), "{text}");
+    assert!(text.contains("drained:"), "{text}");
+    assert_eq!(root_store_files(&city), Vec::<String>::new());
+
+    // A shard count that contradicts the directory is refused untouched.
+    for (state, state_s, shards, wrote) in [(&flat, &flat_s, "4", "1"), (&city, &city_s, "2", "4")]
+    {
+        let before = listing(state);
+        let out = ingest(&["--state", state_s, "--shards", shards]);
+        assert!(!out.status.success(), "--shards {shards} on {state:?}");
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(
+            err.contains(&format!("was written with --shards {wrote}")),
+            "{err}"
+        );
+        assert_eq!(listing(state), before, "refusal touched {state:?}");
+    }
+
+    // Both layouts in one directory (what a flagless ingest used to
+    // leave in a sharded one): refused, with the reason.
+    let wal = root_store_files(&flat)
+        .into_iter()
+        .find(|n| n.ends_with(".wal"))
+        .expect("the flat store has a WAL segment");
+    std::fs::copy(flat.join(&wal), city.join(&wal)).unwrap();
+    let before = listing(&city);
+    for cmd in ["ingest", "recover"] {
+        let out = busprobe(&[cmd, "--dir", &dir_s, "--state", &city_s]);
+        assert!(!out.status.success(), "{cmd} accepted a mixed directory");
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(err.contains("both a city manifest and"), "{cmd}: {err}");
+    }
+    assert_eq!(listing(&city), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn crash_recovery_resume_matches_uninterrupted_ingest() {
     let dir = temp_dir("crash");

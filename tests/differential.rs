@@ -549,11 +549,14 @@ fn wal_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 /// The sharding extension of the equivalence proof: a single-shard
 /// [`ShardedMonitor`] is the unsharded monitor, **bit for bit** — same
 /// per-trip reports and drop attribution, same federated map and
-/// GeoJSON, and the same WAL bytes on disk (`<state>/shard-0000/`
-/// versus the flat state directory), on a fault-injected corpus.
+/// GeoJSON, and the same WAL bytes on disk, in the same place (a city of
+/// one keeps its store at the root of the state directory), on a
+/// fault-injected corpus. A directory in the older `city.json` +
+/// `shard-0000/` layout still recovers to the same state.
 #[test]
 fn single_shard_is_bit_identical_to_unsharded() {
-    use busprobe::shard::{shard_dir, OverflowPolicy, ShardedMonitor};
+    use busprobe::shard::{shard_dir, CityManifest, OverflowPolicy, ShardedMonitor};
+    use busprobe::shard::{CITY_FORMAT, CITY_MANIFEST};
     use busprobe::store::Store;
 
     let world = TestWorld::new(67, 4);
@@ -608,18 +611,58 @@ fn single_shard_is_bit_identical_to_unsharded() {
         "shards=1: GeoJSON diverged from the flat export"
     );
 
-    // The WAL bytes are the same files with the same contents, one
-    // directory level down.
+    // The WAL bytes are the same files with the same contents, at the
+    // root of the state directory, with no manifest beside them.
     let flat_wal = wal_files(&flat_state);
-    let shard_wal = wal_files(&shard_dir(&city_state, 0));
     assert!(!flat_wal.is_empty(), "flat ingest wrote a WAL");
     assert_eq!(
-        shard_wal, flat_wal,
-        "shards=1: shard-0000 WAL bytes diverged from the flat WAL"
+        wal_files(&city_state),
+        flat_wal,
+        "shards=1: the city's root-level WAL bytes diverged from the flat WAL"
+    );
+    assert!(!city_state.join(CITY_MANIFEST).exists());
+
+    // The layout `--shards 1` used to write — a manifest declaring one
+    // shard over `shard-0000/` — recovers to the same state as the root
+    // layout, and is appended to where it is.
+    drop(city);
+    let legacy_state =
+        std::env::temp_dir().join(format!("busprobe-difflegacy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&legacy_state);
+    std::fs::create_dir_all(&legacy_state).unwrap();
+    std::fs::rename(&city_state, shard_dir(&legacy_state, 0)).unwrap();
+    let manifest = CityManifest {
+        format: CITY_FORMAT.to_string(),
+        shards: 1,
+        policy: OverflowPolicy::Score.label().to_string(),
+    };
+    std::fs::write(
+        legacy_state.join(CITY_MANIFEST),
+        serde_json::to_string_pretty(&manifest).unwrap(),
+    )
+    .unwrap();
+    let (legacy, summaries) = ShardedMonitor::recover(
+        world.network.clone(),
+        &world.db,
+        MonitorConfig::default(),
+        &legacy_state,
+    )
+    .unwrap();
+    assert_eq!(summaries.len(), 1);
+    assert_eq!(legacy.commit_counts(), vec![flat.commit_count()]);
+    assert_eq!(
+        serde_json::to_string(&legacy.city_map_with_max_age(end_s, f64::INFINITY)).unwrap(),
+        serde_json::to_string(&flat_map).unwrap(),
+        "a city.json{{shards:1}} directory recovered to a different map"
+    );
+    legacy.attach_stores(&legacy_state, 0, 1).unwrap();
+    assert!(
+        wal_files(&legacy_state).is_empty(),
+        "a manifest directory must keep appending under shard-0000/"
     );
 
     let _ = std::fs::remove_dir_all(&flat_state);
-    let _ = std::fs::remove_dir_all(&city_state);
+    let _ = std::fs::remove_dir_all(&legacy_state);
 }
 
 /// The sharded crash matrix: a 4-shard metropolis ingests durably, the

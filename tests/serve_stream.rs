@@ -11,7 +11,10 @@ mod common;
 
 use busprobe::core::TrafficMonitor;
 use busprobe::faults::FaultPlan;
-use busprobe::serve::{protocol, FullPolicy, ReplySink, ServeConfig, ServeEngine, ServeSummary};
+use busprobe::serve::{
+    protocol, FullPolicy, LineHandler, ReplySink, ServeConfig, ServeEngine, ServeSummary,
+};
+use busprobe::shard::{OverflowPolicy, ShardFront};
 use busprobe::store::Store;
 use busprobe_bench::World;
 use common::{faulted, TestWorld};
@@ -398,4 +401,104 @@ fn stats_command_reports_the_ledgers() {
         std::thread::sleep(Duration::from_millis(10));
     }
     let _ = engine.join();
+}
+
+/// A front over one engine *is* that engine: the same script — good
+/// uploads, an oversized line, a garbage line, `ping`, `checkpoint`,
+/// `shutdown` — through a bare [`busprobe::serve::EngineHandle`] and
+/// through a one-engine [`ShardFront`] yields the same reply lines, the
+/// same [`ServeSummary`] and the same published `map.geojson` bytes.
+#[test]
+fn one_engine_front_is_the_bare_engine() {
+    let world = TestWorld::new(SEED, 4);
+    let base = World::small(SEED).ride_corpus(30, SEED);
+    let (trips, received) = faulted(&base, FaultPlan::calibrated(), SEED);
+
+    let run = |tag: &str, through_front: bool| -> (Vec<String>, ServeSummary, Vec<u8>) {
+        let state = scratch_dir(&format!("front-{tag}-state"));
+        let publish = scratch_dir(&format!("front-{tag}-publish"));
+        let monitor = Arc::new(world.monitor());
+        monitor.attach_store(Store::open(&state).unwrap(), 0);
+        let engine = ServeEngine::start(
+            Arc::clone(&monitor),
+            ServeConfig {
+                max_line_bytes: 64 * 1024,
+                publish_dir: Some(publish.clone()),
+                ..ServeConfig::default()
+            },
+        );
+        let (reply, buffer) = ReplySink::buffered();
+        let handle = engine.handle();
+        let front = ShardFront::new(
+            vec![engine.handle()],
+            vec![Arc::clone(&monitor)],
+            OverflowPolicy::Score,
+        );
+        let send = |line: &str| {
+            if through_front {
+                front.handle_line(line, Some(&reply));
+            } else {
+                handle.handle_line(line, Some(&reply));
+            }
+        };
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !done() {
+                assert!(
+                    Instant::now() < deadline,
+                    "{tag}: timed out waiting for {what}"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+
+        send(&format!("{{\"pad\":\"{}\"}}", "x".repeat(70_000)));
+        send("this is not json");
+        send("{\"cmd\":\"ping\"}");
+        for (i, trip) in trips.iter().enumerate() {
+            let line = protocol::upload_line(trip, i as u64, Some(received[i]));
+            send(&line);
+        }
+        // Settle before each control line, so how many checkpoints run
+        // (one requested, one at drain) does not depend on thread timing.
+        wait_for("the commits", &|| {
+            monitor.commit_count() >= trips.len() as u64
+        });
+        send("{\"cmd\":\"checkpoint\"}");
+        wait_for("the requested checkpoint", &|| {
+            std::fs::read_dir(&state)
+                .unwrap()
+                .any(|e| e.unwrap().path().extension().is_some_and(|x| x == "snap"))
+        });
+        send("{\"cmd\":\"shutdown\"}");
+        let summary = engine.join();
+
+        // Acks come from the commit thread, the other replies from this
+        // one: compare the lines as a set.
+        let mut replies: Vec<String> = String::from_utf8(buffer.lock().clone())
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect();
+        replies.sort();
+        let map = std::fs::read(publish.join("map.geojson")).expect("a map was published");
+        let _ = std::fs::remove_dir_all(&state);
+        let _ = std::fs::remove_dir_all(&publish);
+        (replies, summary, map)
+    };
+
+    let (bare_replies, bare, bare_map) = run("bare", false);
+    let (front_replies, front, front_map) = run("front", true);
+    assert_eq!(bare.committed, trips.len() as u64, "{bare:?}");
+    assert_eq!((bare.oversized, bare.unparseable), (1, 1), "{bare:?}");
+    assert_eq!(bare.checkpoints, 2, "{bare:?}");
+    assert_eq!(front_replies, bare_replies);
+    // The deepest the queue got is a race between producer and commit
+    // thread in either run; everything else must agree.
+    let settled = |s: ServeSummary| ServeSummary {
+        queue_high_water: 0,
+        ..s
+    };
+    assert_eq!(settled(front), settled(bare));
+    assert_eq!(front_map, bare_map, "published maps differ");
 }
