@@ -31,14 +31,14 @@ fn bench_end_to_end(c: &mut Criterion) {
         b.iter(|| {
             let monitor = fresh_monitor();
             for trip in &trips {
-                black_box(monitor.ingest_trip(black_box(trip)));
+                black_box(monitor.ingest_upload(black_box(trip), None));
             }
         })
     });
     group.bench_function("ingest_parallel", |b| {
         b.iter(|| {
             let monitor = fresh_monitor();
-            black_box(monitor.ingest_batch(black_box(&trips)))
+            black_box(monitor.ingest_batch_parallel(black_box(&trips), 0))
         })
     });
     group.bench_function("pipeline_only_no_fusion", |b| {

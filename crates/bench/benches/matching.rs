@@ -35,11 +35,6 @@ fn bench_matching(c: &mut Criterion) {
         &off_stop,
         |b, fp| b.iter(|| black_box(matcher.best_match(black_box(fp)))),
     );
-    group.bench_with_input(
-        BenchmarkId::new("candidates", format!("db_{}", matcher.db().len())),
-        &at_stop,
-        |b, fp| b.iter(|| black_box(matcher.candidates(black_box(fp)))),
-    );
     group.finish();
 }
 

@@ -2,7 +2,7 @@
 //! and export cost, and — the acceptance criterion — the share of
 //! end-to-end ingest time spent on instrumentation.
 //!
-//! A productive trip through `TrafficMonitor::ingest_trip` touches the
+//! A productive trip through `TrafficMonitor::ingest_upload` touches the
 //! registry via ~7 counter adds, 6 stage spans and 1 histogram record.
 //! This bench times that exact sequence against the real per-trip ingest
 //! cost and asserts it stays below 5%.
@@ -65,7 +65,7 @@ fn bench_end_to_end_overhead(c: &mut Criterion) {
             if i == 0 {
                 monitor = fresh_monitor();
             }
-            black_box(monitor.ingest_trip(black_box(&trips[i])));
+            black_box(monitor.ingest_upload(black_box(&trips[i]), None));
             i = (i + 1) % trips.len();
         })
     };
@@ -108,7 +108,7 @@ fn bench_end_to_end_overhead(c: &mut Criterion) {
         b.iter(|| {
             let monitor = fresh_monitor();
             for trip in &trips {
-                black_box(monitor.ingest_trip(black_box(trip)));
+                black_box(monitor.ingest_upload(black_box(trip), None));
             }
         })
     });

@@ -54,7 +54,7 @@ fn bench_disabled_overhead(_c: &mut Criterion) {
             if i == 0 {
                 monitor = fresh_monitor();
             }
-            black_box(monitor.ingest_trip(black_box(&trips[i])));
+            black_box(monitor.ingest_upload(black_box(&trips[i]), None));
             i = (i + 1) % trips.len();
         })
     };
@@ -101,7 +101,7 @@ fn bench_enabled_tax(c: &mut Criterion) {
         ns_per_call(|| {
             let monitor = fresh(tracer());
             for trip in &trips {
-                black_box(monitor.ingest_trip(black_box(trip)));
+                black_box(monitor.ingest_upload(black_box(trip), None));
             }
         })
     };
@@ -118,7 +118,7 @@ fn bench_enabled_tax(c: &mut Criterion) {
     let traced = Arc::new(Tracer::new(TracePolicy::export_all()));
     let monitor = fresh(Some(Arc::clone(&traced)));
     for trip in &trips {
-        monitor.ingest_trip(trip);
+        monitor.ingest_upload(trip, None);
     }
     let records = traced.exported();
     assert_eq!(records.len(), trips.len());

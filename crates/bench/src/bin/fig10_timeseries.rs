@@ -24,7 +24,7 @@ fn main() {
     let trips = world.uploads(&output, 1.0, 10);
 
     // Ordinary ingest; the monitor retains the per-window speed series.
-    let reports = monitor.ingest_batch(&trips);
+    let reports = monitor.ingest_batch_parallel(&trips, 0);
     let total_obs: usize = reports.iter().map(|r| r.observations).sum();
     let mut buckets: HashMap<(SegmentKey, u32), f64> = HashMap::new();
     for seg in world.network.segments() {

@@ -33,7 +33,7 @@ fn main() {
             .filter(|trip| trip.end_s() <= t.seconds())
             .cloned()
             .collect();
-        let reports = monitor.ingest_batch(&past);
+        let reports = monitor.ingest_batch_parallel(&past, 0);
         let obs: usize = reports.iter().map(|r| r.observations).sum();
         let map = monitor.snapshot_with_max_age(t.seconds(), 2400.0);
         println!();

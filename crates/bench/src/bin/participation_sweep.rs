@@ -41,7 +41,7 @@ fn main() {
             .into_iter()
             .filter(|t| t.end_s() <= snapshot_t.seconds())
             .collect();
-        let _ = monitor.ingest_batch(&trips);
+        let _ = monitor.ingest_batch_parallel(&trips, 0);
         let map = monitor.snapshot_with_max_age(snapshot_t.seconds(), 3600.0);
 
         let mut dv: Vec<f64> = Vec::new();

@@ -28,7 +28,7 @@ pub fn ns_per_call(mut f: impl FnMut()) -> f64 {
     }
 }
 
-/// The minimum of [`REPS`] [`ns_per_call`] measurements.
+/// The minimum of three [`ns_per_call`] measurements.
 pub fn best_ns_per_call(mut f: impl FnMut()) -> f64 {
     (0..REPS)
         .map(|_| ns_per_call(&mut f))

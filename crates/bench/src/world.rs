@@ -418,7 +418,7 @@ mod tests {
         // Every trip rides ≥4 stops with ≥2 taps each.
         assert!(a.iter().all(|t| t.samples.len() >= 8));
         let monitor = w.monitor();
-        let reports = monitor.ingest_batch(&a);
+        let reports = monitor.ingest_batch_parallel(&a, 0);
         let observations: usize = reports.iter().map(|r| r.observations).sum();
         assert!(observations > 0, "corpus must produce speed observations");
     }
@@ -446,7 +446,7 @@ mod tests {
         let m = World::metropolis(150, 10, 9);
         let monitor =
             TrafficMonitor::new(m.network.clone(), m.db.clone(), MonitorConfig::default());
-        let reports = monitor.ingest_batch(&m.trips_chunk(0, 10));
+        let reports = monitor.ingest_batch_parallel(&m.trips_chunk(0, 10), 0);
         let observations: usize = reports.iter().map(|r| r.observations).sum();
         assert!(observations > 0, "fabricated scans must map to stops");
     }
@@ -469,7 +469,7 @@ mod tests {
         let monitor = w.monitor();
         let out = w.simulate(SimTime::from_hms(8, 0, 0), SimTime::from_hms(9, 30, 0));
         let trips = w.uploads(&out, 1.0, 2);
-        let reports = monitor.ingest_batch(&trips);
+        let reports = monitor.ingest_batch_parallel(&trips, 0);
         let total_obs: usize = reports.iter().map(|r| r.observations).sum();
         assert!(total_obs > 0, "uploads must produce speed observations");
         let map = monitor.snapshot(SimTime::from_hms(9, 30, 0).seconds());

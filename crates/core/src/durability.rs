@@ -1,24 +1,22 @@
 //! Durable commit records and full-state snapshots for the monitor.
 //!
-//! PR 4's stage/commit split leaves the monitor with exactly one
-//! mutation point — [`TrafficMonitor::commit_staged`] — applied in
-//! upload sequence order by a single thread. Durability therefore
-//! reduces to a ledger of what each commit *did*: a [`CommitRecord`]
-//! captures the upload digest, the near-duplicate digests it registered,
-//! the harvest it fed the updater and the observations it folded into
-//! fusion. Replaying those records in sequence order through the same
-//! mutation code reconstructs the state bit for bit — the identical
-//! argument that makes parallel ingest equal serial ingest makes
-//! recovery equal the never-crashed run.
+//! The stage/commit split leaves the monitor with exactly one mutation
+//! point — the commit phase of [`TrafficMonitor`](crate::TrafficMonitor)
+//! — applied in upload sequence order by a single thread. Durability
+//! therefore reduces to a ledger of what each commit *does*: a
+//! [`CommitRecord`] captures the upload digest, the near-duplicate
+//! digests it registers, the harvest it feeds the updater and the
+//! observations it folds into fusion. The live commit builds the record
+//! and applies it; replay applies the same records in sequence order
+//! through the same function, which reconstructs the state bit for bit
+//! — the identical argument that makes parallel ingest equal serial
+//! ingest makes recovery equal the never-crashed run.
 //!
 //! Records are encoded with a hand-rolled little-endian binary codec
 //! (floats as IEEE-754 bit patterns, so `NaN`s and signed zeros survive
 //! exactly); the framing, CRC and fault tolerance live one layer down in
 //! `busprobe-store`. Snapshots are JSON ([`PersistedState`]): they are
-//! rare, human-inspectable, and reuse the same serde plumbing as the
-//! exportable [`MonitorState`](crate::MonitorState).
-//!
-//! [`TrafficMonitor::commit_staged`]: crate::TrafficMonitor
+//! rare and human-inspectable.
 
 use crate::database::StopFingerprintDb;
 use crate::estimation::SpeedObservation;
@@ -328,10 +326,10 @@ impl<'a> Reader<'a> {
 
 /// The complete durable state of a monitor, as written into snapshots.
 ///
-/// Compared to the exportable [`MonitorState`](crate::MonitorState) this
-/// adds the updater's pending harvest (so a refresh after recovery
-/// elects from the same candidates) and the WAL coverage point; `seen`
-/// is stored sorted so snapshot bytes are deterministic.
+/// Besides the traffic beliefs, database and seen set it carries the
+/// updater's pending harvest (so a refresh after recovery elects from
+/// the same candidates) and the WAL coverage point; `seen` is stored
+/// sorted so snapshot bytes are deterministic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PersistedState {
     /// WAL sequence number this snapshot covers (records `0..commits`
@@ -351,30 +349,19 @@ pub struct PersistedState {
     pub updater: DbUpdater,
 }
 
-/// What [`TrafficMonitor::recover`](crate::TrafficMonitor::recover)
-/// found and replayed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoverySummary {
-    /// WAL segment files scanned on disk.
-    pub wal_segments: u64,
-    /// Coverage point of the snapshot the state was loaded from, if any.
-    pub snapshot_seq: Option<u64>,
-    /// WAL sequence high-water represented in the recovered state
-    /// (committed uploads plus refresh records).
-    pub commits: u64,
-    /// Commit records replayed from the WAL tail.
-    pub replayed_commits: u64,
-    /// Refresh records replayed from the WAL tail.
-    pub replayed_refreshes: u64,
-    /// Damaged or undecodable records skipped (with attribution in the
-    /// event log), costing at most those uploads — never the state.
-    pub skipped_records: u64,
-    /// Torn segment tails dropped.
-    pub corrupt_tails: u64,
-    /// Newer-but-corrupt snapshots that were passed over.
-    pub snapshots_skipped: u64,
-    /// Wall-clock seconds spent recovering.
-    pub duration_s: f64,
+impl PersistedState {
+    /// The state of a monitor that has ingested nothing: `db` as
+    /// surveyed, no beliefs, nothing seen, an idle updater.
+    pub(crate) fn fresh(database: StopFingerprintDb, config: MonitorConfig) -> Self {
+        PersistedState {
+            commits: 0,
+            config,
+            fusion: SegmentFusion::paper_default(),
+            database,
+            seen: Vec::new(),
+            updater: DbUpdater::new(config.updater),
+        }
+    }
 }
 
 #[cfg(test)]

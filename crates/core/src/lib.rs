@@ -74,9 +74,7 @@ pub mod updater;
 pub use alignment::{align, AlignOp, Alignment};
 pub use clustering::{Cluster, ClusterCandidate, ClusterConfig, Clusterer, MatchedSample};
 pub use database::StopFingerprintDb;
-pub use durability::{
-    CodecError, CommitRecord, HarvestEntry, PersistedState, RecoverySummary, WalRecord,
-};
+pub use durability::{CodecError, CommitRecord, HarvestEntry, PersistedState, WalRecord};
 pub use estimation::{EstimatorConfig, SpeedObservation, TripEstimator};
 pub use fusion::{BayesianSpeed, SegmentFusion};
 pub use index::MatchIndex;
@@ -87,5 +85,8 @@ pub use map::{
 pub use mapping::{MappedVisit, TripMapper};
 pub use matching::{MatchConfig, MatchExplanation, MatchResult, Matcher};
 pub use sanitize::{sanitize, SanitizeConfig, SanitizeReport};
-pub use server::{DropReason, IngestReport, MonitorConfig, MonitorState, TrafficMonitor};
+pub use server::{DropReason, IngestReport, MonitorConfig, TrafficMonitor};
 pub use updater::{DbUpdater, UpdaterConfig};
+
+/// What [`TrafficMonitor::recover`] found and replayed.
+pub use busprobe_trace::RecoveryTrace;

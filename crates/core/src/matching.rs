@@ -7,18 +7,17 @@
 //! sequences; matches score +1, mismatches and gaps cost 0.3 (the value the
 //! paper selected by sweeping 0.1–0.9).
 //!
-//! The [`Matcher`] serves two query shapes through one scored-candidates
-//! core (one scoring path, one tie-break comparator, so they cannot
-//! diverge): [`best_match`](Matcher::best_match) and
-//! [`candidates`](Matcher::candidates). Both run against a [`MatchIndex`]
-//! by default — an inverted cell-ID index with provable score-bound
-//! pruning that skips stops which cannot reach the acceptance threshold —
-//! and fall back to the exhaustive scan (also exposed as
-//! [`best_match_brute`](Matcher::best_match_brute) /
-//! [`candidates_brute`](Matcher::candidates_brute)) whenever pruning is
-//! not sound (γ ≤ 0 accepts stops sharing zero cells). Results are
-//! bit-identical between the two paths; `crates/core/tests/`
-//! holds the property suite asserting it.
+//! The [`Matcher`] answers per sample ([`best_match`](Matcher::best_match))
+//! and per trip ([`match_trip`](Matcher::match_trip), what the pipeline
+//! takes) through one scoring path and one tie-break comparator, so they
+//! cannot diverge. Both run against a [`MatchIndex`] by default — an
+//! inverted cell-ID index with provable score-bound pruning that skips
+//! stops which cannot reach the acceptance threshold — and fall back to
+//! the exhaustive scan (also exposed as
+//! [`best_match_brute`](Matcher::best_match_brute), the oracle) whenever
+//! pruning is not sound (γ ≤ 0 accepts stops sharing zero cells). Results
+//! are bit-identical between the two paths; `crates/core/tests/` holds
+//! the property suite asserting it.
 
 use crate::database::StopFingerprintDb;
 use crate::fxhash::FxBuildHasher;
@@ -318,16 +317,6 @@ impl Matcher {
         })
     }
 
-    /// Exhaustively scores the whole database (the brute-force core).
-    fn scored_scan<'a>(
-        &'a self,
-        sample: &'a Fingerprint,
-    ) -> impl Iterator<Item = MatchResult> + 'a {
-        self.db
-            .iter()
-            .filter_map(move |(site, stored)| self.score_one(sample, site, stored, None))
-    }
-
     /// The best-matching bus stop for `sample`, or `None` when every score
     /// falls below the acceptance threshold γ ("all cellular samples whose
     /// highest similarity score is lower than 2 are discarded").
@@ -378,43 +367,13 @@ impl Matcher {
         best
     }
 
-    /// All bus stops whose similarity with `sample` passes the acceptance
-    /// threshold, best first. The per-trip mapper consumes these candidate
-    /// pools. Index-accelerated; bit-identical to
-    /// [`candidates_brute`](Self::candidates_brute).
-    #[must_use]
-    pub fn candidates(&self, sample: &Fingerprint) -> Vec<MatchResult> {
-        let mut out: Vec<MatchResult> = if self.indexed() {
-            let mut pool = Vec::new();
-            let mut scored = 0usize;
-            self.index.visit_candidates(
-                sample,
-                self.config.match_score,
-                self.config.accept_threshold,
-                |site, stored, shared, _bound| {
-                    scored += 1;
-                    if let Some(candidate) = self.score_one(sample, site, stored, Some(shared)) {
-                        pool.push(candidate);
-                    }
-                    true
-                },
-            );
-            self.record_query(scored);
-            pool
-        } else {
-            self.scored_scan(sample).collect()
-        };
-        out.sort_by(rank);
-        out
-    }
-
     /// [`best_match`](Self::best_match) for every sample of one trip,
     /// sharing the index probe across the whole upload.
     ///
     /// Samples within a trip hear the same few stops, so the batch path
     /// probes the inverted index once per trip: distinct fingerprints are
     /// deduplicated (a repeat reuses the first occurrence's answer), one
-    /// [`TripPool`] materializes the union of candidate posting lists
+    /// trip pool materializes the union of candidate posting lists
     /// with per-candidate shared-cell bitmasks and an SoA cell arena, and
     /// each distinct sample then scores its candidates by counting-sorted
     /// shared-count buckets — reproducing the per-sample visit order
@@ -423,8 +382,8 @@ impl Matcher {
     /// sample;
     /// `crates/core/tests/batch_equivalence.rs` holds the property suite.
     ///
-    /// Distinct fingerprints beyond [`TRIP_DISTINCT_CAP`] are answered
-    /// per occurrence through the per-sample path.
+    /// Distinct fingerprints beyond the dedup cap (64 per trip) are
+    /// answered per occurrence through the per-sample path.
     #[must_use]
     pub fn match_trip(&self, fps: &[Fingerprint]) -> Vec<Option<MatchResult>> {
         if !self.indexed() {
@@ -573,16 +532,10 @@ impl Matcher {
     pub fn best_match_brute(&self, sample: &Fingerprint) -> Option<MatchResult> {
         // min_by(rank): rank is a total order and sites are unique, so
         // the minimum (highest-priority) element is unique.
-        self.scored_scan(sample).min_by(rank)
-    }
-
-    /// Reference implementation of [`candidates`](Self::candidates): a
-    /// full scan of the database.
-    #[must_use]
-    pub fn candidates_brute(&self, sample: &Fingerprint) -> Vec<MatchResult> {
-        let mut out: Vec<MatchResult> = self.scored_scan(sample).collect();
-        out.sort_by(rank);
-        out
+        self.db
+            .iter()
+            .filter_map(|(site, stored)| self.score_one(sample, site, stored, None))
+            .min_by(rank)
     }
 
     /// Number of stops that survive the index's score-bound filter for
@@ -769,27 +722,15 @@ mod tests {
         db.insert(StopSiteId(1), fp(&[31, 1, 2, 50]));
         let matcher = Matcher::new(db, config());
         let sample = fp(&[1, 2, 31]);
-        let cands = matcher.candidates(&sample);
+        let explained = matcher.explain(&sample);
+        let (first, second) = (explained.winner.unwrap(), explained.runner_up.unwrap());
         assert!(
-            (cands[0].score - cands[1].score).abs() < 1e-12,
+            (first.score - second.score).abs() < 1e-12,
             "scores tie at 2.0"
         );
         let hit = matcher.best_match(&sample).unwrap();
         assert_eq!(hit.site, StopSiteId(1), "more common cells wins the tie");
         assert_eq!(hit.common_cells, 3);
-    }
-
-    #[test]
-    fn candidates_are_sorted_and_filtered() {
-        let mut db = StopFingerprintDb::new();
-        db.insert(StopSiteId(0), fp(&[1, 2, 3, 4, 5]));
-        db.insert(StopSiteId(1), fp(&[1, 2, 3, 9, 8]));
-        db.insert(StopSiteId(2), fp(&[40, 41, 42]));
-        let matcher = Matcher::new(db, config());
-        let cands = matcher.candidates(&fp(&[1, 2, 3, 4, 5]));
-        assert_eq!(cands.len(), 2, "disjoint stop filtered out");
-        assert_eq!(cands[0].site, StopSiteId(0));
-        assert!(cands[0].score >= cands[1].score);
     }
 
     #[test]
@@ -823,10 +764,6 @@ mod tests {
                 matcher.best_match(&sample),
                 matcher.best_match_brute(&sample)
             );
-            assert_eq!(
-                matcher.candidates(&sample),
-                matcher.candidates_brute(&sample)
-            );
         }
     }
 
@@ -842,9 +779,12 @@ mod tests {
         let matcher = Matcher::new(db, cfg);
         assert!(!matcher.indexed(), "γ ≤ 0 cannot be index-pruned");
         // Every stop passes γ = 0, even with zero shared cells.
-        let cands = matcher.candidates(&fp(&[1, 2]));
-        assert_eq!(cands.len(), 2);
-        assert_eq!(cands, matcher.candidates_brute(&fp(&[1, 2])));
+        let far = fp(&[8, 9, 7]);
+        let hit = matcher.best_match(&far).unwrap();
+        assert_eq!(Some(hit), matcher.best_match_brute(&far));
+        assert_eq!(matcher.match_trip(&[far]), vec![Some(hit)]);
+        let zero_shared = matcher.best_match(&fp(&[5, 6])).unwrap();
+        assert_eq!(zero_shared.common_cells, 0, "accepted on score 0 alone");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! bit of the result. This module shards a batch of uploads across `N`
 //! workers that run the **stage** phase (sanitize → match → cluster →
 //! map → estimate — pure reads of shared state, see
-//! [`TrafficMonitor::stage_upload`](crate::TrafficMonitor)), then funnels
+//! `stage_upload` in [`TrafficMonitor`]), then funnels
 //! the staged results through a **sequence-numbered reducer** that
 //! applies the **commit** phase (duplicate suppression, telemetry,
 //! updater harvest, Bayesian fusion) strictly in upload order.
@@ -57,13 +57,21 @@ pub fn effective_workers(requested: usize) -> usize {
 
 /// Ingests `trips` with `workers` stage threads (`0` = all cores) and a
 /// deterministic sequential reducer; returns per-trip reports in input
-/// order. `received_s` is matched to trips by index.
+/// order. `received_s` is matched to trips by index: empty (no arrival
+/// times) or one entry per trip — the one place that rule is enforced,
+/// for bare monitors and shards alike.
 pub(crate) fn ingest_batch(
     monitor: &TrafficMonitor,
     trips: &[Trip],
-    received_s: Option<&[f64]>,
+    received_s: &[f64],
     workers: usize,
 ) -> Vec<IngestReport> {
+    assert!(
+        received_s.is_empty() || received_s.len() == trips.len(),
+        "received_s must be empty or match trips ({} vs {})",
+        received_s.len(),
+        trips.len()
+    );
     let workers = effective_workers(workers).min(trips.len().max(1));
     if workers <= 1 {
         // One worker: stage+commit back to back is already the serial
@@ -71,10 +79,7 @@ pub(crate) fn ingest_batch(
         let reports = trips
             .iter()
             .enumerate()
-            .map(|(seq, trip)| {
-                let recv = received_s.and_then(|r| r.get(seq).copied());
-                monitor.ingest_upload(trip, recv)
-            })
+            .map(|(seq, trip)| monitor.ingest_upload(trip, received_s.get(seq).copied()))
             .collect();
         monitor.flush_wal_group();
         return reports;
@@ -103,7 +108,7 @@ pub(crate) fn ingest_batch(
             scope.spawn(move |_| loop {
                 match injector.steal() {
                     Steal::Success(seq) => {
-                        let recv = received_s.and_then(|r| r.get(seq).copied());
+                        let recv = received_s.get(seq).copied();
                         let staged = monitor.stage_upload(&trips[seq], recv, Some(worker));
                         if tx.send((seq, staged)).is_err() {
                             break;

@@ -1,0 +1,570 @@
+//! The durable half of the monitor: the attached WAL store with its
+//! group-commit window, retry and fail-stop policy, checkpoints, and
+//! recovery — snapshot load plus WAL replay through `apply_commit`.
+
+use super::TrafficMonitor;
+use crate::database::StopFingerprintDb;
+use crate::durability::{CommitRecord, PersistedState, WalRecord};
+use crate::MonitorConfig;
+use busprobe_network::TransitNetwork;
+use busprobe_store::Store;
+use busprobe_telemetry::Level;
+use busprobe_trace::RecoveryTrace;
+use std::io;
+use std::path::Path;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Transient store I/O on the commit path (WAL append / fsync) is
+/// retried this many times after the first failure before the monitor
+/// degrades to an attributed durability fail-stop.
+const STORE_IO_RETRIES: u32 = 4;
+
+/// First retry delay; doubles per attempt up to
+/// [`STORE_IO_BACKOFF_CAP_MS`].
+const STORE_IO_BACKOFF_BASE_MS: u64 = 2;
+
+/// Ceiling on the per-retry backoff delay.
+const STORE_IO_BACKOFF_CAP_MS: u64 = 50;
+
+/// A durable store attached to the monitor, plus its checkpoint cadence.
+#[derive(Debug)]
+pub(super) struct AttachedStore {
+    store: Store,
+    /// Write a full-state snapshot every this many WAL records
+    /// (0 = only on explicit [`TrafficMonitor::checkpoint`] calls).
+    snapshot_every: u64,
+    /// Group-commit window: buffer this many commit payloads and append
+    /// them as one WAL group frame (1 = append each commit immediately,
+    /// producing a log byte-identical to ungrouped operation).
+    group_every: u64,
+    /// Commit payloads buffered for the current group window, in commit
+    /// order. Flushed as one frame when the window fills, before any
+    /// fsync/checkpoint/refresh, at batch boundaries, and on detach.
+    pending: Vec<Vec<u8>>,
+}
+
+impl AttachedStore {
+    /// The WAL sequence number the next commit will carry once its
+    /// group flushes: the store's next sequence plus the records queued
+    /// ahead of it in the window. Deterministic even while buffered,
+    /// because appends happen in commit order.
+    fn next_seq(&self) -> u64 {
+        self.store.next_seq() + self.pending.len() as u64
+    }
+}
+
+impl Drop for AttachedStore {
+    /// Best-effort flush of a partial group on detach, mirroring the
+    /// buffered-writer contract: a clean exit or unwinding panic loses
+    /// nothing, while a SIGKILL mid-window may lose the buffered group,
+    /// which recovery reports as a missing suffix and a resumed ingest
+    /// re-commits.
+    fn drop(&mut self) {
+        let pending = std::mem::take(&mut self.pending);
+        let _ = self.store.append_group(&pending);
+    }
+}
+
+impl TrafficMonitor {
+    /// Runs one store I/O operation with bounded retries and capped
+    /// exponential backoff, counting every retry. Transient failures
+    /// (EINTR, a hiccuping filesystem) heal invisibly; a persistent one
+    /// surfaces as the final error for the caller to fail-stop on.
+    fn retry_store_io<T>(
+        &self,
+        what: &str,
+        mut op: impl FnMut() -> io::Result<T>,
+    ) -> io::Result<T> {
+        let mut attempt = 0u32;
+        let mut delay = Duration::from_millis(STORE_IO_BACKOFF_BASE_MS);
+        loop {
+            match op() {
+                Ok(value) => return Ok(value),
+                Err(e) if attempt < STORE_IO_RETRIES => {
+                    attempt += 1;
+                    self.metrics.store_io_retries.inc();
+                    busprobe_telemetry::event(
+                        Level::Warn,
+                        "core::store",
+                        format!(
+                            "{what} failed (attempt {attempt}/{STORE_IO_RETRIES}), \
+                             retrying in {delay:?}: {e}"
+                        ),
+                    );
+                    std::thread::sleep(delay);
+                    delay = (delay * 2).min(Duration::from_millis(STORE_IO_BACKOFF_CAP_MS));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Degrades durability to an attributed fail-stop after store I/O
+    /// exhausted its retries: the store is detached (no further appends
+    /// are attempted), the failure is counted, logged at error level and
+    /// latched in [`store_failed`](Self::store_failed). Ingestion itself
+    /// continues — availability over durability, and never a panic.
+    fn fail_stop_store(&self, guard: &mut Option<AttachedStore>, what: &str, e: &io::Error) {
+        self.metrics.store_failstop.inc();
+        self.store_failed.store(true, Ordering::Release);
+        *guard = None;
+        busprobe_telemetry::event(
+            Level::Error,
+            "core::store",
+            format!(
+                "{what} still failing after {STORE_IO_RETRIES} retries; \
+                 durability fail-stop, store detached: {e}"
+            ),
+        );
+    }
+
+    /// Whether store I/O fail-stopped: commits since the latch are not
+    /// durable, and resident frontends should drain and exit with
+    /// diagnostics instead of silently serving non-durable acks.
+    #[must_use]
+    pub fn store_failed(&self) -> bool {
+        self.store_failed.load(Ordering::Acquire)
+    }
+
+    /// Queues one commit record for the attached store (a no-op without
+    /// one), appending the buffered group as one WAL frame when the
+    /// group window fills, and auto-checkpoints on the configured
+    /// cadence. Returns the record's WAL sequence number, or `None` when
+    /// no store is attached or the append failed.
+    ///
+    /// An append failure is retried with backoff; exhausting the retries
+    /// degrades durability, never availability: the failure is counted,
+    /// logged, latched via [`store_failed`](Self::store_failed), and
+    /// ingestion continues.
+    pub(super) fn log_commit(&self, record: CommitRecord) -> Option<u64> {
+        let mut guard = self.store.lock();
+        let attached = guard.as_mut()?;
+        let wal_seq = attached.next_seq();
+        attached.pending.push(WalRecord::Commit(record).encode());
+        let full = attached.pending.len() as u64 >= attached.group_every;
+        let due = full && self.flush_group(&mut guard).ok()?;
+        drop(guard);
+        self.checkpoint_if(due);
+        Some(wal_seq)
+    }
+
+    /// Appends the buffered commit group (if any) to the WAL as one
+    /// frame, and says whether a periodic checkpoint is now due: the
+    /// flushed sequence range `[first, end)` crossed the snapshot
+    /// cadence — the grouped generalization of "every
+    /// `snapshot_every`-th record snapshots", to which it degenerates
+    /// exactly at a group window of one. On exhausted retries the store
+    /// is fail-stopped and the error returned.
+    fn flush_group(&self, guard: &mut Option<AttachedStore>) -> io::Result<bool> {
+        let Some(attached) = guard.as_mut().filter(|a| !a.pending.is_empty()) else {
+            return Ok(false);
+        };
+        let pending = std::mem::take(&mut attached.pending);
+        let every = attached.snapshot_every;
+        match self.retry_store_io("WAL group append", || attached.store.append_group(&pending)) {
+            Ok(first) => Ok(every != 0 && (first + pending.len() as u64) / every != first / every),
+            Err(e) => {
+                self.metrics.store_append_errors.inc();
+                self.fail_stop_store(guard, "WAL group append", &e);
+                Err(e)
+            }
+        }
+    }
+
+    /// Runs the periodic checkpoint a flush reported due, once the
+    /// caller has released the store lock.
+    fn checkpoint_if(&self, due: bool) {
+        if !due {
+            return;
+        }
+        if let Err(e) = self.checkpoint() {
+            busprobe_telemetry::event(
+                Level::Warn,
+                "core::store",
+                format!("periodic checkpoint failed: {e}"),
+            );
+        }
+    }
+
+    /// Flushes any buffered commit group to the WAL — the batch-ingest
+    /// reorder-buffer boundary — honoring the snapshot cadence for the
+    /// flushed range. Flush failures have already fail-stopped the store
+    /// and are not propagated: batch ingest, like per-upload ingest,
+    /// degrades durability rather than availability.
+    pub(crate) fn flush_wal_group(&self) {
+        let mut guard = self.store.lock();
+        let due = self.flush_group(&mut guard).unwrap_or(false);
+        drop(guard);
+        self.checkpoint_if(due);
+    }
+
+    /// Appends a refresh marker to the attached store (a no-op without
+    /// one), sequencing the database refresh among the commits. Any
+    /// buffered commit group flushes first so the log preserves the
+    /// mutation order.
+    pub(super) fn log_refresh(&self) {
+        let mut guard = self.store.lock();
+        let Ok(due) = self.flush_group(&mut guard) else {
+            return;
+        };
+        let Some(attached) = guard.as_mut() else {
+            return;
+        };
+        let payload = WalRecord::Refresh.encode();
+        if let Err(e) =
+            self.retry_store_io("WAL refresh append", || attached.store.append(&payload))
+        {
+            self.metrics.store_append_errors.inc();
+            self.fail_stop_store(&mut guard, "WAL refresh append", &e);
+        }
+        drop(guard);
+        self.checkpoint_if(due);
+    }
+
+    /// Attaches a durable store: every subsequent commit appends one WAL
+    /// record, and (when `snapshot_every > 0`) every `snapshot_every`-th
+    /// record also triggers a full-state snapshot plus log compaction.
+    /// Appends happen inside the ordered commit phase, so the log is a
+    /// faithful serialization of the monitor's one mutation stream —
+    /// parallel ingest produces the same log as serial ingest.
+    ///
+    /// `group_every` is the group-commit window: commits buffer
+    /// in-process and append as one WAL group frame per `group_every`
+    /// commits (and at every fsync, checkpoint, refresh, batch boundary
+    /// and detach), so the ordered commit phase pays one frame — and, for
+    /// callers gating acknowledgements on
+    /// [`sync_store`](Self::sync_store), one fsync — per window instead
+    /// of per trip. Recovery replays group members to the exact
+    /// per-record state; a window of 1 writes every commit as a plain
+    /// record frame, the pre-group log format byte for byte. A SIGKILL
+    /// can lose at most the buffered window — never an upload
+    /// acknowledged after a sync.
+    pub fn attach_store_grouped(&self, store: Store, snapshot_every: u64, group_every: u64) {
+        *self.store.lock() = Some(AttachedStore {
+            store,
+            snapshot_every,
+            group_every: group_every.max(1),
+            pending: Vec::new(),
+        });
+    }
+
+    /// Whether a durable store is attached.
+    #[must_use]
+    pub fn has_store(&self) -> bool {
+        self.store.lock().is_some()
+    }
+
+    /// Flushes and fsyncs the attached store's WAL, making every commit
+    /// appended so far durable against a crash. No-op when no store is
+    /// attached. Appends are otherwise buffered and reach the OS at
+    /// rotation, checkpoints and drop.
+    ///
+    /// A failing fsync is retried with backoff; exhaustion fail-stops
+    /// durability (store detached, [`store_failed`](Self::store_failed)
+    /// latched) *and* returns the error, so callers gating
+    /// acknowledgements on durability never release them.
+    pub fn sync_store(&self) -> io::Result<()> {
+        let mut guard = self.store.lock();
+        // A partial group window flushes (as a smaller group frame)
+        // before the fsync, so "synced" always means "every commit so
+        // far is on disk" — the acknowledgement contract is unchanged
+        // by group commit.
+        let due = self.flush_group(&mut guard)?;
+        let Some(attached) = guard.as_mut() else {
+            return Ok(());
+        };
+        if let Err(e) = self.retry_store_io("WAL fsync", || attached.store.sync()) {
+            self.fail_stop_store(&mut guard, "WAL fsync", &e);
+            return Err(e);
+        }
+        drop(guard);
+        self.checkpoint_if(due);
+        Ok(())
+    }
+
+    /// Writes a full-state snapshot covering every record appended so
+    /// far, then compacts covered WAL segments. Returns the snapshot's
+    /// coverage sequence number, or `None` when no store is attached.
+    ///
+    /// Call between batches (not concurrently with an in-flight ingest),
+    /// so the snapshot observes a commit boundary.
+    pub fn checkpoint(&self) -> io::Result<Option<u64>> {
+        let mut guard = self.store.lock();
+        // The snapshot must cover every commit, including a buffered
+        // partial group; flush it first so coverage equals commit count.
+        self.flush_group(&mut guard)?;
+        let Some(attached) = guard.as_mut() else {
+            return Ok(None);
+        };
+        let state = self.state_at(attached.next_seq());
+        let payload = serde_json::to_vec(&state)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
+        attached.store.checkpoint(&payload).map(Some)
+    }
+
+    /// The complete durable state — what [`checkpoint`](Self::checkpoint)
+    /// serialises — as of the WAL records written so far (the commit
+    /// count when no store is attached).
+    #[must_use]
+    pub fn export_state(&self) -> PersistedState {
+        let logged = self.store.lock().as_ref().map(AttachedStore::next_seq);
+        self.state_at(logged.unwrap_or_else(|| self.commit_count()))
+    }
+
+    /// The durable state, stamped as covering `commits` WAL records.
+    fn state_at(&self, commits: u64) -> PersistedState {
+        let mut seen: Vec<u64> = self.seen.lock().iter().copied().collect();
+        seen.sort_unstable();
+        PersistedState {
+            commits,
+            config: self.config,
+            fusion: self.fusion.lock().clone(),
+            database: self.database(),
+            seen,
+            updater: self.updater.lock().clone(),
+        }
+    }
+
+    /// Rebuilds a monitor from the store directory `dir`: loads the
+    /// newest valid snapshot (falling back to a cold start from
+    /// `initial_db` when none survives) and replays the WAL tail in
+    /// sequence order through `apply_commit` — the function every live
+    /// commit applied its record with. Because every record was written
+    /// at its commit, the recovered state is bit-identical to a monitor
+    /// that never crashed.
+    ///
+    /// Disk damage is survived, counted and attributed, never fatal: torn
+    /// tails and corrupt records are skipped, costing at most those
+    /// uploads (which simply become re-ingestable). The only hard error
+    /// besides I/O is a snapshot whose framing validates but whose
+    /// content doesn't parse — a version mismatch that silent replay
+    /// would turn into silently wrong state.
+    ///
+    /// The returned monitor has *no* store attached; to resume appending,
+    /// open a [`Store`] on the same directory and call
+    /// [`attach_store_grouped`](Self::attach_store_grouped).
+    pub fn recover(
+        network: impl Into<Arc<TransitNetwork>>,
+        initial_db: StopFingerprintDb,
+        config: MonitorConfig,
+        dir: impl AsRef<Path>,
+    ) -> io::Result<(Self, RecoveryTrace)> {
+        let recovered = Store::recover(dir.as_ref())?;
+        let snapshot_seq = recovered.snapshot.as_ref().map(|(seq, _)| *seq);
+        let state = match &recovered.snapshot {
+            Some((seq, payload)) => {
+                let mut state: PersistedState = serde_json::from_slice(payload).map_err(|e| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("snapshot {seq} is framed correctly but not decodable: {e:?}"),
+                    )
+                })?;
+                if state.config != config {
+                    busprobe_telemetry::event(
+                        Level::Warn,
+                        "core::store",
+                        "recovered snapshot was written under a different configuration; \
+                         replay is well-defined but no longer matches the original run",
+                    );
+                }
+                state.commits = state.commits.max(*seq);
+                state
+            }
+            None => PersistedState::fresh(initial_db, config),
+        };
+        // Trace sequence numbers continue from the recovered commit
+        // count, as they would on a monitor that never crashed.
+        let monitor = Self::from_state(network.into(), config, state);
+
+        let mut replayed_commits = 0u64;
+        let mut replayed_refreshes = 0u64;
+        let mut undecodable = 0u64;
+        for (seq, payload) in &recovered.records {
+            match WalRecord::decode(payload) {
+                Ok(WalRecord::Commit(record)) => {
+                    monitor.apply_commit(&record, None);
+                    replayed_commits += 1;
+                }
+                Ok(WalRecord::Refresh) => {
+                    monitor.refresh_database();
+                    replayed_refreshes += 1;
+                }
+                Err(e) => {
+                    // The frame CRC passed but the payload didn't parse:
+                    // count it with the store's skip attribution.
+                    undecodable += 1;
+                    busprobe_telemetry::global()
+                        .counter("busprobe_store_replay_skipped_total")
+                        .inc();
+                    busprobe_telemetry::event(
+                        Level::Warn,
+                        "core::store",
+                        format!("WAL record {seq} undecodable ({e:?}); skipped"),
+                    );
+                    continue;
+                }
+            }
+            monitor.committed.fetch_max(seq + 1, Ordering::Relaxed);
+        }
+        let summary = RecoveryTrace {
+            wal_segments: recovered.report.segments,
+            snapshot_seq,
+            commits: monitor.commit_count(),
+            replayed_commits,
+            replayed_refreshes,
+            skipped_records: recovered.report.skipped_records() + undecodable,
+            corrupt_tails: recovered.report.corrupt_tails(),
+            snapshots_skipped: recovered.snapshots_skipped,
+            duration_s: recovered.duration_s,
+        };
+        busprobe_telemetry::event(
+            Level::Info,
+            "core::store",
+            format!(
+                "recovered {} commits ({} replayed, {} skipped) in {:.3}s",
+                summary.commits,
+                summary.replayed_commits + summary.replayed_refreshes,
+                summary.skipped_records,
+                summary.duration_s
+            ),
+        );
+        Ok((monitor, summary))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{ride, setup};
+    use super::*;
+
+    fn store_scratch(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("busprobe-core-retry-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// One persisted state, not two: what `checkpoint` writes into the
+    /// newest `.snap` is `export_state()`, field for field — pending
+    /// updater harvest, refreshed database, sorted seen set and WAL
+    /// coverage (commits plus the refresh record) included.
+    #[test]
+    fn newest_snapshot_is_the_exported_state() {
+        let (plain, scanner) = setup(53);
+        let config = MonitorConfig {
+            online_db_update: true,
+            ..MonitorConfig::default()
+        };
+        let monitor = TrafficMonitor::new(Arc::clone(&plain.network), plain.database(), config);
+        let dir = store_scratch("snapshot");
+        monitor.attach_store_grouped(Store::open(&dir).unwrap(), 4, 3);
+
+        let trips: Vec<_> = (0..6)
+            .map(|k| ride(&monitor, &scanner, 6, 4, 80.0, 300 + k))
+            .collect();
+        let reports = monitor.ingest_batch_parallel(&trips, 2);
+        assert!(reports.iter().all(|r| r.observations > 0), "{reports:?}");
+        // A duplicate storm: every trip again, twice.
+        for trip in trips.iter().chain(&trips) {
+            assert!(monitor.ingest_upload(trip, None).duplicate);
+        }
+        monitor.refresh_database();
+        let late = ride(&monitor, &scanner, 6, 4, 85.0, 399);
+        assert!(monitor.ingest_upload(&late, None).observations > 0);
+        let covered = monitor.checkpoint().unwrap();
+        assert_eq!(
+            covered,
+            Some(6 + 12 + 1 + 1),
+            "trips, duplicates, refresh, trip"
+        );
+
+        let recovered = Store::recover(&dir).unwrap();
+        let (seq, payload) = recovered.snapshot.expect("checkpoint wrote a snapshot");
+        assert_eq!(Some(seq), covered);
+        let on_disk: PersistedState = serde_json::from_slice(&payload).unwrap();
+        let exported = monitor.export_state();
+        assert!(!exported.seen.is_empty() && exported.seen.is_sorted());
+        assert_eq!(exported.commits, 20);
+        assert_ne!(
+            exported.updater,
+            crate::DbUpdater::new(config.updater),
+            "the pending harvest is part of the state"
+        );
+        assert_eq!(on_disk, exported);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn transient_store_faults_heal_with_retries() {
+        let (monitor, scanner) = setup(50);
+        let dir = store_scratch("heal");
+        let mut store = Store::open(&dir).unwrap();
+        // Two hiccups: well inside the retry budget, so the append must
+        // eventually land and durability must survive untouched.
+        store.inject_io_faults(2, 0);
+        monitor.attach_store_grouped(store, 0, 1);
+        let before = monitor.metrics.store_io_retries.get();
+        let trip = ride(&monitor, &scanner, 5, 3, 80.0, 1);
+        let report = monitor.ingest_upload(&trip, None);
+        assert!(report.observations > 0, "{report:?}");
+        assert_eq!(
+            monitor.metrics.store_io_retries.get() - before,
+            2,
+            "each injected fault costs exactly one retry"
+        );
+        assert!(!monitor.store_failed(), "store healed, no fail-stop");
+        assert!(monitor.has_store(), "store stays attached");
+        assert_eq!(
+            monitor.export_state().commits,
+            1,
+            "the commit reached the WAL"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn exhausted_store_retries_fail_stop_without_panicking() {
+        let (monitor, scanner) = setup(51);
+        let dir = store_scratch("failstop");
+        let mut store = Store::open(&dir).unwrap();
+        // More consecutive faults than the retry budget: the append can
+        // never land, so durability must degrade to an attributed
+        // fail-stop while ingestion keeps going.
+        store.inject_io_faults(STORE_IO_RETRIES + 2, 0);
+        monitor.attach_store_grouped(store, 0, 1);
+        let trip = ride(&monitor, &scanner, 5, 3, 80.0, 1);
+        let report = monitor.ingest_upload(&trip, None);
+        assert!(report.observations > 0, "the commit itself still lands");
+        assert!(monitor.store_failed(), "fail-stop latched");
+        assert!(!monitor.has_store(), "store detached on fail-stop");
+        assert!(
+            monitor.metrics.store_failstop.get() >= 1,
+            "fail-stop attributed in telemetry"
+        );
+        // Availability over durability: later uploads still ingest.
+        let trip2 = ride(&monitor, &scanner, 5, 3, 85.0, 2);
+        let report2 = monitor.ingest_upload(&trip2, None);
+        assert!(report2.observations > 0, "{report2:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_sync_returns_err_after_fail_stop() {
+        let (monitor, scanner) = setup(52);
+        let dir = store_scratch("syncfail");
+        let mut store = Store::open(&dir).unwrap();
+        store.inject_io_faults(0, STORE_IO_RETRIES + 2);
+        monitor.attach_store_grouped(store, 0, 1);
+        let trip = ride(&monitor, &scanner, 5, 3, 80.0, 1);
+        monitor.ingest_upload(&trip, None);
+        // An ack-gating caller must see the failure, not a silent Ok.
+        assert!(monitor.sync_store().is_err(), "exhausted sync surfaces");
+        assert!(monitor.store_failed());
+        assert!(!monitor.has_store());
+        // Once detached, sync is a no-op again.
+        assert!(monitor.sync_store().is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -52,14 +52,15 @@ pub(crate) struct PipelineMetrics {
     pub store_failstop: Counter,
     // Distribution of observations per accepted trip.
     pub obs_per_trip: Arc<Histogram>,
-    // Wall-time per pipeline stage.
+    // Wall-time per pipeline stage. The five read-only stages are
+    // started by the stage phase's one `timed` helper.
+    pub stage_sanitize: Arc<StageTimer>,
+    pub stage_matching: Arc<StageTimer>,
+    pub stage_clustering: Arc<StageTimer>,
+    pub stage_mapping: Arc<StageTimer>,
+    pub stage_estimation: Arc<StageTimer>,
     stage_ingest_batch: Arc<StageTimer>,
     stage_pipeline: Arc<StageTimer>,
-    stage_sanitize: Arc<StageTimer>,
-    stage_matching: Arc<StageTimer>,
-    stage_clustering: Arc<StageTimer>,
-    stage_mapping: Arc<StageTimer>,
-    stage_estimation: Arc<StageTimer>,
     stage_fusion: Arc<StageTimer>,
     stage_refresh: Arc<StageTimer>,
 }
@@ -123,26 +124,6 @@ impl PipelineMetrics {
 
     pub(crate) fn span_pipeline(&self) -> Span {
         Span::start(Arc::clone(&self.stage_pipeline))
-    }
-
-    pub(crate) fn span_sanitize(&self) -> Span {
-        Span::start(Arc::clone(&self.stage_sanitize))
-    }
-
-    pub(crate) fn span_matching(&self) -> Span {
-        Span::start(Arc::clone(&self.stage_matching))
-    }
-
-    pub(crate) fn span_clustering(&self) -> Span {
-        Span::start(Arc::clone(&self.stage_clustering))
-    }
-
-    pub(crate) fn span_mapping(&self) -> Span {
-        Span::start(Arc::clone(&self.stage_mapping))
-    }
-
-    pub(crate) fn span_estimation(&self) -> Span {
-        Span::start(Arc::clone(&self.stage_estimation))
     }
 
     pub(crate) fn span_fusion(&self) -> Span {

@@ -52,16 +52,10 @@ fn assert_bit_identical(indexed: Option<MatchResult>, brute: Option<MatchResult>
     }
 }
 
-/// Runs every query shape against both paths for every sample.
+/// Runs the indexed query against the brute-force oracle for every sample.
 fn assert_matcher_equivalent(matcher: &Matcher, samples: &[Fingerprint]) {
     for sample in samples {
         assert_bit_identical(matcher.best_match(sample), matcher.best_match_brute(sample));
-        let indexed = matcher.candidates(sample);
-        let brute = matcher.candidates_brute(sample);
-        assert_eq!(indexed.len(), brute.len(), "candidate pools differ");
-        for (a, b) in indexed.into_iter().zip(brute) {
-            assert_bit_identical(Some(a), Some(b));
-        }
     }
 }
 

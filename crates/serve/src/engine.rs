@@ -259,15 +259,6 @@ impl ServeMetrics {
             unparseable: busprobe_telemetry::counter(DropReason::Unparseable.counter_name()),
         }
     }
-
-    fn drop_counter(&self, reason: DropReason) -> &Counter {
-        match reason {
-            DropReason::ShedQueueFull => &self.shed_queue_full,
-            DropReason::ShedDeadline => &self.shed_deadline,
-            DropReason::Oversized => &self.oversized,
-            _ => &self.unparseable,
-        }
-    }
 }
 
 /// State shared by producers, the commit loop and the watchdog.
@@ -301,17 +292,33 @@ impl Shared {
         }
     }
 
+    /// The per-engine and global counters of an admission-layer drop
+    /// reason. Wildcard-free, like `core`'s own attribution, so a new
+    /// variant cannot silently count as another.
+    fn drop_counters(&self, reason: DropReason) -> (&AtomicU64, &Counter) {
+        match reason {
+            DropReason::ShedQueueFull => (&self.stats.shed_queue_full, &self.tele.shed_queue_full),
+            DropReason::ShedDeadline => (&self.stats.shed_deadline, &self.tele.shed_deadline),
+            DropReason::Oversized => (&self.stats.oversized, &self.tele.oversized),
+            DropReason::Unparseable => (&self.stats.unparseable, &self.tele.unparseable),
+            DropReason::RejectedDuplicate
+            | DropReason::RejectedNearDuplicate
+            | DropReason::Malformed
+            | DropReason::UnmatchedScans
+            | DropReason::Unmapped
+            | DropReason::TooFewVisits
+            | DropReason::InternalError => {
+                unreachable!("{reason:?} is attributed by the pipeline, not at admission")
+            }
+        }
+    }
+
     /// Attributes one upload dropped before staging: counter, trace,
     /// and (when the producer is still listening) a `drop` response.
     fn attribute_drop(&self, adm: &Admission, reason: DropReason) {
-        let stat = match reason {
-            DropReason::ShedQueueFull => &self.stats.shed_queue_full,
-            DropReason::ShedDeadline => &self.stats.shed_deadline,
-            DropReason::Oversized => &self.stats.oversized,
-            _ => &self.stats.unparseable,
-        };
+        let (stat, tele) = self.drop_counters(reason);
         stat.fetch_add(1, Ordering::Relaxed);
-        self.tele.drop_counter(reason).inc();
+        tele.inc();
         if let Some(tracer) = self.monitor.trace_sink() {
             tracer.submit(TraceRecord {
                 trace: TripTrace::admission_drop(

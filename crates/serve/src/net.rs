@@ -1,6 +1,6 @@
 //! Socket and stdio front ends for the engine.
 //!
-//! Both speak the same [`protocol`](crate::protocol): one JSON object
+//! Both speak the same [`protocol`]: one JSON object
 //! per line in, responses per line out. The unix-socket listener is
 //! fully non-blocking-with-timeouts — glibc's `signal()` installs
 //! `SA_RESTART` semantics, so a resident loop parked in `accept(2)`
@@ -57,7 +57,7 @@ impl LineHandler for EngineHandle {
 ///
 /// Returns once every connection thread has exited; admitted-but-
 /// unacknowledged uploads are still acked afterwards, because each
-/// [`Admission`]'s reply sink keeps its socket's write half alive
+/// queued upload's reply sink keeps its socket's write half alive
 /// through the commit loop's drain flush.
 pub fn serve_unix<H: LineHandler>(
     handle: &H,

@@ -36,7 +36,7 @@ use crate::aggregate::CityAggregator;
 use crate::partition::CityPlan;
 use crate::router::{OverflowPolicy, Routed, ShardRouter};
 use busprobe_core::{
-    IngestReport, MonitorConfig, RecoverySummary, StopFingerprintDb, TrafficMap, TrafficMonitor,
+    IngestReport, MonitorConfig, RecoveryTrace, StopFingerprintDb, TrafficMap, TrafficMonitor,
 };
 use busprobe_mobile::Trip;
 use busprobe_network::TransitNetwork;
@@ -174,7 +174,7 @@ impl ShardedMonitor {
         let plan = CityPlan::build(&network, db, shards);
         let monitors = (0..shards)
             .map(|s| {
-                Arc::new(TrafficMonitor::new_shared(
+                Arc::new(TrafficMonitor::new(
                     Arc::clone(&network),
                     plan.sub_db(db, s),
                     config,
@@ -257,8 +257,12 @@ impl ShardedMonitor {
     /// single-shard plan this is exactly
     /// [`TrafficMonitor::ingest_batch_received_parallel`].
     ///
+    /// # Panics
+    ///
     /// `received_s` must be empty (no arrival times) or one entry per
-    /// trip.
+    /// trip — the rule of
+    /// [`TrafficMonitor::ingest_batch_received_parallel`], which checks
+    /// what each shard is handed.
     #[must_use]
     pub fn ingest_batch_received_parallel(
         &self,
@@ -266,12 +270,6 @@ impl ShardedMonitor {
         received_s: &[f64],
         workers: usize,
     ) -> Vec<IngestReport> {
-        assert!(
-            received_s.is_empty() || received_s.len() == trips.len(),
-            "received_s must be empty or match trips ({} vs {})",
-            received_s.len(),
-            trips.len()
-        );
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, trip) in trips.iter().enumerate() {
             buckets[self.route(trip).shard].push(i);
@@ -318,13 +316,6 @@ impl ShardedMonitor {
         reports
     }
 
-    /// [`ingest_batch_received_parallel`](Self::ingest_batch_received_parallel)
-    /// without arrival times.
-    #[must_use]
-    pub fn ingest_batch_parallel(&self, trips: &[Trip], workers: usize) -> Vec<IngestReport> {
-        self.ingest_batch_received_parallel(trips, &[], workers)
-    }
-
     /// Attaches a grouped WAL store to every shard under `state`,
     /// writing the city manifest when there are two or more. Directory
     /// layout is in the module docs; a directory already holding a city
@@ -361,7 +352,7 @@ impl ShardedMonitor {
         db: &StopFingerprintDb,
         config: MonitorConfig,
         state: &Path,
-    ) -> io::Result<(Self, Vec<RecoverySummary>)> {
+    ) -> io::Result<(Self, Vec<RecoveryTrace>)> {
         let manifest = city_layout(state, None)?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::NotFound,
@@ -379,7 +370,7 @@ impl ShardedMonitor {
         let mut monitors = Vec::with_capacity(manifest.shards);
         let mut summaries = Vec::with_capacity(manifest.shards);
         for s in 0..manifest.shards {
-            let (monitor, summary) = TrafficMonitor::recover_shared(
+            let (monitor, summary) = TrafficMonitor::recover(
                 Arc::clone(&network),
                 plan.sub_db(db, s),
                 config,

@@ -174,8 +174,8 @@ fn sharded_city_map_matches_unsharded_on_clean_corpus() {
         4,
         OverflowPolicy::Score,
     );
-    let r1 = single.ingest_batch_parallel(&trips, 1);
-    let r4 = quad.ingest_batch_parallel(&trips, 1);
+    let r1 = single.ingest_batch_received_parallel(&trips, &[], 1);
+    let r4 = quad.ingest_batch_received_parallel(&trips, &[], 1);
     assert_eq!(r1, r4, "per-trip reports must not depend on the plan");
 
     let horizon = 3600.0;
@@ -191,4 +191,54 @@ fn sharded_city_map_matches_unsharded_on_clean_corpus() {
         acc.per_shard.iter().filter(|(i, d)| i + d > 0).count() > 1,
         "a 4-shard metropolis corpus must actually spread across shards"
     );
+}
+
+/// `TrafficMonitor::new`/`recover` take `impl Into<Arc<TransitNetwork>>`;
+/// a city hands every shard its one `Arc`, so no shard — built fresh or
+/// recovered from disk — may end up holding a network of its own.
+#[test]
+fn shards_share_one_network_fresh_and_recovered() {
+    let m = World::metropolis(200, 20, 13);
+    let config = MonitorConfig::default();
+    let fresh = ShardedMonitor::new(m.network.clone(), &m.db, config, 4, OverflowPolicy::Score);
+    let state = std::env::temp_dir().join(format!("busprobe-shard-net-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state);
+    fresh.attach_stores(&state, 0, 8).unwrap();
+    let _ = fresh.ingest_batch_received_parallel(&m.trips_chunk(0, 20), &[], 1);
+    fresh.sync_all().unwrap();
+    let (recovered, summaries) =
+        ShardedMonitor::recover(m.network.clone(), &m.db, config, &state).unwrap();
+    assert_eq!(summaries.len(), 4);
+    assert_eq!(recovered.commit_counts(), fresh.commit_counts());
+
+    for city in [&fresh, &recovered] {
+        assert_eq!(city.shards().len(), 4);
+        for shard in city.shards() {
+            assert!(
+                std::ptr::eq(shard.network(), city.network()),
+                "a shard cloned the city network"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&state).unwrap();
+}
+
+/// The arrival-time rule (none, or one per trip) is `core`'s to
+/// enforce; a city forwards the caller's slices and so refuses a short
+/// list with the same message a bare monitor does.
+#[test]
+#[should_panic(expected = "received_s must be empty or match trips (2 vs 3)")]
+fn short_arrival_list_is_refused_by_a_city() {
+    let m = World::metropolis(200, 3, 17);
+    let city = ShardedMonitor::new(
+        m.network.clone(),
+        &m.db,
+        MonitorConfig::default(),
+        2,
+        OverflowPolicy::Score,
+    );
+    // One region's riders, so the batch reaches its shard whole.
+    let trip = m.trips_chunk(0, 1).remove(0);
+    let trips = vec![trip.clone(), trip.clone(), trip];
+    let _ = city.ingest_batch_received_parallel(&trips, &[60.0, 60.0], 1);
 }

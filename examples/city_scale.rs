@@ -92,7 +92,7 @@ fn main() {
         let batch = &trips[cursor..cursor + arrived];
         cursor += arrived;
         observations += monitor
-            .ingest_batch(batch)
+            .ingest_batch_parallel(batch, 0)
             .iter()
             .map(|r| r.observations)
             .sum::<usize>();

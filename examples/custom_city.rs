@@ -116,7 +116,7 @@ fn main() {
             });
         }
     }
-    let reports = monitor.ingest_batch(&trips);
+    let reports = monitor.ingest_batch_parallel(&trips, 0);
     let observations: usize = reports.iter().map(|r| r.observations).sum();
     println!("{} uploads, {observations} speed observations", trips.len());
 

@@ -96,7 +96,7 @@ fn main() {
             .unzip();
 
         let monitor = TrafficMonitor::new(network.clone(), db.clone(), MonitorConfig::default());
-        let reports = monitor.ingest_batch_received(&faulted, &received);
+        let reports = monitor.ingest_batch_received_parallel(&faulted, &received, 0);
 
         let mut drops: BTreeMap<&str, usize> = BTreeMap::new();
         let mut accepted = 0usize;

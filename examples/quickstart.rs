@@ -76,7 +76,7 @@ fn main() {
 
     // 5. The backend matches, clusters, maps and estimates.
     let monitor = TrafficMonitor::new(network.clone(), db, MonitorConfig::default());
-    let reports = monitor.ingest_batch(&trips);
+    let reports = monitor.ingest_batch_parallel(&trips, 0);
     let matched: usize = reports.iter().map(|r| r.matched).sum();
     let observations: usize = reports.iter().map(|r| r.observations).sum();
     println!("backend: {matched} samples matched, {observations} speed observations");

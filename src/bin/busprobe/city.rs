@@ -77,7 +77,7 @@ pub fn cmd_city(args: &[String]) -> Result<(), String> {
         }
         horizon = latest_upload_s(&chunk, horizon);
         let t = Instant::now();
-        let _ = monitor.ingest_batch_parallel(&chunk, jobs);
+        let _ = monitor.ingest_batch_received_parallel(&chunk, &[], jobs);
         ingest_s += t.elapsed().as_secs_f64();
         done += chunk.len();
     }

@@ -5,8 +5,7 @@
 use crate::args::{flag_present, flag_value, parse_flag, parse_opt_flag, path_flag};
 use crate::world::{export_geojson, read_json, snapshot_time, Corpus, World};
 use busprobe::core::{
-    infer_regional, InferenceConfig, IngestReport, MonitorConfig, RecoverySummary,
-    StopFingerprintDb, TrafficMap,
+    infer_regional, InferenceConfig, IngestReport, MonitorConfig, StopFingerprintDb, TrafficMap,
 };
 use busprobe::mobile::Trip;
 use busprobe::network::TransitNetwork;
@@ -22,7 +21,7 @@ pub struct Backend {
     pub state: Option<PathBuf>,
     /// One summary per shard when the monitor was recovered from
     /// `state`; empty for a cold start.
-    pub recovered: Vec<RecoverySummary>,
+    pub recovered: Vec<RecoveryTrace>,
 }
 
 impl Backend {
@@ -98,13 +97,13 @@ pub fn open(
     })
 }
 
-fn damage(summary: &RecoverySummary) -> u64 {
+fn damage(summary: &RecoveryTrace) -> u64 {
     summary.skipped_records + summary.corrupt_tails + summary.snapshots_skipped
 }
 
 /// What a recovery brought back: one line for one shard, a per-shard
 /// table for more, nothing for a cold start.
-fn print_recovery(state: &Path, summaries: &[RecoverySummary]) {
+fn print_recovery(state: &Path, summaries: &[RecoveryTrace]) {
     match summaries {
         [] => {}
         [summary] => {
@@ -331,18 +330,7 @@ pub fn cmd_recover(args: &[String]) -> Result<(), String> {
             println!();
             println!("shard {s:04} took damage:");
         }
-        let trace = RecoveryTrace {
-            wal_segments: summary.wal_segments,
-            snapshot_seq: summary.snapshot_seq,
-            snapshots_skipped: summary.snapshots_skipped,
-            replayed_commits: summary.replayed_commits,
-            replayed_refreshes: summary.replayed_refreshes,
-            skipped_records: summary.skipped_records,
-            corrupt_tails: summary.corrupt_tails,
-            commits: summary.commits,
-            duration_s: summary.duration_s,
-        };
-        println!("{}", trace.narrative());
+        println!("{}", summary.narrative());
     }
     if sharded && backend.recovered.iter().all(|s| damage(s) == 0) {
         println!("all shards replayed clean");

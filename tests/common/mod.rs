@@ -47,7 +47,7 @@ impl TestWorld {
 }
 
 /// Applies `plan` to `trips` and splits the uploads into the forms
-/// [`TrafficMonitor::ingest_batch_received`] expects.
+/// [`TrafficMonitor::ingest_batch_received_parallel`] expects.
 pub fn faulted(trips: &[Trip], plan: FaultPlan, seed: u64) -> (Vec<Trip>, Vec<f64>) {
     FaultInjector::new(plan, seed)
         .apply(trips)

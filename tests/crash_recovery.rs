@@ -12,7 +12,7 @@
 
 mod common;
 
-use busprobe::core::{MonitorConfig, RecoverySummary, TrafficMonitor};
+use busprobe::core::{MonitorConfig, RecoveryTrace, TrafficMonitor};
 use busprobe::faults::{damage_store_dir, FaultPlan, WalFaultPlan};
 use busprobe::mobile::Trip;
 use busprobe::store::Store;
@@ -118,7 +118,7 @@ impl Fixture {
         }
     }
 
-    fn recover(&self, dir: &PathBuf) -> (TrafficMonitor, RecoverySummary) {
+    fn recover(&self, dir: &PathBuf) -> (TrafficMonitor, RecoveryTrace) {
         TrafficMonitor::recover(
             self.world.network.clone(),
             self.world.db.clone(),
@@ -141,7 +141,7 @@ fn run_cell(fx: &Fixture, workers: usize, snapshot_every: u64, crash: CrashPoint
     // Phase 1: the run that will crash.
     {
         let monitor = fx.world.monitor();
-        monitor.attach_store(Store::open(&dir).unwrap(), snapshot_every);
+        monitor.attach_store_grouped(Store::open(&dir).unwrap(), snapshot_every, 1);
         let _ = monitor.ingest_batch_received_parallel(
             &fx.trips[..prefix],
             &fx.received[..prefix],
@@ -165,7 +165,7 @@ fn run_cell(fx: &Fixture, workers: usize, snapshot_every: u64, crash: CrashPoint
 
     // Phase 3: resume with the full corpus. Reopening the store repairs
     // the torn tail; already-committed trips dedup, lost ones re-ingest.
-    monitor.attach_store(Store::open(&dir).unwrap(), snapshot_every);
+    monitor.attach_store_grouped(Store::open(&dir).unwrap(), snapshot_every, 1);
     let _ = monitor.ingest_batch_received_parallel(&fx.trips, &fx.received, workers);
     monitor.checkpoint().unwrap().expect("store attached");
     assert_eq!(
@@ -344,7 +344,7 @@ fn bit_flipped_wal_is_skipped_with_attribution() {
     let dir = scratch_dir("bitflip");
     {
         let monitor = fx.world.monitor();
-        monitor.attach_store(Store::open(&dir).unwrap(), 0);
+        monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, 1);
         for (i, t) in fx.trips.iter().enumerate() {
             monitor.ingest_upload(t, Some(fx.received[i]));
         }
@@ -384,7 +384,7 @@ fn corrupt_snapshot_falls_back_to_wal_replay() {
     let dir = scratch_dir("snapflip");
     {
         let monitor = fx.world.monitor();
-        monitor.attach_store(Store::open(&dir).unwrap(), 0);
+        monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, 1);
         for (i, t) in fx.trips.iter().enumerate() {
             monitor.ingest_upload(t, Some(fx.received[i]));
         }

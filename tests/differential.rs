@@ -259,7 +259,7 @@ fn online_update_harvest_is_deterministic() {
     // Refresh after the batch: same harvest → same election → same db.
     let serial = make();
     for t in &trips {
-        serial.ingest_trip(t);
+        serial.ingest_upload(t, None);
     }
     let serial_changed = serial.refresh_database();
     let serial_db = serde_json::to_string(&serial.database()).unwrap();
@@ -478,7 +478,7 @@ fn golden_wal_byte_prefix_is_stable() {
     let state = std::env::temp_dir().join(format!("busprobe-goldwal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&state);
     let monitor = TestWorld::new(17, 5).monitor();
-    monitor.attach_store(Store::open(&state).unwrap(), 0);
+    monitor.attach_store_grouped(Store::open(&state).unwrap(), 0, 1);
     for (i, t) in trips.iter().enumerate() {
         monitor.ingest_upload(t, received.get(i).copied());
     }
@@ -693,7 +693,7 @@ fn sharded_crash_damage_is_contained_to_one_shard() {
         OverflowPolicy::Score,
     );
     live.attach_stores(&state, 0, 1).unwrap();
-    let _ = live.ingest_batch_parallel(&trips, 1);
+    let _ = live.ingest_batch_received_parallel(&trips, &[], 1);
     live.sync_all().unwrap();
     assert!(live.accounting().conserved());
 

@@ -72,7 +72,7 @@ fn dropped_samples_degrade_gracefully() {
         })
         .filter(|t| t.len() >= 2)
         .collect();
-    let reports = monitor.ingest_batch(&lossy);
+    let reports = monitor.ingest_batch_parallel(&lossy, 0);
     let obs: usize = reports.iter().map(|r| r.observations).sum();
     assert!(obs > 0, "lossy uploads still produce observations");
     let map = monitor.snapshot_with_max_age(SimTime::from_hms(9, 0, 0).seconds(), 3600.0);
@@ -91,11 +91,11 @@ fn duplicate_uploads_do_not_distort_speeds() {
     let (_, _, monitor_b, _) = world(32);
     let trips = clean_trips(&output, &scanner, 3);
 
-    let _ = monitor_a.ingest_batch(&trips);
+    let _ = monitor_a.ingest_batch_parallel(&trips, 0);
     // Upload everything twice (retry storms): the second pass must be
     // recognised as duplicates and change nothing.
-    let _ = monitor_b.ingest_batch(&trips);
-    let second_pass = monitor_b.ingest_batch(&trips);
+    let _ = monitor_b.ingest_batch_parallel(&trips, 0);
+    let second_pass = monitor_b.ingest_batch_parallel(&trips, 0);
     assert!(
         second_pass.iter().all(|r| r.duplicate),
         "all retries flagged"
@@ -132,7 +132,7 @@ fn clock_jitter_is_tolerated() {
             t
         })
         .collect();
-    let reports = monitor.ingest_batch(&jittered);
+    let reports = monitor.ingest_batch_parallel(&jittered, 0);
     let visits: usize = reports.iter().map(|r| r.visits).sum();
     let obs: usize = reports.iter().map(|r| r.observations).sum();
     assert!(
@@ -159,7 +159,7 @@ fn out_of_region_and_empty_scans_are_rejected() {
             })
             .collect(),
     };
-    let report = monitor.ingest_trip(&trip);
+    let report = monitor.ingest_upload(&trip, None);
     assert_eq!(report.matched, 0, "nothing should match");
     assert_eq!(report.observations, 0);
     assert!(monitor.snapshot(0.0).is_empty());
@@ -192,8 +192,8 @@ fn shuffled_batch_order_converges_to_same_coverage() {
     let mut reversed = trips.clone();
     reversed.reverse();
 
-    let _ = monitor_a.ingest_batch(&trips);
-    let _ = monitor_b.ingest_batch(&reversed);
+    let _ = monitor_a.ingest_batch_parallel(&trips, 0);
+    let _ = monitor_b.ingest_batch_parallel(&reversed, 0);
     let t = SimTime::from_hms(9, 0, 0).seconds();
     let map_a = monitor_a.snapshot_with_max_age(t, 3600.0);
     let map_b = monitor_b.snapshot_with_max_age(t, 3600.0);

@@ -107,7 +107,7 @@ fn chaos_clean_baseline_has_low_error() {
     let trips = setup.clean_trips(1);
     assert!(trips.len() > 30, "enough uploads: {}", trips.len());
 
-    let reports = monitor.ingest_batch(&trips);
+    let reports = monitor.ingest_batch_parallel(&trips, 0);
     assert_coherent(&reports, "clean");
     let map = snapshot(&monitor);
     assert_physical(&map, "clean");
@@ -125,14 +125,14 @@ fn chaos_calibrated_error_within_two_x_clean() {
     let trips = setup.clean_trips(1);
 
     let clean_monitor = setup.monitor();
-    let clean_reports = clean_monitor.ingest_batch(&trips);
+    let clean_reports = clean_monitor.ingest_batch_parallel(&trips, 0);
     assert_coherent(&clean_reports, "clean");
     let (clean_err, clean_n) = setup.mean_tt_error(&snapshot(&clean_monitor));
     assert!(clean_n > 10, "clean coverage: {clean_n}");
 
     let (faulted_trips, received) = faulted(&trips, FaultPlan::calibrated(), 7);
     let faulted_monitor = setup.monitor();
-    let reports = faulted_monitor.ingest_batch_received(&faulted_trips, &received);
+    let reports = faulted_monitor.ingest_batch_received_parallel(&faulted_trips, &received, 0);
     assert_coherent(&reports, "calibrated");
     let map = snapshot(&faulted_monitor);
     assert_physical(&map, "calibrated");
@@ -166,7 +166,7 @@ fn chaos_extreme_never_panics_and_attributes_every_drop() {
         .unzip();
 
     let monitor = setup.monitor();
-    let reports = monitor.ingest_batch_received(&faulted_trips, &received);
+    let reports = monitor.ingest_batch_received_parallel(&faulted_trips, &received, 0);
     assert_eq!(reports.len(), faulted_trips.len());
     assert_coherent(&reports, "extreme");
     assert_physical(&snapshot(&monitor), "extreme");
@@ -195,7 +195,7 @@ fn chaos_fault_rate_sweep_degrades_gracefully() {
         let context = format!("scale {scale}");
         let (faulted_trips, received) = faulted(&trips, FaultPlan::calibrated_scaled(scale), 11);
         let monitor = setup.monitor();
-        let reports = monitor.ingest_batch_received(&faulted_trips, &received);
+        let reports = monitor.ingest_batch_received_parallel(&faulted_trips, &received, 0);
         assert_eq!(reports.len(), faulted_trips.len());
         assert_coherent(&reports, &context);
         let map = snapshot(&monitor);
@@ -236,7 +236,7 @@ fn chaos_every_drop_leaves_an_attributing_trace() {
         let monitor = setup.monitor();
         let tracer = Arc::new(Tracer::new(TracePolicy::drops_only()));
         monitor.set_trace_sink(Some(Arc::clone(&tracer)));
-        let reports = monitor.ingest_batch_received(&faulted_trips, &received);
+        let reports = monitor.ingest_batch_received_parallel(&faulted_trips, &received, 0);
         assert_coherent(&reports, &context);
 
         let records = tracer.exported();
@@ -326,7 +326,7 @@ fn poisoned_trip_in_batch_of_fifty_is_isolated() {
     batch.insert(25, poisoned);
 
     let monitor = setup.monitor();
-    let reports = monitor.ingest_batch(&batch);
+    let reports = monitor.ingest_batch_parallel(&batch, 0);
     assert_eq!(reports.len(), 50);
 
     let poison_report = &reports[25];
@@ -343,7 +343,7 @@ fn poisoned_trip_in_batch_of_fifty_is_isolated() {
     // The other 49 trips must come out exactly as they do in a batch
     // without the poison.
     let control = setup.monitor();
-    let control_reports = control.ingest_batch(&clean);
+    let control_reports = control.ingest_batch_parallel(&clean, 0);
     let others: Vec<&IngestReport> = reports[..25].iter().chain(&reports[26..]).collect();
     for (got, want) in others.iter().zip(&control_reports) {
         assert_eq!(
@@ -361,7 +361,7 @@ fn jittered_retries_are_rejected_as_near_duplicates() {
     let setup = Setup::new(46);
     let monitor = setup.monitor();
     let trips = setup.clean_trips(5);
-    let first = monitor.ingest_batch(&trips);
+    let first = monitor.ingest_batch_parallel(&trips, 0);
     let accepted: usize = first.iter().map(|r| r.observations).sum();
     assert!(accepted > 0);
 
@@ -380,7 +380,7 @@ fn jittered_retries_are_rejected_as_near_duplicates() {
                 .collect(),
         })
         .collect();
-    let second = monitor.ingest_batch(&retries);
+    let second = monitor.ingest_batch_parallel(&retries, 0);
     for (i, r) in second.iter().enumerate() {
         assert!(
             r.duplicate || r.near_duplicate,
@@ -400,7 +400,7 @@ fn skewed_clocks_are_normalized_against_arrival_time() {
     let trips = setup.clean_trips(6);
 
     let clean_monitor = setup.monitor();
-    let _ = clean_monitor.ingest_batch(&trips);
+    let _ = clean_monitor.ingest_batch_parallel(&trips, 0);
     let clean_map = snapshot(&clean_monitor);
     assert!(!clean_map.is_empty());
 
@@ -423,7 +423,7 @@ fn skewed_clocks_are_normalized_against_arrival_time() {
         .collect();
 
     let monitor = setup.monitor();
-    let reports = monitor.ingest_batch_received(&skewed, &received);
+    let reports = monitor.ingest_batch_received_parallel(&skewed, &received, 0);
     assert_coherent(&reports, "skewed");
     let corrected = reports
         .iter()

@@ -94,7 +94,7 @@ proptest! {
                 .map(|(sel, t, tower, rss, n)| decode_sample(sel, t, tower, rss, n))
                 .collect(),
         };
-        let report = monitor().ingest_trip(&trip);
+        let report = monitor().ingest_upload(&trip, None);
         check(&report)?;
     }
 
@@ -118,7 +118,7 @@ proptest! {
                 })
                 .collect(),
         };
-        let report = monitor().ingest_trip(&trip);
+        let report = monitor().ingest_upload(&trip, None);
         check(&report)?;
     }
 }
@@ -182,7 +182,7 @@ fn explicit_degenerate_payloads_are_coherent() {
         ),
     ];
     for (name, trip) in cases {
-        let report = m.ingest_trip(&trip);
+        let report = m.ingest_upload(&trip, None);
         assert!(!report.internal_error, "{name}: panic isolation tripped");
         assert!(
             report.kept + report.quarantined <= report.samples,
@@ -199,7 +199,7 @@ fn explicit_degenerate_payloads_are_coherent() {
             .map(|k| sample(50_000.0 + k as f64, CellScan::new(vec![obs(k % 40, -65.0)])))
             .collect(),
     };
-    let report = m.ingest_trip(&oversized);
+    let report = m.ingest_upload(&oversized, None);
     assert!(report.quarantined > 0, "overflow guard engaged: {report:?}");
     assert!(report.kept <= m.config().sanitize.max_samples);
 }

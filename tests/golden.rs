@@ -107,7 +107,7 @@ fn golden_corpus_snapshot_is_stable() {
     let (trips, received): (Vec<Trip>, Vec<f64>) = serde_json::from_str(&committed).unwrap();
 
     let monitor = monitor();
-    let reports = monitor.ingest_batch_received(&trips, &received);
+    let reports = monitor.ingest_batch_received_parallel(&trips, &received, 0);
     assert_golden(
         "reports.json",
         &serde_json::to_string_pretty(&reports).unwrap(),

@@ -130,7 +130,7 @@ fn online_updates_recover_from_cell_refarming() {
             })
             .collect();
         for trip in &trips {
-            monitor.ingest_trip(trip);
+            monitor.ingest_upload(trip, None);
         }
         monitor.refresh_database();
     }

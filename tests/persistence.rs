@@ -82,7 +82,10 @@ fn trip_uploads_round_trip_through_the_wire_format() {
         .collect();
     let monitor_a = TrafficMonitor::new(n.clone(), db.clone(), MonitorConfig::default());
     let monitor_b = TrafficMonitor::new(n.clone(), db, MonitorConfig::default());
-    assert_eq!(monitor_a.ingest_trip(&trip), monitor_b.ingest_trip(&back));
+    assert_eq!(
+        monitor_a.ingest_upload(&trip, None),
+        monitor_b.ingest_upload(&back, None)
+    );
 }
 
 #[test]
@@ -113,7 +116,7 @@ fn published_map_round_trips() {
             })
             .collect(),
     };
-    monitor.ingest_trip(&trip);
+    monitor.ingest_upload(&trip, None);
     let map = monitor.snapshot(SimTime::from_hms(0, 10, 0).seconds());
     assert!(!map.is_empty());
     let back: busprobe::core::TrafficMap =

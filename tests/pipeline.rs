@@ -74,7 +74,7 @@ fn morning_rush_estimates_track_ground_truth() {
         trips.len()
     );
 
-    let _ = world.monitor.ingest_batch(&trips);
+    let _ = world.monitor.ingest_batch_parallel(&trips, 0);
     let snapshot_t = SimTime::from_hms(9, 0, 0);
     let map = world
         .monitor
@@ -125,7 +125,7 @@ fn congested_segments_are_identified_as_slow() {
         .into_iter()
         .filter(|t| t.end_s() <= snapshot_t.seconds())
         .collect();
-    let _ = world.monitor.ingest_batch(&trips);
+    let _ = world.monitor.ingest_batch_parallel(&trips, 0);
     let map = world
         .monitor
         .snapshot_with_max_age(snapshot_t.seconds(), 1800.0);
@@ -206,7 +206,7 @@ fn ingest_reports_attribute_every_dropped_trip_to_a_stage() {
     let trips = uploads(&world, &output, 4);
     assert!(trips.len() > 50, "enough uploads: {}", trips.len());
 
-    let reports = world.monitor.ingest_batch(&trips);
+    let reports = world.monitor.ingest_batch_parallel(&trips, 0);
 
     // Every zero-observation trip carries exactly one drop reason; every
     // productive trip carries none, so the reasons sum to
@@ -244,7 +244,7 @@ fn ingest_reports_attribute_every_dropped_trip_to_a_stage() {
     }
 
     // Re-uploading a seen trip is rejected as a duplicate digest.
-    let replay = world.monitor.ingest_trip(&trips[0]);
+    let replay = world.monitor.ingest_upload(&trips[0], None);
     assert!(replay.duplicate);
     assert_eq!(replay.drop_reason(), Some(DropReason::RejectedDuplicate));
     assert_eq!(replay.observations, 0);
@@ -258,7 +258,7 @@ fn ingest_reports_attribute_every_dropped_trip_to_a_stage() {
             })
             .collect(),
     };
-    let report = world.monitor.ingest_trip(&silent);
+    let report = world.monitor.ingest_upload(&silent, None);
     assert_eq!(report.matched, 0);
     assert_eq!(report.unmatched_scans(), 3);
     assert_eq!(report.drop_reason(), Some(DropReason::UnmatchedScans));
@@ -274,7 +274,7 @@ fn ingest_reports_attribute_every_dropped_trip_to_a_stage() {
             })
             .collect(),
     };
-    let report = world.monitor.ingest_trip(&one_stop);
+    let report = world.monitor.ingest_upload(&one_stop, None);
     if report.observations == 0 {
         assert!(matches!(
             report.drop_reason(),
@@ -288,13 +288,13 @@ fn telemetry_snapshot_covers_every_pipeline_stage() {
     let world = build_world(26);
     let output = Simulation::new(world.scenario.clone()).run();
     let trips = uploads(&world, &output, 5);
-    let reports = world.monitor.ingest_batch(&trips);
+    let reports = world.monitor.ingest_batch_parallel(&trips, 0);
     world.monitor.refresh_database();
     assert!(reports.iter().any(|r| r.observations > 0));
 
     // The registry is process-global (other tests contribute too), so
     // assert non-zero coverage rather than exact values.
-    let snapshot = world.monitor.telemetry();
+    let snapshot = busprobe::telemetry::snapshot();
     for counter in [
         "busprobe_core_trips_ingested_total",
         "busprobe_core_samples_total",
@@ -362,11 +362,11 @@ fn map_reflects_rush_hour_then_recovery() {
     let late_t = SimTime::from_hms(11, 15, 0).seconds();
     let split = trips.partition_point(|t| t.end_s() <= rush_t);
     for trip in &trips[..split] {
-        world.monitor.ingest_trip(trip);
+        world.monitor.ingest_upload(trip, None);
     }
     let rush = world.monitor.snapshot_with_max_age(rush_t, 1800.0);
     for trip in &trips[split..] {
-        world.monitor.ingest_trip(trip);
+        world.monitor.ingest_upload(trip, None);
     }
     let late = world.monitor.snapshot_with_max_age(late_t, 1800.0);
 

@@ -56,7 +56,7 @@ fn sparse_participation_plus_inference_extends_coverage() {
             });
         }
     }
-    let _ = monitor.ingest_batch(&trips);
+    let _ = monitor.ingest_batch_parallel(&trips, 0);
     let map = monitor.snapshot_with_max_age(SimTime::from_hms(8, 40, 0).seconds(), 3600.0);
     let measured_cov = map.coverage(&network);
     assert!(

@@ -117,7 +117,7 @@ impl Fixture {
             self.db.clone(),
             MonitorConfig::default(),
         );
-        let _ = monitor.ingest_batch_received(&self.trips, &self.received);
+        let _ = monitor.ingest_batch_received_parallel(&self.trips, &self.received, 0);
         capture(&monitor, self.end_s)
     }
 

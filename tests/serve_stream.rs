@@ -234,7 +234,7 @@ fn drain_flushes_acks_and_writes_a_final_checkpoint() {
     let dir = scratch_dir("drain");
 
     let monitor = Arc::new(world.monitor());
-    monitor.attach_store(Store::open(&dir).unwrap(), 0);
+    monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, 1);
     let engine = ServeEngine::start(
         Arc::clone(&monitor),
         ServeConfig {
@@ -418,7 +418,7 @@ fn one_engine_front_is_the_bare_engine() {
         let state = scratch_dir(&format!("front-{tag}-state"));
         let publish = scratch_dir(&format!("front-{tag}-publish"));
         let monitor = Arc::new(world.monitor());
-        monitor.attach_store(Store::open(&state).unwrap(), 0);
+        monitor.attach_store_grouped(Store::open(&state).unwrap(), 0, 1);
         let engine = ServeEngine::start(
             Arc::clone(&monitor),
             ServeConfig {

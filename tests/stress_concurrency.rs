@@ -61,43 +61,25 @@ fn matcher_updates_race_parallel_queries_without_tearing() {
                 while !done.load(Ordering::Relaxed) {
                     for probe in &probes {
                         let guard = matcher.read().unwrap();
-                        let pool = guard.candidates(probe);
+                        let batched = guard.match_trip(std::slice::from_ref(probe));
                         let best = guard.best_match(probe);
                         let brute = guard.best_match_brute(probe);
                         drop(guard);
                         assert_eq!(best, brute, "indexed answer left the oracle's under churn");
-
-                        let mut sites = BTreeSet::new();
-                        let mut prev = f64::INFINITY;
-                        for c in &pool {
+                        assert_eq!(
+                            batched,
+                            [best],
+                            "match_trip/best_match torn under one read guard"
+                        );
+                        if let Some(hit) = best {
                             assert!(
-                                c.score.is_finite() && c.score >= config.accept_threshold,
-                                "candidate below threshold under churn: {c:?}"
+                                hit.score.is_finite() && hit.score >= config.accept_threshold,
+                                "match below threshold under churn: {hit:?}"
                             );
                             assert!(
-                                c.score <= prev,
-                                "candidate pool not sorted best-first: {pool:?}"
+                                universe.contains(&hit.site),
+                                "match names an unknown site: {hit:?}"
                             );
-                            prev = c.score;
-                            assert!(
-                                universe.contains(&c.site),
-                                "candidate names an unknown site: {c:?}"
-                            );
-                            assert!(
-                                sites.insert(c.site),
-                                "candidate pool repeats a site: {pool:?}"
-                            );
-                        }
-                        match (best, pool.first()) {
-                            (Some(b), Some(head)) => assert_eq!(
-                                (b.site, b.score),
-                                (head.site, head.score),
-                                "best_match disagrees with the candidate head"
-                            ),
-                            (None, None) => {}
-                            (b, h) => {
-                                panic!("best_match/candidates torn: {b:?} vs {h:?}")
-                            }
                         }
                     }
                 }
@@ -138,7 +120,7 @@ fn refresh_database_mid_parallel_batch_is_linearized() {
 
     // Seed the updater's harvest so refreshes have material to elect.
     let seed_trips = world.ride_corpus(60, 1);
-    let seed_reports = monitor.ingest_batch(&seed_trips);
+    let seed_reports = monitor.ingest_batch_parallel(&seed_trips, 0);
     common::assert_coherent(&seed_reports, "seed batch");
 
     let batch = world.ride_corpus(240, 2);
