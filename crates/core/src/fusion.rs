@@ -16,7 +16,7 @@
 
 use busprobe_network::SegmentKey;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// A Gaussian speed belief for one road segment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,23 +57,102 @@ impl BayesianSpeed {
     }
 }
 
+/// Everything fusion keeps for one segment.
+#[derive(Debug, Clone, PartialEq)]
+struct SegmentState {
+    /// The running belief, aged between refresh periods.
+    belief: BayesianSpeed,
+    /// When the segment last received an observation, seconds.
+    last_s: f64,
+    /// Per-period beliefs, fused independently per window — the retained
+    /// speed time series (what Fig. 10 plots). Window-ascending.
+    windows: Vec<(u32, BayesianSpeed)>,
+}
+
 /// Per-segment fusion state with the paper's periodic refresh.
 ///
 /// Serializable so a server restart can resume with its accumulated
 /// traffic state (see `TrafficMonitor::export_state`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentFusion {
     /// Refresh period `T`, seconds (the paper uses 5 minutes).
     period_s: f64,
     /// Variance inflation applied per elapsed period.
     inflation_per_period: f64,
-    /// (belief, last update time) per segment.
-    #[serde(with = "crate::serde_util::map_as_pairs")]
-    states: BTreeMap<SegmentKey, (BayesianSpeed, f64)>,
-    /// Per-(segment, period) beliefs, fused independently per window — the
-    /// retained speed time series (what Fig. 10 plots).
-    #[serde(with = "crate::serde_util::map_as_pairs")]
-    windows: BTreeMap<SegmentKey, BTreeMap<u32, BayesianSpeed>>,
+    /// One entry per observed segment, so an observation is one tree walk.
+    segments: BTreeMap<SegmentKey, SegmentState>,
+}
+
+/// The serialised form of [`SegmentFusion`]: `(belief, last update)` per
+/// segment and the window series per segment as two key-ascending pair
+/// lists — the shape every snapshot on disk already has.
+#[derive(Serialize, Deserialize)]
+struct FusionWire {
+    period_s: f64,
+    inflation_per_period: f64,
+    states: Vec<(SegmentKey, (BayesianSpeed, f64))>,
+    windows: Vec<(SegmentKey, Vec<(u32, BayesianSpeed)>)>,
+}
+
+impl Serialize for SegmentFusion {
+    fn to_value(&self) -> serde::Value {
+        FusionWire {
+            period_s: self.period_s,
+            inflation_per_period: self.inflation_per_period,
+            states: self.iter().map(|(k, b, t)| (k, (b, t))).collect(),
+            windows: self
+                .segments
+                .iter()
+                .map(|(&k, s)| (k, s.windows.clone()))
+                .collect(),
+        }
+        .to_value()
+    }
+}
+
+impl<'de> Deserialize<'de> for SegmentFusion {
+    /// The two lists must name the same segments, pair for pair, and
+    /// every series must be window-ascending — what serialisation
+    /// writes. Anything else is refused rather than patched up: a state
+    /// whose halves disagree has no right answer.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let wire = FusionWire::from_value(value)?;
+        if wire.states.len() != wire.windows.len() {
+            return Err(serde::Error::msg(format!(
+                "fusion state lists {} segments but window series for {}",
+                wire.states.len(),
+                wire.windows.len()
+            )));
+        }
+        let mut segments = BTreeMap::new();
+        for ((key, (belief, last_s)), (series_key, windows)) in
+            wire.states.into_iter().zip(wire.windows)
+        {
+            if key != series_key {
+                return Err(serde::Error::msg(format!(
+                    "fusion state names segment {key} where its window series name {series_key}"
+                )));
+            }
+            if !windows.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(serde::Error::msg(format!(
+                    "window series of segment {key} is not ascending"
+                )));
+            }
+            segments.insert(
+                key,
+                SegmentState {
+                    belief,
+                    last_s,
+                    windows,
+                },
+            );
+        }
+        Ok(SegmentFusion {
+            period_s: wire.period_s,
+            inflation_per_period: wire.inflation_per_period,
+            segments,
+        })
+    }
 }
 
 impl SegmentFusion {
@@ -89,8 +168,7 @@ impl SegmentFusion {
         SegmentFusion {
             period_s,
             inflation_per_period,
-            states: BTreeMap::new(),
-            windows: BTreeMap::new(),
+            segments: BTreeMap::new(),
         }
     }
 
@@ -102,58 +180,68 @@ impl SegmentFusion {
 
     /// Folds one observation into the segment's belief.
     pub fn observe(&mut self, key: SegmentKey, time_s: f64, mean_mps: f64, variance: f64) {
-        // Per-window series: each period fuses its own observations.
         let window = (time_s / self.period_s).max(0.0) as u32;
-        self.windows
-            .entry(key)
-            .or_default()
-            .entry(window)
-            .and_modify(|b| b.update(mean_mps, variance))
-            .or_insert_with(|| BayesianSpeed::from_observation(mean_mps, variance));
-        match self.states.get_mut(&key) {
-            Some((belief, last)) => {
-                let elapsed_periods = ((time_s - *last) / self.period_s).max(0.0);
-                if elapsed_periods > 0.0 {
-                    belief.age(self.inflation_per_period.powf(elapsed_periods));
-                }
-                belief.update(mean_mps, variance);
-                *last = (*last).max(time_s);
+        let fresh = BayesianSpeed::from_observation(mean_mps, variance);
+        let state = match self.segments.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(SegmentState {
+                    belief: fresh,
+                    last_s: time_s,
+                    windows: vec![(window, fresh)],
+                });
+                return;
             }
-            None => {
-                self.states.insert(
-                    key,
-                    (BayesianSpeed::from_observation(mean_mps, variance), time_s),
-                );
-            }
+            Entry::Occupied(slot) => slot.into_mut(),
+        };
+        // Per-window series: each period fuses its own observations.
+        // Uploads arrive roughly in time order, so the window is almost
+        // always the last one or a new last one.
+        let windows = &mut state.windows;
+        match windows.last_mut() {
+            Some((last, b)) if *last == window => b.update(mean_mps, variance),
+            Some((last, _)) if *last < window => windows.push((window, fresh)),
+            _ => match windows.binary_search_by_key(&window, |&(w, _)| w) {
+                Ok(at) => windows[at].1.update(mean_mps, variance),
+                Err(at) => windows.insert(at, (window, fresh)),
+            },
         }
+        let elapsed_periods = ((time_s - state.last_s) / self.period_s).max(0.0);
+        if elapsed_periods > 0.0 {
+            state
+                .belief
+                .age(self.inflation_per_period.powf(elapsed_periods));
+        }
+        state.belief.update(mean_mps, variance);
+        state.last_s = state.last_s.max(time_s);
     }
 
     /// Current belief for a segment.
     #[must_use]
     pub fn belief(&self, key: SegmentKey) -> Option<BayesianSpeed> {
-        self.states.get(&key).map(|(b, _)| *b)
+        self.segments.get(&key).map(|s| s.belief)
     }
 
     /// When the segment last received an observation.
     #[must_use]
     pub fn last_update_s(&self, key: SegmentKey) -> Option<f64> {
-        self.states.get(&key).map(|(_, t)| *t)
+        self.segments.get(&key).map(|s| s.last_s)
     }
 
     /// Iterates over `(segment, belief, last update)`.
     pub fn iter(&self) -> impl Iterator<Item = (SegmentKey, BayesianSpeed, f64)> + '_ {
-        self.states.iter().map(|(&k, &(b, t))| (k, b, t))
+        self.segments.iter().map(|(&k, s)| (k, s.belief, s.last_s))
     }
 
     /// The retained per-period speed series of one segment: `(window start
     /// seconds, belief)` pairs in time order. Empty if never observed.
     #[must_use]
     pub fn window_series(&self, key: SegmentKey) -> Vec<(f64, BayesianSpeed)> {
-        self.windows
+        self.segments
             .get(&key)
-            .map(|m| {
-                m.iter()
-                    .map(|(&w, &b)| (f64::from(w) * self.period_s, b))
+            .map(|s| {
+                s.windows
+                    .iter()
+                    .map(|&(w, b)| (f64::from(w) * self.period_s, b))
                     .collect()
             })
             .unwrap_or_default()
@@ -162,13 +250,13 @@ impl SegmentFusion {
     /// Number of segments with a belief.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.segments.len()
     }
 
     /// Whether no segment has been observed yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.segments.is_empty()
     }
 }
 
@@ -287,6 +375,91 @@ mod tests {
             .is_empty());
     }
 
+    /// The two-map layout this module had before the per-segment merge,
+    /// kept as the oracle of `prop_one_map_equals_the_two_map_form`.
+    #[derive(Serialize)]
+    struct TwoMapFusion {
+        period_s: f64,
+        inflation_per_period: f64,
+        #[serde(with = "crate::serde_util::map_as_pairs")]
+        states: BTreeMap<SegmentKey, (BayesianSpeed, f64)>,
+        #[serde(with = "crate::serde_util::map_as_pairs")]
+        windows: BTreeMap<SegmentKey, BTreeMap<u32, BayesianSpeed>>,
+    }
+
+    impl TwoMapFusion {
+        fn observe(&mut self, key: SegmentKey, time_s: f64, mean_mps: f64, variance: f64) {
+            let window = (time_s / self.period_s).max(0.0) as u32;
+            self.windows
+                .entry(key)
+                .or_default()
+                .entry(window)
+                .and_modify(|b| b.update(mean_mps, variance))
+                .or_insert_with(|| BayesianSpeed::from_observation(mean_mps, variance));
+            match self.states.get_mut(&key) {
+                Some((belief, last)) => {
+                    let elapsed_periods = ((time_s - *last) / self.period_s).max(0.0);
+                    if elapsed_periods > 0.0 {
+                        belief.age(self.inflation_per_period.powf(elapsed_periods));
+                    }
+                    belief.update(mean_mps, variance);
+                    *last = (*last).max(time_s);
+                }
+                None => {
+                    self.states.insert(
+                        key,
+                        (BayesianSpeed::from_observation(mean_mps, variance), time_s),
+                    );
+                }
+            }
+        }
+    }
+
+    /// A snapshot whose two lists disagree about which segments exist, or
+    /// whose series is out of order, is refused, not patched up.
+    #[test]
+    fn disagreeing_wire_lists_are_refused() {
+        let mut f = SegmentFusion::paper_default();
+        let other = SegmentKey::new(StopSiteId(2), StopSiteId(3));
+        f.observe(key(), 10.0, 6.0, 1.0);
+        f.observe(key(), 650.0, 7.0, 1.0);
+        f.observe(other, 20.0, 9.0, 1.0);
+        let good = f.to_value();
+        assert_eq!(SegmentFusion::from_value(&good).unwrap(), f);
+
+        let edit = |list: &str, path: &[usize], to: serde::Value| {
+            let mut v = good.clone();
+            let serde::Value::Object(fields) = &mut v else {
+                panic!("fusion serialises as an object");
+            };
+            let mut at = &mut fields.iter_mut().find(|(k, _)| k == list).unwrap().1;
+            for &i in path {
+                let serde::Value::Array(items) = at else {
+                    panic!("pair lists are arrays");
+                };
+                at = &mut items[i];
+            }
+            *at = to;
+            SegmentFusion::from_value(&v).unwrap_err().to_string()
+        };
+        let stranger = SegmentKey::new(StopSiteId(8), StopSiteId(9)).to_value();
+        let err = edit("windows", &[1, 0], stranger.clone());
+        assert!(err.contains("where its window series name"), "{err}");
+        let err = edit("states", &[0, 0], stranger);
+        assert!(err.contains("where its window series name"), "{err}");
+        let err = edit("windows", &[1], serde::Value::Null);
+        assert!(!err.is_empty(), "a malformed pair is a type error: {err}");
+        // Window 2 rewritten to 0: the series [0, 0] no longer ascends.
+        let err = edit("windows", &[0, 1, 1, 0], 0u32.to_value());
+        assert!(err.contains("not ascending"), "{err}");
+
+        // One list shorter than the other.
+        let mut wire = FusionWire::from_value(&good).unwrap();
+        wire.windows.pop();
+        let err = SegmentFusion::from_value(&wire.to_value()).unwrap_err();
+        assert!(err.to_string().contains("window series for 1"), "{err}");
+    }
+
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_variance_update_panics() {
@@ -295,6 +468,44 @@ mod tests {
     }
 
     proptest! {
+        /// Any observation sequence — repeated segments, windows arriving
+        /// out of order or twice, times before the epoch — leaves the
+        /// one-map store answering every query, iterating and
+        /// serialising exactly as the two-map form did.
+        #[test]
+        fn prop_one_map_equals_the_two_map_form(obs in proptest::collection::vec(
+            (0u32..4, 0u32..3, -700.0f64..4000.0, 1.0f64..30.0, 0.5f64..5.0), 0..60)) {
+            let mut new = SegmentFusion::paper_default();
+            let mut old = TwoMapFusion {
+                period_s: 300.0,
+                inflation_per_period: 4.0,
+                states: BTreeMap::new(),
+                windows: BTreeMap::new(),
+            };
+            let mut keys = Vec::new();
+            for &(from, to, time_s, mean, var) in &obs {
+                let key = SegmentKey::new(StopSiteId(from), StopSiteId(to));
+                new.observe(key, time_s, mean, var);
+                old.observe(key, time_s, mean, var);
+                keys.push(key);
+            }
+            keys.push(SegmentKey::new(StopSiteId(9), StopSiteId(9)));
+            for &key in &keys {
+                prop_assert_eq!(new.belief(key), old.states.get(&key).map(|s| s.0));
+                prop_assert_eq!(new.last_update_s(key), old.states.get(&key).map(|s| s.1));
+                let series: Vec<(f64, BayesianSpeed)> = old.windows.get(&key)
+                    .map(|m| m.iter().map(|(&w, &b)| (f64::from(w) * 300.0, b)).collect())
+                    .unwrap_or_default();
+                prop_assert_eq!(new.window_series(key), series);
+            }
+            let iterated: Vec<_> = new.iter().collect();
+            let expected: Vec<_> = old.states.iter().map(|(&k, &(b, t))| (k, b, t)).collect();
+            prop_assert_eq!(iterated, expected);
+            prop_assert_eq!(new.len(), old.states.len());
+            prop_assert_eq!(new.to_value(), old.to_value());
+            prop_assert_eq!(SegmentFusion::from_value(&new.to_value()).unwrap(), new);
+        }
+
         #[test]
         fn prop_fused_mean_is_between_inputs(v0 in 1.0f64..30.0, v1 in 1.0f64..30.0,
                                              s0 in 0.1f64..10.0, s1 in 0.1f64..10.0) {

@@ -330,6 +330,25 @@ impl MatchIndex {
         match_score * shared_cells as f64 * (1.0 + BOUND_SLOP)
     }
 
+    /// How many of `sample`'s cells some indexed stop currently contains
+    /// — an upper bound on `sample.common_cells(stored)` for every stored
+    /// fingerprint, from interner lookups alone. A cell counts by its
+    /// posting list, not its interned id: the interner only grows, so a
+    /// cell whose last stop was removed is interned but shared with
+    /// nobody.
+    #[must_use]
+    pub fn known_cells(&self, sample: &Fingerprint) -> usize {
+        sample
+            .cells()
+            .iter()
+            .filter(|cell| {
+                self.cell_ids
+                    .get(cell)
+                    .is_some_and(|&ci| !self.postings[ci as usize].is_empty())
+            })
+            .count()
+    }
+
     /// Visits every stop that *could* reach `accept_threshold` against
     /// `sample`, in descending score-bound order (ties by ascending site
     /// id). For each, the visitor receives `(site, stored fingerprint,

@@ -583,6 +583,21 @@ impl Matcher {
         bound
     }
 
+    /// Whether [`best_candidate_bound`](Self::best_candidate_bound)
+    /// could be `Some` for `sample`, answered without walking a posting
+    /// list: no stop shares more cells with the sample than the sample
+    /// has cells known to the index, so when even that count's score
+    /// bound misses γ, every candidate's does. `false` is a proof;
+    /// `true` promises nothing (and is all a disabled index, γ ≤ 0, can
+    /// say). The shard router asks this of every region before racing
+    /// bounds among those that remain.
+    #[must_use]
+    pub fn may_match(&self, sample: &Fingerprint) -> bool {
+        !self.indexed()
+            || MatchIndex::score_bound(self.index.known_cells(sample), self.config.match_score)
+                >= self.config.accept_threshold
+    }
+
     /// The full deliberation for one scan — what the tracing layer
     /// records. A γ-free exhaustive scan: the winner and the runner-up
     /// it beat (the decision margin), the best candidate γ *rejected*
@@ -936,5 +951,59 @@ mod tests {
             let bound = crate::index::MatchIndex::score_bound(a.common_cells(&b), c.match_score);
             prop_assert!(s <= bound, "score {s} exceeds bound {bound}");
         }
+
+        /// The routing pre-filter's lemma, under index churn: the cells
+        /// of a sample the index knows bound what it shares with any one
+        /// stop, so `may_match == false` proves there is no candidate
+        /// bound — also after removals left cells interned with empty
+        /// posting lists, which must not count as known.
+        #[test]
+        fn prop_may_match_false_proves_no_bound(
+            stored in proptest::collection::vec(arb_fp(10), 1..8),
+            removed in proptest::collection::vec(0usize..8, 0..4),
+            sample in arb_fp(10),
+            gamma in 0.5f64..4.0,
+        ) {
+            let mut m = Matcher::new(
+                StopFingerprintDb::new(),
+                MatchConfig { accept_threshold: gamma, ..config() },
+            );
+            for (k, fp) in stored.iter().enumerate() {
+                m.insert(StopSiteId(k as u32), fp.clone());
+            }
+            for k in removed {
+                m.remove(StopSiteId(k as u32));
+            }
+            let known = m.index().known_cells(&sample);
+            for (_, fp) in m.db().iter() {
+                prop_assert!(sample.common_cells(fp) <= known);
+            }
+            let live: std::collections::HashSet<CellTowerId> =
+                m.db().iter().flat_map(|(_, fp)| fp.cells().iter().copied()).collect();
+            prop_assert_eq!(
+                known,
+                sample.cells().iter().filter(|c| live.contains(c)).count(),
+                "a cell is known exactly while some stored stop contains it"
+            );
+            if !m.may_match(&sample) {
+                prop_assert_eq!(m.best_candidate_bound(&sample), None);
+            }
+        }
+    }
+
+    #[test]
+    fn may_match_is_vacuous_without_the_index() {
+        let mut db = StopFingerprintDb::new();
+        db.insert(StopSiteId(0), fp(&[1, 2, 3]));
+        let m = Matcher::new(
+            db,
+            MatchConfig {
+                accept_threshold: 0.0,
+                ..config()
+            },
+        );
+        // γ ≤ 0 accepts stops sharing nothing, which no cell count rules out.
+        assert!(m.may_match(&fp(&[90, 91])));
+        assert!(m.best_candidate_bound(&fp(&[90, 91])).is_some());
     }
 }

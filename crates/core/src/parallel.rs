@@ -44,6 +44,7 @@ use busprobe_mobile::Trip;
 use busprobe_telemetry::Level;
 use crossbeam::channel;
 use crossbeam::deque::{Injector, Steal};
+use std::borrow::Borrow;
 
 /// Resolves a requested worker count: `0` means all available cores.
 #[must_use]
@@ -55,23 +56,31 @@ pub fn effective_workers(requested: usize) -> usize {
     }
 }
 
+/// The one rule for arrival times, for bare monitors and cities alike:
+/// none at all, or one per trip (matched to trips by index).
+///
+/// # Panics
+///
+/// Panics when `received` is neither zero nor `trips`.
+pub fn assert_arrivals_match(received: usize, trips: usize) {
+    assert!(
+        received == 0 || received == trips,
+        "received_s must be empty or match trips ({received} vs {trips})"
+    );
+}
+
 /// Ingests `trips` with `workers` stage threads (`0` = all cores) and a
 /// deterministic sequential reducer; returns per-trip reports in input
-/// order. `received_s` is matched to trips by index: empty (no arrival
-/// times) or one entry per trip — the one place that rule is enforced,
-/// for bare monitors and shards alike.
-pub(crate) fn ingest_batch(
+/// order. `received_s` follows [`assert_arrivals_match`]. Trips may be
+/// owned or borrowed, so a caller holding a subset of someone else's
+/// batch passes `&[&Trip]` instead of copies.
+pub(crate) fn ingest_batch<T: Borrow<Trip> + Sync>(
     monitor: &TrafficMonitor,
-    trips: &[Trip],
+    trips: &[T],
     received_s: &[f64],
     workers: usize,
 ) -> Vec<IngestReport> {
-    assert!(
-        received_s.is_empty() || received_s.len() == trips.len(),
-        "received_s must be empty or match trips ({} vs {})",
-        received_s.len(),
-        trips.len()
-    );
+    assert_arrivals_match(received_s.len(), trips.len());
     let workers = effective_workers(workers).min(trips.len().max(1));
     if workers <= 1 {
         // One worker: stage+commit back to back is already the serial
@@ -79,7 +88,7 @@ pub(crate) fn ingest_batch(
         let reports = trips
             .iter()
             .enumerate()
-            .map(|(seq, trip)| monitor.ingest_upload(trip, received_s.get(seq).copied()))
+            .map(|(seq, trip)| monitor.ingest_upload(trip.borrow(), received_s.get(seq).copied()))
             .collect();
         monitor.flush_wal_group();
         return reports;
@@ -109,7 +118,7 @@ pub(crate) fn ingest_batch(
                 match injector.steal() {
                     Steal::Success(seq) => {
                         let recv = received_s.get(seq).copied();
-                        let staged = monitor.stage_upload(&trips[seq], recv, Some(worker));
+                        let staged = monitor.stage_upload(trips[seq].borrow(), recv, Some(worker));
                         if tx.send((seq, staged)).is_err() {
                             break;
                         }

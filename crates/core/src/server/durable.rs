@@ -337,10 +337,12 @@ impl TrafficMonitor {
     ///
     /// Disk damage is survived, counted and attributed, never fatal: torn
     /// tails and corrupt records are skipped, costing at most those
-    /// uploads (which simply become re-ingestable). The only hard error
-    /// besides I/O is a snapshot whose framing validates but whose
-    /// content doesn't parse — a version mismatch that silent replay
-    /// would turn into silently wrong state.
+    /// uploads (which simply become re-ingestable). A snapshot whose
+    /// framing validates but whose content does not decode — or decodes
+    /// to a state that contradicts itself — is one more corrupt
+    /// snapshot: skipped with a warning, counted under
+    /// `snapshots_skipped`, and recovery falls back to the next-newest
+    /// snapshot or a full WAL replay. The only hard error is I/O.
     ///
     /// The returned monitor has *no* store attached; to resume appending,
     /// open a [`Store`] on the same directory and call
@@ -351,16 +353,29 @@ impl TrafficMonitor {
         config: MonitorConfig,
         dir: impl AsRef<Path>,
     ) -> io::Result<(Self, RecoveryTrace)> {
-        let recovered = Store::recover(dir.as_ref())?;
+        let mut snapshot: Option<PersistedState> = None;
+        let recovered = Store::recover_with(dir.as_ref(), |seq, payload| {
+            match serde_json::from_slice::<PersistedState>(payload) {
+                Ok(mut state) => {
+                    state.commits = state.commits.max(seq);
+                    snapshot = Some(state);
+                    true
+                }
+                Err(e) => {
+                    busprobe_telemetry::event(
+                        Level::Warn,
+                        "core::store",
+                        format!(
+                            "snapshot {seq} is framed correctly but not decodable ({e}); skipped"
+                        ),
+                    );
+                    false
+                }
+            }
+        })?;
         let snapshot_seq = recovered.snapshot.as_ref().map(|(seq, _)| *seq);
-        let state = match &recovered.snapshot {
-            Some((seq, payload)) => {
-                let mut state: PersistedState = serde_json::from_slice(payload).map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("snapshot {seq} is framed correctly but not decodable: {e:?}"),
-                    )
-                })?;
+        let state = match snapshot {
+            Some(state) => {
                 if state.config != config {
                     busprobe_telemetry::event(
                         Level::Warn,
@@ -369,7 +384,6 @@ impl TrafficMonitor {
                          replay is well-defined but no longer matches the original run",
                     );
                 }
-                state.commits = state.commits.max(*seq);
                 state
             }
             None => PersistedState::fresh(initial_db, config),

@@ -43,6 +43,7 @@ use busprobe_network::TransitNetwork;
 use busprobe_trace::Tracer;
 use durable::AttachedStore;
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -167,6 +168,17 @@ impl TrafficMonitor {
         &self.network
     }
 
+    /// Read-only matcher probe: whether any of `samples` could have a
+    /// [`probe_route_bound`](Self::probe_route_bound) here (see
+    /// [`Matcher::may_match`]). One read guard and a hash lookup per
+    /// cell — what lets the shard router rule a region out without
+    /// probing it.
+    #[must_use]
+    pub fn probe_may_match(&self, samples: &[Fingerprint]) -> bool {
+        let matcher = self.matcher.read();
+        samples.iter().any(|sample| matcher.may_match(sample))
+    }
+
     /// Read-only matcher probe: the best score any stop in *this*
     /// monitor's database could reach against `sample` (`None` when no
     /// stop shares a cell). The shard router's fast path — no
@@ -227,9 +239,9 @@ impl TrafficMonitor {
     /// `received_s` must be empty (no arrival times) or hold one entry
     /// per trip.
     #[must_use]
-    pub fn ingest_batch_received_parallel(
+    pub fn ingest_batch_received_parallel<T: Borrow<Trip> + Sync>(
         &self,
-        trips: &[Trip],
+        trips: &[T],
         received_s: &[f64],
         workers: usize,
     ) -> Vec<IngestReport> {

@@ -48,6 +48,7 @@ mod import;
 mod network;
 mod route;
 mod stop;
+mod tables;
 
 pub use compose::{compose_tiles, metropolis_spec, TILE_GUTTER_BLOCKS};
 pub use generator::NetworkGenerator;

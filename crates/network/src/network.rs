@@ -2,8 +2,9 @@ use crate::grid::Grid;
 use crate::ids::{RouteId, SegmentKey, StopId, StopSiteId};
 use crate::route::BusRoute;
 use crate::stop::{BusStop, StopSite};
+use crate::tables::{ChainTable, FollowsBits};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -119,24 +120,12 @@ pub struct TransitNetwork {
     /// site pair. Derived data: skipped on the wire and rebuilt on first
     /// use after deserialization.
     #[serde(skip)]
-    chains: OnceLock<HashMap<(StopSiteId, StopSiteId), CachedChain>>,
-    /// Row-major `sites × sites` bitmap of the `follows` relation, the
-    /// mapper's Viterbi inner loop being too hot for per-query tree
-    /// walks. Derived from `successors`; skipped on the wire.
+    chains: OnceLock<ChainTable>,
+    /// The `follows` relation as a bitmap, the mapper's Viterbi inner
+    /// loop being too hot for per-query tree walks. Derived from
+    /// `successors`; skipped on the wire.
     #[serde(skip)]
-    follows_bits: OnceLock<Vec<u64>>,
-}
-
-/// One cached [`TransitNetwork::segment_chain`] result with precomputed
-/// chain totals, so the estimator's per-hop loop reads two floats instead
-/// of walking the segment registry.
-#[derive(Debug, Clone)]
-struct CachedChain {
-    keys: Vec<SegmentKey>,
-    /// `(total length_m, total free travel time_s)`, accumulated over
-    /// `keys` in chain order; `None` when a key has no segment entry
-    /// (possible only for inconsistent wire data).
-    stats: Option<(f64, f64)>,
+    follows_bits: OnceLock<FollowsBits>,
 }
 
 /// Serializes `BTreeMap`s with non-string keys as sequences of pairs so the
@@ -331,17 +320,9 @@ impl TransitNetwork {
         if a.index() >= n || b.index() >= n {
             return false;
         }
-        let words = n.div_ceil(64);
-        let bits = self.follows_bits.get_or_init(|| {
-            let mut bits = vec![0u64; n * words];
-            for (x, succ) in self.successors.iter().enumerate() {
-                for y in succ {
-                    bits[x * words + y.index() / 64] |= 1u64 << (y.index() % 64);
-                }
-            }
-            bits
-        });
-        bits[a.index() * words + b.index() / 64] >> (b.index() % 64) & 1 == 1
+        self.follows_bits
+            .get_or_init(|| FollowsBits::build(&self.successors))
+            .contains(a, b)
     }
 
     /// All sites strictly after `a` on some route.
@@ -388,7 +369,7 @@ impl TransitNetwork {
     /// hop of every trip through here, so the hot path must not clone.
     #[must_use]
     pub fn segment_chain_ref(&self, a: StopSiteId, b: StopSiteId) -> Option<&[SegmentKey]> {
-        self.chains().get(&(a, b)).map(|c| c.keys.as_slice())
+        self.chains().get(a, b).map(|chain| chain.keys)
     }
 
     /// The segment chain from `a` to `b` plus its precomputed totals
@@ -402,67 +383,15 @@ impl TransitNetwork {
         a: StopSiteId,
         b: StopSiteId,
     ) -> Option<(&[SegmentKey], f64, f64)> {
-        let chain = self.chains().get(&(a, b))?;
-        let (length_m, free_time_s) = chain.stats?;
-        Some((&chain.keys, length_m, free_time_s))
+        let chain = self.chains().get(a, b)?;
+        let (length_m, free_time_s) = chain.totals?;
+        Some((chain.keys, length_m, free_time_s))
     }
 
-    /// All chains, keyed by `(from, to)`, built once on first use.
-    ///
-    /// Routes are visited in id order and an entry is replaced only when
-    /// the new chain is *strictly* shorter, reproducing the
-    /// first-shortest-route selection of the scanning implementation
-    /// exactly (including first-occurrence semantics for sites a route
-    /// visits twice).
-    fn chains(&self) -> &HashMap<(StopSiteId, StopSiteId), CachedChain> {
-        self.chains.get_or_init(|| {
-            let mut map: HashMap<(StopSiteId, StopSiteId), CachedChain> = HashMap::new();
-            let mut order: Vec<(StopSiteId, usize)> = Vec::new();
-            for route in &self.routes {
-                let stops = route.stops();
-                // `position_of` is first-occurrence: keep only the first
-                // index of each site, in ascending index order.
-                order.clear();
-                for (i, rs) in stops.iter().enumerate() {
-                    if !order.iter().any(|&(s, _)| s == rs.site) {
-                        order.push((rs.site, i));
-                    }
-                }
-                for (x, &(a, ia)) in order.iter().enumerate() {
-                    for &(b, ib) in &order[x + 1..] {
-                        if map.get(&(a, b)).is_some_and(|c| c.keys.len() <= ib - ia) {
-                            continue;
-                        }
-                        let keys: Vec<SegmentKey> = stops[ia..=ib]
-                            .windows(2)
-                            .map(|w| SegmentKey::new(w[0].site, w[1].site))
-                            .collect();
-                        // Totals accumulate in chain order from 0.0,
-                        // matching a per-field `.sum()` over the chain
-                        // bit for bit.
-                        let mut length_m = 0.0f64;
-                        let mut free_time_s = 0.0f64;
-                        let mut complete = true;
-                        for key in &keys {
-                            let Some(seg) = self.segments.get(key) else {
-                                complete = false;
-                                break;
-                            };
-                            length_m += seg.length_m;
-                            free_time_s += seg.free_travel_time_s();
-                        }
-                        map.insert(
-                            (a, b),
-                            CachedChain {
-                                keys,
-                                stats: complete.then_some((length_m, free_time_s)),
-                            },
-                        );
-                    }
-                }
-            }
-            map
-        })
+    /// All chains, built once on first use.
+    fn chains(&self) -> &ChainTable {
+        self.chains
+            .get_or_init(|| ChainTable::build(&self.routes, &self.segments))
     }
 
     /// Driving distance of the shortest segment chain from `a` to `b`.
@@ -672,6 +601,38 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, NetworkError::NonDenseIds("site"));
+    }
+
+    /// The derived tables are O(served pairs), not O(sites²) and not a
+    /// heap allocation per pair — as a number, on a tiled city where a
+    /// dense `sites × sites` bitmap row alone would already be
+    /// `sites / 8` bytes.
+    #[test]
+    fn derived_tables_stay_small_per_site_and_per_pair() {
+        let tiles: Vec<TransitNetwork> = (0..4)
+            .map(|t| crate::NetworkGenerator::small(40 + t).generate())
+            .collect();
+        let city = crate::compose_tiles(2, 2, &tiles).unwrap();
+        let sites = city.sites().len();
+        let pairs: usize = city.successors.iter().map(BTreeSet::len).sum();
+        // Force both tables.
+        let last = StopSiteId(sites as u32 - 1);
+        assert!(!city.follows(last, last));
+        assert!(city.segment_chain_ref(last, last).is_none());
+
+        let chains = city.chains.get().unwrap();
+        assert_eq!(chains.len(), pairs, "loop-free routes: one chain per pair");
+        assert!(
+            chains.heap_bytes() < 64 * pairs,
+            "{} B of chain table for {pairs} pairs",
+            chains.heap_bytes()
+        );
+        let bits = city.follows_bits.get().unwrap();
+        assert!(
+            bits.heap_bytes() < 64 * sites,
+            "{} B of follows bitmap for {sites} sites",
+            bits.heap_bytes()
+        );
     }
 
     #[test]

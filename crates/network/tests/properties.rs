@@ -1,11 +1,199 @@
 //! Property tests of the network generator and the derived relations, over
 //! many seeds: these are the invariants the backend silently relies on.
 
-use busprobe_network::{NetworkGenerator, TransitNetwork};
+use busprobe_geo::Point;
+use busprobe_network::{
+    compose_tiles, NetworkGenerator, NetworkImport, RouteImport, SegmentKey, StopSiteId,
+    TransitNetwork,
+};
 use proptest::prelude::*;
 
 fn generated(seed: u64) -> TransitNetwork {
     NetworkGenerator::small(seed).generate()
+}
+
+/// `segment_chain` by scanning: routes in id order, a site counted at
+/// its first occurrence on a route, a chain replaced only by a strictly
+/// shorter one.
+fn scanned_chain(n: &TransitNetwork, a: StopSiteId, b: StopSiteId) -> Option<Vec<SegmentKey>> {
+    let mut best: Option<Vec<SegmentKey>> = None;
+    for route in n.routes() {
+        let (Some(ia), Some(ib)) = (route.position_of(a), route.position_of(b)) else {
+            continue;
+        };
+        if ia < ib && best.as_ref().is_none_or(|chain| ib - ia < chain.len()) {
+            let stops = &route.stops()[ia..=ib];
+            best = Some(
+                stops
+                    .windows(2)
+                    .map(|w| SegmentKey::new(w[0].site, w[1].site))
+                    .collect(),
+            );
+        }
+    }
+    best
+}
+
+/// Checks the derived tables against scanning oracles for *every*
+/// ordered site pair (and a few ids past the end): the chain, its
+/// totals bit for bit, and the `follows` relation.
+fn assert_tables_match_scans(n: &TransitNetwork, context: &str) {
+    let sites = n.sites().len() as u32;
+    for a in (0..sites + 2).map(StopSiteId) {
+        for b in (0..sites + 2).map(StopSiteId) {
+            let expected = (a.0 < sites && b.0 < sites)
+                .then(|| scanned_chain(n, a, b))
+                .flatten();
+            assert_eq!(
+                n.segment_chain(a, b),
+                expected,
+                "{context}: chain {a} -> {b}"
+            );
+            assert_eq!(
+                n.segment_chain_ref(a, b),
+                expected.as_deref(),
+                "{context}: borrowed chain {a} -> {b}"
+            );
+
+            // Totals are `.sum()` over the chain's segments in order —
+            // `None` as soon as the registry lacks one of them.
+            let segments: Option<Vec<_>> = expected
+                .as_ref()
+                .and_then(|chain| chain.iter().map(|&k| n.segment(k)).collect());
+            let totals = segments.map(|segs| {
+                (
+                    segs.iter().map(|s| s.length_m).sum::<f64>().to_bits(),
+                    segs.iter()
+                        .map(|s| s.free_travel_time_s())
+                        .sum::<f64>()
+                        .to_bits(),
+                )
+            });
+            let stats = n.segment_chain_stats(a, b);
+            assert_eq!(
+                stats.map(|(_, m, s)| (m.to_bits(), s.to_bits())),
+                totals,
+                "{context}: totals {a} -> {b}"
+            );
+            if let Some((keys, _, _)) = stats {
+                assert_eq!(Some(keys), expected.as_deref(), "{context}: stats chain");
+            }
+            assert_eq!(
+                n.site_distance(a, b).map(f64::to_bits),
+                totals.map(|t| t.0),
+                "{context}: distance {a} -> {b}"
+            );
+
+            let follows = a.0 < sites && b.0 < sites && n.successors(a).contains(&b);
+            assert_eq!(n.follows(a, b), follows, "{context}: follows {a} -> {b}");
+        }
+    }
+}
+
+/// The same again on a copy that went through JSON: the tables are not
+/// serialised, so the copy rebuilds them from what is.
+fn assert_tables_survive_serde(n: &TransitNetwork, context: &str) {
+    let back: TransitNetwork = serde_json::from_str(&serde_json::to_string(n).unwrap()).unwrap();
+    assert_tables_match_scans(&back, &format!("{context}, round-tripped"));
+}
+
+/// Six sites on irregular coordinates (so float sums depend on their
+/// order) and five routes built to hit every selection rule:
+///
+/// * route 0 loops — `A B C D A E` — so `A` counts at index 0 only:
+///   `A → E` is the five-hop chain, and `B → A` is not served by it;
+/// * routes 1 (`B C F`) and 2 (`B E F`) tie on hops for `B → F`; the
+///   lower id wins, with different segments;
+/// * route 3 (`D E`) strictly shortens route 0's two-hop `D → E`;
+/// * route 4 (`C B A`) serves `B → A` the loop could not.
+fn hand_assembled() -> TransitNetwork {
+    let [a, b, c, d, e, f] = [
+        Point::new(3.7, -11.2),
+        Point::new(517.3, 29.9),
+        Point::new(489.1, 611.4),
+        Point::new(-41.6, 498.3),
+        Point::new(1093.8, -77.7),
+        Point::new(1012.5, 644.4),
+    ];
+    let route = |name: &str, stops: &[Point], kmh: f64| RouteImport {
+        name: name.into(),
+        stops: stops.to_vec(),
+        free_speed_mps: kmh / 3.6,
+    };
+    NetworkImport {
+        merge_radius_m: 20.0,
+        routes: vec![
+            route("loop", &[a, b, c, d, Point::new(5.1, -9.0), e], 50.0),
+            route("tie-low", &[b, c, f], 47.0),
+            route("tie-high", &[b, e, f], 61.0),
+            route("short", &[d, e], 53.0),
+            route("back", &[c, b, a], 43.0),
+        ],
+    }
+    .build()
+    .expect("hand-assembled network is consistent")
+}
+
+#[test]
+fn hand_assembled_network_tables_match_scans() {
+    let n = hand_assembled();
+    assert_eq!(n.sites().len(), 6, "the loop's second visit merges into A");
+    let site = |k: u32| StopSiteId(k);
+    let hops = |from: u32, to: u32| n.segment_chain(site(from), site(to)).map(|c| c.len());
+    // A=0 B=1 C=2 D=3 E=4 F=5, in order of first appearance.
+    assert_eq!(
+        hops(0, 4),
+        Some(5),
+        "first occurrence, not the shorter second"
+    );
+    assert_eq!(hops(3, 4), Some(1), "a strictly shorter later route wins");
+    assert_eq!(hops(1, 0), Some(1), "served by the back route only");
+    assert_eq!(
+        n.segment_chain(site(1), site(5)).unwrap()[0],
+        SegmentKey::new(site(1), site(2)),
+        "a tie on hops goes to the lower route id"
+    );
+    assert!(n.follows(site(3), site(0)) && n.follows(site(0), site(3)));
+    assert_tables_match_scans(&n, "hand-assembled");
+    assert_tables_survive_serde(&n, "hand-assembled");
+}
+
+/// A network off the wire may lack a segment its routes drive: chains
+/// over it still resolve, their totals do not.
+#[test]
+fn missing_segment_voids_totals_not_chains() {
+    let n = hand_assembled();
+    let lost = SegmentKey::new(StopSiteId(2), StopSiteId(3)); // C -> D
+    let mut value = serde_json::to_value(&n);
+    let serde_json::Value::Object(fields) = &mut value else {
+        panic!("a network serialises as an object");
+    };
+    let (_, segments) = fields.iter_mut().find(|(k, _)| k == "segments").unwrap();
+    let serde_json::Value::Array(pairs) = segments else {
+        panic!("segments serialise as pairs");
+    };
+    let before = pairs.len();
+    pairs.retain(|pair| pair[0] != serde_json::to_value(&lost));
+    assert_eq!(pairs.len(), before - 1);
+    let holed: TransitNetwork = serde_json::from_value(&value).unwrap();
+
+    assert!(holed.segment(lost).is_none());
+    let (a, e) = (StopSiteId(0), StopSiteId(4));
+    assert_eq!(holed.segment_chain(a, e).map(|c| c.len()), Some(5));
+    assert_eq!(holed.segment_chain_stats(a, e), None);
+    assert_eq!(holed.site_distance(a, e), None);
+    assert!(holed
+        .segment_chain_stats(StopSiteId(0), StopSiteId(2))
+        .is_some());
+    assert_tables_match_scans(&holed, "holed");
+}
+
+#[test]
+fn composed_city_tables_match_scans() {
+    let tiles: Vec<TransitNetwork> = (0..4).map(|t| generated(40 + t)).collect();
+    let city = compose_tiles(2, 2, &tiles).expect("tiles compose");
+    assert_tables_match_scans(&city, "2x2 city");
+    assert_tables_survive_serde(&city, "2x2 city");
 }
 
 proptest! {
@@ -107,6 +295,16 @@ proptest! {
             let route_d = route.distance_between(0, 2);
             prop_assert!(d02 <= route_d + 1e-6);
         }
+    }
+
+    /// The chain table and the `follows` bitmap answer every ordered
+    /// site pair exactly as a scan of the routes does, before and after
+    /// a serde round-trip.
+    #[test]
+    fn prop_tables_match_scans(seed in 0u64..200) {
+        let n = generated(seed);
+        assert_tables_match_scans(&n, &format!("seed {seed}"));
+        assert_tables_survive_serde(&n, &format!("seed {seed}"));
     }
 
     /// Every physical stop's site back-reference is consistent.

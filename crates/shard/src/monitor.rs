@@ -35,6 +35,7 @@
 use crate::aggregate::CityAggregator;
 use crate::partition::CityPlan;
 use crate::router::{OverflowPolicy, Routed, ShardRouter};
+use busprobe_core::parallel::assert_arrivals_match;
 use busprobe_core::{
     IngestReport, MonitorConfig, RecoveryTrace, StopFingerprintDb, TrafficMap, TrafficMonitor,
 };
@@ -260,9 +261,7 @@ impl ShardedMonitor {
     /// # Panics
     ///
     /// `received_s` must be empty (no arrival times) or one entry per
-    /// trip — the rule of
-    /// [`TrafficMonitor::ingest_batch_received_parallel`], which checks
-    /// what each shard is handed.
+    /// trip ([`assert_arrivals_match`]).
     #[must_use]
     pub fn ingest_batch_received_parallel(
         &self,
@@ -270,6 +269,9 @@ impl ShardedMonitor {
         received_s: &[f64],
         workers: usize,
     ) -> Vec<IngestReport> {
+        // Checked on the whole batch: a bucket's arrivals are picked by
+        // trip index, so a short list must be refused before bucketing.
+        assert_arrivals_match(received_s.len(), trips.len());
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, trip) in trips.iter().enumerate() {
             buckets[self.route(trip).shard].push(i);
@@ -280,11 +282,12 @@ impl ShardedMonitor {
                 continue;
             }
             // A bucket holding the whole batch (always, for one shard)
-            // is the caller's slices in the caller's order: no copies.
+            // is the caller's slices in the caller's order; any other
+            // borrows its trips from the caller's.
             let shard_reports = if bucket.len() == trips.len() {
                 self.shards[s].ingest_batch_received_parallel(trips, received_s, workers)
             } else {
-                let shard_trips: Vec<Trip> = bucket.iter().map(|&i| trips[i].clone()).collect();
+                let shard_trips: Vec<&Trip> = bucket.iter().map(|&i| &trips[i]).collect();
                 let shard_received: Vec<f64> = if received_s.is_empty() {
                     Vec::new()
                 } else {

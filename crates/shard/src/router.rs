@@ -11,9 +11,13 @@
 //!
 //! Under a component-closed plan ([`CityPlan`](crate::CityPlan)) a
 //! clean trip has candidates in exactly one shard and the bound race is
-//! a formality. Noisy boundary trips — phantom towers straddling two
-//! components — can tie, and those fall to the [`OverflowPolicy`],
-//! which stays bit-exact by scoring candidates in shard-id order.
+//! a formality — so before racing, the router asks each shard whether
+//! its index knows enough of any probe's cells to produce a bound at
+//! all (hash lookups only, no posting walk), and races only the shards
+//! that might; the outcome is the unfiltered race's on every trip.
+//! Noisy boundary trips — phantom towers straddling two components —
+//! can tie, and those fall to the [`OverflowPolicy`], which stays
+//! bit-exact by scoring candidates in shard-id order.
 
 use busprobe_cellular::Fingerprint;
 use busprobe_core::{MatchResult, TrafficMonitor};
@@ -110,14 +114,28 @@ impl ShardRouter {
             };
         }
 
-        // Best candidate bound per shard, in shard-id order.
+        // Rule out, without probing them, the shards whose index knows
+        // too few of any probe's cells to reach γ: their bound is
+        // provably `None` (see `Matcher::may_match`), which the race
+        // below would only rediscover the expensive way.
+        let contenders: Vec<usize> = (0..shards.len())
+            .filter(|&idx| shards[idx].probe_may_match(&probes))
+            .collect();
+        // A lone contender wins by having any bound at all, whatever its
+        // size, so its first one settles the race.
+        let lone = contenders.len() == 1;
+
+        // Best candidate bound per contender, in shard-id order.
         let mut best = f64::NEG_INFINITY;
         let mut winners: Vec<usize> = Vec::new();
-        for (idx, shard) in shards.iter().enumerate() {
+        for idx in contenders {
             let mut bound = f64::NEG_INFINITY;
             for fp in &probes {
-                if let Some(b) = shard.probe_route_bound(fp) {
+                if let Some(b) = shards[idx].probe_route_bound(fp) {
                     bound = bound.max(b);
+                    if lone {
+                        break;
+                    }
                 }
             }
             if bound == f64::NEG_INFINITY {

@@ -9,15 +9,18 @@
 //!    across shard counts: whatever plan is in force, the trip follows
 //!    the same globally best-matching site.
 
+use busprobe_bench::world::Metropolis;
 use busprobe_bench::World;
 use busprobe_cellular::{CellObservation, CellScan, CellTowerId, Fingerprint};
-use busprobe_core::{MonitorConfig, StopFingerprintDb, TrafficMonitor};
+use busprobe_core::{MatchConfig, MatchResult, MonitorConfig, StopFingerprintDb, TrafficMonitor};
+use busprobe_faults::{FaultInjector, FaultPlan};
 use busprobe_mobile::{CellularSample, Trip};
 use busprobe_network::{NetworkGenerator, StopSiteId, TransitNetwork};
-use busprobe_shard::{CityPlan, OverflowPolicy, ShardedMonitor};
+use busprobe_shard::{CityPlan, OverflowPolicy, Routed, ShardRouter, ShardedMonitor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A calibrated district with window-overlapping synthetic
 /// fingerprints (neighbour sites share cells, like a real corridor).
@@ -27,10 +30,11 @@ fn district(seed: u64) -> (TransitNetwork, StopFingerprintDb) {
     (network, db)
 }
 
-/// A trip whose every scan is exactly `fp` (descending synthetic RSS).
-fn trip_of(fp: &Fingerprint, samples: usize) -> Trip {
-    let scan = CellScan::new(
-        fp.cells()
+/// A scan hearing exactly `cells`, strongest first (descending
+/// synthetic RSS).
+fn scan_of(cells: &[CellTowerId]) -> CellScan {
+    CellScan::new(
+        cells
             .iter()
             .enumerate()
             .map(|(rank, &tower)| CellObservation {
@@ -38,15 +42,26 @@ fn trip_of(fp: &Fingerprint, samples: usize) -> Trip {
                 rss_dbm: -60.0 - 3.0 * rank as f64,
             })
             .collect(),
-    );
+    )
+}
+
+/// A trip of `scans`, one a minute.
+fn trip_of_scans(scans: Vec<CellScan>) -> Trip {
     Trip {
-        samples: (0..samples)
-            .map(|k| CellularSample {
+        samples: scans
+            .into_iter()
+            .enumerate()
+            .map(|(k, scan)| CellularSample {
                 time_s: k as f64 * 60.0,
-                scan: scan.clone(),
+                scan,
             })
             .collect(),
     }
+}
+
+/// A trip whose every scan is exactly `fp`.
+fn trip_of(fp: &Fingerprint, samples: usize) -> Trip {
+    trip_of_scans(vec![scan_of(fp.cells()); samples])
 }
 
 proptest! {
@@ -241,4 +256,314 @@ fn short_arrival_list_is_refused_by_a_city() {
     let trip = m.trips_chunk(0, 1).remove(0);
     let trips = vec![trip.clone(), trip.clone(), trip];
     let _ = city.ingest_batch_received_parallel(&trips, &[60.0, 60.0], 1);
+}
+
+/// The same rule when the batch spans shards: the list is checked
+/// against the whole batch before any trip is bucketed, not discovered
+/// as an index past the end while a bucket's arrivals are picked out.
+#[test]
+#[should_panic(expected = "received_s must be empty or match trips (2 vs 3)")]
+fn short_arrival_list_is_refused_by_a_city_that_splits_the_batch() {
+    let m = World::metropolis(400, 40, 17);
+    let city = ShardedMonitor::new(
+        m.network.clone(),
+        &m.db,
+        MonitorConfig::default(),
+        2,
+        OverflowPolicy::Score,
+    );
+    // The first trip, one bound for the other shard, and the first again.
+    let corpus = m.trips_chunk(0, 40);
+    let home = city.route(&corpus[0]).shard;
+    let away = corpus
+        .iter()
+        .find(|t| city.route(t).shard != home)
+        .expect("a 40-trip corpus over two shards reaches both");
+    let trips = vec![corpus[0].clone(), away.clone(), corpus[0].clone()];
+    let _ = city.ingest_batch_received_parallel(&trips, &[60.0, 60.0], 1);
+}
+
+/// The router as it was before the pre-filter — every probe against
+/// every shard, then the bound race — kept as the oracle `route` must
+/// agree with on every trip.
+fn route_probing_every_shard(
+    policy: OverflowPolicy,
+    shards: &[Arc<TrafficMonitor>],
+    trip: &Trip,
+) -> Routed {
+    let routed = |shard, overflow| Routed { shard, overflow };
+    if shards.len() <= 1 {
+        return routed(0, false);
+    }
+    // Up to four evenly spaced, distinct, non-empty sample fingerprints.
+    let n = trip.samples.len();
+    let take = 4.min(n);
+    let mut probes: Vec<Fingerprint> = Vec::new();
+    for k in 0..take {
+        let i = if take == 1 {
+            0
+        } else {
+            k * (n - 1) / (take - 1)
+        };
+        let fp = trip.samples[i].scan.fingerprint();
+        if !fp.is_empty() && !probes.contains(&fp) {
+            probes.push(fp);
+        }
+    }
+    if probes.is_empty() {
+        return routed(0, true);
+    }
+    let mut best = f64::NEG_INFINITY;
+    let mut winners: Vec<usize> = Vec::new();
+    for (idx, shard) in shards.iter().enumerate() {
+        let bound = probes
+            .iter()
+            .filter_map(|fp| shard.probe_route_bound(fp))
+            .fold(f64::NEG_INFINITY, f64::max);
+        if bound == f64::NEG_INFINITY {
+            continue;
+        }
+        if bound > best {
+            best = bound;
+            winners.clear();
+        }
+        if bound == best {
+            winners.push(idx);
+        }
+    }
+    match (winners.len(), policy) {
+        (0, _) => routed(0, true),
+        (1, _) => routed(winners[0], false),
+        (_, OverflowPolicy::Lowest) => routed(winners[0], true),
+        (_, OverflowPolicy::Score) => {
+            let mut chosen = winners[0];
+            let mut top: Option<MatchResult> = None;
+            for &idx in &winners {
+                for m in probes
+                    .iter()
+                    .filter_map(|fp| shards[idx].probe_best_match(fp))
+                {
+                    let better = top.as_ref().is_none_or(|cur| {
+                        MatchResult::rank_order(&m, cur) == std::cmp::Ordering::Less
+                    });
+                    if better {
+                        top = Some(m);
+                        chosen = idx;
+                    }
+                }
+            }
+            routed(chosen, true)
+        }
+    }
+}
+
+/// Trips built to sit on the router's edges: phantom towers from a far
+/// district mixed into a real scan (both strengths, so bounds tie and
+/// differ), scans cut to one or two towers, towers no database has ever
+/// held, empty scans and an empty trip.
+fn hostile_trips(m: &Metropolis) -> Vec<Trip> {
+    let sites = m.network.sites().len() as u32;
+    let cells = |site: u32| m.db.get(StopSiteId(site)).expect("fingerprinted").cells();
+    let noise: Vec<CellTowerId> = (0..6).map(|k| CellTowerId(4_000_000_000 + k)).collect();
+    let mut trips = vec![trip_of_scans(vec![]), trip_of_scans(vec![scan_of(&[]); 3])];
+    for k in 0..24u32 {
+        let (near, far) = (k * 37 % sites, (k * 37 + sites / 2) % sites);
+        for (take_near, take_far) in [(3, 3), (5, 2), (2, 1), (1, 1), (4, 0)] {
+            let mixed: Vec<CellTowerId> = cells(near)
+                .iter()
+                .take(take_near)
+                .chain(cells(far).iter().take(take_far))
+                .chain(&noise[..2])
+                .copied()
+                .collect();
+            let only_far: Vec<CellTowerId> = cells(far).iter().take(3).copied().collect();
+            trips.push(trip_of_scans(vec![
+                scan_of(&mixed),
+                scan_of(&noise),
+                scan_of(&mixed[..take_near.min(2)]),
+                scan_of(&only_far),
+                scan_of(&mixed),
+            ]));
+        }
+    }
+    trips
+}
+
+/// Asserts `route` ≡ the unfiltered race — shard *and* overflow flag —
+/// for every trip, under both policies.
+fn assert_routes_agree(shards: &[Arc<TrafficMonitor>], trips: &[Trip], context: &str) {
+    for policy in [OverflowPolicy::Score, OverflowPolicy::Lowest] {
+        let router = ShardRouter::new(policy);
+        for (i, trip) in trips.iter().enumerate() {
+            assert_eq!(
+                router.route(shards, trip),
+                route_probing_every_shard(policy, shards, trip),
+                "{context}, {policy:?}, trip {i}"
+            );
+        }
+    }
+}
+
+/// The pre-filter narrows the race's input and never its outcome: on
+/// clean rides, an extreme-fault corpus and hand-built hostile trips,
+/// at 2, 4 and 16 shards (16 leaves shards with empty databases).
+#[test]
+fn routing_equals_the_unfiltered_race() {
+    let m = World::metropolis(800, 120, 23);
+    let clean = m.trips_chunk(0, 120);
+    let faulted: Vec<Trip> = FaultInjector::new(FaultPlan::extreme(), 23)
+        .apply(&clean)
+        .uploads
+        .into_iter()
+        .map(|u| u.trip)
+        .collect();
+    let hostile = hostile_trips(&m);
+    for shards in [2usize, 4, 16] {
+        let city = ShardedMonitor::new(
+            m.network.clone(),
+            &m.db,
+            MonitorConfig::default(),
+            shards,
+            OverflowPolicy::Score,
+        );
+        let mut overflowed = 0;
+        for (name, trips) in [
+            ("clean", &clean),
+            ("extreme", &faulted),
+            ("hostile", &hostile),
+        ] {
+            assert_routes_agree(city.shards(), trips, &format!("{shards} shards, {name}"));
+            overflowed += trips.iter().filter(|t| city.route(t).overflow).count();
+        }
+        assert!(
+            overflowed > 0,
+            "{shards} shards: no trip reached the overflow path"
+        );
+        assert!(
+            clean.iter().all(|t| !city.route(t).overflow),
+            "{shards} shards: a clean ride has one home"
+        );
+    }
+}
+
+/// The router reads each shard's live index, not the plan: after a
+/// refresh re-elects one stop's fingerprint — dropping a cell only that
+/// stop held (its posting list empties, its interned id stays) and
+/// adding a tower the plan never saw — trips carrying either cell still
+/// route exactly as the unfiltered race does. Run at the default γ and
+/// at γ = 1, where a single shared cell is already a candidate and so
+/// the two cells decide a trip's route on their own.
+#[test]
+fn routing_equals_the_unfiltered_race_after_index_churn() {
+    let m = World::metropolis(400, 60, 29);
+    let corpus = m.trips_chunk(0, 60);
+
+    // A ride whose first stop holds a cell no other stop does.
+    let holders = |cell: CellTowerId| {
+        m.db.iter()
+            .filter(|(_, fp)| fp.cells().contains(&cell))
+            .count()
+    };
+    let (ride, site, retired) = corpus
+        .iter()
+        .find_map(|ride| {
+            let first = ride.samples[0].scan.fingerprint();
+            let (site, _) = m.db.iter().find(|(_, fp)| **fp == first)?;
+            let retired = first.cells().iter().copied().find(|&c| holders(c) == 1)?;
+            Some((ride, site, retired))
+        })
+        .expect("some ride starts at a stop with a cell of its own");
+    // The same ride, its first stop now hearing `learned` where it heard
+    // `retired`.
+    let learned = CellTowerId(3_999_999_999);
+    let drifted: Vec<CellTowerId> =
+        m.db.get(site)
+            .unwrap()
+            .cells()
+            .iter()
+            .map(|&c| if c == retired { learned } else { c })
+            .collect();
+    let mut drifted_ride = ride.clone();
+    for sample in &mut drifted_ride.samples {
+        if sample.scan.fingerprint().cells().contains(&retired) {
+            sample.scan = scan_of(&drifted);
+        }
+    }
+    let lone =
+        |cell: CellTowerId| trip_of_scans(vec![scan_of(&[cell, CellTowerId(4_000_000_001)]); 3]);
+    let mut trips = corpus.clone();
+    trips.extend(hostile_trips(&m));
+    trips.extend([lone(retired), lone(learned), drifted_ride.clone()]);
+
+    for gamma in [MatchConfig::default().accept_threshold, 1.0] {
+        let config = MonitorConfig {
+            online_db_update: true,
+            matching: MatchConfig {
+                accept_threshold: gamma,
+                ..MatchConfig::default()
+            },
+            ..MonitorConfig::default()
+        };
+        let city = ShardedMonitor::new(m.network.clone(), &m.db, config, 4, OverflowPolicy::Score);
+        let home = city.route(ride).shard;
+        let shard = &city.shards()[home];
+        // Four days of the drifted ride: enough harvest to re-elect.
+        for day in 0..4 {
+            let mut upload = drifted_ride.clone();
+            for sample in &mut upload.samples {
+                sample.time_s += 86_400.0 * f64::from(day);
+            }
+            let report = shard.ingest_upload(&upload, None);
+            assert!(
+                report.observations > 0,
+                "γ = {gamma}, day {day}: {report:?}"
+            );
+        }
+        assert!(
+            shard.refresh_database() >= 1,
+            "the drifted stop is re-elected"
+        );
+        let db = shard.database();
+        assert_eq!(db.get(site).unwrap().cells(), &drifted[..]);
+        assert!(db.iter().all(|(_, fp)| !fp.cells().contains(&retired)));
+
+        assert_routes_agree(city.shards(), &trips, &format!("after churn, γ = {gamma}"));
+        if gamma == 1.0 {
+            let router = ShardRouter::new(OverflowPolicy::Score);
+            assert_eq!(
+                router.route(city.shards(), &lone(retired)),
+                Routed {
+                    shard: 0,
+                    overflow: true
+                },
+                "an emptied posting list is an unknown cell"
+            );
+            assert_eq!(
+                router.route(city.shards(), &lone(learned)),
+                Routed {
+                    shard: home,
+                    overflow: false
+                },
+                "a cell learned after the plan was drawn routes by the live index"
+            );
+        }
+    }
+}
+
+/// With the index disabled (γ ≤ 0) the probe can rule nothing out and
+/// the race runs as it always did, on brute-force bounds.
+#[test]
+fn routing_equals_the_unfiltered_race_without_an_index() {
+    let m = World::metropolis(200, 12, 31);
+    let config = MonitorConfig {
+        matching: MatchConfig {
+            accept_threshold: 0.0,
+            ..MatchConfig::default()
+        },
+        ..MonitorConfig::default()
+    };
+    let city = ShardedMonitor::new(m.network.clone(), &m.db, config, 4, OverflowPolicy::Score);
+    let mut trips = m.trips_chunk(0, 12);
+    trips.extend(hostile_trips(&m).into_iter().take(12));
+    assert_routes_agree(city.shards(), &trips, "γ = 0");
 }

@@ -75,13 +75,24 @@ pub type LoadedSnapshot = Option<(u64, Vec<u8>)>;
 /// coverage sequence number, its payload and how many newer-but-corrupt
 /// snapshots were skipped on the way.
 pub fn load_latest(dir: &Path) -> io::Result<(LoadedSnapshot, u64)> {
+    load_latest_if(dir, &mut |_, _| true)
+}
+
+/// [`load_latest`] with a say for the payload's owner: a snapshot whose
+/// frame is intact but whose `(seq, payload)` the caller does not
+/// `accept` — it does not decode, or decodes to something inconsistent
+/// — is skipped and counted exactly like one that failed its CRC.
+pub fn load_latest_if(
+    dir: &Path,
+    accept: &mut dyn FnMut(u64, &[u8]) -> bool,
+) -> io::Result<(LoadedSnapshot, u64)> {
     let mut skipped = 0u64;
     for (seq, path) in list_snapshots(dir)?.into_iter().rev() {
         let buf = fs::read(&path)?;
         match frame::decode(SNAPSHOT_MAGIC, &buf) {
             // A valid frame followed by trailing bytes is still corrupt:
             // the file must be exactly one frame.
-            Ok(f) if f.consumed == buf.len() && f.seq == seq => {
+            Ok(f) if f.consumed == buf.len() && f.seq == seq && accept(seq, f.payload) => {
                 return Ok((Some((seq, f.payload.to_vec())), skipped));
             }
             _ => skipped += 1,

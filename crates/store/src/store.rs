@@ -217,10 +217,22 @@ impl Store {
     /// attributed in the report — this never fails on corrupt *content*,
     /// only on I/O errors.
     pub fn recover(dir: impl AsRef<Path>) -> io::Result<Recovered> {
+        Self::recover_with(dir, |_, _| true)
+    }
+
+    /// [`recover`](Self::recover) for a caller that can judge snapshot
+    /// *content*: `accept(seq, payload)` is asked about each intact
+    /// snapshot, newest first, and one it refuses is skipped and counted
+    /// under [`Recovered::snapshots_skipped`] like a corrupt one, falling
+    /// back to the next-newest and finally to a full WAL replay.
+    pub fn recover_with(
+        dir: impl AsRef<Path>,
+        mut accept: impl FnMut(u64, &[u8]) -> bool,
+    ) -> io::Result<Recovered> {
         let dir = dir.as_ref();
         let metrics = StoreMetrics::new();
         let start = Instant::now();
-        let (snapshot, snapshots_skipped) = snapshot::load_latest(dir)?;
+        let (snapshot, snapshots_skipped) = snapshot::load_latest_if(dir, &mut accept)?;
         let covered = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
         let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
         let report = wal::replay_into(dir, &mut |seq, payload| {

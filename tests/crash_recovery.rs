@@ -413,3 +413,58 @@ fn corrupt_snapshot_falls_back_to_wal_replay() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A snapshot can be damaged *above* the frame: intact CRC, valid JSON,
+/// but its fusion state names a segment in its window series that its
+/// belief list does not. That has no right reading, so it is refused
+/// and recovery treats it as one more corrupt snapshot.
+#[test]
+fn self_contradicting_snapshot_falls_back_to_wal_replay() {
+    use busprobe::store::frame::{self, SNAPSHOT_MAGIC};
+    use busprobe::store::snapshot;
+    use serde_json::Value;
+
+    fn field<'a>(object: &'a mut Value, name: &str) -> &'a mut Value {
+        let Value::Object(fields) = object else {
+            panic!("{name}: not an object");
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == name).unwrap().1
+    }
+
+    let fx = Fixture::build();
+    let dir = scratch_dir("snapkeys");
+    {
+        let monitor = fx.world.monitor();
+        monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, 1);
+        for (i, t) in fx.trips.iter().enumerate() {
+            monitor.ingest_upload(t, Some(fx.received[i]));
+        }
+        monitor.checkpoint().unwrap();
+    }
+    // Re-frame the snapshot with the first window series renamed to the
+    // second's segment.
+    let (seq, path) = snapshot::list_snapshots(&dir).unwrap().pop().unwrap();
+    let file = std::fs::read(&path).unwrap();
+    let payload = frame::decode(SNAPSHOT_MAGIC, &file).unwrap().payload;
+    let mut state: Value = serde_json::from_slice(payload).unwrap();
+    let Value::Array(series) = field(field(&mut state, "fusion"), "windows") else {
+        panic!("window series are a pair list");
+    };
+    let (Value::Array(second), Value::Array(first)) = (series[1].clone(), &mut series[0]) else {
+        panic!("pairs are arrays");
+    };
+    assert_ne!(first[0], second[0]);
+    first[0] = second[0].clone();
+    snapshot::write(&dir, seq, &serde_json::to_vec(&state).unwrap()).unwrap();
+
+    let (monitor, summary) = fx.recover(&dir);
+    assert_eq!(summary.snapshots_skipped, 1, "{summary:?}");
+    assert_eq!(summary.snapshot_seq, None, "fell back past the snapshot");
+    assert_eq!(summary.skipped_records, 0, "the WAL itself is undamaged");
+    assert_eq!(
+        capture(&monitor, fx.end_s),
+        fx.reference,
+        "WAL replay alone rebuilds the exact state"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
