@@ -179,7 +179,7 @@ grep -q "conservation holds" "$tmpdir/city-s1.out"
 grep -q "conservation holds" "$tmpdir/city-s4.out"
 cmp "$tmpdir/city-s1.geojson" "$tmpdir/city-s4.geojson"
 
-echo "== benchmark: pinned names compile, district and city end to end =="
+echo "== benchmark: pinned names compile, district, city and live stream end to end =="
 # benchmark/ is its own workspace, so the root `cargo test` never
 # compiles it: its unit tests are the only place a renamed item it pins
 # (benchmark/README.md) fails to build. One short district_batch run
@@ -188,12 +188,15 @@ echo "== benchmark: pinned names compile, district and city end to end =="
 # executes the router, the fan-out or the city aggregator, so a short
 # city_batch run follows it (non-zero if the sharded map digest, the
 # per-reason outcome counts or shard conservation diverge from the
-# unsharded reference). Regressions are judged by the driver, parent
-# against change on one box, within the bounds in BENCHMARK.json — not
-# here against a frozen baseline.
+# unsharded reference). Neither sends an upload with an arrival stamp
+# through the socket; durable_stream's partial-trip flushes do (non-zero
+# on any unacked, doubly acked or unrecovered upload). Regressions are
+# judged by the driver, parent against change on one box, within the
+# bounds in BENCHMARK.json — not here against a frozen baseline.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --workload district_batch --seconds 3 --trace 0
 bash benchmark/run.sh --workload city_batch --seconds 3 --trace 0
+bash benchmark/run.sh --workload durable_stream --seconds 3 --trace 0
 
 echo "== cargo doc (our crates, rustdoc warnings denied) =="
 # Broken, private or redundant intra-doc links in the root package and

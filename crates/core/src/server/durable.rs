@@ -284,6 +284,15 @@ impl TrafficMonitor {
         Ok(())
     }
 
+    /// The WAL sequence number below which every record is known
+    /// fsynced (`None` without a store) — lets a test hold an
+    /// acknowledgement to the [`sync_store`](Self::sync_store) that
+    /// covers it.
+    #[must_use]
+    pub fn synced_seq(&self) -> Option<u64> {
+        self.store.lock().as_ref().map(|a| a.store.synced_seq())
+    }
+
     /// Writes a full-state snapshot covering every record appended so
     /// far, then compacts covered WAL segments. Returns the snapshot's
     /// coverage sequence number, or `None` when no store is attached.

@@ -12,6 +12,15 @@
 //! never acked loses nothing across a crash, and the duplicate guard
 //! absorbs the overlap.
 //!
+//! The group commit is adaptive: the loop fsyncs and releases acks
+//! when the window (`sync_every`) is full **or the queue has run dry**
+//! — nothing queued and no connection thread still working through the
+//! lines it last read — i.e. when nothing is left to share the fsync
+//! with. A lone upload is acked after one fsync; under backlog the
+//! queue never runs dry and groups fill to the cap; a slow disk fills
+//! the queue during the fsync, so the next group is bigger. No timer,
+//! no knob — see `CommitLoop::run`.
+//!
 //! Every upload that does not commit is attributed: shed, deadline,
 //! oversized and unparseable frames each increment their
 //! [`DropReason`] counter, emit an admission-drop trace, and (when the
@@ -31,12 +40,22 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Admission-latency buckets, seconds.
 const LATENCY_BUCKETS: [f64; 10] = [0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 5.0];
+
+/// Admission → ack released, seconds: one fsync is ~0.15 ms, so the
+/// buckets start well below the admission histogram's 1 ms.
+const ACK_LATENCY_BUCKETS: [f64; 14] = [
+    0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0, 5.0,
+];
+
+/// Commits covered by one flush (one fsync).
+const GROUP_SIZE_BUCKETS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
 
 /// What to do with a new upload when the admission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,8 +112,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Most uploads the commit loop takes per batch.
     pub batch_max: usize,
-    /// Fsync + release acknowledgements every this many commits (the
-    /// idle flush covers stragglers). 1 = ack every commit.
+    /// Fsync + release acknowledgements after at most this many
+    /// commits — the cap of the group: the loop flushes sooner whenever
+    /// the queue runs dry. 1 = one fsync per commit.
     pub sync_every: u64,
     /// Checkpoint every this many commits (0 = count trigger off).
     pub checkpoint_every: u64,
@@ -176,23 +196,30 @@ impl ReplySink {
     /// Sends a line, swallowing write errors (for front-end loops that
     /// have no engine counter in hand).
     pub fn send_raw(&self, line: &str) {
-        let mut writer = self.writer.lock();
-        let _ = writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
+        let _ = self.write(&[line, "\n"].concat());
     }
 
     fn send_line(&self, line: &str, errors: &Counter) {
-        let mut writer = self.writer.lock();
-        let failed = writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err();
-        if failed {
+        self.send_lines(&[line, "\n"].concat(), errors);
+    }
+
+    /// Sends newline-terminated lines as they are, counting a failure.
+    fn send_lines(&self, lines: &str, errors: &Counter) {
+        if self.write(lines).is_err() {
             errors.inc();
         }
+    }
+
+    /// One `write_all` per call: the writer is an unbuffered socket, so
+    /// every call here is a syscall.
+    fn write(&self, lines: &str) -> std::io::Result<()> {
+        let mut writer = self.writer.lock();
+        writer.write_all(lines.as_bytes())?;
+        writer.flush()
+    }
+
+    fn same_connection(&self, other: &ReplySink) -> bool {
+        Arc::ptr_eq(&self.writer, &other.writer)
     }
 }
 
@@ -221,6 +248,24 @@ struct Stats {
     unparseable: AtomicU64,
     refused_draining: AtomicU64,
     checkpoints: AtomicU64,
+    flushes: AtomicU64,
+    idle_flushes: AtomicU64,
+}
+
+/// Why the commit loop fsynced and released acks.
+#[derive(Debug, Clone, Copy)]
+enum FlushCause {
+    /// The group reached `sync_every`.
+    Full,
+    /// The queue ran dry: nothing left to share the fsync with.
+    Dry,
+    /// The idle poll found pending acks — the safety net; never in
+    /// normal operation.
+    Idle,
+    /// A checkpoint came due mid-group (it syncs first).
+    Checkpoint,
+    /// The drain epilogue.
+    Drain,
 }
 
 /// Pre-resolved global telemetry instruments.
@@ -233,6 +278,13 @@ struct ServeMetrics {
     queue_depth: Gauge,
     queue_high_water: Gauge,
     admission_latency: Arc<Histogram>,
+    ack_latency: Arc<Histogram>,
+    flush_group_size: Arc<Histogram>,
+    flushes_full: Counter,
+    flushes_dry: Counter,
+    flushes_idle: Counter,
+    flushes_checkpoint: Counter,
+    flushes_drain: Counter,
     shed_queue_full: Counter,
     shed_deadline: Counter,
     oversized: Counter,
@@ -253,10 +305,35 @@ impl ServeMetrics {
                 "busprobe_serve_admission_latency_seconds",
                 &LATENCY_BUCKETS,
             ),
+            ack_latency: busprobe_telemetry::histogram(
+                "busprobe_serve_ack_latency_seconds",
+                &ACK_LATENCY_BUCKETS,
+            ),
+            flush_group_size: busprobe_telemetry::histogram(
+                "busprobe_serve_flush_group_size",
+                &GROUP_SIZE_BUCKETS,
+            ),
+            flushes_full: busprobe_telemetry::counter("busprobe_serve_flushes_full_total"),
+            flushes_dry: busprobe_telemetry::counter("busprobe_serve_flushes_dry_total"),
+            flushes_idle: busprobe_telemetry::counter("busprobe_serve_flushes_idle_total"),
+            flushes_checkpoint: busprobe_telemetry::counter(
+                "busprobe_serve_flushes_checkpoint_total",
+            ),
+            flushes_drain: busprobe_telemetry::counter("busprobe_serve_flushes_drain_total"),
             shed_queue_full: busprobe_telemetry::counter(DropReason::ShedQueueFull.counter_name()),
             shed_deadline: busprobe_telemetry::counter(DropReason::ShedDeadline.counter_name()),
             oversized: busprobe_telemetry::counter(DropReason::Oversized.counter_name()),
             unparseable: busprobe_telemetry::counter(DropReason::Unparseable.counter_name()),
+        }
+    }
+
+    fn flushes(&self, cause: FlushCause) -> &Counter {
+        match cause {
+            FlushCause::Full => &self.flushes_full,
+            FlushCause::Dry => &self.flushes_dry,
+            FlushCause::Idle => &self.flushes_idle,
+            FlushCause::Checkpoint => &self.flushes_checkpoint,
+            FlushCause::Drain => &self.flushes_drain,
         }
     }
 }
@@ -271,7 +348,7 @@ struct Shared {
     /// Commit-loop heartbeat: one tick per loop iteration (batches and
     /// idle polls alike). Frozen beats = a stuck commit thread.
     commit_beats: AtomicU64,
-    /// Set once the commit loop has exited (stops the watchdog).
+    /// Set once the commit loop has exited ([`EngineHandle::finished`]).
     commit_done: AtomicBool,
     checkpoint_requested: AtomicBool,
     /// First fatal diagnostic (watchdog stall or store fail-stop).
@@ -340,20 +417,27 @@ impl Shared {
     }
 
     fn stats_line(&self) -> String {
+        // Acked first: commits only ever run ahead of their acks, so
+        // the difference — commits staged but not yet fsynced and
+        // acked — cannot read negative.
+        let acked = self.stats.acked.load(Ordering::Relaxed);
+        let committed = self.stats.committed.load(Ordering::Relaxed);
         format!(
             "{{\"ok\":\"stats\",\"received\":{},\"admitted\":{},\"committed\":{},\"acked\":{},\
              \"shed_queue_full\":{},\"shed_deadline\":{},\"oversized\":{},\"unparseable\":{},\
-             \"queue\":{},\"queue_high_water\":{}}}",
+             \"queue\":{},\"queue_high_water\":{},\"flushes\":{},\"acks_pending\":{}}}",
             self.stats.received.load(Ordering::Relaxed),
             self.stats.admitted.load(Ordering::Relaxed),
-            self.stats.committed.load(Ordering::Relaxed),
-            self.stats.acked.load(Ordering::Relaxed),
+            committed,
+            acked,
             self.stats.shed_queue_full.load(Ordering::Relaxed),
             self.stats.shed_deadline.load(Ordering::Relaxed),
             self.stats.oversized.load(Ordering::Relaxed),
             self.stats.unparseable.load(Ordering::Relaxed),
             self.queue.len(),
             self.queue.high_water(),
+            self.stats.flushes.load(Ordering::Relaxed),
+            committed - acked,
         )
     }
 
@@ -369,6 +453,8 @@ impl Shared {
             unparseable: self.stats.unparseable.load(Ordering::Relaxed),
             refused_draining: self.stats.refused_draining.load(Ordering::Relaxed),
             checkpoints: self.stats.checkpoints.load(Ordering::Relaxed),
+            flushes: self.stats.flushes.load(Ordering::Relaxed),
+            idle_flushes: self.stats.idle_flushes.load(Ordering::Relaxed),
             queue_high_water: self.queue.high_water(),
             final_checkpoint_seq: *self.last_checkpoint_seq.lock(),
             fatal: self.fatal.lock().clone(),
@@ -400,6 +486,12 @@ pub struct ServeSummary {
     pub refused_draining: u64,
     /// Checkpoints written (including the final drain checkpoint).
     pub checkpoints: u64,
+    /// Group flushes: one `sync_store` and the acks it covers, each.
+    /// `committed / flushes` is the mean group size.
+    pub flushes: u64,
+    /// Flushes left to the idle poll — acks that waited out a timer.
+    /// The flush rule leaves it none to find; non-zero is a bug.
+    pub idle_flushes: u64,
     /// Deepest the admission queue ever got — the memory bound held.
     pub queue_high_water: usize,
     /// Coverage point of the last checkpoint, if a store was attached.
@@ -483,6 +575,33 @@ impl EngineHandle {
         }
     }
 
+    /// Opens a burst on the admission queue, for a caller about to
+    /// [`handle_line`](Self::handle_line) several lines in a row — the
+    /// lines one socket `read` returned. Until the guard drops, the
+    /// commit loop is not woken per upload but once, when it drops, and
+    /// does not consider the queue dry. A connection thread that sends
+    /// the commit loop to sleep and wakes it again for every line
+    /// spends more on the hand-offs than the commit loop spends on the
+    /// lines.
+    #[must_use = "the burst ends when the guard drops"]
+    pub fn burst(&self) -> Burst<'_> {
+        self.shared.queue.begin_burst();
+        Burst(&self.shared.queue)
+    }
+
+    /// [`handle_line`](Self::handle_line) for each of `lines`, as one
+    /// [`burst`](Self::burst).
+    pub fn handle_burst<'a>(
+        &self,
+        lines: impl Iterator<Item = &'a str>,
+        reply: Option<&ReplySink>,
+    ) {
+        let _burst = self.burst();
+        for line in lines {
+            self.handle_line(line, reply);
+        }
+    }
+
     /// Stops admission: queued uploads still commit, then the commit
     /// loop flushes acks, writes a final checkpoint and exits.
     pub fn begin_drain(&self) {
@@ -558,20 +677,19 @@ impl EngineHandle {
     fn admit(&self, adm: Admission) {
         let shared = &self.shared;
         let outcome = match shared.config.full_policy {
-            FullPolicy::Block => shared.queue.push_blocking(adm).map(|()| None),
-            FullPolicy::Reject => shared.queue.try_push(adm).map(|()| None),
+            FullPolicy::Block => shared.queue.push_blocking(adm).map(|depth| (depth, None)),
+            FullPolicy::Reject => shared.queue.try_push(adm).map(|depth| (depth, None)),
             FullPolicy::ShedOldest => shared.queue.push_evicting(adm),
         };
         match outcome {
-            Ok(evicted) => {
+            Ok((depth, evicted)) => {
                 shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
                 shared.tele.admitted.inc();
-                let depth = shared.queue.len();
-                shared.tele.queue_depth.set(depth as f64);
+                shared.tele.queue_depth.set(depth.len as f64);
                 shared
                     .tele
                     .queue_high_water
-                    .set_max(shared.queue.high_water() as f64);
+                    .set_max(depth.high_water as f64);
                 if let Some(victim) = evicted {
                     shared.attribute_drop(&victim, DropReason::ShedQueueFull);
                 }
@@ -595,6 +713,16 @@ impl EngineHandle {
                 shared.attribute_drop(&adm, DropReason::ShedQueueFull);
             }
         }
+    }
+}
+
+/// An open burst on one engine's admission queue; see
+/// [`EngineHandle::burst`]. Dropping it ends the burst.
+pub struct Burst<'a>(&'a BoundedQueue<Admission>);
+
+impl Drop for Burst<'_> {
+    fn drop(&mut self) {
+        self.0.end_burst();
     }
 }
 
@@ -637,18 +765,25 @@ impl ServeEngine {
             horizon_last: Mutex::new(0.0),
             last_checkpoint_seq: Mutex::new(None),
         });
+        // The commit loop's last word wakes the watchdog, which every
+        // `join` would otherwise wait out of its sleep (a quarter of
+        // the stall limit).
+        let (commit_exit, commit_exited) = mpsc::channel();
         let commit = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("serve-commit".into())
-                .spawn(move || CommitLoop::new(shared).run())
+                .spawn(move || {
+                    CommitLoop::new(shared).run();
+                    let _ = commit_exit.send(());
+                })
                 .expect("spawn commit thread")
         };
         let watchdog = shared.config.watchdog_stall.map(|stall| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("serve-watchdog".into())
-                .spawn(move || watchdog_loop(&shared, stall, on_fatal.as_ref()))
+                .spawn(move || watchdog_loop(&shared, stall, &commit_exited, on_fatal.as_ref()))
                 .expect("spawn watchdog thread")
         });
         ServeEngine {
@@ -686,11 +821,19 @@ impl ServeEngine {
     }
 }
 
+/// One commit whose ack waits for the fsync that covers it.
+struct PendingAck {
+    id: Option<u64>,
+    seq: u64,
+    reply: Option<ReplySink>,
+    enqueued: Instant,
+}
+
 /// The single consumer of the admission queue.
 struct CommitLoop {
     shared: Arc<Shared>,
-    pending_acks: Vec<(Option<u64>, u64, Option<ReplySink>)>,
-    commits_since_sync: u64,
+    /// Every commit since the last fsync, in commit order — the group.
+    pending_acks: Vec<PendingAck>,
     commits_since_checkpoint: u64,
     last_checkpoint: Instant,
     last_publish: Instant,
@@ -702,7 +845,6 @@ impl CommitLoop {
         CommitLoop {
             shared,
             pending_acks: Vec::new(),
-            commits_since_sync: 0,
             commits_since_checkpoint: 0,
             last_checkpoint: Instant::now(),
             last_publish: Instant::now(),
@@ -723,7 +865,7 @@ impl CommitLoop {
             match popped {
                 Popped::Drained => break,
                 Popped::Idle => {
-                    if !self.flush_acks() {
+                    if !self.flush_acks(FlushCause::Idle) {
                         break;
                     }
                     if !self.maybe_checkpoint(false) {
@@ -731,8 +873,29 @@ impl CommitLoop {
                     }
                     self.maybe_publish(false);
                 }
-                Popped::Batch(batch) => {
+                Popped::Batch(batch, left) => {
+                    self.shared.tele.queue_depth.set(left as f64);
                     if !self.commit_batch(batch) {
+                        break;
+                    }
+                    // The flush rule, after every batch (one shed whole
+                    // or an empty one at the end of a burst included):
+                    // fsync when the group is full, or when the queue
+                    // ran dry while the batch was staged — nothing
+                    // queued, no connection thread mid-burst. Then
+                    // nothing is left to share the fsync with, and
+                    // waiting would only add latency. What arrives
+                    // during the fsync is the next group, so groups
+                    // grow with load and with a slow disk by
+                    // themselves, up to `sync_every`.
+                    let cause = if self.pending_acks.len() as u64 >= self.shared.config.sync_every {
+                        Some(FlushCause::Full)
+                    } else if left == 0 && self.shared.queue.is_dry() {
+                        Some(FlushCause::Dry)
+                    } else {
+                        None
+                    };
+                    if cause.is_some_and(|cause| !self.flush_acks(cause)) {
                         break;
                     }
                     if !self.maybe_checkpoint(false) {
@@ -745,7 +908,7 @@ impl CommitLoop {
         // Drain epilogue: only on a clean exit — after a fatal, nothing
         // more gets acknowledged (producers re-send the unacked tail).
         if self.shared.fatal.lock().is_none() {
-            if self.flush_acks() {
+            if self.flush_acks(FlushCause::Drain) {
                 let _ = self.maybe_checkpoint(true);
             }
             self.maybe_publish(true);
@@ -754,12 +917,12 @@ impl CommitLoop {
         self.shared.commit_done.store(true, Ordering::Release);
     }
 
-    /// Sheds stale entries, ingests the rest, queues their acks.
-    /// Returns false on a fatal condition.
+    /// Sheds stale entries, ingests the rest, queues their acks (when
+    /// to release them is [`run`](Self::run)'s decision). Returns false
+    /// on a fatal condition.
     fn commit_batch(&mut self, batch: Vec<Admission>) -> bool {
         let shared = &self.shared;
         let config = &shared.config;
-        shared.tele.queue_depth.set(shared.queue.len() as f64);
         let mut keep: Vec<Admission> = Vec::with_capacity(batch.len());
         for adm in batch {
             if let Some(budget) = config.latency_budget {
@@ -788,11 +951,15 @@ impl CommitLoop {
         }
         let base_seq = shared.monitor.commit_count();
         let n = keep.len() as u64;
-        let mut metas: Vec<(Option<u64>, Option<ReplySink>)> = Vec::with_capacity(keep.len());
         let mut trips: Vec<Trip> = Vec::with_capacity(keep.len());
         let mut recvs: Vec<Option<f64>> = Vec::with_capacity(keep.len());
-        for adm in keep {
-            metas.push((adm.id, adm.reply));
+        for (i, adm) in keep.into_iter().enumerate() {
+            self.pending_acks.push(PendingAck {
+                id: adm.id,
+                seq: base_seq + i as u64,
+                reply: adm.reply,
+                enqueued: adm.enqueued,
+            });
             trips.push(adm.trip);
             recvs.push(adm.received_s);
         }
@@ -808,12 +975,8 @@ impl CommitLoop {
             }
         }
         shared.stats.committed.fetch_add(n, Ordering::Relaxed);
-        self.commits_since_sync += n;
         self.commits_since_checkpoint += n;
         self.publish_dirty = true;
-        for (i, (id, reply)) in metas.into_iter().enumerate() {
-            self.pending_acks.push((id, base_seq + i as u64, reply));
-        }
         if shared.monitor.store_failed() {
             shared.set_fatal(format!(
                 "durable store fail-stopped mid-stream; {} commits will not be acknowledged",
@@ -822,29 +985,53 @@ impl CommitLoop {
             self.pending_acks.clear();
             return false;
         }
-        if self.commits_since_sync >= config.sync_every {
-            return self.flush_acks();
-        }
         true
     }
 
-    /// Makes every pending commit durable, then releases its ack.
-    /// Returns false when durability fail-stopped (nothing is acked).
-    fn flush_acks(&mut self) -> bool {
-        if self.commits_since_sync == 0 && self.pending_acks.is_empty() {
+    /// Makes every pending commit durable, then releases its ack — the
+    /// only place an ack line is written. Returns false when durability
+    /// fail-stopped (nothing is acked).
+    fn flush_acks(&mut self, cause: FlushCause) -> bool {
+        if self.pending_acks.is_empty() {
             return true;
         }
         let shared = &self.shared;
         match shared.monitor.sync_store() {
             Ok(()) => {
-                for (id, seq, reply) in self.pending_acks.drain(..) {
-                    if let Some(reply) = &reply {
-                        reply.send_line(&protocol::ack_line(id, seq), &shared.tele.reply_errors);
-                    }
-                    shared.stats.acked.fetch_add(1, Ordering::Relaxed);
-                    shared.tele.acked.inc();
+                let group = self.pending_acks.len() as u64;
+                // One write per connection, not per ack: the lines of
+                // one sink are joined in commit order.
+                let mut writes: Vec<(&ReplySink, String)> = Vec::new();
+                let released = Instant::now();
+                for ack in &self.pending_acks {
+                    shared
+                        .tele
+                        .ack_latency
+                        .record(released.duration_since(ack.enqueued).as_secs_f64());
+                    let Some(reply) = &ack.reply else { continue };
+                    let at = writes
+                        .iter()
+                        .position(|(sink, _)| sink.same_connection(reply))
+                        .unwrap_or_else(|| {
+                            writes.push((reply, String::new()));
+                            writes.len() - 1
+                        });
+                    let lines = &mut writes[at].1;
+                    lines.push_str(&protocol::ack_line(ack.id, ack.seq));
+                    lines.push('\n');
                 }
-                self.commits_since_sync = 0;
+                for (sink, lines) in &writes {
+                    sink.send_lines(lines, &shared.tele.reply_errors);
+                }
+                self.pending_acks.clear();
+                shared.stats.acked.fetch_add(group, Ordering::Relaxed);
+                shared.stats.flushes.fetch_add(1, Ordering::Relaxed);
+                if matches!(cause, FlushCause::Idle) {
+                    shared.stats.idle_flushes.fetch_add(1, Ordering::Relaxed);
+                }
+                shared.tele.acked.add(group);
+                shared.tele.flushes(cause).inc();
+                shared.tele.flush_group_size.record(group as f64);
                 true
             }
             Err(e) => {
@@ -879,7 +1066,7 @@ impl CommitLoop {
                 return true;
             }
         }
-        if !self.flush_acks() {
+        if !self.flush_acks(FlushCause::Checkpoint) {
             return false;
         }
         let shared = &self.shared;
@@ -966,14 +1153,22 @@ fn write_atomic(path: &Path, bytes: &[u8]) {
 /// counter ticks every loop iteration, so frozen beats mean a thread
 /// stuck inside an ingest or a wedged store — diagnose loudly instead
 /// of silently queueing forever.
-fn watchdog_loop(shared: &Arc<Shared>, stall: Duration, on_fatal: Option<&FatalHook>) {
+fn watchdog_loop(
+    shared: &Arc<Shared>,
+    stall: Duration,
+    commit_exited: &mpsc::Receiver<()>,
+    on_fatal: Option<&FatalHook>,
+) {
     let poll = (stall / 4).max(Duration::from_millis(5));
     let mut last_beat = shared.commit_beats.load(Ordering::Relaxed);
     let mut last_change = Instant::now();
     loop {
-        std::thread::sleep(poll);
-        if shared.commit_done.load(Ordering::Acquire) {
-            return;
+        match commit_exited.recv_timeout(poll) {
+            Ok(()) => return,
+            Err(RecvTimeoutError::Timeout) => {}
+            // The commit thread died without finishing (a panic): its
+            // beats are frozen, which is what the check below is for.
+            Err(RecvTimeoutError::Disconnected) => std::thread::sleep(poll),
         }
         let beat = shared.commit_beats.load(Ordering::Relaxed);
         if beat != last_beat {

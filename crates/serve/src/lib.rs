@@ -41,8 +41,8 @@ pub mod queue;
 pub mod signal;
 
 pub use engine::{
-    EngineHandle, FatalHook, FullPolicy, ReplySink, ServeConfig, ServeEngine, ServeSummary,
+    Burst, EngineHandle, FatalHook, FullPolicy, ReplySink, ServeConfig, ServeEngine, ServeSummary,
 };
 pub use net::{serve_stdio, serve_unix, LineHandler, StreamClient};
 pub use protocol::{parse_line, Request};
-pub use queue::{BoundedQueue, Popped};
+pub use queue::{BoundedQueue, Depth, Popped};

@@ -11,14 +11,27 @@
 //! Built on `std::sync::Mutex` + `Condvar` (the vendored `parking_lot`
 //! has no condition variable) with two wait channels: consumers wait
 //! for items, blocked producers wait for space.
+//!
+//! A producer that holds several items — a connection thread with the
+//! lines one `read` returned — pushes them as a **burst**
+//! ([`begin_burst`](BoundedQueue::begin_burst) …
+//! [`end_burst`](BoundedQueue::end_burst)): the consumer is woken once,
+//! at the end, instead of once per item, and until then the queue does
+//! not count as [dry](BoundedQueue::is_dry). What arrived together is
+//! handled together; a sleep-and-wake per item costs more than the item
+//! when the consumer is the faster side.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// A burst ended since the consumer last looked: it must look again
+    /// even if the burst queued nothing.
+    burst_ended: bool,
     /// Deepest the queue has ever been — bounded-memory evidence.
     high_water: usize,
 }
@@ -28,15 +41,32 @@ struct Inner<T> {
 pub struct BoundedQueue<T> {
     capacity: usize,
     inner: Mutex<Inner<T>>,
+    /// Producers between `begin_burst` and `end_burst`.
+    bursting: AtomicUsize,
     not_empty: Condvar,
     not_full: Condvar,
+}
+
+/// What a successful push saw under the lock it already held — so the
+/// producer's gauges cost no second and third lock round trip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Depth {
+    /// Items queued, the pushed one included.
+    pub len: usize,
+    /// The deepest the queue has ever been.
+    pub high_water: usize,
 }
 
 /// What [`BoundedQueue::pop_batch`] observed.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Popped<T> {
-    /// Up to `max` items, FIFO order.
-    Batch(Vec<T>),
+    /// Up to `max` items, FIFO order, and how many stayed queued behind
+    /// them. Only the consumer empties the queue, so a non-zero count
+    /// means it has not run dry since; zero means "ask again". The
+    /// batch is empty when a burst ended without queueing anything:
+    /// nothing to take, but [`is_dry`](BoundedQueue::is_dry) may have
+    /// changed.
+    Batch(Vec<T>, usize),
     /// Nothing arrived within the timeout; the queue is still open.
     Idle,
     /// The queue is closed and fully drained — no item will ever
@@ -52,8 +82,10 @@ impl<T> BoundedQueue<T> {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
                 closed: false,
+                burst_ended: false,
                 high_water: 0,
             }),
+            bursting: AtomicUsize::new(0),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
@@ -67,17 +99,26 @@ impl<T> BoundedQueue<T> {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn record_push(&self, inner: &mut Inner<T>, item: T) {
+    fn record_push(&self, inner: &mut Inner<T>, item: T) -> Depth {
         inner.items.push_back(item);
         inner.high_water = inner.high_water.max(inner.items.len());
-        self.not_empty.notify_one();
+        // Mid-burst the wake-up waits for `end_burst` — unless the queue
+        // is filling up, which the consumer must not sleep through: a
+        // full queue blocks, bounces or sheds.
+        if self.bursting.load(Ordering::SeqCst) == 0 || 2 * inner.items.len() >= self.capacity {
+            self.not_empty.notify_one();
+        }
+        Depth {
+            len: inner.items.len(),
+            high_water: inner.high_water,
+        }
     }
 
     /// Blocking push: waits for space (true backpressure — the calling
     /// connection thread, and transitively the producer's socket,
     /// stalls). Returns the item back if the queue closed while
     /// waiting.
-    pub fn push_blocking(&self, item: T) -> Result<(), T> {
+    pub fn push_blocking(&self, item: T) -> Result<Depth, T> {
         let mut inner = self.lock();
         while inner.items.len() >= self.capacity && !inner.closed {
             inner = self
@@ -88,25 +129,23 @@ impl<T> BoundedQueue<T> {
         if inner.closed {
             return Err(item);
         }
-        self.record_push(&mut inner, item);
-        Ok(())
+        Ok(self.record_push(&mut inner, item))
     }
 
     /// Non-blocking push: returns the item back when the queue is full
     /// or closed, so the caller can attribute the rejection.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
+    pub fn try_push(&self, item: T) -> Result<Depth, T> {
         let mut inner = self.lock();
         if inner.closed || inner.items.len() >= self.capacity {
             return Err(item);
         }
-        self.record_push(&mut inner, item);
-        Ok(())
+        Ok(self.record_push(&mut inner, item))
     }
 
     /// Evicting push: always admits the new item (unless closed, which
     /// returns it via `Err`), shedding the *oldest* queued item when
     /// full. The evicted item comes back for attribution.
-    pub fn push_evicting(&self, item: T) -> Result<Option<T>, T> {
+    pub fn push_evicting(&self, item: T) -> Result<(Depth, Option<T>), T> {
         let mut inner = self.lock();
         if inner.closed {
             return Err(item);
@@ -116,24 +155,51 @@ impl<T> BoundedQueue<T> {
         } else {
             None
         };
-        self.record_push(&mut inner, item);
-        Ok(evicted)
+        Ok((self.record_push(&mut inner, item), evicted))
     }
 
-    /// Consumer side: waits up to `timeout` for items, then drains up
-    /// to `max` of them in FIFO order. [`Popped::Drained`] is terminal.
+    /// Announces that the caller is about to push several items in a
+    /// row. Until the matching [`end_burst`](Self::end_burst), pushes
+    /// (anyone's) leave the consumer asleep unless the queue is half
+    /// full, and the queue is not [dry](Self::is_dry).
+    pub fn begin_burst(&self) {
+        self.bursting.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Ends a burst and wakes the consumer — also when the burst queued
+    /// nothing, because a consumer waiting for the queue to run dry has
+    /// to learn that it now has.
+    pub fn end_burst(&self) {
+        let mut inner = self.lock();
+        self.bursting.fetch_sub(1, Ordering::SeqCst);
+        inner.burst_ended = true;
+        self.not_empty.notify_one();
+    }
+
+    /// Whether nothing is queued and no producer is mid-burst: whatever
+    /// the consumer holds, nothing is on its way to join it.
+    pub fn is_dry(&self) -> bool {
+        self.lock().items.is_empty() && self.bursting.load(Ordering::SeqCst) == 0
+    }
+
+    /// Consumer side: waits up to `timeout` for items (or the end of a
+    /// burst), then drains up to `max` of them in FIFO order.
+    /// [`Popped::Drained`] is terminal.
     pub fn pop_batch(&self, max: usize, timeout: Duration) -> Popped<T> {
         let mut inner = self.lock();
-        if inner.items.is_empty() && !inner.closed {
+        if inner.items.is_empty() && !inner.closed && !inner.burst_ended {
             let (guard, _timeout) = self
                 .not_empty
                 .wait_timeout(inner, timeout)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             inner = guard;
         }
+        let burst_ended = std::mem::take(&mut inner.burst_ended);
         if inner.items.is_empty() {
             return if inner.closed {
                 Popped::Drained
+            } else if burst_ended {
+                Popped::Batch(Vec::new(), 0)
             } else {
                 Popped::Idle
             };
@@ -142,7 +208,7 @@ impl<T> BoundedQueue<T> {
         let batch: Vec<T> = inner.items.drain(..take).collect();
         // Space freed: wake every blocked producer (each re-checks).
         self.not_full.notify_all();
-        Popped::Batch(batch)
+        Popped::Batch(batch, inner.items.len())
     }
 
     /// Stops all admission: every subsequent push fails, blocked
@@ -190,15 +256,24 @@ mod tests {
     fn fifo_order_and_batch_limit() {
         let q = BoundedQueue::new(8);
         for i in 0..5 {
-            q.try_push(i).unwrap();
+            let depth = q.try_push(i).unwrap();
+            assert_eq!((depth.len, depth.high_water), (i + 1, i + 1));
         }
         assert_eq!(
             q.pop_batch(3, Duration::from_millis(1)),
-            Popped::Batch(vec![0, 1, 2])
+            Popped::Batch(vec![0, 1, 2], 2),
+            "two stay queued: not dry"
+        );
+        let depth = q.try_push(5).unwrap();
+        assert_eq!(
+            (depth.len, depth.high_water),
+            (3, 5),
+            "high water outlives the pop"
         );
         assert_eq!(
             q.pop_batch(10, Duration::from_millis(1)),
-            Popped::Batch(vec![3, 4])
+            Popped::Batch(vec![3, 4, 5], 0),
+            "ran dry"
         );
         assert_eq!(q.pop_batch(10, Duration::from_millis(1)), Popped::Idle);
         assert_eq!(q.high_water(), 5);
@@ -218,10 +293,23 @@ mod tests {
         let q = BoundedQueue::new(2);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        assert_eq!(q.push_evicting(3), Ok(Some(1)), "oldest came back");
+        let full = Depth {
+            len: 2,
+            high_water: 2,
+        };
+        assert_eq!(
+            q.push_evicting(3),
+            Ok((full, Some(1))),
+            "oldest came back, depth stays at capacity"
+        );
         assert_eq!(
             q.pop_batch(10, Duration::from_millis(1)),
-            Popped::Batch(vec![2, 3])
+            Popped::Batch(vec![2, 3], 0)
+        );
+        assert_eq!(
+            q.push_evicting(4)
+                .map(|(depth, evicted)| (depth.len, evicted)),
+            Ok((1, None))
         );
     }
 
@@ -238,13 +326,74 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(
             q.pop_batch(1, Duration::from_millis(100)),
-            Popped::Batch(vec![1])
+            Popped::Batch(vec![1], 0)
         );
-        producer.join().unwrap().unwrap();
+        let depth = producer.join().unwrap().unwrap();
+        assert_eq!((depth.len, depth.high_water), (1, 1));
         assert_eq!(
             q.pop_batch(1, Duration::from_millis(100)),
-            Popped::Batch(vec![2])
+            Popped::Batch(vec![2], 0)
         );
+    }
+
+    #[test]
+    fn a_burst_wakes_the_consumer_once_at_its_end() {
+        let q = Arc::new(BoundedQueue::new(8));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop_batch(10, Duration::from_secs(10)))
+        };
+        // Let the consumer find the queue empty and go to sleep.
+        std::thread::sleep(Duration::from_millis(20));
+        q.begin_burst();
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        assert!(!q.is_dry(), "items queued");
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!consumer.is_finished(), "woken mid-burst");
+        q.end_burst();
+        assert_eq!(consumer.join().unwrap(), Popped::Batch(vec![1, 2], 0));
+        assert!(q.is_dry());
+    }
+
+    #[test]
+    fn an_empty_burst_still_reports_its_end() {
+        let q = Arc::new(BoundedQueue::<u32>::new(8));
+        q.begin_burst();
+        assert!(!q.is_dry(), "a producer is mid-burst: more may come");
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop_batch(10, Duration::from_secs(10)))
+        };
+        q.end_burst();
+        assert_eq!(
+            consumer.join().unwrap(),
+            Popped::Batch(vec![], 0),
+            "nothing to take, but the queue is dry now"
+        );
+        assert!(q.is_dry());
+        assert_eq!(q.pop_batch(10, Duration::from_millis(1)), Popped::Idle);
+    }
+
+    #[test]
+    fn a_burst_that_half_fills_the_queue_wakes_the_consumer_early() {
+        let q = Arc::new(BoundedQueue::new(4));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop_batch(10, Duration::from_secs(10)))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        q.begin_burst();
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        // No `end_burst` yet: the depth alone woke it, not the timeout.
+        let pushed = std::time::Instant::now();
+        assert_eq!(consumer.join().unwrap(), Popped::Batch(vec![1, 2], 0));
+        assert!(
+            pushed.elapsed() < Duration::from_secs(5),
+            "consumer slept through a filling queue"
+        );
+        q.end_burst();
     }
 
     #[test]
@@ -262,7 +411,7 @@ mod tests {
         // The item queued before close still drains, then Drained.
         assert_eq!(
             q.pop_batch(10, Duration::from_millis(1)),
-            Popped::Batch(vec![1])
+            Popped::Batch(vec![1], 0)
         );
         assert_eq!(q.pop_batch(10, Duration::from_millis(1)), Popped::Drained);
     }

@@ -10,8 +10,9 @@
 //!
 //! glibc's `signal()` installs BSD semantics (`SA_RESTART`), so a
 //! blocked `accept(2)` or `read(2)` is *not* interrupted by a trapped
-//! signal — resident loops must poll the flag with non-blocking
-//! accepts and read timeouts rather than park forever in a syscall.
+//! signal — the loop that polls the flag must wait with a timeout
+//! (`net::serve_unix` waits on a channel fed by an acceptor thread)
+//! rather than park forever in a syscall itself.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -6,11 +6,12 @@
 //! parsed once to probe the shard indexes, then the raw line is handed
 //! to the winning engine untouched, so acknowledgement semantics
 //! (withheld until that shard's WAL fsync) are exactly the single-shard
-//! engine's. Control lines fan out: `checkpoint` and `shutdown` reach
-//! every engine (the client reply comes from the front), `ping` and
-//! `stats` are answered by shard 0's engine. With one engine there is
-//! nothing to route: every line goes to it unparsed, and the front is
-//! that engine.
+//! engine's. The lines of one socket read are one burst on every
+//! engine ([`EngineHandle::burst`]). Control lines fan out:
+//! `checkpoint` and `shutdown` reach every engine (the client reply
+//! comes from the front), `ping` and `stats` are answered by shard 0's
+//! engine. With one engine there is nothing to route: every line goes
+//! to it unparsed, and the front is that engine.
 
 use crate::router::{OverflowPolicy, ShardRouter};
 use busprobe_core::{latest_upload_s, TrafficMonitor};
@@ -141,6 +142,16 @@ impl LineHandler for ShardFront {
                 inner.engines[routed.shard].handle_line(line, reply);
                 self.export_queue_depths();
             }
+        }
+    }
+
+    /// One burst on every engine: any of them may be routed a line of
+    /// it, so none should fsync for what it holds before the rest of
+    /// the read is through, and each is woken once, at the end.
+    fn handle_burst<'a>(&self, lines: impl Iterator<Item = &'a str>, reply: Option<&ReplySink>) {
+        let _bursts: Vec<_> = self.inner.engines.iter().map(EngineHandle::burst).collect();
+        for line in lines {
+            self.handle_line(line, reply);
         }
     }
 

@@ -129,6 +129,13 @@ impl Store {
         self.wal.next_seq()
     }
 
+    /// Every record below this sequence number was covered by a
+    /// completed [`sync`](Self::sync) or checkpoint.
+    #[must_use]
+    pub fn synced_seq(&self) -> u64 {
+        self.wal.synced_seq()
+    }
+
     /// Appends one commit payload; returns its sequence number.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
         if self.fault_appends > 0 {

@@ -278,6 +278,8 @@ pub struct WalWriter {
     segment_first: u64,
     segment_bytes: u64,
     next_seq: u64,
+    /// `next_seq` as of the last [`sync`](Self::sync) (or open).
+    synced_seq: u64,
     scratch: Vec<u8>,
     metrics: StoreMetrics,
 }
@@ -338,6 +340,7 @@ impl WalWriter {
             segment_first,
             segment_bytes,
             next_seq,
+            synced_seq: next_seq,
             scratch: Vec::new(),
             metrics,
         })
@@ -347,6 +350,14 @@ impl WalWriter {
     #[must_use]
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Every record below this sequence number was covered by a
+    /// completed [`sync`](Self::sync) — what an acknowledgement gated
+    /// on durability may cover, and no more.
+    #[must_use]
+    pub fn synced_seq(&self) -> u64 {
+        self.synced_seq
     }
 
     /// First sequence number of the active segment.
@@ -418,6 +429,7 @@ impl WalWriter {
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.flush()?;
         self.file.get_ref().sync_data()?;
+        self.synced_seq = self.next_seq;
         self.metrics.wal_fsyncs.inc();
         Ok(())
     }
@@ -465,7 +477,9 @@ mod tests {
             let seq = wal.append(format!("payload-{i}").as_bytes()).unwrap();
             assert_eq!(seq, i);
         }
+        assert_eq!(wal.synced_seq(), 0, "appended, not yet synced");
         wal.sync().unwrap();
+        assert_eq!(wal.synced_seq(), 20);
         let (records, report) = collect(&dir);
         assert_eq!(records.len(), 20);
         assert_eq!(records[7].0, 7);

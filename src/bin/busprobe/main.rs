@@ -145,7 +145,10 @@ newcomer, `shed-oldest` evicts the oldest queued upload. A
 oversized or unparseable upload is attributed through the DropReason
 counters and trace layer. With `--state DIR` commits are durable and
 acknowledgements are withheld until fsync, so a producer that re-sends
-its unacked tail after a crash loses nothing; `--checkpoint-every` /
+its unacked tail after a crash loses nothing. One fsync covers at most
+`--sync-every` commits (default 32): the commit loop syncs as soon as
+the queue runs dry, so a lone upload is acked after one fsync and
+groups grow towards the cap only under load. `--checkpoint-every` /
 `--checkpoint-interval-s` snapshot periodically and `--publish DIR`
 republishes `map.geojson` + `metrics.prom` (atomic renames) every
 `--publish-interval-s` (two or more shards run one engine each and

@@ -51,8 +51,9 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
 
     // Group commit: the WAL appends one group frame (one fsync) per
-    // ack window, so `--sync-every` bounds both the fsync rate and the
-    // ack latency. Acks release only after the group fsync.
+    // ack group, which holds at most `--sync-every` commits — fewer
+    // whenever the queue runs dry first. Acks release only after the
+    // group fsync.
     let backend = open(
         &world.network,
         &world.db,

@@ -1,7 +1,9 @@
 //! In-process tests of the resident streaming frontend: sustained
 //! overload with full drop attribution, backpressure under the block
 //! policy, deadline shedding, graceful drain with a final checkpoint,
-//! the stall watchdog, and frame-level refusals.
+//! the stall watchdog, frame-level refusals, and the adaptive group
+//! commit — a lone upload acked after one fsync, a backlog still
+//! grouped, every ack exactly once, in order and never before its fsync.
 //!
 //! The kill -9 crash matrix (real processes, real sockets) lives in
 //! `serve_crash.rs`; these tests drive [`busprobe::serve::ServeEngine`]
@@ -12,15 +14,17 @@ mod common;
 use busprobe::core::TrafficMonitor;
 use busprobe::faults::FaultPlan;
 use busprobe::serve::{
-    protocol, FullPolicy, LineHandler, ReplySink, ServeConfig, ServeEngine, ServeSummary,
+    protocol, EngineHandle, FullPolicy, LineHandler, ReplySink, ServeConfig, ServeEngine,
+    ServeSummary,
 };
 use busprobe::shard::{OverflowPolicy, ShardFront};
 use busprobe::store::Store;
 use busprobe_bench::World;
 use common::{faulted, TestWorld};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 77;
@@ -45,6 +49,66 @@ fn assert_conserved(summary: &ServeSummary, context: &str) {
             + summary.refused_draining,
         "{context}: uploads vanished unattributed: {summary:?}"
     );
+}
+
+/// Polls `done` until it holds; panics after `within`.
+fn wait_until(what: &str, within: Duration, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + within;
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Sends upload 0, waits until the commit loop has taken it — and, in
+/// the callers' configurations, sits in its commit throttle — then
+/// sends uploads `1..count`, which therefore queue up behind it.
+fn send_one_then_a_backlog(handle: &EngineHandle, count: usize, send: impl Fn(usize)) {
+    send(0);
+    wait_until(
+        "the first upload to be taken",
+        Duration::from_secs(10),
+        || handle.queue_depth() == 0,
+    );
+    (1..count).for_each(send);
+}
+
+/// Every `write` call a [`ReplySink`] makes, with the store's synced
+/// position as of that call.
+type WriteLog = Arc<Mutex<Vec<(Option<u64>, String)>>>;
+
+/// A reply writer that records instead of sending.
+struct Recorder {
+    monitor: Arc<TrafficMonitor>,
+    log: WriteLog,
+}
+
+impl Write for Recorder {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let synced = self.monitor.synced_seq();
+        let text = String::from_utf8(buf.to_vec()).expect("responses are UTF-8");
+        self.log.lock().unwrap().push((synced, text));
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+fn recording_sink(monitor: &Arc<TrafficMonitor>) -> (ReplySink, WriteLog) {
+    let log = WriteLog::default();
+    let recorder = Recorder {
+        monitor: Arc::clone(monitor),
+        log: Arc::clone(&log),
+    };
+    (ReplySink::new(recorder), log)
+}
+
+/// `(id, seq)` of an `{"ack":ID,"seq":N}` line.
+fn parse_ack(line: &str) -> Option<(u64, u64)> {
+    let rest = line.strip_prefix("{\"ack\":")?;
+    let (id, rest) = rest.split_once(",\"seq\":")?;
+    Some((id.parse().ok()?, rest.strip_suffix('}')?.parse().ok()?))
 }
 
 /// The calibrated 1000-trip corpus under `extreme` faults, streamed at
@@ -316,6 +380,29 @@ fn watchdog_fails_fast_when_the_commit_loop_stalls() {
     assert!(HOOK_FIRED.load(Ordering::SeqCst), "fatal hook must fire");
 }
 
+/// A healthy engine's `join` returns when the commit loop has drained,
+/// not when the watchdog next wakes from its poll (a quarter of the
+/// stall limit: 7.5 s at the CLI's default of 30 s).
+#[test]
+fn join_does_not_wait_out_the_watchdog_poll() {
+    let world = TestWorld::new(SEED, 4);
+    let engine = ServeEngine::start(
+        Arc::new(world.monitor()),
+        ServeConfig {
+            watchdog_stall: Some(Duration::from_secs(30)),
+            ..ServeConfig::default()
+        },
+    );
+    let t = Instant::now();
+    let summary = engine.join();
+    assert!(summary.fatal.is_none(), "{summary:?}");
+    assert!(
+        t.elapsed() < Duration::from_secs(2),
+        "join took {:?}",
+        t.elapsed()
+    );
+}
+
 /// Frame-level refusals: unparseable JSON, an oversized line, and an
 /// upload with too many samples are each counted, attributed, and
 /// answered with a reasoned error — the connection survives all three.
@@ -442,14 +529,7 @@ fn one_engine_front_is_the_bare_engine() {
             }
         };
         let wait_for = |what: &str, done: &dyn Fn() -> bool| {
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while !done() {
-                assert!(
-                    Instant::now() < deadline,
-                    "{tag}: timed out waiting for {what}"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            wait_until(&format!("{tag}: {what}"), Duration::from_secs(30), done);
         };
 
         send(&format!("{{\"pad\":\"{}\"}}", "x".repeat(70_000)));
@@ -493,12 +573,295 @@ fn one_engine_front_is_the_bare_engine() {
     assert_eq!((bare.oversized, bare.unparseable), (1, 1), "{bare:?}");
     assert_eq!(bare.checkpoints, 2, "{bare:?}");
     assert_eq!(front_replies, bare_replies);
-    // The deepest the queue got is a race between producer and commit
-    // thread in either run; everything else must agree.
+    // The deepest the queue got, and so how many groups the commits
+    // were fsynced in, is a race between producer and commit thread in
+    // either run; everything else must agree.
     let settled = |s: ServeSummary| ServeSummary {
         queue_high_water: 0,
+        flushes: 0,
         ..s
     };
     assert_eq!(settled(front), settled(bare));
     assert_eq!(front_map, bare_map, "published maps differ");
+}
+
+/// A lone phone on a quiet night: one upload, a window that will never
+/// fill and an idle poll far away. The queue ran dry behind it, so it
+/// is fsynced and acked at once, by neither the window nor the poll.
+#[test]
+fn a_lone_upload_is_acked_without_the_window_or_the_poll() {
+    let world = TestWorld::new(SEED, 4);
+    let trips = World::small(SEED).ride_corpus(1, SEED);
+    let dir = scratch_dir("lone");
+
+    let monitor = Arc::new(world.monitor());
+    monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, 1000);
+    let engine = ServeEngine::start(
+        Arc::clone(&monitor),
+        ServeConfig {
+            sync_every: 1000,
+            idle_poll: Duration::from_secs(10),
+            ..ServeConfig::default()
+        },
+    );
+    let (reply, buffer) = ReplySink::buffered();
+    engine
+        .handle()
+        .handle_line(&protocol::upload_line(&trips[0], 0, None), Some(&reply));
+    wait_until("the lone upload's ack", Duration::from_secs(2), || {
+        buffer.lock().starts_with(b"{\"ack\":0,")
+    });
+    assert_eq!(monitor.synced_seq(), Some(1), "acked, so fsynced");
+    let summary = engine.join();
+    assert_eq!((summary.committed, summary.acked), (1, 1), "{summary:?}");
+    assert_eq!(
+        (summary.flushes, summary.idle_flushes),
+        (1, 0),
+        "{summary:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Under a backlog the queue never runs dry, so groups fill to
+/// `sync_every` as they always did: the commit throttle holds the first
+/// batch while 96 uploads queue up behind it.
+#[test]
+fn a_backlog_still_groups() {
+    let world = TestWorld::new(SEED, 4);
+    let trips = World::small(SEED).ride_corpus(97, SEED);
+
+    let monitor = Arc::new(world.monitor());
+    let engine = ServeEngine::start(
+        Arc::clone(&monitor),
+        ServeConfig {
+            commit_throttle: Some(Duration::from_millis(150)),
+            ..ServeConfig::default()
+        },
+    );
+    let handle = engine.handle();
+    let send =
+        |i: usize| handle.handle_line(&protocol::upload_line(&trips[i], i as u64, None), None);
+    send_one_then_a_backlog(&handle, trips.len(), send);
+    let summary = engine.join();
+    assert_eq!(summary.committed, trips.len() as u64, "{summary:?}");
+    assert_eq!(summary.acked, summary.committed, "{summary:?}");
+    assert!(
+        summary.flushes <= summary.committed / 8,
+        "a backlog must share its fsyncs: {summary:?}"
+    );
+    assert_eq!(summary.idle_flushes, 0, "{summary:?}");
+}
+
+/// The acks one flush releases reach each connection as one write, in
+/// commit order: nine commits from two interleaved connections fill the
+/// window together (the throttle holds the first while the rest queue).
+#[test]
+fn one_flush_is_one_write_per_connection() {
+    let world = TestWorld::new(SEED, 4);
+    let trips = World::small(SEED).ride_corpus(9, SEED);
+
+    let monitor = Arc::new(world.monitor());
+    let engine = ServeEngine::start(
+        Arc::clone(&monitor),
+        ServeConfig {
+            sync_every: trips.len() as u64,
+            commit_throttle: Some(Duration::from_millis(150)),
+            ..ServeConfig::default()
+        },
+    );
+    let handle = engine.handle();
+    let sinks = [recording_sink(&monitor), recording_sink(&monitor)];
+    let send = |i: usize| {
+        let line = protocol::upload_line(&trips[i], i as u64, None);
+        handle.handle_line(&line, Some(&sinks[i % 2].0));
+    };
+    send_one_then_a_backlog(&handle, trips.len(), send);
+    let summary = engine.join();
+    assert_eq!((summary.acked, summary.flushes), (9, 1), "{summary:?}");
+
+    for (parity, (_, log)) in sinks.iter().enumerate() {
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 1, "connection {parity}: one write, got {log:?}");
+        let acks: Vec<(u64, u64)> = log[0].1.lines().map(|l| parse_ack(l).unwrap()).collect();
+        let ids: Vec<u64> = acks.iter().map(|&(id, _)| id).collect();
+        let own: Vec<u64> = (0..9).filter(|id| id % 2 == parity as u64).collect();
+        assert_eq!(ids, own, "connection {parity}: its own acks, in order");
+        assert!(acks.windows(2).all(|w| w[0].1 < w[1].1), "{acks:?}");
+    }
+}
+
+/// A batch the latency budget sheds whole still ends in the flush
+/// decision: the good upload committed before it is acked when the
+/// queue runs dry, not when the idle poll comes round.
+#[test]
+fn an_all_shed_batch_does_not_strand_earlier_acks() {
+    let world = TestWorld::new(SEED, 4);
+    let trips = World::small(SEED).ride_corpus(6, SEED);
+
+    let monitor = Arc::new(world.monitor());
+    let engine = ServeEngine::start(
+        Arc::clone(&monitor),
+        ServeConfig {
+            sync_every: 1000,
+            idle_poll: Duration::from_secs(10),
+            // The good upload is taken fresh and held 400 ms; the burst
+            // behind it is that stale when its turn comes.
+            latency_budget: Some(Duration::from_millis(100)),
+            commit_throttle: Some(Duration::from_millis(400)),
+            ..ServeConfig::default()
+        },
+    );
+    let handle = engine.handle();
+    let (reply, buffer) = ReplySink::buffered();
+    let send = |i: usize| {
+        handle.handle_line(
+            &protocol::upload_line(&trips[i], i as u64, None),
+            Some(&reply),
+        );
+    };
+    send_one_then_a_backlog(&handle, trips.len(), send);
+    wait_until("the good upload's ack", Duration::from_secs(2), || {
+        String::from_utf8_lossy(&buffer.lock()).contains("{\"ack\":0,")
+    });
+    let summary = engine.join();
+    assert_conserved(&summary, "all-shed batch");
+    assert_eq!((summary.committed, summary.acked), (1, 1), "{summary:?}");
+    assert_eq!(summary.shed_deadline, 5, "{summary:?}");
+    assert_eq!(summary.idle_flushes, 0, "{summary:?}");
+}
+
+/// Exactly once, in order, never early: two connections send on seeded
+/// random schedules — bursts, singles, pauses longer than the idle poll
+/// — into a durable engine. Every id is acked once, `seq` ascends per
+/// connection, and no ack line was written before the store had fsynced
+/// past its `seq`.
+#[test]
+fn acks_are_exactly_once_in_order_and_never_before_their_fsync() {
+    const PER_CONNECTION: usize = 60;
+    let world = TestWorld::new(SEED, 4);
+    let trips = World::small(SEED).ride_corpus(2 * PER_CONNECTION, SEED);
+    let dir = scratch_dir("never-early");
+
+    let monitor = Arc::new(world.monitor());
+    monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, 8);
+    let engine = ServeEngine::start(
+        Arc::clone(&monitor),
+        ServeConfig {
+            sync_every: 8,
+            idle_poll: Duration::from_millis(5),
+            ..ServeConfig::default()
+        },
+    );
+    let sinks = [recording_sink(&monitor), recording_sink(&monitor)];
+    std::thread::scope(|scope| {
+        for (conn, (sink, _)) in sinks.iter().enumerate() {
+            let handle = engine.handle();
+            let trips = &trips;
+            scope.spawn(move || {
+                let mut state = SEED + conn as u64; // xorshift64
+                for k in 0..PER_CONNECTION {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    match state % 10 {
+                        0..=5 => {} // burst: back to back
+                        6..=8 => std::thread::sleep(Duration::from_millis(1 + state % 3)),
+                        _ => std::thread::sleep(Duration::from_millis(12)), // > idle_poll
+                    }
+                    let id = conn * PER_CONNECTION + k;
+                    let line = protocol::upload_line(&trips[id], id as u64, None);
+                    handle.handle_line(&line, Some(sink));
+                }
+            });
+        }
+    });
+    let summary = engine.join();
+    assert_conserved(&summary, "never early");
+    assert_eq!(summary.committed, trips.len() as u64, "{summary:?}");
+    assert_eq!(summary.acked, summary.committed, "{summary:?}");
+    assert_eq!(summary.idle_flushes, 0, "{summary:?}");
+
+    let mut acked = vec![0u32; trips.len()];
+    for (conn, (_, log)) in sinks.iter().enumerate() {
+        let mut last_seq = None;
+        for (synced, text) in log.lock().unwrap().iter() {
+            for line in text.lines() {
+                let (id, seq) = parse_ack(line).unwrap_or_else(|| panic!("not an ack: {line}"));
+                assert_eq!(
+                    id as usize / PER_CONNECTION,
+                    conn,
+                    "{line} on connection {conn}"
+                );
+                acked[id as usize] += 1;
+                assert!(
+                    last_seq < Some(seq),
+                    "connection {conn}: {line} after seq {last_seq:?}"
+                );
+                last_seq = Some(seq);
+                assert!(
+                    synced.is_some_and(|synced| seq < synced),
+                    "{line} written with the store synced to {synced:?}"
+                );
+            }
+        }
+    }
+    assert!(acked.iter().all(|&n| n == 1), "acks per id: {acked:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The queue is not dry while a connection thread is still working
+/// through the lines of its last read: an ack waits for that burst —
+/// its uploads share the fsync — and is released the moment the burst
+/// ends, even when the burst queued nothing more.
+#[test]
+fn an_ack_waits_for_a_burst_in_progress_and_no_longer() {
+    let world = TestWorld::new(SEED, 4);
+    let trips = World::small(SEED).ride_corpus(1, SEED);
+
+    let monitor = Arc::new(world.monitor());
+    let engine = ServeEngine::start(
+        Arc::clone(&monitor),
+        ServeConfig {
+            sync_every: 1000,
+            idle_poll: Duration::from_secs(10),
+            ..ServeConfig::default()
+        },
+    );
+    let handle = engine.handle();
+    let (slow_reply, slow_buffer) = ReplySink::buffered();
+    let (reply, buffer) = ReplySink::buffered();
+    let upload = protocol::upload_line(&trips[0], 0, None);
+    let acked = || String::from_utf8_lossy(&buffer.lock()).contains("{\"ack\":0,");
+
+    // One connection's burst is fed a line at a time through a channel.
+    let (feed, fed) = std::sync::mpsc::channel::<&str>();
+    std::thread::scope(|scope| {
+        let (handle, slow_reply) = (&handle, &slow_reply);
+        scope.spawn(move || handle.handle_burst(fed.into_iter(), Some(slow_reply)));
+        feed.send("{\"cmd\":\"ping\"}").unwrap();
+        wait_until("the slow burst to begin", Duration::from_secs(10), || {
+            !slow_buffer.lock().is_empty()
+        });
+
+        // Another connection's whole burst: one upload.
+        handle.handle_burst(std::iter::once(upload.as_str()), Some(&reply));
+        wait_until("the commit", Duration::from_secs(10), || {
+            monitor.commit_count() == 1
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !acked(),
+            "acked while another burst might still join the group"
+        );
+
+        drop(feed); // the slow burst ends, having queued nothing
+        wait_until("the ack", Duration::from_secs(2), acked);
+    });
+    let summary = engine.join();
+    assert_eq!((summary.committed, summary.acked), (1, 1), "{summary:?}");
+    assert_eq!(
+        (summary.flushes, summary.idle_flushes),
+        (1, 0),
+        "{summary:?}"
+    );
 }
