@@ -131,21 +131,25 @@ echo "== CLI serve drill: stream over a socket, SIGTERM drain, compare =="
 # a deliberately flaky producer (bursts, pauses, disconnects that
 # re-send the unacked tail), SIGTERM must drain to exit 0 with a final
 # checkpoint, and the published GeoJSON must be byte-identical to a
-# plain batch ingest of the same corpus.
-./target/release/busprobe serve --dir "$tmpdir" --socket "$tmpdir/serve.sock" \
-  --state "$tmpdir/serve-state" --publish "$tmpdir/publish" \
-  --jobs 2 --queue 64 --sync-every 16 --publish-interval-s 0.2 \
-  > "$tmpdir/serve.out" &
-serve_pid=$!
-for _ in $(seq 100); do [ -S "$tmpdir/serve.sock" ] && break; sleep 0.1; done
-./target/release/busprobe send --dir "$tmpdir" --socket "$tmpdir/serve.sock" \
-  --stream-faults flaky > "$tmpdir/send.out"
-grep -q "all uploads accounted for" "$tmpdir/send.out"
-kill -TERM "$serve_pid"
-wait "$serve_pid"
-grep -q "drained:" "$tmpdir/serve.out"
-grep -q "final checkpoint covers" "$tmpdir/serve.out"
-cmp "$tmpdir/jobs1.geojson" "$tmpdir/publish/map.geojson"
+# plain batch ingest of the same corpus — for the district (one shard)
+# and for a city of four, whose front routes every upload to a shard.
+for shards in 1 4; do
+  ./target/release/busprobe serve --dir "$tmpdir" --socket "$tmpdir/serve$shards.sock" \
+    --state "$tmpdir/serve$shards-state" --shards "$shards" --publish "$tmpdir/publish$shards" \
+    --jobs 2 --queue 64 --sync-every 16 --publish-interval-s 0.2 \
+    > "$tmpdir/serve$shards.out" &
+  serve_pid=$!
+  for _ in $(seq 100); do [ -S "$tmpdir/serve$shards.sock" ] && break; sleep 0.1; done
+  ./target/release/busprobe send --dir "$tmpdir" --socket "$tmpdir/serve$shards.sock" \
+    --stream-faults flaky > "$tmpdir/send$shards.out"
+  grep -q "all uploads accounted for" "$tmpdir/send$shards.out"
+  kill -TERM "$serve_pid"
+  wait "$serve_pid"
+  grep -q "drained:" "$tmpdir/serve$shards.out"
+  grep -q "final checkpoint covers" "$tmpdir/serve$shards.out"
+  test -s "$tmpdir/publish$shards/metrics.prom"
+  cmp "$tmpdir/jobs1.geojson" "$tmpdir/publish$shards/map.geojson"
+done
 
 echo "== CLI sharding drill: --shards 1 vs --shards 4 =="
 # One shard is the default and the only code path, so there is no flat

@@ -1,11 +1,13 @@
 //! The serve engine: admission control, the single commit loop,
-//! durability-gated acknowledgements, checkpointing, publication, and
-//! the stall watchdog.
+//! durability-gated acknowledgements, checkpointing, and the stall
+//! watchdog.
 //!
-//! Producers (connection threads) call [`EngineHandle::handle_line`]
-//! with wire frames; uploads that pass the frame checks enter the
-//! bounded admission queue under the configured [`FullPolicy`]. One
-//! commit thread drains the queue in batches, sheds entries that
+//! Producers hand [`EngineHandle::handle_frame`] decoded frames (a
+//! shard front decodes each line once and routes the frame;
+//! [`EngineHandle::handle_line`] is decode plus that door); uploads
+//! within the sample limit enter the bounded admission queue under the
+//! configured [`FullPolicy`]. One commit thread drains the queue in
+//! batches, sheds entries that
 //! overstayed the latency budget, runs the rest through the monitor's
 //! stage/commit pipeline, and acknowledges each upload only after its
 //! WAL record is fsynced — so a producer that re-sends whatever was
@@ -27,17 +29,14 @@
 //! producer is still connected) get a `drop` response naming the
 //! reason.
 
-use crate::protocol::{self, Request};
+use crate::protocol::{self, Frame, Refusal, Request};
 use crate::queue::{BoundedQueue, Popped};
-use busprobe_core::geojson::map_to_geojson;
-use busprobe_core::{latest_upload_s, DropReason, TrafficMonitor, HORIZON_GRACE_S};
-use busprobe_geo::LocalProjection;
+use busprobe_core::{DropReason, TrafficMonitor};
 use busprobe_mobile::Trip;
 use busprobe_telemetry::{Counter, Gauge, Histogram, Level};
 use busprobe_trace::{TraceRecord, TripTrace};
 use parking_lot::Mutex;
 use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -116,14 +115,8 @@ pub struct ServeConfig {
     /// commits — the cap of the group: the loop flushes sooner whenever
     /// the queue runs dry. 1 = one fsync per commit.
     pub sync_every: u64,
-    /// Checkpoint every this many commits (0 = count trigger off).
-    pub checkpoint_every: u64,
     /// Checkpoint at least this often while commits are flowing.
     pub checkpoint_interval: Option<Duration>,
-    /// Publish `map.geojson` + `metrics.prom` here.
-    pub publish_dir: Option<PathBuf>,
-    /// Republish cadence while commits are flowing.
-    pub publish_interval: Duration,
     /// Refuse frames longer than this many bytes (`oversized`).
     pub max_line_bytes: usize,
     /// Refuse uploads with more samples than this (`oversized`).
@@ -146,10 +139,7 @@ impl Default for ServeConfig {
             workers: 1,
             batch_max: 32,
             sync_every: 32,
-            checkpoint_every: 0,
             checkpoint_interval: None,
-            publish_dir: None,
-            publish_interval: Duration::from_secs(2),
             max_line_bytes: 1 << 20,
             max_samples: 4096,
             watchdog_stall: None,
@@ -274,7 +264,6 @@ struct ServeMetrics {
     acked: Counter,
     reply_errors: Counter,
     checkpoints: Counter,
-    publishes: Counter,
     queue_depth: Gauge,
     queue_high_water: Gauge,
     admission_latency: Arc<Histogram>,
@@ -298,7 +287,6 @@ impl ServeMetrics {
             acked: busprobe_telemetry::counter("busprobe_serve_acks_total"),
             reply_errors: busprobe_telemetry::counter("busprobe_serve_reply_errors_total"),
             checkpoints: busprobe_telemetry::counter("busprobe_serve_checkpoints_total"),
-            publishes: busprobe_telemetry::counter("busprobe_serve_publishes_total"),
             queue_depth: busprobe_telemetry::gauge("busprobe_serve_queue_depth"),
             queue_high_water: busprobe_telemetry::gauge("busprobe_serve_queue_high_water"),
             admission_latency: busprobe_telemetry::histogram(
@@ -353,10 +341,6 @@ struct Shared {
     checkpoint_requested: AtomicBool,
     /// First fatal diagnostic (watchdog stall or store fail-stop).
     fatal: Mutex<Option<String>>,
-    /// Max finite last-sample time over every upload handed to the
-    /// pipeline — mirrors the batch CLI's default-horizon fold so the
-    /// published map matches `ingest` byte for byte.
-    horizon_last: Mutex<f64>,
     last_checkpoint_seq: Mutex<Option<u64>>,
 }
 
@@ -416,37 +400,16 @@ impl Shared {
         }
     }
 
-    fn stats_line(&self) -> String {
+    fn summary(&self) -> ServeSummary {
         // Acked first: commits only ever run ahead of their acks, so
         // the difference — commits staged but not yet fsynced and
         // acked — cannot read negative.
         let acked = self.stats.acked.load(Ordering::Relaxed);
-        let committed = self.stats.committed.load(Ordering::Relaxed);
-        format!(
-            "{{\"ok\":\"stats\",\"received\":{},\"admitted\":{},\"committed\":{},\"acked\":{},\
-             \"shed_queue_full\":{},\"shed_deadline\":{},\"oversized\":{},\"unparseable\":{},\
-             \"queue\":{},\"queue_high_water\":{},\"flushes\":{},\"acks_pending\":{}}}",
-            self.stats.received.load(Ordering::Relaxed),
-            self.stats.admitted.load(Ordering::Relaxed),
-            committed,
-            acked,
-            self.stats.shed_queue_full.load(Ordering::Relaxed),
-            self.stats.shed_deadline.load(Ordering::Relaxed),
-            self.stats.oversized.load(Ordering::Relaxed),
-            self.stats.unparseable.load(Ordering::Relaxed),
-            self.queue.len(),
-            self.queue.high_water(),
-            self.stats.flushes.load(Ordering::Relaxed),
-            committed - acked,
-        )
-    }
-
-    fn summary(&self) -> ServeSummary {
         ServeSummary {
             received: self.stats.received.load(Ordering::Relaxed),
             admitted: self.stats.admitted.load(Ordering::Relaxed),
             committed: self.stats.committed.load(Ordering::Relaxed),
-            acked: self.stats.acked.load(Ordering::Relaxed),
+            acked,
             shed_queue_full: self.stats.shed_queue_full.load(Ordering::Relaxed),
             shed_deadline: self.stats.shed_deadline.load(Ordering::Relaxed),
             oversized: self.stats.oversized.load(Ordering::Relaxed),
@@ -509,6 +472,32 @@ impl ServeSummary {
     }
 }
 
+/// The `{"ok":"stats",...}` answer for the engines behind one front,
+/// from their live [`EngineHandle::summary`]s and the uploads `queued`
+/// across them now: counters are summed, `queue_high_water` is the
+/// deepest any one queue got.
+#[must_use]
+pub fn stats_line(engines: &[ServeSummary], queued: usize) -> String {
+    let sum = |field: fn(&ServeSummary) -> u64| -> u64 { engines.iter().map(field).sum() };
+    let (committed, acked) = (sum(|s| s.committed), sum(|s| s.acked));
+    let high_water = engines.iter().map(|s| s.queue_high_water).max();
+    format!(
+        "{{\"ok\":\"stats\",\"received\":{},\"admitted\":{},\"committed\":{committed},\
+         \"acked\":{acked},\"shed_queue_full\":{},\"shed_deadline\":{},\"oversized\":{},\
+         \"unparseable\":{},\"queue\":{queued},\"queue_high_water\":{},\"flushes\":{},\
+         \"acks_pending\":{}}}",
+        sum(|s| s.received),
+        sum(|s| s.admitted),
+        sum(|s| s.shed_queue_full),
+        sum(|s| s.shed_deadline),
+        sum(|s| s.oversized),
+        sum(|s| s.unparseable),
+        high_water.unwrap_or(0),
+        sum(|s| s.flushes),
+        committed - acked,
+    )
+}
+
 /// Called (once) from the watchdog thread when the engine declares a
 /// fatal condition — the resident CLI uses it to exit non-zero.
 pub type FatalHook = Box<dyn Fn(&str) + Send + 'static>;
@@ -520,32 +509,28 @@ pub struct EngineHandle {
 }
 
 impl EngineHandle {
-    /// Processes one wire line, routing any responses to `reply`.
-    /// Under the `Block` policy this stalls the caller while the queue
-    /// is full — that is the backpressure, propagated to the producer
-    /// through the unread socket.
+    /// Decodes one wire line and hands it to
+    /// [`handle_frame`](Self::handle_frame).
     pub fn handle_line(&self, line: &str, reply: Option<&ReplySink>) {
+        self.handle_frame(protocol::decode(line, self.max_line_bytes()), reply);
+    }
+
+    /// Processes one decoded wire line, routing any responses to
+    /// `reply`; every frame counts as one received. Under the `Block`
+    /// policy this stalls the caller while the queue is full — that is
+    /// the backpressure, propagated to the producer through the unread
+    /// socket.
+    pub fn handle_frame(&self, frame: Frame, reply: Option<&ReplySink>) {
         let shared = &self.shared;
         shared.stats.received.fetch_add(1, Ordering::Relaxed);
-        if line.len() > shared.config.max_line_bytes {
-            self.refuse_frame(
-                line,
-                DropReason::Oversized,
-                format!(
-                    "frame of {} bytes exceeds the {}-byte limit",
-                    line.len(),
-                    shared.config.max_line_bytes
-                ),
-                reply,
-            );
-            return;
-        }
-        match protocol::parse_line(line) {
-            Err(e) => self.refuse_frame(line, DropReason::Unparseable, e.0, reply),
+        match frame {
+            Err(refusal) => self.refuse_frame(refusal, reply),
             Ok(Request::Ping) => self.respond(reply, &protocol::ok_line("pong")),
-            Ok(Request::Stats) => self.respond(reply, &shared.stats_line()),
+            Ok(Request::Stats) => {
+                self.respond(reply, &stats_line(&[self.summary()], self.queue_depth()));
+            }
             Ok(Request::Checkpoint) => {
-                shared.checkpoint_requested.store(true, Ordering::Relaxed);
+                self.request_checkpoint();
                 self.respond(reply, &protocol::ok_line("checkpoint-scheduled"));
             }
             Ok(Request::Shutdown) => {
@@ -608,16 +593,24 @@ impl EngineHandle {
         self.shared.queue.close();
     }
 
+    /// Schedules a checkpoint at the next commit boundary.
+    pub fn request_checkpoint(&self) {
+        self.shared
+            .checkpoint_requested
+            .store(true, Ordering::Relaxed);
+    }
+
+    /// What this engine has done so far — what [`ServeEngine::join`]
+    /// reports at the end.
+    #[must_use]
+    pub fn summary(&self) -> ServeSummary {
+        self.shared.summary()
+    }
+
     /// Whether drain has begun.
     #[must_use]
     pub fn is_draining(&self) -> bool {
         self.shared.queue.is_closed()
-    }
-
-    /// The fatal diagnostic, if one latched.
-    #[must_use]
-    pub fn fatal(&self) -> Option<String> {
-        self.shared.fatal.lock().clone()
     }
 
     /// The configured frame byte limit (front-end loops cap their
@@ -647,31 +640,24 @@ impl EngineHandle {
     }
 
     /// Attributes a frame that never yielded an upload (oversized line
-    /// or unparseable JSON): the trace id is a hash of the raw bytes,
-    /// the only identity such a frame has.
-    fn refuse_frame(
-        &self,
-        raw: &str,
-        reason: DropReason,
-        detail: String,
-        reply: Option<&ReplySink>,
-    ) {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        raw.hash(&mut h);
+    /// or unparseable JSON), traced under the hash of its raw bytes.
+    fn refuse_frame(&self, refusal: Refusal, reply: Option<&ReplySink>) {
         let adm = Admission {
             id: None,
             trip: Trip {
                 samples: Vec::new(),
             },
             received_s: None,
-            digest: h.finish(),
+            digest: refusal.digest,
             samples: 0,
             enqueued: Instant::now(),
             reply: None, // respond with the detailed error instead
         };
-        self.shared.attribute_drop(&adm, reason);
-        self.respond(reply, &protocol::err_line(&detail, reason.trace_label()));
+        self.shared.attribute_drop(&adm, refusal.reason);
+        self.respond(
+            reply,
+            &protocol::err_line(&refusal.detail, refusal.reason.trace_label()),
+        );
     }
 
     fn admit(&self, adm: Admission) {
@@ -762,7 +748,6 @@ impl ServeEngine {
             commit_done: AtomicBool::new(false),
             checkpoint_requested: AtomicBool::new(false),
             fatal: Mutex::new(None),
-            horizon_last: Mutex::new(0.0),
             last_checkpoint_seq: Mutex::new(None),
         });
         // The commit loop's last word wakes the watchdog, which every
@@ -801,11 +786,6 @@ impl ServeEngine {
         }
     }
 
-    /// Stops admission and lets the commit loop drain.
-    pub fn begin_drain(&self) {
-        self.shared.queue.close();
-    }
-
     /// Drains (closing the queue if still open), waits for the commit
     /// loop and watchdog, and reports what happened.
     #[must_use]
@@ -834,10 +814,8 @@ struct CommitLoop {
     shared: Arc<Shared>,
     /// Every commit since the last fsync, in commit order — the group.
     pending_acks: Vec<PendingAck>,
-    commits_since_checkpoint: u64,
+    committed_since_checkpoint: bool,
     last_checkpoint: Instant,
-    last_publish: Instant,
-    publish_dirty: bool,
 }
 
 impl CommitLoop {
@@ -845,10 +823,8 @@ impl CommitLoop {
         CommitLoop {
             shared,
             pending_acks: Vec::new(),
-            commits_since_checkpoint: 0,
+            committed_since_checkpoint: false,
             last_checkpoint: Instant::now(),
-            last_publish: Instant::now(),
-            publish_dirty: false,
         }
     }
 
@@ -871,7 +847,6 @@ impl CommitLoop {
                     if !self.maybe_checkpoint(false) {
                         break;
                     }
-                    self.maybe_publish(false);
                 }
                 Popped::Batch(batch, left) => {
                     self.shared.tele.queue_depth.set(left as f64);
@@ -901,17 +876,13 @@ impl CommitLoop {
                     if !self.maybe_checkpoint(false) {
                         break;
                     }
-                    self.maybe_publish(false);
                 }
             }
         }
         // Drain epilogue: only on a clean exit — after a fatal, nothing
         // more gets acknowledged (producers re-send the unacked tail).
-        if self.shared.fatal.lock().is_none() {
-            if self.flush_acks(FlushCause::Drain) {
-                let _ = self.maybe_checkpoint(true);
-            }
-            self.maybe_publish(true);
+        if self.shared.fatal.lock().is_none() && self.flush_acks(FlushCause::Drain) {
+            let _ = self.maybe_checkpoint(true);
         }
         self.shared.tele.queue_depth.set(0.0);
         self.shared.commit_done.store(true, Ordering::Release);
@@ -938,10 +909,6 @@ impl CommitLoop {
         }
         if let Some(throttle) = config.commit_throttle {
             std::thread::sleep(throttle);
-        }
-        {
-            let mut horizon = shared.horizon_last.lock();
-            *horizon = latest_upload_s(keep.iter().map(|adm| &adm.trip), *horizon);
         }
         for adm in &keep {
             shared
@@ -975,8 +942,7 @@ impl CommitLoop {
             }
         }
         shared.stats.committed.fetch_add(n, Ordering::Relaxed);
-        self.commits_since_checkpoint += n;
-        self.publish_dirty = true;
+        self.committed_since_checkpoint = true;
         if shared.monitor.store_failed() {
             shared.set_fatal(format!(
                 "durable store fail-stopped mid-stream; {} commits will not be acknowledged",
@@ -1045,21 +1011,19 @@ impl CommitLoop {
         }
     }
 
-    /// Runs a checkpoint when one is due (count, interval, request, or
-    /// `force` at drain). Acks flush first so the snapshot never covers
+    /// Runs a checkpoint when one is due (interval, request, or `force`
+    /// at drain). Acks flush first so the snapshot never covers
     /// unacknowledged commits. Returns false on a fatal flush.
     fn maybe_checkpoint(&mut self, force: bool) -> bool {
         {
             let shared = &self.shared;
-            let config = &shared.config;
             let requested = shared.checkpoint_requested.swap(false, Ordering::Relaxed);
-            let count_due = config.checkpoint_every > 0
-                && self.commits_since_checkpoint >= config.checkpoint_every;
-            let time_due = config
+            let time_due = shared
+                .config
                 .checkpoint_interval
                 .is_some_and(|iv| self.last_checkpoint.elapsed() >= iv)
-                && self.commits_since_checkpoint > 0;
-            if !(force || requested || count_due || time_due) {
+                && self.committed_since_checkpoint;
+            if !(force || requested || time_due) {
                 return true;
             }
             if !shared.monitor.has_store() {
@@ -1090,62 +1054,9 @@ impl CommitLoop {
                 );
             }
         }
-        self.commits_since_checkpoint = 0;
+        self.committed_since_checkpoint = false;
         self.last_checkpoint = Instant::now();
         true
-    }
-
-    /// Publishes `map.geojson` + `metrics.prom` when due (new commits
-    /// and the cadence elapsed, or `force` at drain).
-    fn maybe_publish(&mut self, force: bool) {
-        let shared = &self.shared;
-        let Some(dir) = &shared.config.publish_dir else {
-            return;
-        };
-        let due = force
-            || (self.publish_dirty
-                && self.last_publish.elapsed() >= shared.config.publish_interval);
-        if !due {
-            return;
-        }
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            busprobe_telemetry::event(
-                Level::Warn,
-                "serve::engine",
-                format!("cannot create publish dir {dir:?}: {e}"),
-            );
-            return;
-        }
-        // Same horizon rule as the batch CLI's default: just after the
-        // last upload, so the two maps compare byte for byte.
-        let horizon = *shared.horizon_last.lock() + HORIZON_GRACE_S;
-        let map = shared.monitor.snapshot_with_max_age(horizon, f64::INFINITY);
-        let geojson = map_to_geojson(
-            &map,
-            shared.monitor.network(),
-            &LocalProjection::new(1.34, 103.70),
-        );
-        let bytes = serde_json::to_vec(&geojson).unwrap_or_default();
-        write_atomic(&dir.join("map.geojson"), &bytes);
-        let prom = busprobe_telemetry::snapshot().to_prometheus();
-        write_atomic(&dir.join("metrics.prom"), prom.as_bytes());
-        shared.tele.publishes.inc();
-        self.publish_dirty = false;
-        self.last_publish = Instant::now();
-    }
-}
-
-/// Readers must never see a half-written artifact: write to a sibling
-/// temp file, then rename over the target (atomic on POSIX).
-fn write_atomic(path: &Path, bytes: &[u8]) {
-    let tmp = path.with_extension("tmp");
-    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
-    if let Err(e) = result {
-        busprobe_telemetry::event(
-            Level::Warn,
-            "serve::engine",
-            format!("publish {path:?} failed: {e}"),
-        );
     }
 }
 

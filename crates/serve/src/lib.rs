@@ -27,8 +27,8 @@
 //!
 //! [`engine`] holds the admission queue and commit loop; [`protocol`]
 //! the wire format; [`net`] the socket/stdio front ends and a client;
-//! [`signal`] the dependency-free SIGTERM/SIGINT plumbing (the one
-//! module with FFI).
+//! [`publish()`] the live map and metrics writer; [`signal`] the
+//! dependency-free SIGTERM/SIGINT plumbing (the one module with FFI).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,13 +36,16 @@
 pub mod engine;
 pub mod net;
 pub mod protocol;
+mod publish;
 pub mod queue;
 #[allow(unsafe_code)]
 pub mod signal;
 
 pub use engine::{
-    Burst, EngineHandle, FatalHook, FullPolicy, ReplySink, ServeConfig, ServeEngine, ServeSummary,
+    stats_line, Burst, EngineHandle, FatalHook, FullPolicy, ReplySink, ServeConfig, ServeEngine,
+    ServeSummary,
 };
 pub use net::{serve_stdio, serve_unix, LineHandler, StreamClient};
-pub use protocol::{parse_line, Request};
+pub use protocol::{parse_line, Frame, Request};
+pub use publish::publish;
 pub use queue::{BoundedQueue, Depth, Popped};

@@ -36,10 +36,10 @@ const READ_CHUNK: usize = 64 * 1024;
 /// while no connection arrives.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-/// What a front end needs from whatever sits behind it. A single
-/// [`EngineHandle`] is the original implementor; a sharded router that
-/// fans lines out to several engines implements the same contract, so
-/// the socket/stdio loops below serve either without knowing which.
+/// What a front end needs from whatever sits behind it: a bare
+/// [`EngineHandle`], or a city front that decodes each line once and
+/// routes it to one of several engines. The socket/stdio loops below
+/// serve either without knowing which.
 pub trait LineHandler: Clone + Send + 'static {
     /// Processes one complete wire line; replies (if any) go to `reply`.
     fn handle_line(&self, line: &str, reply: Option<&ReplySink>);

@@ -26,10 +26,14 @@
 //!
 //! Requests are parsed through [`serde_json::Value`] rather than a
 //! derived struct so a malformed frame yields a precise, attributable
-//! error instead of tearing down the connection.
+//! error instead of tearing down the connection. [`decode`] is the one
+//! place a wire line is turned into a [`Frame`]; everything behind it
+//! takes frames, never lines.
 
+use busprobe_core::DropReason;
 use busprobe_mobile::Trip;
 use serde_json::Value;
+use std::hash::{Hash, Hasher};
 
 /// One parsed client request.
 #[derive(Debug)]
@@ -51,6 +55,46 @@ pub enum Request {
     Checkpoint,
     /// Begin graceful drain.
     Shutdown,
+}
+
+/// A line that yields no [`Request`]: too long, or unparseable.
+#[derive(Debug)]
+pub struct Refusal {
+    /// [`DropReason::Oversized`] or [`DropReason::Unparseable`].
+    pub reason: DropReason,
+    /// What was wrong, for the producer's `err` line.
+    pub detail: String,
+    /// Hash of the raw bytes — the only identity such a line has (its
+    /// trace id).
+    pub digest: u64,
+}
+
+/// One decoded wire line: the request it carries, or why it carries
+/// none.
+pub type Frame = Result<Request, Refusal>;
+
+/// Decodes one wire line: refuses it as oversized past `max_line_bytes`
+/// or as unparseable, else parses it into its [`Request`].
+pub fn decode(line: &str, max_line_bytes: usize) -> Frame {
+    let refuse = |reason, detail| {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        line.hash(&mut h);
+        Refusal {
+            reason,
+            detail,
+            digest: h.finish(),
+        }
+    };
+    if line.len() > max_line_bytes {
+        return Err(refuse(
+            DropReason::Oversized,
+            format!(
+                "frame of {} bytes exceeds the {max_line_bytes}-byte limit",
+                line.len()
+            ),
+        ));
+    }
+    parse_line(line).map_err(|e| refuse(DropReason::Unparseable, e.0))
 }
 
 /// Why a frame could not be turned into a [`Request`] — always
@@ -196,6 +240,19 @@ mod tests {
         assert!(parse_line("{\"cmd\":\"explode\"}").is_err());
         assert!(parse_line("{\"upload\":\"nope\"}").is_err());
         assert!(parse_line("{\"hello\":1}").is_err());
+    }
+
+    #[test]
+    fn decode_checks_the_size_before_parsing() {
+        let ping = "{\"cmd\":\"ping\"}";
+        assert!(matches!(decode(ping, ping.len()), Ok(Request::Ping)));
+        let long = decode(ping, ping.len() - 1).unwrap_err();
+        assert_eq!(long.reason, DropReason::Oversized);
+        let garbage = decode("not json", 1 << 20).unwrap_err();
+        assert_eq!(garbage.reason, DropReason::Unparseable);
+        // The digest is the raw bytes' identity, whatever the verdict.
+        assert_eq!(decode("not json", 1).unwrap_err().digest, garbage.digest);
+        assert_ne!(long.digest, garbage.digest);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   walks every shard's store.
 //! * [`CityAggregator`] — merges per-shard traffic maps into one city
 //!   map, byte-identical to the unsharded map for a single-shard plan.
-//! * [`ShardFront`] — a [`busprobe_serve::LineHandler`] that fans the
-//!   resident serve protocol out to per-shard engines, each with its
-//!   own admission queue and commit thread.
+//! * [`ShardFront`] — the [`busprobe_serve::LineHandler`] of a city:
+//!   decodes each line of the resident serve protocol once and hands the
+//!   frame to a per-shard engine, each with its own admission queue and
+//!   commit thread; keeps the publish horizon.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

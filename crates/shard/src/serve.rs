@@ -1,21 +1,23 @@
-//! A sharded line-protocol front end: one [`LineHandler`] fanning
-//! uploads out to N per-shard [`ServeEngine`](busprobe_serve::ServeEngine)s.
+//! The line-protocol front end of a city: one [`LineHandler`] over N ≥ 1
+//! per-shard [`ServeEngine`](busprobe_serve::ServeEngine)s.
 //!
 //! Each shard keeps its own admission queue, commit thread, WAL and
-//! checkpoint cadence — the front end only *routes*. An upload line is
-//! parsed once to probe the shard indexes, then the raw line is handed
-//! to the winning engine untouched, so acknowledgement semantics
-//! (withheld until that shard's WAL fsync) are exactly the single-shard
-//! engine's. The lines of one socket read are one burst on every
-//! engine ([`EngineHandle::burst`]). Control lines fan out:
-//! `checkpoint` and `shutdown` reach every engine (the client reply
-//! comes from the front), `ping` and `stats` are answered by shard 0's
-//! engine. With one engine there is nothing to route: every line goes
-//! to it unparsed, and the front is that engine.
+//! checkpoint cadence; the front is the one place a wire line is
+//! decoded. An upload is routed on its parsed trip and the decoded frame
+//! admitted by the winning engine ([`EngineHandle::handle_frame`]), so
+//! acknowledgement semantics (withheld until that shard's WAL fsync)
+//! are exactly the single-shard engine's and no engine parses a line
+//! again. The lines of one socket read are one burst on every engine
+//! ([`EngineHandle::burst`]). Control frames: `ping` and refused lines
+//! go to shard 0's engine; `stats` counts as one command on shard 0 and
+//! is answered with the city's totals; `checkpoint` and `shutdown` are
+//! answered by shard 0 and reach every engine. Because every upload
+//! passes through it, the front also keeps the publish horizon
+//! ([`ShardFront::horizon`]) at every shard count.
 
 use crate::router::{OverflowPolicy, ShardRouter};
 use busprobe_core::{latest_upload_s, TrafficMonitor};
-use busprobe_serve::{protocol, EngineHandle, LineHandler, ReplySink, Request};
+use busprobe_serve::{protocol, stats_line, EngineHandle, LineHandler, ReplySink, Request};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,9 +25,8 @@ struct FrontInner {
     engines: Vec<EngineHandle>,
     monitors: Vec<Arc<TrafficMonitor>>,
     router: ShardRouter,
-    /// [`latest_upload_s`] over every routed upload, as f64 bits (never
-    /// negative, so bit order is numeric order), for the aggregated
-    /// publish horizon at drain.
+    /// [`latest_upload_s`] over every decoded upload, as f64 bits
+    /// (never negative, so bit order is numeric order).
     horizon_bits: AtomicU64,
     queue_depth: Vec<busprobe_telemetry::Gauge>,
     forwarded: Vec<busprobe_telemetry::Counter>,
@@ -33,7 +34,7 @@ struct FrontInner {
     overflow: busprobe_telemetry::Counter,
 }
 
-/// The sharded front door; cheap to clone into connection threads.
+/// The city's front door; cheap to clone into connection threads.
 #[derive(Clone)]
 pub struct ShardFront {
     inner: Arc<FrontInner>,
@@ -74,12 +75,6 @@ impl ShardFront {
         }
     }
 
-    /// The per-shard engine handles, shard-id order.
-    #[must_use]
-    pub fn engines(&self) -> &[EngineHandle] {
-        &self.inner.engines
-    }
-
     /// Stops admission on every shard.
     pub fn begin_drain(&self) {
         for engine in &self.inner.engines {
@@ -87,19 +82,22 @@ impl ShardFront {
         }
     }
 
-    /// The first fatal diagnostic latched by any shard engine.
-    #[must_use]
-    pub fn fatal(&self) -> Option<String> {
-        self.inner.engines.iter().find_map(EngineHandle::fatal)
-    }
-
-    /// The latest finite last-sample time across every routed upload
-    /// (0 before the first) — the drain-time publish horizon, less the
-    /// usual grace. Not tracked by a one-engine front, whose engine
-    /// publishes its own map.
+    /// The latest finite last-sample time across every upload decoded
+    /// so far (0 before the first) — the publish horizon, less the
+    /// usual grace, as `busprobe ingest` folds it over its corpus.
     #[must_use]
     pub fn horizon(&self) -> f64 {
         f64::from_bits(self.inner.horizon_bits.load(Ordering::Relaxed))
+    }
+
+    /// The city's `stats` line: every engine's counters summed.
+    fn city_stats(&self) -> String {
+        let engines = &self.inner.engines;
+        let summaries: Vec<_> = engines.iter().map(EngineHandle::summary).collect();
+        stats_line(
+            &summaries,
+            engines.iter().map(EngineHandle::queue_depth).sum(),
+        )
     }
 
     fn export_queue_depths(&self) {
@@ -112,36 +110,37 @@ impl ShardFront {
 impl LineHandler for ShardFront {
     fn handle_line(&self, line: &str, reply: Option<&ReplySink>) {
         let inner = &self.inner;
-        // Oversized and unparseable frames go to shard 0, whose engine
-        // attributes and answers them exactly as a single shard would —
-        // as does everything when shard 0 is the only one.
-        if inner.engines.len() == 1 || line.len() > self.max_line_bytes() {
-            inner.engines[0].handle_line(line, reply);
-            return;
-        }
-        match protocol::parse_line(line) {
-            Err(_) | Ok(Request::Ping) | Ok(Request::Stats) => {
-                inner.engines[0].handle_line(line, reply);
-            }
-            Ok(Request::Checkpoint) | Ok(Request::Shutdown) => {
-                // Fan out; the client hears shard 0's answer.
-                for (s, engine) in inner.engines.iter().enumerate() {
-                    engine.handle_line(line, if s == 0 { reply } else { None });
-                }
-            }
+        let (shard0, others) = inner.engines.split_first().expect("at least one engine");
+        let frame = protocol::decode(line, self.max_line_bytes());
+        match &frame {
             Ok(Request::Upload { trip, .. }) => {
-                let routed = inner.router.route(&inner.monitors, &trip);
+                let routed = inner.router.route(&inner.monitors, trip);
                 inner.routed.inc();
                 if routed.overflow {
                     inner.overflow.inc();
                 }
                 inner
                     .horizon_bits
-                    .fetch_max(latest_upload_s([&trip], 0.0).to_bits(), Ordering::Relaxed);
+                    .fetch_max(latest_upload_s([trip], 0.0).to_bits(), Ordering::Relaxed);
                 inner.forwarded[routed.shard].inc();
-                inner.engines[routed.shard].handle_line(line, reply);
+                inner.engines[routed.shard].handle_frame(frame, reply);
                 self.export_queue_depths();
             }
+            Ok(Request::Stats) => {
+                shard0.handle_frame(frame, None);
+                if let Some(reply) = reply {
+                    reply.send_raw(&self.city_stats());
+                }
+            }
+            Ok(Request::Checkpoint) => {
+                shard0.handle_frame(frame, reply);
+                others.iter().for_each(EngineHandle::request_checkpoint);
+            }
+            Ok(Request::Shutdown) => {
+                shard0.handle_frame(frame, reply);
+                others.iter().for_each(EngineHandle::begin_drain);
+            }
+            Ok(Request::Ping) | Err(_) => shard0.handle_frame(frame, reply),
         }
     }
 

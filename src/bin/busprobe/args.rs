@@ -6,6 +6,17 @@ use std::fmt::Display;
 use std::path::PathBuf;
 use std::str::FromStr;
 
+/// Refuses the first `--flag` in `args` that is not among `known` (the
+/// flags of the command's usage line, space-separated): a misspelt
+/// option must not run silently without what it asked for.
+pub fn check_flags(args: &[String], known: &str) -> Result<(), String> {
+    let unknown = |a: &&String| a.starts_with("--") && !known.split(' ').any(|k| k == *a);
+    match args.iter().find(unknown) {
+        Some(flag) => Err(format!("unknown flag `{flag}`; this command takes {known}")),
+        None => Ok(()),
+    }
+}
+
 /// Pulls `--flag value` out of an argument list.
 pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.windows(2)

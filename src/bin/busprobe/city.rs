@@ -1,7 +1,7 @@
 //! `demo` and `city`: the whole flow in one command, on a small region
 //! or on a synthetic metropolis.
 
-use crate::args::parse_flag;
+use crate::args::{check_flags, parse_flag};
 use crate::ingest::{check_conservation, cmd_ingest, open};
 use crate::world::{cmd_init, cmd_simulate, export_geojson};
 use busprobe::core::{latest_upload_s, HORIZON_GRACE_S};
@@ -9,6 +9,7 @@ use busprobe_bench::World;
 use std::time::Instant;
 
 pub fn cmd_demo(args: &[String]) -> Result<(), String> {
+    check_flags(args, "--seed")?;
     let seed: u64 = parse_flag(args, "--seed", 7)?;
     let dir = std::env::temp_dir().join(format!("busprobe-demo-{seed}-{}", std::process::id()));
     let dir_arg = dir.to_string_lossy().to_string();
@@ -36,6 +37,10 @@ pub fn cmd_demo(args: &[String]) -> Result<(), String> {
 /// accounting. `--geojson` exports the aggregated map, which is
 /// byte-identical at every `--shards` count (ci.sh compares 1 vs 4).
 pub fn cmd_city(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        "--seed --stops --trips --shards --jobs --overflow --geojson",
+    )?;
     let seed: u64 = parse_flag(args, "--seed", 7)?;
     let stops: usize = parse_flag(args, "--stops", 5_000)?;
     let trips: usize = parse_flag(args, "--trips", 20_000)?;

@@ -2,7 +2,7 @@
 //! built. A monitor is always a [`ShardedMonitor`]: the paper's district
 //! is a city of one shard, stored at the root of its state directory.
 
-use crate::args::{flag_present, flag_value, parse_flag, parse_opt_flag, path_flag};
+use crate::args::{check_flags, flag_present, flag_value, parse_flag, parse_opt_flag, path_flag};
 use crate::world::{export_geojson, read_json, snapshot_time, Corpus, World};
 use busprobe::core::{
     infer_regional, InferenceConfig, IngestReport, MonitorConfig, StopFingerprintDb, TrafficMap,
@@ -211,6 +211,11 @@ fn render(args: &[String], map: &TrafficMap, network: &TransitNetwork) -> Result
 const SIGINT_CHUNK: usize = 32;
 
 pub fn cmd_ingest(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        "--dir --jobs --snapshot --regional --geojson --state --snapshot-every --group-every \
+         --limit --shards --overflow",
+    )?;
     let dir = path_flag(args, "--dir")?;
     let world = World::load(&dir)?;
     let corpus = Corpus::load(&dir)?;
@@ -311,6 +316,7 @@ pub fn cmd_ingest(args: &[String]) -> Result<(), String> {
 /// crash-recovery loop; `ingest --state` does the same recovery before
 /// appending new commits.
 pub fn cmd_recover(args: &[String]) -> Result<(), String> {
+    check_flags(args, "--dir --state --snapshot --geojson")?;
     let dir = path_flag(args, "--dir")?;
     let state = path_flag(args, "--state")?;
     let world = World::load(&dir)?;

@@ -13,7 +13,8 @@
 //!
 //! One module per command family; `ingest::open` is the only place that
 //! builds a monitor, so every stateful command agrees on what a state
-//! directory holds.
+//! directory holds. Every command refuses a flag its usage line does not
+//! name.
 
 mod args;
 mod city;
@@ -75,9 +76,9 @@ USAGE:
     busprobe metrics  --dir DIR [--format text|json|prometheus] [--state DIR] [--shards N]
     busprobe serve    --dir DIR (--socket PATH | --stdin) [--state DIR] [--snapshot-every N]
                       [--queue N] [--on-full block|reject|shed-oldest] [--latency-budget-ms N]
-                      [--jobs N] [--sync-every N] [--checkpoint-every N]
-                      [--checkpoint-interval-s F] [--publish DIR] [--publish-interval-s F]
-                      [--watchdog-s F] [--shards N] [--overflow score|lowest]
+                      [--jobs N] [--sync-every N] [--checkpoint-interval-s F]
+                      [--publish DIR] [--publish-interval-s F] [--watchdog-s F]
+                      [--commit-throttle-ms N] [--shards N] [--overflow score|lowest]
     busprobe send     --dir DIR --socket PATH [--stream-faults SPEC] [--limit N] [--from N]
                       [--timeout-s F]
 
@@ -148,12 +149,13 @@ acknowledgements are withheld until fsync, so a producer that re-sends
 its unacked tail after a crash loses nothing. One fsync covers at most
 `--sync-every` commits (default 32): the commit loop syncs as soon as
 the queue runs dry, so a lone upload is acked after one fsync and
-groups grow towards the cap only under load. `--checkpoint-every` /
+groups grow towards the cap only under load. `--snapshot-every` /
 `--checkpoint-interval-s` snapshot periodically and `--publish DIR`
-republishes `map.geojson` + `metrics.prom` (atomic renames) every
-`--publish-interval-s` (two or more shards run one engine each and
-publish the federated map once, at drain). `--watchdog-s` fails fast
-(exit 2) when the commit loop stalls. SIGTERM/SIGINT (or a
+republishes the federated `map.geojson` + `metrics.prom` (atomic
+renames) every `--publish-interval-s` while uploads commit and once
+more after drain, at every shard count. `--watchdog-s` fails fast
+(exit 2) when the commit loop stalls; `--commit-throttle-ms` slows
+every commit batch, to provoke that in drills. SIGTERM/SIGINT (or a
 `{\"cmd\":\"shutdown\"}` line) drains gracefully: stop admission, flush
 the queue, release final acks, write a last checkpoint, exit 0.
 `ingest --state` traps SIGINT the same way: it finishes the in-flight

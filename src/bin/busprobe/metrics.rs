@@ -1,12 +1,13 @@
 //! `busprobe metrics`: re-ingest the stored corpus and dump the
 //! pipeline's telemetry.
 
-use crate::args::{flag_value, path_flag};
+use crate::args::{check_flags, flag_value, path_flag};
 use crate::ingest::{check_conservation, open};
 use crate::world::{Corpus, World};
 use busprobe::core::{DropReason, IngestReport};
 
 pub fn cmd_metrics(args: &[String]) -> Result<(), String> {
+    check_flags(args, "--dir --format --state --shards")?;
     let dir = path_flag(args, "--dir")?;
     let format = flag_value(args, "--format").unwrap_or("text");
     let world = World::load(&dir)?;

@@ -1,6 +1,6 @@
 //! `busprobe send`: the producer half of the serve protocol.
 
-use crate::args::{parse_flag, parse_opt_flag, path_flag};
+use crate::args::{check_flags, parse_flag, parse_opt_flag, path_flag};
 use crate::world::Corpus;
 use busprobe::faults::{StreamAction, StreamFaultPlan};
 use busprobe::serve::{protocol, StreamClient};
@@ -66,6 +66,10 @@ const SEND_WINDOW: usize = 128;
 /// is re-sent (`--from`, or automatically after a `--stream-faults`
 /// disconnect), and the server's duplicate guard absorbs the overlap.
 pub fn cmd_send(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        "--dir --socket --stream-faults --limit --from --timeout-s",
+    )?;
     let dir = path_flag(args, "--dir")?;
     let socket = path_flag(args, "--socket")?;
     let Corpus { trips, received } = Corpus::load(&dir)?;

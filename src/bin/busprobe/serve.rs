@@ -1,12 +1,13 @@
 //! `busprobe serve`: the resident streaming frontend.
 
-use crate::args::{flag_present, flag_value, parse_flag, parse_opt_flag, path_flag};
-use crate::ingest::open;
-use crate::world::{write_geojson, World};
+use crate::args::{check_flags, flag_present, flag_value, parse_flag, parse_opt_flag, path_flag};
+use crate::ingest::{open, Backend};
+use crate::world::{geojson, World};
 use busprobe::core::HORIZON_GRACE_S;
 use busprobe::serve::{signal, ServeConfig, ServeEngine, ServeSummary};
 use busprobe::shard::ShardFront;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,8 +17,16 @@ use std::time::Duration;
 /// stall, or a store fail-stop. One [`ServeEngine`] — admission queue,
 /// commit thread, WAL and checkpoint cadence — per shard behind one
 /// [`ShardFront`]; acknowledgement semantics are the engine's, per
-/// shard.
+/// shard. With `--publish`, the federated map and the telemetry are
+/// republished every `--publish-interval-s` from a thread of their own,
+/// and once more after drain.
 pub fn cmd_serve(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        "--dir --socket --stdin --state --snapshot-every --queue --on-full --latency-budget-ms \
+         --jobs --sync-every --checkpoint-interval-s --publish --publish-interval-s --watchdog-s \
+         --commit-throttle-ms --shards --overflow",
+    )?;
     let dir = path_flag(args, "--dir")?;
     let world = World::load(&dir)?;
     let socket = flag_value(args, "--socket").map(PathBuf::from);
@@ -26,6 +35,8 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
         (Some(_), true) => return Err("--socket and --stdin are mutually exclusive".into()),
         _ => {}
     }
+    let publish_dir = flag_value(args, "--publish").map(PathBuf::from);
+    let publish_interval = Duration::from_secs_f64(parse_flag(args, "--publish-interval-s", 2.0)?);
 
     let snapshot_every: u64 = parse_flag(args, "--snapshot-every", 0)?;
     let seconds = |s: f64| (s > 0.0).then(|| Duration::from_secs_f64(s));
@@ -36,10 +47,7 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map(Duration::from_millis),
         workers: parse_flag(args, "--jobs", 1)?,
         sync_every: parse_flag(args, "--sync-every", 32)?,
-        checkpoint_every: parse_flag(args, "--checkpoint-every", 0)?,
         checkpoint_interval: parse_opt_flag(args, "--checkpoint-interval-s")?.and_then(seconds),
-        publish_dir: flag_value(args, "--publish").map(PathBuf::from),
-        publish_interval: Duration::from_secs_f64(parse_flag(args, "--publish-interval-s", 2.0)?),
         // 0 disables the watchdog; the default (30 s) is far above any
         // healthy commit-loop iteration.
         watchdog_stall: seconds(parse_flag(args, "--watchdog-s", 30.0)?),
@@ -61,21 +69,13 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
         Some((snapshot_every, config.sync_every)),
     )?;
     let monitors = backend.monitor.shards().to_vec();
-    let sharded = monitors.len() > 1;
-    // One engine publishes its own live map; several would collide on
-    // one `--publish` dir, so the front publishes the federated map
-    // once, at drain.
-    let engine_config = ServeConfig {
-        publish_dir: config.publish_dir.clone().filter(|_| !sharded),
-        ..config.clone()
-    };
     signal::trap_termination();
     let engines: Vec<ServeEngine> = monitors
         .iter()
         .map(|m| {
             ServeEngine::start_with(
                 Arc::clone(m),
-                engine_config.clone(),
+                config.clone(),
                 Some(Box::new(|diag: &str| {
                     eprintln!("fatal: {diag}");
                     std::process::exit(2);
@@ -92,19 +92,42 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
         config.full_policy.as_str(),
         backend.state.is_some(),
     );
-    match &socket {
-        Some(path) => {
-            eprintln!("listening on {}", path.display());
-            let drain = front.clone();
-            busprobe::serve::serve_unix(&front, path, move || {
-                if signal::termination_requested() {
-                    drain.begin_drain();
+    std::thread::scope(|scope| {
+        // Dropped when serving ends, which stops the publisher.
+        let (_serving, stopped) = mpsc::channel::<()>();
+        if let Some(pubdir) = &publish_dir {
+            let (backend, world, front) = (&backend, &world, &front);
+            scope.spawn(move || {
+                let mut published_commits = None;
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(publish_interval) {
+                    let commits = backend.monitor.commit_counts().iter().sum::<u64>();
+                    if published_commits == Some(commits) {
+                        continue;
+                    }
+                    if let Err(e) = publish(pubdir, backend, world, front) {
+                        eprintln!("warning: {e}");
+                    }
+                    published_commits = Some(commits);
                 }
-            })
-            .map_err(|e| format!("serve on {path:?}: {e}"))?;
+            });
         }
-        None => busprobe::serve::serve_stdio(&front),
-    }
+        match &socket {
+            Some(path) => {
+                eprintln!("listening on {}", path.display());
+                let drain = front.clone();
+                busprobe::serve::serve_unix(&front, path, move || {
+                    if signal::termination_requested() {
+                        drain.begin_drain();
+                    }
+                })
+                .map_err(|e| format!("serve on {path:?}: {e}"))
+            }
+            None => {
+                busprobe::serve::serve_stdio(&front);
+                Ok(())
+            }
+        }
+    })?;
 
     // Socket loop exited (drain began or an engine died) or stdin hit
     // EOF: stop admission either way and let the commit loops finish.
@@ -129,6 +152,7 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
             total(|s| s.refused_draining)
         );
     }
+    let sharded = summaries.len() > 1;
     for (s, summary) in summaries.iter().enumerate() {
         if sharded {
             print!("shard {s:04}: {} committed, ", summary.committed);
@@ -141,19 +165,22 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
             println!("final checkpoint covers {seq} records");
         }
     }
-    if let Some(pubdir) = config.publish_dir.filter(|_| sharded) {
-        std::fs::create_dir_all(&pubdir).map_err(|e| format!("create {pubdir:?}: {e}"))?;
-        let map = backend
-            .monitor
-            .city_map_with_max_age(front.horizon() + HORIZON_GRACE_S, f64::INFINITY);
-        let tmp = pubdir.join(".map.geojson.tmp");
-        write_geojson(&tmp, &map, None, &world.network)?;
-        std::fs::rename(&tmp, pubdir.join("map.geojson"))
-            .map_err(|e| format!("publish map.geojson: {e}"))?;
-        println!("published aggregated map.geojson to {pubdir:?}");
+    if let Some(diag) = summaries.into_iter().find_map(|s| s.fatal) {
+        return Err(format!("serve ended fatally: {diag}"));
     }
-    match summaries.into_iter().find_map(|s| s.fatal) {
-        Some(diag) => Err(format!("serve ended fatally: {diag}")),
-        None => Ok(()),
+    if let Some(pubdir) = &publish_dir {
+        publish(pubdir, &backend, &world, &front)?;
+        println!("published map.geojson and metrics.prom to {pubdir:?}");
     }
+    Ok(())
+}
+
+/// Publishes the federated map as of the front's horizon — the map
+/// `ingest --geojson` writes for the same uploads — with the telemetry.
+fn publish(dir: &Path, backend: &Backend, world: &World, front: &ShardFront) -> Result<(), String> {
+    let map = backend
+        .monitor
+        .city_map_with_max_age(front.horizon() + HORIZON_GRACE_S, f64::INFINITY);
+    busprobe::serve::publish(dir, &geojson(&map, None, &world.network))
+        .map_err(|e| format!("publish to {dir:?}: {e}"))
 }

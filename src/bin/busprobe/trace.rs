@@ -1,7 +1,7 @@
 //! `explain` and `trace`: replay the stored corpus with per-upload
 //! decision tracing on.
 
-use crate::args::{flag_value, parse_flag, path_flag, positional};
+use crate::args::{check_flags, flag_value, parse_flag, path_flag, positional};
 use crate::ingest::open;
 use crate::world::{Corpus, World};
 use busprobe::trace::{TracePolicy, Tracer};
@@ -40,6 +40,7 @@ fn traced_replay(args: &[String], policy: TracePolicy) -> Result<Arc<Tracer>, St
 /// upload's decision chain — or list every upload's outcome when no
 /// TRIP-ID is given.
 pub fn cmd_explain(args: &[String]) -> Result<(), String> {
+    check_flags(args, "--dir --jobs")?;
     let tracer = traced_replay(args, TracePolicy::export_all())?;
     let records = tracer.exported();
     match positional(args) {
@@ -87,6 +88,7 @@ pub fn cmd_explain(args: &[String]) -> Result<(), String> {
 /// `busprobe trace`: replay the corpus traced and export the traces as
 /// Chrome trace-event JSON and/or JSONL.
 pub fn cmd_trace(args: &[String]) -> Result<(), String> {
+    check_flags(args, "--dir --out --jsonl --sample-every --jobs")?;
     let sample_every: u64 = parse_flag(args, "--sample-every", 1)?;
     let policy = TracePolicy {
         sample_every,

@@ -1,7 +1,9 @@
 //! The artifacts a DIR holds — region, fingerprint database, upload
 //! corpus — with `init` and `simulate`, the commands that write them.
 
-use crate::args::{flag_present, flag_value, parse_flag, parse_hhmm, parse_opt_flag, path_flag};
+use crate::args::{
+    check_flags, flag_present, flag_value, parse_flag, parse_hhmm, parse_opt_flag, path_flag,
+};
 use busprobe::cellular::{DeploymentSpec, PropagationModel, Scanner, TowerDeployment};
 use busprobe::core::geojson::{map_to_geojson, regional_to_geojson};
 use busprobe::core::{
@@ -16,6 +18,7 @@ use busprobe::sim::{Scenario, SimTime, Simulation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -121,23 +124,21 @@ pub fn snapshot_time(args: &[String], trips: Option<&[Trip]>) -> Result<SimTime,
     }
 }
 
-/// Writes `map` — or, when given, its regional completion — as GeoJSON,
-/// the synthetic frame anchored at Jurong West for visualization.
-pub fn write_geojson(
-    path: &Path,
+/// `map` — or, when given, its regional completion — as GeoJSON, the
+/// synthetic frame anchored at Jurong West for visualization.
+pub fn geojson(
     map: &TrafficMap,
     regional: Option<&RegionalMap>,
     network: &TransitNetwork,
-) -> Result<(), String> {
+) -> Value {
     let projection = LocalProjection::new(1.34, 103.70);
-    let gj = match regional {
+    match regional {
         Some(r) => regional_to_geojson(r, network, &projection),
         None => map_to_geojson(map, network, &projection),
-    };
-    write_json(path, &gj)
+    }
 }
 
-/// [`write_geojson`] to `--geojson FILE`, when the flag is given.
+/// [`geojson`] to `--geojson FILE`, when the flag is given.
 pub fn export_geojson(
     args: &[String],
     map: &TrafficMap,
@@ -145,13 +146,14 @@ pub fn export_geojson(
     network: &TransitNetwork,
 ) -> Result<(), String> {
     if let Some(path) = flag_value(args, "--geojson") {
-        write_geojson(Path::new(path), map, regional, network)?;
+        write_json(Path::new(path), &geojson(map, regional, network))?;
         println!("wrote GeoJSON to {path}");
     }
     Ok(())
 }
 
 pub fn cmd_init(args: &[String]) -> Result<(), String> {
+    check_flags(args, "--dir --seed --small")?;
     let dir = path_flag(args, "--dir")?;
     let seed: u64 = parse_flag(args, "--seed", 7)?;
     let small = flag_present(args, "--small");
@@ -196,6 +198,10 @@ pub fn cmd_init(args: &[String]) -> Result<(), String> {
 }
 
 pub fn cmd_simulate(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        "--dir --start --end --participation --seed --faults --fault-seed",
+    )?;
     let dir = path_flag(args, "--dir")?;
     let meta: WorldMeta = read_json(&dir.join("world.json"))?;
     let network: TransitNetwork = read_json(&dir.join("network.json"))?;

@@ -33,6 +33,49 @@ fn unknown_subcommand_fails_with_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
 }
 
+/// A misspelt or retired flag is refused by name before anything runs,
+/// instead of running without what it asked for.
+#[test]
+fn unknown_flags_are_refused_by_name() {
+    let dir = temp_dir("unknownflag");
+    let dir_s = dir.to_string_lossy().to_string();
+    let state_s = dir.join("state").to_string_lossy().to_string();
+    for (args, flag) in [
+        (
+            vec![
+                "ingest",
+                "--dir",
+                &dir_s,
+                "--state",
+                &state_s,
+                "--snapshot-evry",
+                "5",
+            ],
+            "--snapshot-evry",
+        ),
+        (
+            vec![
+                "serve",
+                "--dir",
+                &dir_s,
+                "--stdin",
+                "--checkpoint-every",
+                "5",
+            ],
+            "--checkpoint-every",
+        ),
+    ] {
+        let out = busprobe(&args);
+        assert!(!out.status.success(), "{args:?} ran");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {err}"
+        );
+    }
+    assert!(!dir.exists(), "a refused command touched {dir:?}");
+}
+
 #[test]
 fn full_workflow_produces_a_map() {
     let dir = temp_dir("flow");

@@ -387,6 +387,70 @@ fn kill_nine_matrix_loses_nothing_acked_and_resend_restores_batch_identity() {
     let _ = std::fs::remove_dir_all(&fixture.dir);
 }
 
+/// A city server publishes while it serves: `serve --shards 4 --publish`
+/// writes `map.geojson` and `metrics.prom` before it is told to stop,
+/// and after drain the map is byte-identical to `ingest --geojson` over
+/// the same corpus.
+#[test]
+fn a_sharded_server_publishes_a_live_map_identical_to_batch_ingest() {
+    let fixture = Fixture::build("publish", "19");
+    let dir_s = fixture.dir.to_string_lossy().to_string();
+    let batch = fixture.dir.join("batch.geojson");
+    assert!(busprobe(&[
+        "ingest",
+        "--dir",
+        &dir_s,
+        "--geojson",
+        &batch.to_string_lossy()
+    ])
+    .status
+    .success());
+    let publish = fixture.dir.join("publish");
+    let socket = fixture.dir.join("serve.sock");
+    let child = spawn_busprobe(
+        &[
+            "serve",
+            "--dir",
+            &dir_s,
+            "--socket",
+            &socket.to_string_lossy(),
+            "--shards",
+            "4",
+            "--publish",
+            &publish.to_string_lossy(),
+            "--publish-interval-s",
+            "0.05",
+        ],
+        Stdio::piped(),
+    );
+    let mut client = connect_when_up(&socket);
+    let mut ledger = Ledger::default();
+    let all: Vec<usize> = (0..fixture.trips.len()).collect();
+    send_windowed(&mut client, &fixture, &all, &mut ledger);
+    // Nothing below panics before the server is stopped, so a failure
+    // leaves no process behind.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !ledger.outstanding.is_empty() && Instant::now() < deadline && ledger.pump(&mut client) {}
+    let live = [publish.join("map.geojson"), publish.join("metrics.prom")];
+    while !live.iter().all(|p| p.is_file()) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let published_live = live.iter().all(|p| p.is_file());
+    drop(client);
+    assert!(signal::send(child.id(), signal::SIGTERM), "SIGTERM");
+    let out = child.wait_with_output().expect("reap drained server");
+
+    assert!(ledger.outstanding.is_empty(), "uploads never resolved");
+    assert!(published_live, "nothing published while serving");
+    assert!(out.status.success(), "drain exited {:?}", out.status.code());
+    assert_eq!(
+        std::fs::read(publish.join("map.geojson")).unwrap(),
+        std::fs::read(&batch).unwrap(),
+        "the drained city's map differs from batch ingest"
+    );
+    let _ = std::fs::remove_dir_all(&fixture.dir);
+}
+
 /// SIGINT during a durable batch ingest: the process finishes its
 /// in-flight chunk, checkpoints, and exits 0; a rerun completes the
 /// corpus and the final state equals the uninterrupted batch. The

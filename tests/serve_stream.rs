@@ -11,13 +11,15 @@
 
 mod common;
 
-use busprobe::core::TrafficMonitor;
+use busprobe::core::geojson::map_to_geojson;
+use busprobe::core::{latest_upload_s, TrafficMonitor, HORIZON_GRACE_S};
 use busprobe::faults::FaultPlan;
+use busprobe::geo::LocalProjection;
 use busprobe::serve::{
     protocol, EngineHandle, FullPolicy, LineHandler, ReplySink, ServeConfig, ServeEngine,
     ServeSummary,
 };
-use busprobe::shard::{OverflowPolicy, ShardFront};
+use busprobe::shard::{OverflowPolicy, ShardFront, ShardedMonitor};
 use busprobe::store::Store;
 use busprobe_bench::World;
 use common::{faulted, TestWorld};
@@ -368,7 +370,7 @@ fn watchdog_fails_fast_when_the_commit_loop_stalls() {
         handle.handle_line(&protocol::upload_line(trip, i as u64, None), None);
     }
     let deadline = Instant::now() + Duration::from_secs(10);
-    while handle.fatal().is_none() && Instant::now() < deadline {
+    while handle.summary().fatal.is_none() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     let summary = engine.join();
@@ -490,11 +492,63 @@ fn stats_command_reports_the_ledgers() {
     let _ = engine.join();
 }
 
+/// `stats` on a city answers for the city: a 4-shard front whose
+/// uploads landed on several shards reports every shard's commits, and
+/// counts the `stats` line itself as one received command.
+#[test]
+fn stats_on_a_city_reports_every_shard() {
+    const SHARDS: usize = 4;
+    let m = World::metropolis(200, 60, 68);
+    let trips = m.trips_chunk(0, 60);
+    let city = ShardedMonitor::new(
+        m.network.clone(),
+        &m.db,
+        Default::default(),
+        SHARDS,
+        OverflowPolicy::Score,
+    );
+    let engines: Vec<ServeEngine> = city
+        .shards()
+        .iter()
+        .map(|s| ServeEngine::start(Arc::clone(s), ServeConfig::default()))
+        .collect();
+    let front = ShardFront::new(
+        engines.iter().map(ServeEngine::handle).collect(),
+        city.shards().to_vec(),
+        city.policy(),
+    );
+    for (i, trip) in trips.iter().enumerate() {
+        front.handle_line(&protocol::upload_line(trip, i as u64, None), None);
+    }
+    wait_until("the commits", Duration::from_secs(30), || {
+        city.commit_counts().iter().sum::<u64>() == trips.len() as u64
+    });
+    let (reply, buffer) = ReplySink::buffered();
+    front.handle_line("{\"cmd\":\"stats\"}", Some(&reply));
+    let summaries: Vec<ServeSummary> = engines.into_iter().map(ServeEngine::join).collect();
+
+    let busy = summaries.iter().filter(|s| s.committed > 0).count();
+    assert!(busy >= 2, "uploads must span shards: {summaries:?}");
+    let total = |f: fn(&ServeSummary) -> u64| -> u64 { summaries.iter().map(f).sum() };
+    let line = String::from_utf8(buffer.lock().clone()).unwrap();
+    let stats: serde_json::Value = serde_json::from_str(line.trim()).unwrap();
+    let field = |name: &str| stats.get(name).and_then(serde_json::Value::as_u64);
+    assert_eq!(field("committed"), Some(total(|s| s.committed)), "{line}");
+    assert_eq!(
+        total(|s| s.received),
+        trips.len() as u64 + 1,
+        "{summaries:?}"
+    );
+    assert_eq!(field("received"), Some(total(|s| s.received)), "{line}");
+}
+
 /// A front over one engine *is* that engine: the same script — good
 /// uploads, an oversized line, a garbage line, `ping`, `checkpoint`,
 /// `shutdown` — through a bare [`busprobe::serve::EngineHandle`] and
 /// through a one-engine [`ShardFront`] yields the same reply lines, the
-/// same [`ServeSummary`] and the same published `map.geojson` bytes.
+/// same [`ServeSummary`] and, published at the front's horizon and at
+/// the batch horizon of the script's uploads, the same `map.geojson`
+/// bytes.
 #[test]
 fn one_engine_front_is_the_bare_engine() {
     let world = TestWorld::new(SEED, 4);
@@ -510,7 +564,6 @@ fn one_engine_front_is_the_bare_engine() {
             Arc::clone(&monitor),
             ServeConfig {
                 max_line_bytes: 64 * 1024,
-                publish_dir: Some(publish.clone()),
                 ..ServeConfig::default()
             },
         );
@@ -561,7 +614,17 @@ fn one_engine_front_is_the_bare_engine() {
             .map(str::to_string)
             .collect();
         replies.sort();
+        let horizon = if through_front {
+            front.horizon()
+        } else {
+            latest_upload_s(&trips, 0.0)
+        };
+        let map = monitor.snapshot_with_max_age(horizon + HORIZON_GRACE_S, f64::INFINITY);
+        let projection = LocalProjection::new(1.34, 103.70);
+        busprobe::serve::publish(&publish, &map_to_geojson(&map, &world.network, &projection))
+            .unwrap();
         let map = std::fs::read(publish.join("map.geojson")).expect("a map was published");
+        assert!(publish.join("metrics.prom").is_file(), "{tag}: no metrics");
         let _ = std::fs::remove_dir_all(&state);
         let _ = std::fs::remove_dir_all(&publish);
         (replies, summary, map)
