@@ -27,12 +27,13 @@ cargo test -q --test determinism_prop
 cargo test -q --test golden
 cargo test -q --test stress_concurrency
 
-echo "== batch-scorer equivalence suite (batched == indexed == brute) =="
-# The trip-level batched SoA scorer against the per-scan indexed query
-# and the brute-force reference: bit-identical scores and identical
-# match sets on randomized databases, through index maintenance churn,
-# at γ <= 0 (where pruning is unsound), and on trips far past the
-# per-trip distinct-cell cap (crates/core/tests/batch_equivalence.rs).
+echo "== batch-scorer equivalence suite (batched == per-scan == brute) =="
+# The trip-level batched SoA scorer against the per-scan query (the same
+# pool, one fingerprint) and the brute-force reference: bit-identical
+# scores and identical match sets on randomized databases, through index
+# maintenance churn, at γ <= 0 (where pruning is unsound), and on trips
+# far past the per-pool distinct-fingerprint cap, answered in several
+# pools (crates/core/tests/batch_equivalence.rs).
 cargo test -q -p busprobe-core --test batch_equivalence
 
 echo "== serve suite (overload shedding + kill -9 crash matrix) =="
@@ -200,6 +201,10 @@ echo "== benchmark: pinned names compile, district, city and live stream end to 
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --workload district_batch --seconds 3 --trace 0
 bash benchmark/run.sh --workload city_batch --seconds 3 --trace 0
+# The traced city leg runs the per-layer probes the untraced legs skip —
+# among them the pinned `Matcher::probe_candidates` — and checks the
+# traced city map against the real one.
+bash benchmark/run.sh --workload city_batch --seconds 3 --trace 1
 bash benchmark/run.sh --workload durable_stream --seconds 3 --trace 0
 
 echo "== cargo doc (our crates, rustdoc warnings denied) =="

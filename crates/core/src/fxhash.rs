@@ -2,7 +2,7 @@
 //!
 //! The inverted index interns cell-tower IDs and the batch scorer
 //! deduplicates fingerprints on every upload; both sit on the hottest
-//! per-sample path, where SipHash's per-word mixing shows up in
+//! matching path, where SipHash's per-word mixing shows up in
 //! profiles. This is the classic "Fx" construction (rotate, xor,
 //! multiply by a golden-ratio constant) — not DoS-resistant, which is
 //! fine for these maps: keys are dense cell IDs and short cell

@@ -8,8 +8,9 @@
 //! * **Interning.** Every [`CellTowerId`] seen in a stored fingerprint is
 //!   interned to a dense `u32`, and each interned cell keeps a posting
 //!   list of the stop slots whose fingerprint contains it.
-//! * **Candidate counting.** A sample's cells are looked up in the
-//!   interner; walking their posting lists counts, per stop, exactly
+//! * **Candidate counting.** A trip's cells are looked up in the
+//!   interner; one walk over their posting lists builds a `TripPool`
+//!   whose per-candidate bitmasks count, per stop, exactly
 //!   `common_cells(sample, stored)` — the paper's tie-breaker, obtained
 //!   here for free, before any alignment runs.
 //! * **Score-bound pruning.** A modified Smith–Waterman score only ever
@@ -29,7 +30,6 @@
 use crate::fxhash::FxBuildHasher;
 use busprobe_cellular::{CellTowerId, Fingerprint};
 use busprobe_network::StopSiteId;
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Relative slop applied to the pruning bound so that floating-point
@@ -45,23 +45,6 @@ struct Entry {
     fp: Fingerprint,
 }
 
-/// Reusable per-thread scratch for candidate counting: a slot-indexed
-/// count array (kept zeroed between calls), the list of touched slots,
-/// and the bound-ordered candidate list.
-#[derive(Debug, Default)]
-struct CandidateScratch {
-    counts: Vec<u32>,
-    touched: Vec<u32>,
-    /// `(shared_cells, site, slot)` — sortable by descending bound with a
-    /// deterministic site tie-break.
-    order: Vec<(u32, StopSiteId, u32)>,
-}
-
-thread_local! {
-    static CANDIDATE_SCRATCH: RefCell<CandidateScratch> =
-        RefCell::new(CandidateScratch::default());
-}
-
 /// Per-trip candidate pool shared by every scan in one upload.
 ///
 /// Samples within a trip hear the same few stops, so instead of probing
@@ -72,8 +55,8 @@ thread_local! {
 /// into a contiguous SoA cell arena, and precomputes per-candidate
 /// shared-cell bitmasks over the ranked cells. Per-sample
 /// `common_cells` then collapses to a handful of `popcnt`s (fingerprints
-/// are duplicate-free, so the popcount equals the posting-walk count
-/// bit-for-bit).
+/// are duplicate-free, so the popcount equals `common_cells` exactly).
+/// A single scan is a one-fingerprint pool.
 ///
 /// The pool is plain reusable scratch: buffers grow to the trip's
 /// high-water mark and are reset by index walks, never by full clears of
@@ -349,88 +332,12 @@ impl MatchIndex {
             .count()
     }
 
-    /// Visits every stop that *could* reach `accept_threshold` against
-    /// `sample`, in descending score-bound order (ties by ascending site
-    /// id). For each, the visitor receives `(site, stored fingerprint,
-    /// shared_cells, bound)` where `shared_cells` is exactly
-    /// `sample.common_cells(stored)`; returning `false` stops the visit
-    /// (the remaining bounds are no larger).
-    ///
-    /// Returns the number of candidates that passed the bound filter
-    /// (whether or not the visitor saw them all).
-    pub(crate) fn visit_candidates<F>(
-        &self,
-        sample: &Fingerprint,
-        match_score: f64,
-        accept_threshold: f64,
-        mut visit: F,
-    ) -> usize
-    where
-        F: FnMut(StopSiteId, &Fingerprint, usize, f64) -> bool,
-    {
-        CANDIDATE_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            if scratch.counts.len() < self.entries.len() {
-                scratch.counts.resize(self.entries.len(), 0);
-            }
-            scratch.touched.clear();
-            scratch.order.clear();
-
-            // Count shared cells per slot by walking posting lists.
-            for &cell in sample.cells() {
-                let Some(&ci) = self.cell_ids.get(&cell) else {
-                    continue; // cell unseen by every stored fingerprint
-                };
-                for &slot in &self.postings[ci as usize] {
-                    if scratch.counts[slot as usize] == 0 {
-                        scratch.touched.push(slot);
-                    }
-                    scratch.counts[slot as usize] += 1;
-                }
-            }
-
-            // Keep candidates whose provable bound reaches the threshold.
-            for &slot in &scratch.touched {
-                let shared = scratch.counts[slot as usize];
-                scratch.counts[slot as usize] = 0; // restore the zeroed invariant
-                if Self::score_bound(shared as usize, match_score) >= accept_threshold {
-                    // invariant: postings only reference occupied slots.
-                    let site = self.entries[slot as usize]
-                        .as_ref()
-                        .expect("posted slot occupied")
-                        .site;
-                    scratch.order.push((shared, site, slot));
-                }
-            }
-            // Descending shared count ⇒ descending bound; site ascending
-            // for a deterministic, order-independent visit.
-            scratch
-                .order
-                .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-            let candidates = scratch.order.len();
-            for &(shared, site, slot) in &scratch.order {
-                // invariant: slots in `order` were occupied above and the
-                // index is not mutated during a visit (&self).
-                let entry = self.entries[slot as usize]
-                    .as_ref()
-                    .expect("candidate slot occupied");
-                let bound = Self::score_bound(shared as usize, match_score);
-                if !visit(site, &entry.fp, shared as usize, bound) {
-                    break;
-                }
-            }
-            candidates
-        })
-    }
-
     /// Builds the per-trip candidate pool for `fps` (the trip's distinct
     /// fingerprints) into `pool`: one interner lookup per cell instance,
     /// two posting walks total, instead of a full probe per sample.
     ///
     /// Pool order is site-ascending, so a bucket walk in descending
-    /// shared count reproduces [`visit_candidates`](Self::visit_candidates)'s
-    /// `(bound desc, site asc)` visit order exactly.
+    /// shared count visits candidates in `(bound desc, site asc)` order.
     pub(crate) fn probe_trip(&self, fps: &[&Fingerprint], pool: &mut TripPool) {
         pool.reset(self.postings.len(), self.entries.len());
 
@@ -519,16 +426,37 @@ mod tests {
         Fingerprint::new(ids.iter().map(|&i| CellTowerId(i)).collect()).unwrap()
     }
 
+    /// Every candidate of a one-fingerprint pool whose bound (at
+    /// `match_score` 1) reaches `threshold`, as `(site, shared)` in the
+    /// order the matcher visits them: levels from the top, site
+    /// ascending within a level.
     fn collect(
         index: &MatchIndex,
         sample: &Fingerprint,
         threshold: f64,
     ) -> Vec<(StopSiteId, usize)> {
+        let mut pool = TripPool::default();
+        index.probe_trip(&[sample], &mut pool);
+        pool.load_fingerprint(0);
+        let min_shared = (1..)
+            .find(|&shared| MatchIndex::score_bound(shared, 1.0) >= threshold)
+            .unwrap();
+        let mut counts = vec![0u32; sample.len() + 1];
+        let top = pool.fill_shared(min_shared, &mut counts);
         let mut out = Vec::new();
-        index.visit_candidates(sample, 1.0, threshold, |site, _, shared, _| {
-            out.push((site, shared));
-            true
-        });
+        for shared in (min_shared..=top).rev() {
+            for p in 0..pool.candidate_count() {
+                if pool.shared_of(p) as usize == shared {
+                    out.push((pool.site(p), shared));
+                }
+            }
+        }
+        let counted: u32 = counts.iter().sum();
+        assert_eq!(
+            out.len(),
+            counted as usize,
+            "the histogram counts every visit"
+        );
         out
     }
 
@@ -566,17 +494,17 @@ mod tests {
 
     #[test]
     fn early_exit_stops_the_visit() {
+        // Ten stops tie on one level: a visitor that stops after three
+        // has seen the three smallest sites, and the level still counts
+        // all ten.
         let mut index = MatchIndex::new();
         for k in 0..10u32 {
             index.insert(StopSiteId(k), &fp(&[1, 2, 100 + k]));
         }
-        let mut seen = 0;
-        let candidates = index.visit_candidates(&fp(&[1, 2]), 1.0, 1.0, |_, _, _, _| {
-            seen += 1;
-            seen < 3
-        });
-        assert_eq!(seen, 3);
-        assert_eq!(candidates, 10, "all candidates passed the bound filter");
+        let hits = collect(&index, &fp(&[1, 2]), 1.0);
+        assert_eq!(hits.len(), 10, "all candidates passed the bound filter");
+        let first: Vec<u32> = hits.iter().take(3).map(|(s, _)| s.0).collect();
+        assert_eq!(first, vec![0, 1, 2]);
     }
 
     #[test]

@@ -7,17 +7,18 @@
 //! sequences; matches score +1, mismatches and gaps cost 0.3 (the value the
 //! paper selected by sweeping 0.1–0.9).
 //!
-//! The [`Matcher`] answers per sample ([`best_match`](Matcher::best_match))
-//! and per trip ([`match_trip`](Matcher::match_trip), what the pipeline
-//! takes) through one scoring path and one tie-break comparator, so they
-//! cannot diverge. Both run against a [`MatchIndex`] by default — an
-//! inverted cell-ID index with provable score-bound pruning that skips
-//! stops which cannot reach the acceptance threshold — and fall back to
-//! the exhaustive scan (also exposed as
-//! [`best_match_brute`](Matcher::best_match_brute), the oracle) whenever
-//! pruning is not sound (γ ≤ 0 accepts stops sharing zero cells). Results
-//! are bit-identical between the two paths; `crates/core/tests/` holds
-//! the property suite asserting it.
+//! The [`Matcher`] answers per trip ([`match_trip`](Matcher::match_trip),
+//! what the pipeline takes) and per sample
+//! ([`best_match`](Matcher::best_match), a one-fingerprint trip) through
+//! one scoring path and one tie-break comparator, so they cannot
+//! diverge. Every indexed query — these two and the router's bound
+//! probes — runs on a trip pool over the [`MatchIndex`], an inverted
+//! cell-ID index with provable score-bound pruning that skips stops which
+//! cannot reach the acceptance threshold. The exhaustive scan (exposed as
+//! [`best_match_brute`](Matcher::best_match_brute), the oracle) takes over
+//! whenever pruning is not sound (γ ≤ 0 accepts stops sharing zero
+//! cells). Results are bit-identical between the two paths;
+//! `crates/core/tests/` holds the property suite asserting it.
 
 use crate::database::StopFingerprintDb;
 use crate::fxhash::FxBuildHasher;
@@ -29,6 +30,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 /// Scoring parameters of the modified Smith–Waterman alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,14 +66,13 @@ struct DpScratch {
     cur: Vec<f64>,
 }
 
-/// Reusable per-thread scratch for the trip-level batch scorer: the
-/// shared candidate pool plus the per-level histogram that orders each
-/// sample's visit.
+/// Reusable per-thread scratch for every indexed query: the candidate
+/// pool plus the per-level histogram that orders each sample's visit.
 #[derive(Debug, Default)]
 struct TripScratch {
     pool: TripPool,
     /// `counts[shared]` counts candidates sharing exactly `shared` cells
-    /// with the current sample (levels ≥ the γ threshold only).
+    /// with the loaded sample (levels ≥ the γ threshold only).
     counts: Vec<u32>,
 }
 
@@ -102,21 +103,8 @@ thread_local! {
 /// ```
 #[must_use]
 pub fn similarity(a: &Fingerprint, b: &Fingerprint, config: &MatchConfig) -> f64 {
-    DP_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        similarity_scratch(a, b, config, scratch)
-    })
-}
-
-/// The DP against caller-provided rows (the arithmetic is identical to
-/// the historical allocating version, so scores are bit-stable).
-fn similarity_scratch(
-    a: &Fingerprint,
-    b: &Fingerprint,
-    config: &MatchConfig,
-    s: &mut DpScratch,
-) -> f64 {
-    similarity_cells(a.cells(), b.cells(), config, s)
+    DP_SCRATCH
+        .with(|scratch| similarity_cells(a.cells(), b.cells(), config, &mut scratch.borrow_mut()))
 }
 
 /// [`similarity`] over raw cell slices — the batch scorer aligns samples
@@ -226,11 +214,10 @@ fn rank(a: &MatchResult, b: &MatchResult) -> Ordering {
         .then(a.site.cmp(&b.site))
 }
 
-/// Per-trip deduplication cap of the batch scorer: it answers at most
-/// this many *distinct* fingerprints per trip from one computation;
-/// occurrences beyond the cap are recomputed (the cap only guards
-/// against hostile uploads — beeps arrive a few seconds apart, and a
-/// trip rarely carries more distinct scans).
+/// Most distinct fingerprints one trip pool answers; a trip with more
+/// is answered in pools of this many, which bounds a pool's mask width
+/// (the cap only matters for hostile uploads — beeps arrive a few
+/// seconds apart, and a trip rarely carries more distinct scans).
 pub(crate) const TRIP_DISTINCT_CAP: usize = 64;
 
 /// Matches uploaded samples against a [`StopFingerprintDb`].
@@ -298,25 +285,6 @@ impl Matcher {
         self.db.remove(site)
     }
 
-    /// Scores one stored fingerprint against `sample`, applying the γ
-    /// filter. `common` carries the pre-counted shared-cell count when the
-    /// index already knows it; the brute path counts it on demand. This is
-    /// the single scoring core every query path goes through.
-    fn score_one(
-        &self,
-        sample: &Fingerprint,
-        site: StopSiteId,
-        stored: &Fingerprint,
-        common: Option<usize>,
-    ) -> Option<MatchResult> {
-        let score = similarity(sample, stored, &self.config);
-        (score >= self.config.accept_threshold).then(|| MatchResult {
-            site,
-            score,
-            common_cells: common.unwrap_or_else(|| sample.common_cells(stored)),
-        })
-    }
-
     /// The best-matching bus stop for `sample`, or `None` when every score
     /// falls below the acceptance threshold γ ("all cellular samples whose
     /// highest similarity score is lower than 2 are discarded").
@@ -324,47 +292,19 @@ impl Matcher {
     /// Ties on score are broken by the larger number of common cell IDs,
     /// then by smaller site id for determinism.
     ///
-    /// Runs on the inverted index: only stops sharing enough cells to
-    /// possibly reach γ are aligned, visited in descending score-bound
-    /// order with an early exit once no remaining bound can beat the
-    /// current best. Bit-identical to
+    /// Runs on a one-fingerprint trip pool: only stops sharing enough
+    /// cells to possibly reach γ are aligned, visited in descending
+    /// score-bound order with an early exit once no remaining bound can
+    /// beat the current best. Bit-identical to
     /// [`best_match_brute`](Self::best_match_brute).
     #[must_use]
     pub fn best_match(&self, sample: &Fingerprint) -> Option<MatchResult> {
         if !self.indexed() {
             return self.best_match_brute(sample);
         }
-        let mut best: Option<MatchResult> = None;
-        let mut scored = 0usize;
-        self.index.visit_candidates(
-            sample,
-            self.config.match_score,
-            self.config.accept_threshold,
-            |site, stored, shared, bound| {
-                if let Some(b) = &best {
-                    // No remaining candidate can reach the current best
-                    // score (bounds are visited in descending order), and
-                    // an exact score tie is impossible below the bound —
-                    // stop aligning.
-                    if bound < b.score {
-                        return false;
-                    }
-                }
-                scored += 1;
-                if let Some(candidate) = self.score_one(sample, site, stored, Some(shared)) {
-                    let better = match &best {
-                        None => true,
-                        Some(b) => rank(&candidate, b) == Ordering::Less,
-                    };
-                    if better {
-                        best = Some(candidate);
-                    }
-                }
-                true
-            },
-        );
-        self.record_query(scored);
-        best
+        self.with_pool(&[sample], |scratch| {
+            self.best_match_pooled(0, sample, scratch)
+        })
     }
 
     /// [`best_match`](Self::best_match) for every sample of one trip,
@@ -376,14 +316,13 @@ impl Matcher {
     /// trip pool materializes the union of candidate posting lists
     /// with per-candidate shared-cell bitmasks and an SoA cell arena, and
     /// each distinct sample then scores its candidates by counting-sorted
-    /// shared-count buckets — reproducing the per-sample visit order
-    /// `(bound desc, site asc)` and early exit exactly. Results are
-    /// bit-identical to [`best_match_brute`](Self::best_match_brute) per
-    /// sample;
+    /// shared-count buckets in `(bound desc, site asc)` order with an
+    /// early exit. Results are bit-identical to
+    /// [`best_match_brute`](Self::best_match_brute) per sample;
     /// `crates/core/tests/batch_equivalence.rs` holds the property suite.
     ///
-    /// Distinct fingerprints beyond the dedup cap (64 per trip) are
-    /// answered per occurrence through the per-sample path.
+    /// A trip with more than 64 distinct fingerprints is answered in
+    /// pools of 64.
     #[must_use]
     pub fn match_trip(&self, fps: &[Fingerprint]) -> Vec<Option<MatchResult>> {
         if !self.indexed() {
@@ -391,69 +330,56 @@ impl Matcher {
             return fps.iter().map(|fp| self.best_match_brute(fp)).collect();
         }
 
-        // Deduplicate on the exact cell sequence. `occ[i]` is sample i's
-        // distinct-fingerprint id, or `u32::MAX` past the cap.
+        // Deduplicate on the exact cell sequence: `occ[i]` is sample i's
+        // distinct-fingerprint id.
         let mut distinct: Vec<&Fingerprint> = Vec::new();
-        let mut occ: Vec<u32> = Vec::with_capacity(fps.len());
         let mut ids: HashMap<&[CellTowerId], u32, FxBuildHasher> =
             HashMap::with_capacity_and_hasher(fps.len(), FxBuildHasher::default());
-        for fp in fps {
-            match ids.entry(fp.cells()) {
-                std::collections::hash_map::Entry::Occupied(e) => occ.push(*e.get()),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    if distinct.len() < TRIP_DISTINCT_CAP {
-                        let k = u32::try_from(distinct.len()).expect("cap fits in u32");
-                        e.insert(k);
-                        occ.push(k);
-                        distinct.push(fp);
-                    } else {
-                        occ.push(u32::MAX);
-                    }
-                }
-            }
-        }
-
-        let answers = TRIP_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            self.index.probe_trip(&distinct, &mut scratch.pool);
-            let mut answers: Vec<Option<MatchResult>> = Vec::with_capacity(distinct.len());
-            for (k, fp) in distinct.iter().enumerate() {
-                answers.push(self.best_match_pooled(k, fp, &mut scratch.pool, &mut scratch.counts));
-            }
-            answers
-        });
-
-        occ.iter()
-            .zip(fps)
-            .map(|(&o, fp)| {
-                if o == u32::MAX {
-                    // Past the dedup cap: computed per occurrence.
-                    self.best_match(fp)
-                } else {
-                    answers[o as usize]
-                }
+        let occ: Vec<u32> = fps
+            .iter()
+            .map(|fp| {
+                *ids.entry(fp.cells()).or_insert_with(|| {
+                    distinct.push(fp);
+                    u32::try_from(distinct.len() - 1).expect("fewer than 2^32 scans")
+                })
             })
-            .collect()
+            .collect();
+
+        let mut answers: Vec<Option<MatchResult>> = Vec::with_capacity(distinct.len());
+        for chunk in distinct.chunks(TRIP_DISTINCT_CAP) {
+            self.with_pool(chunk, |scratch| {
+                for (k, fp) in chunk.iter().enumerate() {
+                    answers.push(self.best_match_pooled(k, fp, scratch));
+                }
+            });
+        }
+        occ.iter().map(|&o| answers[o as usize]).collect()
     }
 
-    /// [`best_match`](Self::best_match) against the trip pool: shared
-    /// counts come from mask popcounts, candidates visit in counting-scan
-    /// order (shared desc; pool position — i.e. site — ascending within a
-    /// level), and alignments run over the SoA arena slices. One visit
-    /// order, one γ filter, one early exit — the per-sample path's,
-    /// reproduced bit-for-bit.
-    fn best_match_pooled(
+    /// Runs `query` on this thread's trip scratch, its pool built for
+    /// `fps`. Nothing a query calls borrows the scratch again.
+    fn with_pool<R>(&self, fps: &[&Fingerprint], query: impl FnOnce(&mut TripScratch) -> R) -> R {
+        TRIP_SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            self.index.probe_trip(fps, &mut scratch.pool);
+            query(scratch)
+        })
+    }
+
+    /// Loads pool fingerprint `k` (`sample`) and histograms the pool's
+    /// candidates by shared count into `counts`. Returns the levels a
+    /// visit walks, `min_shared..=top`: from the fewest shared cells
+    /// whose bound reaches γ to the most any candidate has — empty when
+    /// no candidate can reach γ.
+    fn levels(
         &self,
         k: usize,
         sample: &Fingerprint,
-        pool: &mut TripPool,
-        counts: &mut Vec<u32>,
-    ) -> Option<MatchResult> {
-        pool.load_fingerprint(k);
+        scratch: &mut TripScratch,
+    ) -> RangeInclusive<usize> {
+        scratch.pool.load_fingerprint(k);
         // The γ filter `score_bound(shared) >= γ` is monotone in the
-        // shared count, so it collapses to one integer threshold computed
-        // up front — the same float comparisons the per-sample filter
-        // makes, hoisted out of the per-candidate loop.
+        // shared count, so it collapses to one integer threshold.
         let mut min_shared = 1usize;
         while min_shared <= sample.len()
             && MatchIndex::score_bound(min_shared, self.config.match_score)
@@ -462,20 +388,33 @@ impl Matcher {
             min_shared += 1;
         }
         // Histogram levels: shared counts never exceed the sample length.
-        if counts.len() <= sample.len() {
-            counts.resize(sample.len() + 1, 0);
-        }
+        scratch.counts.clear();
+        scratch.counts.resize(sample.len() + 1, 0);
         let top = if min_shared > sample.len() {
             0 // γ unreachable for this sample: no candidate can pass
         } else {
-            pool.fill_shared(min_shared, counts)
+            scratch.pool.fill_shared(min_shared, &mut scratch.counts)
         };
+        min_shared..=top
+    }
 
+    /// [`best_match`](Self::best_match) against the trip pool: shared
+    /// counts come from mask popcounts, candidates visit level by level
+    /// (shared desc; pool position — i.e. site — ascending within a
+    /// level), and alignments run over the SoA arena slices.
+    fn best_match_pooled(
+        &self,
+        k: usize,
+        sample: &Fingerprint,
+        scratch: &mut TripScratch,
+    ) -> Option<MatchResult> {
+        let levels = self.levels(k, sample, scratch);
+        let TripScratch { pool, counts } = scratch;
         let mut best: Option<MatchResult> = None;
         let mut scored = 0usize;
         DP_SCRATCH.with(|s| {
             let s = &mut *s.borrow_mut();
-            'visit: for shared in (min_shared..=top).rev() {
+            'visit: for shared in levels.rev() {
                 let mut remaining = counts[shared];
                 if remaining == 0 {
                     continue;
@@ -486,8 +425,10 @@ impl Matcher {
                         continue;
                     }
                     if let Some(b) = &best {
-                        // Same exit as the per-sample visitor: no
-                        // remaining bound can beat the current best.
+                        // No remaining candidate can reach the current
+                        // best score (bounds are visited in descending
+                        // order), and an exact score tie is impossible
+                        // below the bound — stop aligning.
                         if bound < b.score {
                             break 'visit;
                         }
@@ -516,11 +457,6 @@ impl Matcher {
                 }
             }
         });
-        if top >= min_shared {
-            for c in &mut counts[min_shared..=top] {
-                *c = 0;
-            }
-        }
         self.record_query(scored);
         best
     }
@@ -534,7 +470,14 @@ impl Matcher {
         // the minimum (highest-priority) element is unique.
         self.db
             .iter()
-            .filter_map(|(site, stored)| self.score_one(sample, site, stored, None))
+            .filter_map(|(site, stored)| {
+                let score = similarity(sample, stored, &self.config);
+                (score >= self.config.accept_threshold).then(|| MatchResult {
+                    site,
+                    score,
+                    common_cells: sample.common_cells(stored),
+                })
+            })
             .min_by(rank)
     }
 
@@ -544,16 +487,14 @@ impl Matcher {
     /// (candidate counting + ordering) separately from alignment.
     #[must_use]
     pub fn probe_candidates(&self, sample: &Fingerprint) -> usize {
-        self.index.visit_candidates(
-            sample,
-            self.config.match_score,
-            self.config.accept_threshold,
-            |_, _, _, _| false,
-        )
+        self.with_pool(&[sample], |scratch| {
+            let levels = self.levels(0, sample, scratch);
+            levels.map(|shared| scratch.counts[shared] as usize).sum()
+        })
     }
 
     /// The best score any stored stop could reach against `sample` —
-    /// the first (largest) index bound, without running an alignment.
+    /// the largest index bound, without running an alignment.
     /// `None` when no stop shares a cell with the sample. The shard
     /// router probes this per region to route an upload toward the
     /// shard whose database can score it highest; it is an upper bound
@@ -568,19 +509,11 @@ impl Matcher {
         if !self.indexed() {
             return self.best_match_brute(sample).map(|m| m.score);
         }
-        let mut bound = None;
-        self.index.visit_candidates(
-            sample,
-            self.config.match_score,
-            self.config.accept_threshold,
-            |_, _, _, b| {
-                // Candidates arrive in descending bound order: the
-                // first one is the maximum.
-                bound = Some(b);
-                false
-            },
-        );
-        bound
+        self.with_pool(&[sample], |scratch| {
+            let levels = self.levels(0, sample, scratch);
+            (!levels.is_empty())
+                .then(|| MatchIndex::score_bound(*levels.end(), self.config.match_score))
+        })
     }
 
     /// Whether [`best_candidate_bound`](Self::best_candidate_bound)

@@ -1,10 +1,11 @@
 //! Equivalence suite for the trip-batched matcher: `match_trip` must be
 //! *bit-identical* — same sites, same score bits, same `common_cells`,
-//! same `None`s, in the same order — to the per-sample indexed query and
-//! to the brute-force scan, on random trips, across configurations,
-//! past the distinct-fingerprint cap, and through arbitrary
-//! `insert`/`remove` maintenance sequences. The shared probe and the SoA
-//! candidate pool are an optimization, never an approximation.
+//! same `None`s, in the same order — to the per-sample query (a
+//! one-fingerprint pool) and to the brute-force scan, on random trips,
+//! across configurations, past the distinct-fingerprint cap (a trip
+//! answered in several pools), and through arbitrary `insert`/`remove`
+//! maintenance sequences. The shared probe and the SoA candidate pool
+//! are an optimization, never an approximation.
 
 use busprobe_cellular::{CellTowerId, Fingerprint};
 use busprobe_core::{MatchConfig, MatchResult, Matcher, StopFingerprintDb};
@@ -124,7 +125,7 @@ proptest! {
     fn prop_long_trips_past_the_distinct_cap(
         db in arb_db(24),
         // Many distinct fingerprints (no pooling) so trips overflow the
-        // batch dedup cap and exercise the per-occurrence overflow path.
+        // distinct cap and are answered in several pools.
         trip in proptest::collection::vec(arb_fp(7), 0..200),
         gamma_pick in 0usize..GAMMAS.len(),
     ) {

@@ -5,7 +5,7 @@
 //! sequences. Pruning is an optimization, never an approximation.
 
 use busprobe_cellular::{CellTowerId, Fingerprint};
-use busprobe_core::{MatchConfig, MatchResult, Matcher, StopFingerprintDb};
+use busprobe_core::{MatchConfig, MatchIndex, MatchResult, Matcher, StopFingerprintDb};
 use busprobe_network::StopSiteId;
 use proptest::prelude::*;
 
@@ -63,6 +63,37 @@ fn assert_matcher_equivalent(matcher: &Matcher, samples: &[Fingerprint]) {
 /// permissive γ, a harsh one, and the degenerate γ ≤ 0 (index-off
 /// fallback).
 const GAMMAS: [f64; 4] = [2.0, 0.7, 4.5, 0.0];
+
+/// How many of [`GAMMAS`] leave the index on (all but the trailing 0):
+/// the bound probes answer from the index only there.
+const INDEXED_GAMMAS: usize = 3;
+
+/// Applies a random insert/replace/remove sequence to `matcher`, calling
+/// `check` before the first step and after every one.
+fn churn(matcher: &mut Matcher, ops: Vec<(u32, Fingerprint, u8)>, check: impl Fn(&Matcher)) {
+    check(matcher);
+    for (site_raw, fp, op) in ops {
+        let site = StopSiteId(site_raw);
+        if op == 0 {
+            matcher.remove(site);
+        } else {
+            matcher.insert(site, fp);
+        }
+        check(matcher);
+    }
+}
+
+/// The brute oracle of the bound probes: per stored stop, the score
+/// bound of the cells it shares with `sample`, kept when it reaches γ.
+fn brute_bounds(matcher: &Matcher, sample: &Fingerprint) -> Vec<f64> {
+    let config = matcher.config();
+    matcher
+        .db()
+        .iter()
+        .map(|(_, stored)| MatchIndex::score_bound(sample.common_cells(stored), config.match_score))
+        .filter(|&bound| bound >= config.accept_threshold)
+        .collect()
+}
 
 proptest! {
     #[test]
@@ -124,6 +155,53 @@ proptest! {
         for (got, sample) in matcher.match_trip(&samples).into_iter().zip(&samples) {
             assert_bit_identical(got, matcher.best_match_brute(sample));
         }
+    }
+}
+
+proptest! {
+    #[test]
+    fn prop_probe_candidates_counts_the_brute_bound_filter_under_churn(
+        db in arb_db(16),
+        ops in proptest::collection::vec((0u32..24, arb_fp(9), 0u8..4), 0..16),
+        samples in arb_samples(8),
+        gamma_pick in 0usize..INDEXED_GAMMAS,
+    ) {
+        let config = MatchConfig {
+            accept_threshold: GAMMAS[gamma_pick],
+            ..MatchConfig::default()
+        };
+        churn(&mut Matcher::new(db, config), ops, |matcher| {
+            for sample in &samples {
+                assert_eq!(
+                    matcher.probe_candidates(sample),
+                    brute_bounds(matcher, sample).len(),
+                    "{sample:?}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn prop_best_candidate_bound_is_the_brute_maximum_under_churn(
+        db in arb_db(16),
+        ops in proptest::collection::vec((0u32..24, arb_fp(9), 0u8..4), 0..16),
+        samples in arb_samples(8),
+        gamma_pick in 0usize..INDEXED_GAMMAS,
+    ) {
+        let config = MatchConfig {
+            accept_threshold: GAMMAS[gamma_pick],
+            ..MatchConfig::default()
+        };
+        churn(&mut Matcher::new(db, config), ops, |matcher| {
+            for sample in &samples {
+                let brute = brute_bounds(matcher, sample).into_iter().reduce(f64::max);
+                assert_eq!(
+                    matcher.best_candidate_bound(sample).map(f64::to_bits),
+                    brute.map(f64::to_bits),
+                    "{sample:?}"
+                );
+            }
+        });
     }
 }
 

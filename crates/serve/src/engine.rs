@@ -109,11 +109,10 @@ pub struct ServeConfig {
     pub latency_budget: Option<Duration>,
     /// Stage-pool workers for the commit loop's batches (≤ 1 = serial).
     pub workers: usize,
-    /// Most uploads the commit loop takes per batch.
-    pub batch_max: usize,
     /// Fsync + release acknowledgements after at most this many
     /// commits — the cap of the group: the loop flushes sooner whenever
-    /// the queue runs dry. 1 = one fsync per commit.
+    /// the queue runs dry, and never takes more uploads than the group
+    /// has room for. 1 = one fsync per commit.
     pub sync_every: u64,
     /// Checkpoint at least this often while commits are flowing.
     pub checkpoint_interval: Option<Duration>,
@@ -137,7 +136,6 @@ impl Default for ServeConfig {
             full_policy: FullPolicy::Block,
             latency_budget: None,
             workers: 1,
-            batch_max: 32,
             sync_every: 32,
             checkpoint_interval: None,
             max_line_bytes: 1 << 20,
@@ -834,10 +832,14 @@ impl CommitLoop {
             if self.shared.fatal.lock().is_some() {
                 break;
             }
-            let popped = self
-                .shared
-                .queue
-                .pop_batch(self.shared.config.batch_max, self.shared.config.idle_poll);
+            // Take no more than the group has room for, so no flush
+            // covers more than `sync_every` commits.
+            let config = &self.shared.config;
+            let room = config
+                .sync_every
+                .saturating_sub(self.pending_acks.len() as u64);
+            let room = usize::try_from(room).unwrap_or(usize::MAX);
+            let popped = self.shared.queue.pop_batch(room, config.idle_poll);
             match popped {
                 Popped::Drained => break,
                 Popped::Idle => {

@@ -2,41 +2,29 @@
 //! snapshots, with append / checkpoint / compact / recover operations.
 
 use crate::frame::HEADER_LEN;
-use crate::wal::{self, ReplayReport, WalConfig, WalWriter};
+use crate::wal::{self, ReplayReport, WalWriter};
 use crate::{snapshot, StoreMetrics};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Tuning for one store directory.
+/// Tuning for one store directory. Appends are buffered in-process and
+/// reach the OS at segment rotation, [`Store::sync`] (checkpoints sync
+/// first) and drop — so a clean exit or an unwinding panic loses
+/// nothing, while a SIGKILL mid-batch may lose the buffered tail, which
+/// recovery reports as a missing suffix and a resumed ingest re-commits.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
-    /// Rotate WAL segments at this size.
+    /// Rotate to a fresh WAL segment once the active one reaches this
+    /// size.
     pub max_segment_bytes: u64,
-    /// Flush + fsync after every append (durability against power
-    /// loss). By default records are buffered in-process and reach the
-    /// OS at rotation, [`Store::sync`], checkpoint and drop — a SIGKILL
-    /// mid-batch may lose the buffered tail, which recovery reports and
-    /// a resumed ingest re-commits.
-    pub sync_every_append: bool,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        let wal = WalConfig::default();
         StoreConfig {
-            max_segment_bytes: wal.max_segment_bytes,
-            sync_every_append: wal.sync_every_append,
-        }
-    }
-}
-
-impl StoreConfig {
-    fn wal(&self) -> WalConfig {
-        WalConfig {
-            max_segment_bytes: self.max_segment_bytes,
-            sync_every_append: self.sync_every_append,
+            max_segment_bytes: 4 << 20,
         }
     }
 }
@@ -62,7 +50,6 @@ pub struct Recovered {
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    config: StoreConfig,
     wal: WalWriter,
     metrics: StoreMetrics,
     /// Fault injection (tests only): the next this-many appends fail.
@@ -87,10 +74,9 @@ impl Store {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let floor = snapshot::latest_seq(&dir)?.unwrap_or(0);
-        let wal = WalWriter::open(&dir, config.wal(), floor)?;
+        let wal = WalWriter::open(&dir, config, floor)?;
         Ok(Store {
             dir,
-            config,
             wal,
             metrics: StoreMetrics::new(),
             fault_appends: 0,
@@ -114,12 +100,6 @@ impl Store {
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The tuning this store was opened with.
-    #[must_use]
-    pub fn config(&self) -> StoreConfig {
-        self.config
     }
 
     /// The sequence number the next append will receive — equivalently,
@@ -295,7 +275,6 @@ mod tests {
         let dir = tmp_dir("checkpoint");
         let config = StoreConfig {
             max_segment_bytes: 64,
-            ..StoreConfig::default()
         };
         let mut store = Store::open_with(&dir, config).unwrap();
         for i in 0u64..12 {

@@ -8,7 +8,7 @@
 //! sequence number against the snapshot coverage point.
 
 use crate::frame::{self, GROUP_MAGIC, HEADER_LEN, RECORD_MAGIC};
-use crate::StoreMetrics;
+use crate::{StoreConfig, StoreMetrics};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -243,37 +243,12 @@ pub fn replay_into(dir: &Path, sink: &mut dyn FnMut(u64, &[u8])) -> io::Result<R
     Ok(report)
 }
 
-/// How the writer flushes. Appends are buffered in-process and reach
-/// the OS at rotation, [`WalWriter::sync`] (checkpoints sync first) and
-/// drop — so a clean exit or unwinding panic loses nothing, while a
-/// SIGKILL mid-batch may lose the buffered tail, which recovery reports
-/// as a missing suffix and a resumed ingest re-commits. Setting
-/// `sync_every_append` flushes *and* fsyncs every record to survive
-/// power loss, at the cost of a syscall per commit.
-#[derive(Debug, Clone, Copy)]
-pub struct WalConfig {
-    /// Rotate to a fresh segment once the current one reaches this size.
-    pub max_segment_bytes: u64,
-    /// Flush + fsync after every append instead of only at
-    /// rotation/sync/checkpoint.
-    pub sync_every_append: bool,
-}
-
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig {
-            max_segment_bytes: 4 << 20,
-            sync_every_append: false,
-        }
-    }
-}
-
 /// The appender: owns the active segment, assigns sequence numbers and
 /// rotates segments at the size threshold.
 #[derive(Debug)]
 pub struct WalWriter {
     dir: PathBuf,
-    config: WalConfig,
+    config: StoreConfig,
     file: BufWriter<File>,
     segment_first: u64,
     segment_bytes: u64,
@@ -295,7 +270,7 @@ impl WalWriter {
     /// sequence number — pass the newest snapshot's coverage point so
     /// sequence numbers stay monotone even when every covered segment
     /// has been compacted away.
-    pub fn open(dir: &Path, config: WalConfig, min_next_seq: u64) -> io::Result<Self> {
+    pub fn open(dir: &Path, config: StoreConfig, min_next_seq: u64) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
         let metrics = StoreMetrics::new();
         let segments = list_segments(dir)?;
@@ -367,61 +342,46 @@ impl WalWriter {
     }
 
     /// Appends `payload` as the next record and returns its sequence
-    /// number. The frame is buffered; see [`WalConfig`] for when it
-    /// reaches the OS and disk.
+    /// number: a one-payload group, written as a plain record frame. The
+    /// frame is buffered; see [`StoreConfig`] for when it reaches the OS
+    /// and disk.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        let seq = self.next_seq;
         self.scratch.clear();
-        frame::encode(RECORD_MAGIC, seq, payload, &mut self.scratch);
-        if self.segment_bytes > 0
-            && self.segment_bytes + self.scratch.len() as u64 > self.config.max_segment_bytes
-        {
-            self.rotate(seq)?;
-        }
-        self.file.write_all(&self.scratch)?;
-        if self.config.sync_every_append {
-            self.file.flush()?;
-            self.file.get_ref().sync_data()?;
-            self.metrics.wal_fsyncs.inc();
-        }
-        self.segment_bytes += self.scratch.len() as u64;
-        self.next_seq = seq + 1;
-        self.metrics.wal_appends.inc();
-        self.metrics.wal_bytes.add(self.scratch.len() as u64);
-        Ok(seq)
+        frame::encode(RECORD_MAGIC, self.next_seq, payload, &mut self.scratch);
+        self.write_frame(1)
     }
 
     /// Appends `payloads` as one group frame occupying consecutive
     /// sequence numbers, returning the first. One frame means one buffer
-    /// write — and, under `sync_every_append`, one fsync — per group
-    /// instead of one per record. A single payload degenerates to a
-    /// plain [`append`](Self::append) so ungrouped logs stay
+    /// write per group instead of one per record. A single payload is a
+    /// plain [`append`](Self::append), so ungrouped logs stay
     /// byte-identical; an empty group writes nothing.
     pub fn append_group(&mut self, payloads: &[Vec<u8>]) -> io::Result<u64> {
+        match payloads {
+            [] => Ok(self.next_seq),
+            [payload] => self.append(payload),
+            _ => {
+                self.scratch.clear();
+                frame::encode_group(self.next_seq, payloads, &mut self.scratch);
+                self.write_frame(payloads.len() as u64)
+            }
+        }
+    }
+
+    /// Buffers the frame encoded in `scratch` — `records` records from
+    /// `next_seq` on — rotating first when it would overflow the active
+    /// segment. Returns the frame's first sequence number.
+    fn write_frame(&mut self, records: u64) -> io::Result<u64> {
         let first = self.next_seq;
-        if payloads.is_empty() {
-            return Ok(first);
-        }
-        if payloads.len() == 1 {
-            return self.append(&payloads[0]);
-        }
-        self.scratch.clear();
-        frame::encode_group(first, payloads, &mut self.scratch);
-        if self.segment_bytes > 0
-            && self.segment_bytes + self.scratch.len() as u64 > self.config.max_segment_bytes
-        {
+        let len = self.scratch.len() as u64;
+        if self.segment_bytes > 0 && self.segment_bytes + len > self.config.max_segment_bytes {
             self.rotate(first)?;
         }
         self.file.write_all(&self.scratch)?;
-        if self.config.sync_every_append {
-            self.file.flush()?;
-            self.file.get_ref().sync_data()?;
-            self.metrics.wal_fsyncs.inc();
-        }
-        self.segment_bytes += self.scratch.len() as u64;
-        self.next_seq = first + payloads.len() as u64;
-        self.metrics.wal_appends.add(payloads.len() as u64);
-        self.metrics.wal_bytes.add(self.scratch.len() as u64);
+        self.segment_bytes += len;
+        self.next_seq = first + records;
+        self.metrics.wal_appends.add(records);
+        self.metrics.wal_bytes.add(len);
         Ok(first)
     }
 
@@ -472,7 +432,7 @@ mod tests {
     #[test]
     fn append_then_replay_round_trips() {
         let dir = tmp_dir("roundtrip");
-        let mut wal = WalWriter::open(&dir, WalConfig::default(), 0).unwrap();
+        let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
         for i in 0u64..20 {
             let seq = wal.append(format!("payload-{i}").as_bytes()).unwrap();
             assert_eq!(seq, i);
@@ -493,11 +453,11 @@ mod tests {
     fn reopen_continues_the_sequence() {
         let dir = tmp_dir("reopen");
         {
-            let mut wal = WalWriter::open(&dir, WalConfig::default(), 0).unwrap();
+            let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
             wal.append(b"a").unwrap();
             wal.append(b"b").unwrap();
         }
-        let mut wal = WalWriter::open(&dir, WalConfig::default(), 0).unwrap();
+        let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
         assert_eq!(wal.next_seq(), 2);
         wal.append(b"c").unwrap();
         wal.sync().unwrap();
@@ -512,9 +472,8 @@ mod tests {
     #[test]
     fn rotation_splits_segments_and_replay_spans_them() {
         let dir = tmp_dir("rotate");
-        let config = WalConfig {
+        let config = StoreConfig {
             max_segment_bytes: 64,
-            ..WalConfig::default()
         };
         let mut wal = WalWriter::open(&dir, config, 0).unwrap();
         for _ in 0..10 {
@@ -533,7 +492,7 @@ mod tests {
     fn torn_tail_is_reported_and_truncated_on_reopen() {
         let dir = tmp_dir("torn");
         {
-            let mut wal = WalWriter::open(&dir, WalConfig::default(), 0).unwrap();
+            let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
             for i in 0u64..5 {
                 wal.append(format!("record-{i}").as_bytes()).unwrap();
             }
@@ -553,7 +512,7 @@ mod tests {
         assert_eq!(report.skipped_records(), 0);
 
         // Reopening repairs the tail and reuses the torn sequence number.
-        let mut wal = WalWriter::open(&dir, WalConfig::default(), 0).unwrap();
+        let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
         assert_eq!(wal.next_seq(), 4);
         wal.append(b"replacement").unwrap();
         wal.sync().unwrap();
@@ -567,7 +526,7 @@ mod tests {
     fn mid_file_corruption_is_skipped_with_attribution() {
         let dir = tmp_dir("flip");
         {
-            let mut wal = WalWriter::open(&dir, WalConfig::default(), 0).unwrap();
+            let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
             for i in 0u64..6 {
                 wal.append(format!("record-{i}").as_bytes()).unwrap();
             }
@@ -595,7 +554,7 @@ mod tests {
     fn group_append_replays_as_consecutive_records() {
         let dir = tmp_dir("group");
         {
-            let mut wal = WalWriter::open(&dir, WalConfig::default(), 0).unwrap();
+            let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
             wal.append(b"solo-0").unwrap();
             let first = wal
                 .append_group(&[b"g-1".to_vec(), b"g-2".to_vec(), b"g-3".to_vec()])
@@ -623,7 +582,7 @@ mod tests {
         assert!(report.anomalies.is_empty());
 
         // Reopen resumes the sequence after the group.
-        let wal = WalWriter::open(&dir, WalConfig::default(), 0).unwrap();
+        let wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
         assert_eq!(wal.next_seq(), 5);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -632,7 +591,7 @@ mod tests {
     fn torn_group_frame_drops_the_whole_group() {
         let dir = tmp_dir("group-torn");
         {
-            let mut wal = WalWriter::open(&dir, WalConfig::default(), 0).unwrap();
+            let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
             wal.append(b"keep").unwrap();
             wal.append_group(&[b"lost-1".to_vec(), b"lost-2".to_vec()])
                 .unwrap();
@@ -652,7 +611,7 @@ mod tests {
 
         // Reopen repairs the tail; the group's sequence numbers are
         // reissued to the re-committed records.
-        let mut wal = WalWriter::open(&dir, WalConfig::default(), 0).unwrap();
+        let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
         assert_eq!(wal.next_seq(), 1);
         wal.append_group(&[b"redo-1".to_vec(), b"redo-2".to_vec()])
             .unwrap();
@@ -667,7 +626,7 @@ mod tests {
     fn replay_resynchronizes_onto_a_group_frame() {
         let dir = tmp_dir("group-resync");
         {
-            let mut wal = WalWriter::open(&dir, WalConfig::default(), 0).unwrap();
+            let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
             wal.append(b"victim").unwrap();
             wal.append_group(&[b"after-1".to_vec(), b"after-2".to_vec()])
                 .unwrap();
@@ -690,9 +649,8 @@ mod tests {
     #[test]
     fn group_frames_rotate_segments_like_records() {
         let dir = tmp_dir("group-rotate");
-        let config = WalConfig {
+        let config = StoreConfig {
             max_segment_bytes: 64,
-            ..WalConfig::default()
         };
         let mut wal = WalWriter::open(&dir, config, 0).unwrap();
         for _ in 0..6 {
@@ -711,7 +669,7 @@ mod tests {
     #[test]
     fn min_next_seq_floors_an_empty_log() {
         let dir = tmp_dir("floor");
-        let mut wal = WalWriter::open(&dir, WalConfig::default(), 41).unwrap();
+        let mut wal = WalWriter::open(&dir, StoreConfig::default(), 41).unwrap();
         assert_eq!(wal.next_seq(), 41);
         assert_eq!(wal.append(b"x").unwrap(), 41);
         fs::remove_dir_all(&dir).unwrap();

@@ -135,14 +135,14 @@ fn soak_at_2x_capacity_with_extreme_faults_sheds_with_full_attribution() {
     // Pin capacity with the commit throttle instead of measuring it:
     // on a small box a capacity probe races the scheduler (a contended
     // probe undersells an uncontended paced run and vice versa), so a
-    // measured "2x" is flaky. With an 8-upload batch ceiling and a
-    // 20 ms sleep per committed batch, capacity is at most 400
-    // uploads/s no matter the machine; offering 800/s is then a true,
-    // sustained 2x overload everywhere.
+    // measured "2x" is flaky. With an 8-commit group cap (so at most 8
+    // uploads per batch) and a 20 ms sleep per committed batch, capacity
+    // is at most 400 uploads/s no matter the machine; offering 800/s is
+    // then a true, sustained 2x overload everywhere.
     const QUEUE: usize = 32;
-    const BATCH: usize = 8;
+    const GROUP: u64 = 8;
     const THROTTLE: Duration = Duration::from_millis(20);
-    let capacity_tps = BATCH as f64 / THROTTLE.as_secs_f64();
+    let capacity_tps = GROUP as f64 / THROTTLE.as_secs_f64();
     let interval_s = 1.0 / (2.0 * capacity_tps);
 
     let monitor = Arc::new(TrafficMonitor::new(
@@ -156,7 +156,7 @@ fn soak_at_2x_capacity_with_extreme_faults_sheds_with_full_attribution() {
             queue_capacity: QUEUE,
             full_policy: FullPolicy::ShedOldest,
             latency_budget: Some(Duration::from_millis(250)),
-            batch_max: BATCH,
+            sync_every: GROUP,
             commit_throttle: Some(THROTTLE),
             ..ServeConfig::default()
         },
@@ -713,6 +713,49 @@ fn a_backlog_still_groups() {
         "a backlog must share its fsyncs: {summary:?}"
     );
     assert_eq!(summary.idle_flushes, 0, "{summary:?}");
+}
+
+/// `sync_every` caps every group, backlog or not: the commit loop takes
+/// no more uploads than the group has room for, so with a cap of 4 and a
+/// dozen uploads queued behind a throttled first one, no flush acks more
+/// than 4 commits.
+#[test]
+fn a_backlog_never_overfills_a_group() {
+    const CAP: u64 = 4;
+    let world = TestWorld::new(SEED, 4);
+    let trips = World::small(SEED).ride_corpus(13, SEED);
+
+    let monitor = Arc::new(world.monitor());
+    let engine = ServeEngine::start(
+        Arc::clone(&monitor),
+        ServeConfig {
+            sync_every: CAP,
+            commit_throttle: Some(Duration::from_millis(100)),
+            ..ServeConfig::default()
+        },
+    );
+    let handle = engine.handle();
+    let (sink, log) = recording_sink(&monitor);
+    let send = |i: usize| {
+        let line = protocol::upload_line(&trips[i], i as u64, None);
+        handle.handle_line(&line, Some(&sink));
+    };
+    send_one_then_a_backlog(&handle, trips.len(), send);
+    let summary = engine.join();
+    assert_eq!(summary.acked, trips.len() as u64, "{summary:?}");
+
+    // One connection: each write is one flush's acks.
+    let groups: Vec<usize> = log
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|(_, text)| text.lines().count())
+        .collect();
+    assert_eq!(groups.iter().sum::<usize>(), trips.len(), "{groups:?}");
+    assert!(
+        groups.iter().all(|&acks| acks as u64 <= CAP),
+        "a flush covered more than {CAP} commits: {groups:?}"
+    );
 }
 
 /// The acks one flush releases reach each connection as one write, in
