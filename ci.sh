@@ -46,6 +46,13 @@ echo "== serve suite (overload shedding + kill -9 crash matrix) =="
 # exit 0 after checkpointing (tests/serve_crash.rs).
 cargo test -q --test serve_stream
 cargo test -q --test serve_crash
+# The wire decoder is a hand-written byte scanner; this suite proves it
+# equivalent to the serde_json Value-tree reader it replaced (kept there
+# as the oracle): on random, restyled and byte-mutated lines and all four
+# commands, both accept and refuse the same lines, decode the same
+# requests to the bit and refuse with the same reason and digest, and
+# upload_line writes what the tree writer wrote (tests/fuzz_protocol.rs).
+cargo test -q --test fuzz_protocol
 
 echo "== crash-recovery matrix (WAL + snapshot durability) =="
 # Workers {1,4} x snapshot cadence {1,7,none} x crash point {early, mid,

@@ -45,6 +45,16 @@ impl CellScan {
         CellScan { observations }
     }
 
+    /// Builds a scan that keeps `observations` in the order given — the
+    /// order an upload carried them on the wire, which is what
+    /// deserializing a scan has always produced. Unlike [`CellScan::new`]
+    /// it does not sort: whatever order a phone sent is what sanitizing
+    /// and matching see.
+    #[must_use]
+    pub fn unsorted(observations: Vec<CellObservation>) -> Self {
+        CellScan { observations }
+    }
+
     /// The observations, strongest first.
     #[must_use]
     pub fn observations(&self) -> &[CellObservation] {

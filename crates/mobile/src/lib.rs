@@ -43,6 +43,9 @@ mod telemetry;
 pub mod trip;
 
 pub use beep::{BeepDetector, BeepDetectorConfig};
+/// The cell types a [`Trip`] is made of, so code that builds uploads
+/// (such as a wire decoder) needs only this crate.
+pub use busprobe_cellular::{CellObservation, CellScan, CellTowerId};
 pub use energy::{PhoneModel, PowerModel, SensorConfig};
 pub use goertzel::Goertzel;
 pub use motion::{MotionClassifier, VehicleClass};
