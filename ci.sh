@@ -159,6 +159,20 @@ for shards in 1 4; do
   cmp "$tmpdir/jobs1.geojson" "$tmpdir/publish$shards/map.geojson"
 done
 
+echo "== CLI serve --stdin drill: ping, stats, shutdown =="
+# stdin is read by the same connection reader as a socket: the commands
+# are answered in order, `shutdown` drains every engine and the process
+# exits 0 — for the district and for a city of four.
+for shards in 1 4; do
+  printf '%s\n' '{"cmd":"ping"}' '{"cmd":"stats"}' '{"cmd":"shutdown"}' \
+    | ./target/release/busprobe serve --dir "$tmpdir" --stdin --shards "$shards" \
+    > "$tmpdir/stdin$shards.out"
+  grep -q '"ok":"pong"' "$tmpdir/stdin$shards.out"
+  grep -q '"ok":"stats"' "$tmpdir/stdin$shards.out"
+  grep -q 'draining' "$tmpdir/stdin$shards.out"
+  grep -q 'drained:' "$tmpdir/stdin$shards.out"
+done
+
 echo "== CLI sharding drill: --shards 1 vs --shards 4 =="
 # One shard is the default and the only code path, so there is no flat
 # twin to compare it with: its durable ingest keeps the WAL at the root

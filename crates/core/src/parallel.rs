@@ -71,16 +71,15 @@ pub fn assert_arrivals_match(received: usize, trips: usize) {
 
 /// Ingests `trips` with `workers` stage threads (`0` = all cores) and a
 /// deterministic sequential reducer; returns per-trip reports in input
-/// order. `received_s` follows [`assert_arrivals_match`]. Trips may be
-/// owned or borrowed, so a caller holding a subset of someone else's
-/// batch passes `&[&Trip]` instead of copies.
+/// order. `received(seq)` is trip `seq`'s server-side arrival time, if
+/// it has one. Trips may be owned or borrowed, so a caller holding a
+/// subset of someone else's batch passes `&[&Trip]` instead of copies.
 pub(crate) fn ingest_batch<T: Borrow<Trip> + Sync>(
     monitor: &TrafficMonitor,
     trips: &[T],
-    received_s: &[f64],
+    received: &(dyn Fn(usize) -> Option<f64> + Sync),
     workers: usize,
 ) -> Vec<IngestReport> {
-    assert_arrivals_match(received_s.len(), trips.len());
     let workers = effective_workers(workers).min(trips.len().max(1));
     if workers <= 1 {
         // One worker: stage+commit back to back is already the serial
@@ -88,7 +87,7 @@ pub(crate) fn ingest_batch<T: Borrow<Trip> + Sync>(
         let reports = trips
             .iter()
             .enumerate()
-            .map(|(seq, trip)| monitor.ingest_upload(trip.borrow(), received_s.get(seq).copied()))
+            .map(|(seq, trip)| monitor.ingest_upload(trip.borrow(), received(seq)))
             .collect();
         monitor.flush_wal_group();
         return reports;
@@ -117,8 +116,8 @@ pub(crate) fn ingest_batch<T: Borrow<Trip> + Sync>(
             scope.spawn(move |_| loop {
                 match injector.steal() {
                     Steal::Success(seq) => {
-                        let recv = received_s.get(seq).copied();
-                        let staged = monitor.stage_upload(trips[seq].borrow(), recv, Some(worker));
+                        let staged =
+                            monitor.stage_upload(trips[seq].borrow(), received(seq), Some(worker));
                         if tx.send((seq, staged)).is_err() {
                             break;
                         }

@@ -12,7 +12,7 @@
 
 use super::stage::{StagedUpload, TraceDraft};
 use super::{DropReason, IngestReport, TrafficMonitor, TRACE_DETAIL};
-use crate::durability::{CommitRecord, HarvestEntry};
+use crate::durability::{CommitRecord, HarvestEntry, WalRecord};
 use crate::mapping::MappedVisit;
 use crate::sanitize::SanitizeReport;
 use busprobe_mobile::CellularSample;
@@ -280,7 +280,7 @@ impl TrafficMonitor {
     ) -> IngestReport {
         let report = record.report;
         let digest = record.digest;
-        let wal_seq = self.log_commit(record);
+        let wal_seq = self.log(&WalRecord::Commit(record));
         if let Some(tracer) = tracer {
             let outcome = match report.drop_reason() {
                 None => TraceOutcome::Committed {
@@ -440,8 +440,10 @@ impl TrafficMonitor {
         }
         // The refresh consumed pending harvest and possibly rewrote the
         // database; sequence it in the log so replay re-runs the same
-        // (deterministic) election at the same point.
-        self.log_refresh();
+        // (deterministic) election at the same point. It joins the open
+        // group behind the commits before it and closes the group.
+        self.log(&WalRecord::Refresh);
+        self.flush_wal_group();
         changed
     }
 }

@@ -4,7 +4,7 @@
 
 use super::TrafficMonitor;
 use crate::database::StopFingerprintDb;
-use crate::durability::{CommitRecord, PersistedState, WalRecord};
+use crate::durability::{PersistedState, WalRecord};
 use crate::MonitorConfig;
 use busprobe_network::TransitNetwork;
 use busprobe_store::Store;
@@ -128,21 +128,21 @@ impl TrafficMonitor {
         self.store_failed.load(Ordering::Acquire)
     }
 
-    /// Queues one commit record for the attached store (a no-op without
-    /// one), appending the buffered group as one WAL frame when the
-    /// group window fills, and auto-checkpoints on the configured
-    /// cadence. Returns the record's WAL sequence number, or `None` when
-    /// no store is attached or the append failed.
+    /// Queues one WAL record — a commit or a refresh — for the attached
+    /// store (a no-op without one), appending the buffered group as one
+    /// WAL frame when the group window fills, and auto-checkpoints on
+    /// the configured cadence. Returns the record's WAL sequence number,
+    /// or `None` when no store is attached or the append failed.
     ///
     /// An append failure is retried with backoff; exhausting the retries
     /// degrades durability, never availability: the failure is counted,
     /// logged, latched via [`store_failed`](Self::store_failed), and
     /// ingestion continues.
-    pub(super) fn log_commit(&self, record: CommitRecord) -> Option<u64> {
+    pub(super) fn log(&self, record: &WalRecord) -> Option<u64> {
         let mut guard = self.store.lock();
         let attached = guard.as_mut()?;
         let wal_seq = attached.next_seq();
-        attached.pending.push(WalRecord::Commit(record).encode());
+        attached.pending.push(record.encode());
         let full = attached.pending.len() as u64 >= attached.group_every;
         let due = full && self.flush_group(&mut guard).ok()?;
         drop(guard);
@@ -188,37 +188,15 @@ impl TrafficMonitor {
         }
     }
 
-    /// Flushes any buffered commit group to the WAL — the batch-ingest
-    /// reorder-buffer boundary — honoring the snapshot cadence for the
-    /// flushed range. Flush failures have already fail-stopped the store
-    /// and are not propagated: batch ingest, like per-upload ingest,
-    /// degrades durability rather than availability.
+    /// Flushes any buffered group to the WAL — at the batch-ingest
+    /// reorder-buffer boundary and after a refresh — honoring the
+    /// snapshot cadence for the flushed range. Flush failures have
+    /// already fail-stopped the store and are not propagated: batch
+    /// ingest, like per-upload ingest, degrades durability rather than
+    /// availability.
     pub(crate) fn flush_wal_group(&self) {
         let mut guard = self.store.lock();
         let due = self.flush_group(&mut guard).unwrap_or(false);
-        drop(guard);
-        self.checkpoint_if(due);
-    }
-
-    /// Appends a refresh marker to the attached store (a no-op without
-    /// one), sequencing the database refresh among the commits. Any
-    /// buffered commit group flushes first so the log preserves the
-    /// mutation order.
-    pub(super) fn log_refresh(&self) {
-        let mut guard = self.store.lock();
-        let Ok(due) = self.flush_group(&mut guard) else {
-            return;
-        };
-        let Some(attached) = guard.as_mut() else {
-            return;
-        };
-        let payload = WalRecord::Refresh.encode();
-        if let Err(e) =
-            self.retry_store_io("WAL refresh append", || attached.store.append(&payload))
-        {
-            self.metrics.store_append_errors.inc();
-            self.fail_stop_store(&mut guard, "WAL refresh append", &e);
-        }
         drop(guard);
         self.checkpoint_if(due);
     }
@@ -516,6 +494,46 @@ mod tests {
             "the pending harvest is part of the state"
         );
         assert_eq!(on_disk, exported);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A refresh that lands inside an open group window rides in the
+    /// group frame behind the commits before it, and WAL replay
+    /// reproduces the live state: the refresh drains the harvest at the
+    /// same point, not after the commits that follow it.
+    #[test]
+    fn a_refresh_inside_an_open_group_window_replays_to_the_live_state() {
+        let (plain, scanner) = setup(54);
+        let config = MonitorConfig {
+            online_db_update: true,
+            ..MonitorConfig::default()
+        };
+        let monitor = TrafficMonitor::new(Arc::clone(&plain.network), plain.database(), config);
+        let dir = store_scratch("refresh-in-group");
+        monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, 8);
+        let trips: Vec<_> = (0..5)
+            .map(|k| ride(&monitor, &scanner, 6, 4, 80.0, 500 + k))
+            .collect();
+        for trip in &trips[..3] {
+            assert!(monitor.ingest_upload(trip, None).observations > 0);
+        }
+        // Three commits wait in the window of eight: the refresh joins them.
+        monitor.refresh_database();
+        for trip in &trips[3..] {
+            assert!(monitor.ingest_upload(trip, None).observations > 0);
+        }
+        monitor.sync_store().unwrap();
+        assert_ne!(
+            monitor.export_state().updater,
+            crate::DbUpdater::new(config.updater),
+            "the commits after the refresh left a harvest for replay to match"
+        );
+
+        let (recovered, trace) =
+            TrafficMonitor::recover(Arc::clone(&plain.network), plain.database(), config, &dir)
+                .unwrap();
+        assert_eq!((trace.replayed_commits, trace.replayed_refreshes), (5, 1));
+        assert_eq!(recovered.export_state(), monitor.export_state());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

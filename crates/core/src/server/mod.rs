@@ -227,26 +227,33 @@ impl TrafficMonitor {
     /// [`crate::parallel`]).
     #[must_use]
     pub fn ingest_batch_parallel(&self, trips: &[Trip], workers: usize) -> Vec<IngestReport> {
-        self.ingest_batch_received_parallel(trips, &[], workers)
+        self.ingest_batch_received_parallel(trips, &[] as &[f64], workers)
     }
 
     /// [`ingest_batch_parallel`](Self::ingest_batch_parallel) with
     /// per-trip server-side arrival times (parallel uploads from a
-    /// faulted batch), matched to `trips` by index.
+    /// faulted batch), matched to `trips` by index: `f64`s, or
+    /// `Option<f64>`s where a `None` trip has no arrival time.
     ///
     /// # Panics
     ///
     /// `received_s` must be empty (no arrival times) or hold one entry
     /// per trip.
     #[must_use]
-    pub fn ingest_batch_received_parallel<T: Borrow<Trip> + Sync>(
+    pub fn ingest_batch_received_parallel<T, R>(
         &self,
         trips: &[T],
-        received_s: &[f64],
+        received_s: &[R],
         workers: usize,
-    ) -> Vec<IngestReport> {
+    ) -> Vec<IngestReport>
+    where
+        T: Borrow<Trip> + Sync,
+        R: Copy + Into<Option<f64>> + Sync,
+    {
         let _batch_span = self.metrics.span_ingest_batch();
-        crate::parallel::ingest_batch(self, trips, received_s, workers)
+        crate::parallel::assert_arrivals_match(received_s.len(), trips.len());
+        let received = |seq: usize| received_s.get(seq).copied().and_then(Into::into);
+        crate::parallel::ingest_batch(self, trips, &received, workers)
     }
 
     /// Attaches (or, with `None`, detaches) a per-upload decision-

@@ -2,17 +2,18 @@
 //! durability-gated acknowledgements, checkpointing, and the stall
 //! watchdog.
 //!
-//! Producers hand [`EngineHandle::handle_frame`] decoded frames (a
-//! shard front decodes each line once and routes the frame;
-//! [`EngineHandle::handle_line`] is decode plus that door); uploads
-//! within the sample limit enter the bounded admission queue under the
-//! configured [`FullPolicy`]. One commit thread drains the queue in
-//! batches, sheds entries that
-//! overstayed the latency budget, runs the rest through the monitor's
-//! stage/commit pipeline, and acknowledges each upload only after its
-//! WAL record is fsynced — so a producer that re-sends whatever was
-//! never acked loses nothing across a crash, and the duplicate guard
-//! absorbs the overlap.
+//! Every decoded frame goes through one door, [`dispatch`], for the
+//! engines behind a front (a bare engine's
+//! [`handle_line`](LineHandler::handle_line) is decode plus that door over itself;
+//! a shard front decodes each line once and passes every shard's engine
+//! and its router). Uploads within [`MAX_SAMPLES`] enter the bounded
+//! admission queue under the configured [`FullPolicy`]; commands are
+//! answered once for all the engines. One commit thread per engine
+//! drains its queue in batches, sheds entries that overstayed the
+//! latency budget, hands the rest to the monitor's batch ingest in one
+//! call, and acknowledges each upload only after its WAL record is
+//! fsynced — so a producer that re-sends whatever was never acked loses
+//! nothing across a crash, and the duplicate guard absorbs the overlap.
 //!
 //! The group commit is adaptive: the loop fsyncs and releases acks
 //! when the window (`sync_every`) is full **or the queue has run dry**
@@ -29,6 +30,7 @@
 //! producer is still connected) get a `drop` response naming the
 //! reason.
 
+use crate::net::LineHandler;
 use crate::protocol::{self, Frame, Refusal, Request};
 use crate::queue::{BoundedQueue, Popped};
 use busprobe_core::{DropReason, TrafficMonitor};
@@ -55,6 +57,10 @@ const ACK_LATENCY_BUCKETS: [f64; 14] = [
 
 /// Commits covered by one flush (one fsync).
 const GROUP_SIZE_BUCKETS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
+
+/// The most samples an upload may carry; one with more is refused at
+/// admission as `oversized`.
+pub const MAX_SAMPLES: usize = 4096;
 
 /// What to do with a new upload when the admission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -116,10 +122,6 @@ pub struct ServeConfig {
     pub sync_every: u64,
     /// Checkpoint at least this often while commits are flowing.
     pub checkpoint_interval: Option<Duration>,
-    /// Refuse frames longer than this many bytes (`oversized`).
-    pub max_line_bytes: usize,
-    /// Refuse uploads with more samples than this (`oversized`).
-    pub max_samples: usize,
     /// Fail fast when the commit loop makes no progress for this long.
     pub watchdog_stall: Option<Duration>,
     /// Commit-loop poll interval when the queue is empty.
@@ -138,8 +140,6 @@ impl Default for ServeConfig {
             workers: 1,
             sync_every: 32,
             checkpoint_interval: None,
-            max_line_bytes: 1 << 20,
-            max_samples: 4096,
             watchdog_stall: None,
             idle_poll: Duration::from_millis(25),
             commit_throttle: None,
@@ -334,7 +334,7 @@ struct Shared {
     /// Commit-loop heartbeat: one tick per loop iteration (batches and
     /// idle polls alike). Frozen beats = a stuck commit thread.
     commit_beats: AtomicU64,
-    /// Set once the commit loop has exited ([`EngineHandle::finished`]).
+    /// Set once the commit loop has exited ([`LineHandler::finished`]).
     commit_done: AtomicBool,
     checkpoint_requested: AtomicBool,
     /// First fatal diagnostic (watchdog stall or store fail-stop).
@@ -474,8 +474,7 @@ impl ServeSummary {
 /// from their live [`EngineHandle::summary`]s and the uploads `queued`
 /// across them now: counters are summed, `queue_high_water` is the
 /// deepest any one queue got.
-#[must_use]
-pub fn stats_line(engines: &[ServeSummary], queued: usize) -> String {
+fn stats_line(engines: &[ServeSummary], queued: usize) -> String {
     let sum = |field: fn(&ServeSummary) -> u64| -> u64 { engines.iter().map(field).sum() };
     let (committed, acked) = (sum(|s| s.committed), sum(|s| s.acked));
     let high_water = engines.iter().map(|s| s.queue_high_water).max();
@@ -506,60 +505,89 @@ pub struct EngineHandle {
     shared: Arc<Shared>,
 }
 
-impl EngineHandle {
-    /// Decodes one wire line and hands it to
-    /// [`handle_frame`](Self::handle_frame).
-    pub fn handle_line(&self, line: &str, reply: Option<&ReplySink>) {
-        self.handle_frame(protocol::decode(line, self.max_line_bytes()), reply);
+/// The one door every decoded frame goes through, for the engines
+/// behind one front: `[engine]` for a bare engine, every shard's for a
+/// city. An upload is admitted by the engine `route` names and counts
+/// as one received there. Every other frame is answered here once for
+/// all of them and counts as one received on engine 0: `ping` gets
+/// `pong`, `stats` one stats line over every engine, `checkpoint` and
+/// `shutdown` reach every engine, and a refused line is attributed on
+/// engine 0.
+///
+/// Under the `Block` policy an upload stalls the caller while its
+/// queue is full — that is the backpressure, propagated to the producer
+/// through the unread socket.
+///
+/// # Panics
+///
+/// Panics if `engines` is empty or `route` names no engine in it.
+pub fn dispatch(
+    engines: &[EngineHandle],
+    frame: Frame,
+    reply: Option<&ReplySink>,
+    route: impl FnOnce(&Trip) -> usize,
+) {
+    let engine = match &frame {
+        Ok(Request::Upload { trip, .. }) => &engines[route(trip)],
+        _ => &engines[0],
+    };
+    engine.shared.stats.received.fetch_add(1, Ordering::Relaxed);
+    match frame {
+        Ok(Request::Upload {
+            id,
+            trip,
+            received_s,
+        }) => engine.admit(id, trip, received_s, reply),
+        Err(refusal) => engine.refuse_frame(refusal, reply),
+        Ok(Request::Ping) => engine.respond(reply, &protocol::ok_line("pong")),
+        Ok(Request::Stats) => {
+            let summaries: Vec<ServeSummary> = engines.iter().map(EngineHandle::summary).collect();
+            let queued = engines.iter().map(EngineHandle::queue_depth).sum();
+            engine.respond(reply, &stats_line(&summaries, queued));
+        }
+        Ok(Request::Checkpoint) => {
+            engines.iter().for_each(EngineHandle::request_checkpoint);
+            engine.respond(reply, &protocol::ok_line("checkpoint-scheduled"));
+        }
+        Ok(Request::Shutdown) => {
+            engine.respond(reply, &protocol::ok_line("draining"));
+            engines.iter().for_each(EngineHandle::begin_drain);
+        }
+    }
+}
+
+/// A bare engine is the front of one: a line is decoded and
+/// [`dispatch`]ed to it alone, and the lines of one read are one
+/// [`burst`](EngineHandle::burst).
+impl LineHandler for EngineHandle {
+    fn handle_line(&self, line: &str, reply: Option<&ReplySink>) {
+        dispatch(
+            std::slice::from_ref(self),
+            protocol::decode(line),
+            reply,
+            |_| 0,
+        );
     }
 
-    /// Processes one decoded wire line, routing any responses to
-    /// `reply`; every frame counts as one received. Under the `Block`
-    /// policy this stalls the caller while the queue is full — that is
-    /// the backpressure, propagated to the producer through the unread
-    /// socket.
-    pub fn handle_frame(&self, frame: Frame, reply: Option<&ReplySink>) {
-        let shared = &self.shared;
-        shared.stats.received.fetch_add(1, Ordering::Relaxed);
-        match frame {
-            Err(refusal) => self.refuse_frame(refusal, reply),
-            Ok(Request::Ping) => self.respond(reply, &protocol::ok_line("pong")),
-            Ok(Request::Stats) => {
-                self.respond(reply, &stats_line(&[self.summary()], self.queue_depth()));
-            }
-            Ok(Request::Checkpoint) => {
-                self.request_checkpoint();
-                self.respond(reply, &protocol::ok_line("checkpoint-scheduled"));
-            }
-            Ok(Request::Shutdown) => {
-                self.respond(reply, &protocol::ok_line("draining"));
-                self.begin_drain();
-            }
-            Ok(Request::Upload {
-                id,
-                trip,
-                received_s,
-            }) => {
-                let adm = Admission {
-                    digest: TrafficMonitor::upload_digest(&trip),
-                    samples: trip.samples.len(),
-                    id,
-                    trip,
-                    received_s,
-                    enqueued: Instant::now(),
-                    reply: reply.cloned(),
-                };
-                if adm.samples > shared.config.max_samples {
-                    shared.attribute_drop(&adm, DropReason::Oversized);
-                    return;
-                }
-                self.admit(adm);
-            }
+    fn handle_burst<'a>(&self, lines: impl Iterator<Item = &'a str>, reply: Option<&ReplySink>) {
+        let _burst = self.burst();
+        for line in lines {
+            self.handle_line(line, reply);
         }
     }
 
+    fn is_draining(&self) -> bool {
+        self.shared.queue.is_closed()
+    }
+
+    fn finished(&self) -> bool {
+        self.shared.commit_done.load(Ordering::Acquire)
+    }
+}
+
+impl EngineHandle {
     /// Opens a burst on the admission queue, for a caller about to
-    /// [`handle_line`](Self::handle_line) several lines in a row — the
+    /// [`handle_line`](LineHandler::handle_line) several lines in a row — the
     /// lines one socket `read` returned. Until the guard drops, the
     /// commit loop is not woken per upload but once, when it drops, and
     /// does not consider the queue dry. A connection thread that sends
@@ -572,19 +600,6 @@ impl EngineHandle {
         Burst(&self.shared.queue)
     }
 
-    /// [`handle_line`](Self::handle_line) for each of `lines`, as one
-    /// [`burst`](Self::burst).
-    pub fn handle_burst<'a>(
-        &self,
-        lines: impl Iterator<Item = &'a str>,
-        reply: Option<&ReplySink>,
-    ) {
-        let _burst = self.burst();
-        for line in lines {
-            self.handle_line(line, reply);
-        }
-    }
-
     /// Stops admission: queued uploads still commit, then the commit
     /// loop flushes acks, writes a final checkpoint and exits.
     pub fn begin_drain(&self) {
@@ -592,7 +607,7 @@ impl EngineHandle {
     }
 
     /// Schedules a checkpoint at the next commit boundary.
-    pub fn request_checkpoint(&self) {
+    fn request_checkpoint(&self) {
         self.shared
             .checkpoint_requested
             .store(true, Ordering::Relaxed);
@@ -603,25 +618,6 @@ impl EngineHandle {
     #[must_use]
     pub fn summary(&self) -> ServeSummary {
         self.shared.summary()
-    }
-
-    /// Whether drain has begun.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.shared.queue.is_closed()
-    }
-
-    /// The configured frame byte limit (front-end loops cap their
-    /// reassembly buffers against it).
-    #[must_use]
-    pub fn max_line_bytes(&self) -> usize {
-        self.shared.config.max_line_bytes
-    }
-
-    /// Whether the commit loop has exited (drained or fatal).
-    #[must_use]
-    pub fn finished(&self) -> bool {
-        self.shared.commit_done.load(Ordering::Acquire)
     }
 
     /// Uploads currently sitting in the admission queue — a sharded
@@ -658,8 +654,27 @@ impl EngineHandle {
         );
     }
 
-    fn admit(&self, adm: Admission) {
+    fn admit(
+        &self,
+        id: Option<u64>,
+        trip: Trip,
+        received_s: Option<f64>,
+        reply: Option<&ReplySink>,
+    ) {
         let shared = &self.shared;
+        let adm = Admission {
+            digest: TrafficMonitor::upload_digest(&trip),
+            samples: trip.samples.len(),
+            id,
+            trip,
+            received_s,
+            enqueued: Instant::now(),
+            reply: reply.cloned(),
+        };
+        if adm.samples > MAX_SAMPLES {
+            shared.attribute_drop(&adm, DropReason::Oversized);
+            return;
+        }
         let outcome = match shared.config.full_policy {
             FullPolicy::Block => shared.queue.push_blocking(adm).map(|depth| (depth, None)),
             FullPolicy::Reject => shared.queue.try_push(adm).map(|depth| (depth, None)),
@@ -932,17 +947,11 @@ impl CommitLoop {
             trips.push(adm.trip);
             recvs.push(adm.received_s);
         }
-        if config.workers > 1 && recvs.iter().all(Option::is_some) {
-            let received: Vec<f64> = recvs.iter().map(|r| r.unwrap_or(0.0)).collect();
-            let _ =
-                shared
-                    .monitor
-                    .ingest_batch_received_parallel(&trips, &received, config.workers);
-        } else {
-            for (trip, recv) in trips.iter().zip(&recvs) {
-                let _ = shared.monitor.ingest_upload(trip, *recv);
-            }
-        }
+        // `max(1)`: a worker count of 0 would mean every core there.
+        let _ =
+            shared
+                .monitor
+                .ingest_batch_received_parallel(&trips, &recvs, config.workers.max(1));
         shared.stats.committed.fetch_add(n, Ordering::Relaxed);
         self.committed_since_checkpoint = true;
         if shared.monitor.store_failed() {

@@ -25,8 +25,11 @@
 //!   heartbeat and fails fast with diagnostics instead of queueing
 //!   forever.
 //!
-//! [`engine`] holds the admission queue and commit loop; [`protocol`]
-//! the wire format; [`net`] the socket/stdio front ends and a client;
+//! [`engine`] holds the admission queue, the commit loop and
+//! [`dispatch`], the one door every decoded frame goes through;
+//! [`protocol`] the wire format and its frame limit; [`net`] the one
+//! connection reader, shared by the socket and stdio front ends, and a
+//! client;
 //! [`publish()`] the live map and metrics writer; [`signal`] the
 //! dependency-free SIGTERM/SIGINT plumbing (the one module with FFI).
 
@@ -42,8 +45,8 @@ pub mod queue;
 pub mod signal;
 
 pub use engine::{
-    stats_line, Burst, EngineHandle, FatalHook, FullPolicy, ReplySink, ServeConfig, ServeEngine,
-    ServeSummary,
+    dispatch, Burst, EngineHandle, FatalHook, FullPolicy, ReplySink, ServeConfig, ServeEngine,
+    ServeSummary, MAX_SAMPLES,
 };
 pub use net::{serve_stdio, serve_unix, LineHandler, StreamClient};
 pub use protocol::{parse_line, Frame, Request};

@@ -1,20 +1,28 @@
 //! Socket and stdio front ends for the engine.
 //!
-//! Both speak the same [`protocol`]: one JSON object
-//! per line in, responses per line out. glibc's `signal()` installs
-//! `SA_RESTART` semantics, so a thread parked in `accept(2)` or
-//! `read(2)` never notices a trapped SIGTERM — the serving loop
-//! therefore never parks in a syscall itself: an acceptor thread blocks
-//! in `accept` and hands streams over a channel, and the loop waits on
-//! that channel with a timeout, so a connection is picked up the moment
-//! it arrives while `tick` (the signal latch) still runs every
-//! 25 ms. A connection thread hands the engine the complete
-//! lines of each read as one burst ([`LineHandler::handle_burst`]), so
-//! the commit loop is woken per read, not per line. At drain the loop wakes what is parked — the
-//! acceptor with one connect to its own socket, idle connection readers
-//! by shutting their read half — instead of waiting their timeouts out.
+//! Both speak the same [`protocol`]: one JSON object per line in,
+//! responses per line out. Both read through one function: a socket
+//! connection's thread and `busprobe serve --stdin` run the same reader
+//! over any [`Read`]. It reads up to 64 KiB at a time, keeps a partial
+//! line across reads, decodes bytes as lossy UTF-8 (a stray byte spoils
+//! its line, not the session), and caps the reassembly buffer at the
+//! frame limit plus one read, so a producer that never sends a newline
+//! is refused instead of growing it. The complete lines of one read go
+//! to the engine as one burst ([`LineHandler::handle_burst`]), so the
+//! commit loop is woken per read, not per line; the reader stops once
+//! the handler is draining.
+//!
+//! glibc's `signal()` installs `SA_RESTART` semantics, so a thread
+//! parked in `accept(2)` or `read(2)` never notices a trapped SIGTERM —
+//! the serving loop therefore never parks in a syscall itself: an
+//! acceptor thread blocks in `accept` and hands streams over a channel,
+//! and the loop waits on that channel with a timeout, so a connection is
+//! picked up the moment it arrives while `tick` (the signal latch) still
+//! runs every 25 ms. Connection reads block with no timeout: at drain
+//! the loop wakes what is parked — the acceptor with one connect to its
+//! own socket, each connection reader by shutting its read half.
 
-use crate::engine::{EngineHandle, ReplySink};
+use crate::engine::ReplySink;
 use crate::protocol;
 use busprobe_telemetry::Level;
 use std::io::{ErrorKind, Read, Write};
@@ -25,9 +33,6 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long a connection read waits before re-checking drain state (a
-/// backstop: a drain through `serve_unix` ends the read at once).
-const READ_TIMEOUT: Duration = Duration::from_millis(100);
 /// Most bytes one connection `read` takes. What a read returns is
 /// handed to the engine as one burst, so under load this is also how
 /// much a connection thread parses per wake-up of the commit loop.
@@ -37,7 +42,7 @@ const READ_CHUNK: usize = 64 * 1024;
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// What a front end needs from whatever sits behind it: a bare
-/// [`EngineHandle`], or a city front that decodes each line once and
+/// [`EngineHandle`](crate::EngineHandle), or a city front that decodes each line once and
 /// routes it to one of several engines. The socket/stdio loops below
 /// serve either without knowing which.
 pub trait LineHandler: Clone + Send + 'static {
@@ -55,30 +60,10 @@ pub trait LineHandler: Clone + Send + 'static {
     fn is_draining(&self) -> bool;
     /// True once the backing engine(s) exited.
     fn finished(&self) -> bool;
-    /// The per-line frame limit, for reassembly-buffer sizing.
-    fn max_line_bytes(&self) -> usize;
-}
-
-impl LineHandler for EngineHandle {
-    fn handle_line(&self, line: &str, reply: Option<&ReplySink>) {
-        EngineHandle::handle_line(self, line, reply);
-    }
-    fn handle_burst<'a>(&self, lines: impl Iterator<Item = &'a str>, reply: Option<&ReplySink>) {
-        EngineHandle::handle_burst(self, lines, reply);
-    }
-    fn is_draining(&self) -> bool {
-        EngineHandle::is_draining(self)
-    }
-    fn finished(&self) -> bool {
-        EngineHandle::finished(self)
-    }
-    fn max_line_bytes(&self) -> usize {
-        EngineHandle::max_line_bytes(self)
-    }
 }
 
 /// Binds `socket_path` and serves connections until
-/// [`EngineHandle::is_draining`] turns true (or the engine dies).
+/// [`LineHandler::is_draining`] turns true (or the engine dies).
 /// `tick` runs every loop iteration — on every connection and at least
 /// every 25 ms; the resident CLI uses it to poll the signal
 /// latch and trigger the drain.
@@ -121,7 +106,7 @@ pub fn serve_unix<H: LineHandler>(
         })?;
     // Each connection's thread, and a second handle on its socket to
     // end its read with at drain.
-    let mut connections: Vec<(JoinHandle<()>, Option<UnixStream>)> = Vec::new();
+    let mut connections: Vec<(JoinHandle<()>, UnixStream)> = Vec::new();
     while !handle.is_draining() && !handle.finished() {
         tick();
         // Let go of connections that hung up, so their sockets close
@@ -132,11 +117,21 @@ pub fn serve_unix<H: LineHandler>(
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => break,
         };
-        let waker = stream.try_clone().ok();
+        // Reads block with no timeout, so a reader the drain cannot
+        // wake would hold the drain up for good: a connection whose
+        // socket cannot be cloned is closed unserved.
+        let (Ok(waker), Ok(write_half)) = (stream.try_clone(), stream.try_clone()) else {
+            busprobe_telemetry::event(
+                Level::Warn,
+                "serve::net",
+                "could not clone a connection's socket; closed it",
+            );
+            continue;
+        };
         let handle = handle.clone();
         let thread = std::thread::Builder::new()
             .name("serve-conn".into())
-            .spawn(move || serve_connection(&handle, stream))
+            .spawn(move || serve_connection(&handle, stream, &ReplySink::new(write_half)))
             .expect("spawn connection thread");
         connections.push((thread, waker));
     }
@@ -147,13 +142,11 @@ pub fn serve_unix<H: LineHandler>(
     if UnixStream::connect(socket_path).is_ok() {
         let _ = acceptor.join();
     }
-    // Readers idle in a `READ_TIMEOUT` read return now, not a timeout
-    // from now. Bytes already received are still read and answered, and
-    // the write half stays open for the acks of queued uploads.
+    // Readers parked in `read` return now. Bytes already received are
+    // still read and answered, and the write half stays open for the
+    // acks of queued uploads.
     for (_, waker) in &connections {
-        if let Some(waker) = waker {
-            let _ = waker.shutdown(Shutdown::Read);
-        }
+        let _ = waker.shutdown(Shutdown::Read);
     }
     for (thread, _) in connections {
         let _ = thread.join();
@@ -162,79 +155,53 @@ pub fn serve_unix<H: LineHandler>(
     Ok(())
 }
 
-/// Reads newline-delimited frames off one connection, preserving
-/// partial lines across read timeouts (a `BufReader::read_line` would
-/// discard them), and feeds the complete lines of each read to the
-/// engine as one burst.
-fn serve_connection<H: LineHandler>(handle: &H, stream: UnixStream) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let reply = match stream.try_clone() {
-        Ok(write_half) => ReplySink::new(write_half),
-        Err(_) => return,
-    };
-    let mut stream = stream;
+/// Reads newline-delimited frames off one connection — a socket or
+/// stdin — until end of input, a read error, a frame with no newline
+/// past the line limit, or drain, and feeds the complete lines of each
+/// read to `handle` as one burst, replies to `reply`.
+fn serve_connection<H: LineHandler>(handle: &H, mut input: impl Read, reply: &ReplySink) {
     // A frame may arrive fragmented; cap the reassembly buffer at the
-    // frame limit plus slack so a newline-less producer cannot balloon
-    // memory.
-    let overflow_at = handle.max_line_bytes().saturating_add(64 * 1024);
+    // frame limit plus one read so a newline-less producer cannot
+    // balloon memory.
+    let overflow_at = protocol::MAX_LINE_BYTES + READ_CHUNK;
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = vec![0u8; READ_CHUNK];
-    loop {
-        match stream.read(&mut chunk) {
+    while !handle.is_draining() && !handle.finished() {
+        let n = match input.read(&mut chunk) {
             Ok(0) => break,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                // Up to the last newline the buffer is complete lines.
-                if let Some(end) = buf.iter().rposition(|&b| b == b'\n') {
-                    {
-                        let text = String::from_utf8_lossy(&buf[..end]);
-                        let lines = text.lines().map(str::trim);
-                        handle.handle_burst(lines.filter(|line| !line.is_empty()), Some(&reply));
-                    }
-                    buf.drain(..=end);
-                }
-                if buf.len() > overflow_at {
-                    reply.send_raw(&protocol::err_line(
-                        "frame exceeds the line limit with no newline; closing connection",
-                        "oversized",
-                    ));
-                    break;
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Idle: leave once no more input can be admitted anyway.
-                if handle.is_draining() || handle.finished() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => break,
+        };
+        buf.extend_from_slice(&chunk[..n]);
+        // Up to the last newline the buffer is complete lines.
+        if let Some(end) = buf.iter().rposition(|&b| b == b'\n') {
+            {
+                let text = String::from_utf8_lossy(&buf[..end]);
+                let lines = text.lines().map(str::trim);
+                handle.handle_burst(lines.filter(|line| !line.is_empty()), Some(reply));
+            }
+            buf.drain(..=end);
+        }
+        if buf.len() > overflow_at {
+            reply.send_raw(&protocol::err_line(
+                "frame exceeds the line limit with no newline; closing connection",
+                "oversized",
+            ));
+            break;
         }
     }
 }
 
 /// Serves the stream protocol over stdin/stdout until EOF or drain —
 /// the no-socket mode (`busprobe serve --stdin`), and handy for piping
-/// a corpus straight in.
+/// a corpus straight in. Stdin is read as a socket connection is.
 pub fn serve_stdio<H: LineHandler>(handle: &H) {
-    let reply = ReplySink::new(std::io::stdout());
-    let stdin = std::io::stdin();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match std::io::BufRead::read_line(&mut stdin.lock(), &mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    handle.handle_line(trimmed, Some(&reply));
-                }
-                if handle.is_draining() {
-                    break;
-                }
-            }
-        }
-    }
+    serve_connection(
+        handle,
+        std::io::stdin().lock(),
+        &ReplySink::new(std::io::stdout()),
+    );
 }
 
 /// A blocking line-protocol client for one unix socket — the `send`
@@ -323,9 +290,6 @@ mod tests {
         fn finished(&self) -> bool {
             false
         }
-        fn max_line_bytes(&self) -> usize {
-            1 << 20
-        }
     }
 
     fn socket_path(tag: &str) -> PathBuf {
@@ -380,9 +344,9 @@ mod tests {
         assert!(!path.exists(), "socket path unlinked on exit");
     }
 
-    /// Drain wakes idle readers instead of waiting their read timeouts
-    /// out — whatever phase of the timeout each is in — and shuts only
-    /// the read half: an upload still queued is acked afterwards.
+    /// Drain wakes readers parked in a blocking read — connected at
+    /// different times before it — and shuts only the read half: an
+    /// upload still queued is acked afterwards.
     #[test]
     fn drain_wakes_idle_readers_and_keeps_the_write_half_open() {
         let path = socket_path("drain");
@@ -428,5 +392,21 @@ mod tests {
         // Dropping the last sink closes the socket: the client sees EOF.
         handler.queued.lock().clear();
         assert_eq!(clients[0].read_response().unwrap(), None);
+    }
+
+    /// A producer that never sends a newline is refused once its partial
+    /// line passes the frame limit, and nothing it sent reaches the
+    /// handler as a line.
+    #[test]
+    fn a_line_with_no_newline_is_refused_at_the_limit() {
+        let handler = Parked::default();
+        let (reply, replies) = ReplySink::buffered();
+        serve_connection(&handler, std::io::repeat(b'x').take(2 << 20), &reply);
+        let replies = String::from_utf8(replies.lock().clone()).unwrap();
+        assert!(replies.contains("exceeds the line limit"), "{replies}");
+        assert!(
+            handler.queued.lock().is_empty(),
+            "a line reached the handler"
+        );
     }
 }

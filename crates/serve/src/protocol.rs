@@ -80,9 +80,14 @@ pub struct Refusal {
 /// none.
 pub type Frame = Result<Request, Refusal>;
 
-/// Decodes one wire line: refuses it as oversized past `max_line_bytes`
-/// or as unparseable, else parses it into its [`Request`].
-pub fn decode(line: &str, max_line_bytes: usize) -> Frame {
+/// The longest wire line the server accepts, in bytes (1 MiB); a longer
+/// one is refused as `oversized`.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Decodes one wire line: refuses it as oversized past
+/// [`MAX_LINE_BYTES`] or as unparseable, else parses it into its
+/// [`Request`].
+pub fn decode(line: &str) -> Frame {
     let refuse = |reason, detail| {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         line.hash(&mut h);
@@ -92,11 +97,11 @@ pub fn decode(line: &str, max_line_bytes: usize) -> Frame {
             digest: h.finish(),
         }
     };
-    if line.len() > max_line_bytes {
+    if line.len() > MAX_LINE_BYTES {
         return Err(refuse(
             DropReason::Oversized,
             format!(
-                "frame of {} bytes exceeds the {max_line_bytes}-byte limit",
+                "frame of {} bytes exceeds the {MAX_LINE_BYTES}-byte limit",
                 line.len()
             ),
         ));
@@ -1041,14 +1046,18 @@ mod tests {
 
     #[test]
     fn decode_checks_the_size_before_parsing() {
-        let ping = "{\"cmd\":\"ping\"}";
-        assert!(matches!(decode(ping, ping.len()), Ok(Request::Ping)));
-        let long = decode(ping, ping.len() - 1).unwrap_err();
+        // A ping padded with spaces to `len` bytes.
+        let ping = |len: usize| "{\"cmd\":\"ping\"}".to_string() + &" ".repeat(len - 14);
+        assert!(matches!(decode(&ping(MAX_LINE_BYTES)), Ok(Request::Ping)));
+        let long_line = ping(MAX_LINE_BYTES + 1);
+        let long = decode(&long_line).unwrap_err();
         assert_eq!(long.reason, DropReason::Oversized);
-        let garbage = decode("not json", 1 << 20).unwrap_err();
+        let garbage = decode("not json").unwrap_err();
         assert_eq!(garbage.reason, DropReason::Unparseable);
         // The digest is the raw bytes' identity, whatever the verdict.
-        assert_eq!(decode("not json", 1).unwrap_err().digest, garbage.digest);
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        long_line.hash(&mut h);
+        assert_eq!(long.digest, h.finish());
         assert_ne!(long.digest, garbage.digest);
     }
 

@@ -3,21 +3,21 @@
 //!
 //! Each shard keeps its own admission queue, commit thread, WAL and
 //! checkpoint cadence; the front is the one place a wire line is
-//! decoded. An upload is routed on its parsed trip and the decoded frame
-//! admitted by the winning engine ([`EngineHandle::handle_frame`]), so
-//! acknowledgement semantics (withheld until that shard's WAL fsync)
-//! are exactly the single-shard engine's and no engine parses a line
-//! again. The lines of one socket read are one burst on every engine
-//! ([`EngineHandle::burst`]). Control frames: `ping` and refused lines
-//! go to shard 0's engine; `stats` counts as one command on shard 0 and
-//! is answered with the city's totals; `checkpoint` and `shutdown` are
-//! answered by shard 0 and reach every engine. Because every upload
+//! decoded. It hands every decoded frame to
+//! [`busprobe_serve::dispatch`] over all the engines, with its router:
+//! an upload is routed on its parsed trip and admitted by the winning
+//! engine, so acknowledgement semantics (withheld until that shard's
+//! WAL fsync) are exactly the single-shard engine's and no engine parses
+//! a line again; every other frame is answered by `dispatch` once for
+//! the city, as for a bare engine. The lines of one socket read are one
+//! burst on every engine ([`EngineHandle::burst`]). Because every upload
 //! passes through it, the front also keeps the publish horizon
 //! ([`ShardFront::horizon`]) at every shard count.
 
 use crate::router::{OverflowPolicy, ShardRouter};
 use busprobe_core::{latest_upload_s, TrafficMonitor};
-use busprobe_serve::{protocol, stats_line, EngineHandle, LineHandler, ReplySink, Request};
+use busprobe_mobile::Trip;
+use busprobe_serve::{dispatch, protocol, EngineHandle, LineHandler, ReplySink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -90,14 +90,21 @@ impl ShardFront {
         f64::from_bits(self.inner.horizon_bits.load(Ordering::Relaxed))
     }
 
-    /// The city's `stats` line: every engine's counters summed.
-    fn city_stats(&self) -> String {
-        let engines = &self.inner.engines;
-        let summaries: Vec<_> = engines.iter().map(EngineHandle::summary).collect();
-        stats_line(
-            &summaries,
-            engines.iter().map(EngineHandle::queue_depth).sum(),
-        )
+    /// The shard an upload goes to, counted as routed (and as
+    /// overflow, when no shard could claim it) and folded into the
+    /// horizon.
+    fn route(&self, trip: &Trip) -> usize {
+        let inner = &self.inner;
+        let routed = inner.router.route(&inner.monitors, trip);
+        inner.routed.inc();
+        if routed.overflow {
+            inner.overflow.inc();
+        }
+        inner
+            .horizon_bits
+            .fetch_max(latest_upload_s([trip], 0.0).to_bits(), Ordering::Relaxed);
+        inner.forwarded[routed.shard].inc();
+        routed.shard
     }
 
     fn export_queue_depths(&self) {
@@ -109,39 +116,9 @@ impl ShardFront {
 
 impl LineHandler for ShardFront {
     fn handle_line(&self, line: &str, reply: Option<&ReplySink>) {
-        let inner = &self.inner;
-        let (shard0, others) = inner.engines.split_first().expect("at least one engine");
-        let frame = protocol::decode(line, self.max_line_bytes());
-        match &frame {
-            Ok(Request::Upload { trip, .. }) => {
-                let routed = inner.router.route(&inner.monitors, trip);
-                inner.routed.inc();
-                if routed.overflow {
-                    inner.overflow.inc();
-                }
-                inner
-                    .horizon_bits
-                    .fetch_max(latest_upload_s([trip], 0.0).to_bits(), Ordering::Relaxed);
-                inner.forwarded[routed.shard].inc();
-                inner.engines[routed.shard].handle_frame(frame, reply);
-                self.export_queue_depths();
-            }
-            Ok(Request::Stats) => {
-                shard0.handle_frame(frame, None);
-                if let Some(reply) = reply {
-                    reply.send_raw(&self.city_stats());
-                }
-            }
-            Ok(Request::Checkpoint) => {
-                shard0.handle_frame(frame, reply);
-                others.iter().for_each(EngineHandle::request_checkpoint);
-            }
-            Ok(Request::Shutdown) => {
-                shard0.handle_frame(frame, reply);
-                others.iter().for_each(EngineHandle::begin_drain);
-            }
-            Ok(Request::Ping) | Err(_) => shard0.handle_frame(frame, reply),
-        }
+        let frame = protocol::decode(line);
+        dispatch(&self.inner.engines, frame, reply, |trip| self.route(trip));
+        self.export_queue_depths();
     }
 
     /// One burst on every engine: any of them may be routed a line of
@@ -160,9 +137,5 @@ impl LineHandler for ShardFront {
 
     fn finished(&self) -> bool {
         self.inner.engines.iter().all(EngineHandle::finished)
-    }
-
-    fn max_line_bytes(&self) -> usize {
-        self.inner.engines[0].max_line_bytes()
     }
 }

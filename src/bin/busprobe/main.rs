@@ -143,7 +143,8 @@ pipeline. When the queue is full, `--on-full` picks the policy: `block`
 stalls the producer (backpressure, the default), `reject` bounces the
 newcomer, `shed-oldest` evicts the oldest queued upload. A
 `--latency-budget-ms` sheds uploads that waited too long. Every shed,
-oversized or unparseable upload is attributed through the DropReason
+oversized (a line over 1 MiB, an upload over 4096 samples) or
+unparseable upload is attributed through the DropReason
 counters and trace layer. With `--state DIR` commits are durable and
 acknowledgements are withheld until fsync, so a producer that re-sends
 its unacked tail after a crash loses nothing. One fsync covers at most

@@ -76,6 +76,52 @@ fn unknown_flags_are_refused_by_name() {
     assert!(!dir.exists(), "a refused command touched {dir:?}");
 }
 
+/// `serve --stdin` reads stdin as it reads a socket connection: a line
+/// that is not UTF-8 is refused as unparseable and the session goes on
+/// to answer the lines after it, up to `shutdown`.
+#[test]
+fn serve_stdin_survives_a_line_that_is_not_utf8() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let dir = temp_dir("stdin-bytes");
+    let dir_s = dir.to_string_lossy().to_string();
+    assert!(
+        busprobe(&["init", "--dir", &dir_s, "--seed", "3", "--small"])
+            .status
+            .success()
+    );
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_busprobe"))
+        .args(["serve", "--dir", &dir_s, "--stdin"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    serve
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"\xff\n{\"cmd\":\"ping\"}\n{\"cmd\":\"shutdown\"}\n")
+        .unwrap();
+    let out = serve.wait_with_output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(
+        out.status.success(),
+        "{text}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line_of = |needle: &str| {
+        text.lines()
+            .position(|line| line.contains(needle))
+            .unwrap_or_else(|| panic!("no {needle} in {text}"))
+    };
+    assert!(line_of("\"reason\":\"unparseable\"") < line_of("\"ok\":\"pong\""));
+    assert!(line_of("\"ok\":\"pong\"") < line_of("\"ok\":\"draining\""));
+    assert!(text.contains("drained: 3 received"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn full_workflow_produces_a_map() {
     let dir = temp_dir("flow");

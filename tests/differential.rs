@@ -356,7 +356,7 @@ fn trace_jsonl_is_byte_identical_at_all_worker_counts() {
 /// directory, bit-identical to the serial reference.
 #[test]
 fn durable_serve_block_policy_matches_serial_and_recovers_identically() {
-    use busprobe::serve::{protocol, FullPolicy, ServeConfig, ServeEngine};
+    use busprobe::serve::{protocol, FullPolicy, LineHandler, ServeConfig, ServeEngine};
     use busprobe::store::Store;
     use std::sync::Arc;
 

@@ -76,7 +76,8 @@ fn oracle_upload_line(trip: &Trip, id: u64, received_s: Option<f64>) -> String {
     }
 }
 
-/// `protocol::decode`, verbatim but for the parser it calls.
+/// `protocol::decode`, verbatim but for the parser it calls (and its
+/// line limit, a parameter then, the protocol's constant now).
 fn oracle_decode(line: &str, max_line_bytes: usize) -> Frame {
     let refuse = |reason, detail| {
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -155,19 +156,39 @@ fn agree(line: &str) -> Result<bool, TestCaseError> {
             "verdicts differ on {line:?}: scanner {got:?}, oracle {want:?}"
         ),
     }
-    for max in [line.len(), line.len().saturating_sub(1)] {
-        let got = protocol::decode(line, max);
-        let want = oracle_decode(line, max);
-        match (&got, &want) {
-            (Ok(g), Ok(w)) => prop_assert_eq!(bits(g), bits(w), "decode on {:?}", line),
-            (Err(g), Err(w)) => {
-                prop_assert_eq!(g.reason, w.reason, "decode reason on {:?}", line);
-                prop_assert_eq!(g.digest, w.digest, "decode digest on {:?}", line);
-            }
-            _ => prop_assert!(false, "decode verdicts differ on {line:?}"),
-        }
-    }
+    decode_agrees(line)?;
     Ok(got.is_ok())
+}
+
+/// `protocol::decode` and the oracle's agree on `line`: same verdict,
+/// same request to the bit, or the same refusal reason and digest.
+fn decode_agrees(line: &str) -> Result<(), TestCaseError> {
+    let got = protocol::decode(line);
+    let want = oracle_decode(line, protocol::MAX_LINE_BYTES);
+    match (&got, &want) {
+        (Ok(g), Ok(w)) => prop_assert_eq!(bits(g), bits(w), "decode on {:?}", line),
+        (Err(g), Err(w)) => {
+            prop_assert_eq!(g.reason, w.reason, "decode reason on {:?}", line);
+            prop_assert_eq!(g.digest, w.digest, "decode digest on {:?}", line);
+        }
+        _ => prop_assert!(false, "decode verdicts differ on {line:?}"),
+    }
+    Ok(())
+}
+
+/// At the frame limit: a line of exactly `MAX_LINE_BYTES` is parsed, one
+/// byte more is refused as oversized — by both decoders alike.
+#[test]
+fn decode_agrees_at_the_line_limit() {
+    for len in [protocol::MAX_LINE_BYTES, protocol::MAX_LINE_BYTES + 1] {
+        let ping = "{\"cmd\":\"ping\"}";
+        let line = ping.to_string() + &" ".repeat(len - ping.len());
+        decode_agrees(&line).unwrap();
+        assert_eq!(
+            protocol::decode(&line).is_ok(),
+            len == protocol::MAX_LINE_BYTES
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

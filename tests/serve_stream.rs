@@ -17,9 +17,9 @@ use busprobe::faults::FaultPlan;
 use busprobe::geo::LocalProjection;
 use busprobe::serve::{
     protocol, EngineHandle, FullPolicy, LineHandler, ReplySink, ServeConfig, ServeEngine,
-    ServeSummary,
+    ServeSummary, MAX_SAMPLES,
 };
-use busprobe::shard::{OverflowPolicy, ShardFront, ShardedMonitor};
+use busprobe::shard::{shard_dir, OverflowPolicy, ShardFront, ShardedMonitor};
 use busprobe::store::Store;
 use busprobe_bench::World;
 use common::{faulted, TestWorld};
@@ -411,30 +411,24 @@ fn join_does_not_wait_out_the_watchdog_poll() {
 #[test]
 fn bad_frames_are_refused_with_attribution() {
     let world = TestWorld::new(SEED, 4);
-    let trips = World::small(SEED).ride_corpus(3, SEED);
-
     let monitor = Arc::new(world.monitor());
-    let engine = ServeEngine::start(
-        Arc::clone(&monitor),
-        ServeConfig {
-            max_line_bytes: 512,
-            max_samples: 1,
-            ..ServeConfig::default()
-        },
-    );
+    let engine = ServeEngine::start(Arc::clone(&monitor), ServeConfig::default());
     let handle = engine.handle();
     let (reply, buffer) = ReplySink::buffered();
 
     handle.handle_line("this is not json", Some(&reply));
     handle.handle_line("{\"cmd\":\"explode\"}", Some(&reply));
-    let oversized_line = format!("{{\"pad\":\"{}\"}}", "x".repeat(600));
+    let oversized_line = format!("{{\"pad\":\"{}\"}}", "x".repeat(protocol::MAX_LINE_BYTES));
     handle.handle_line(&oversized_line, Some(&reply));
-    // A parseable upload whose sample count exceeds the bound.
-    let fat = trips
-        .iter()
-        .find(|t| t.samples.len() > 1)
-        .expect("corpus has a multi-sample trip");
-    handle.handle_line(&protocol::upload_line(fat, 3, None), Some(&reply));
+    // A parseable upload, well inside the line limit, whose sample
+    // count exceeds the bound.
+    let sample = "{\"time_s\":1,\"scan\":{\"observations\":[]}}";
+    let fat = format!(
+        "{{\"upload\":{{\"samples\":[{}]}},\"id\":3}}",
+        vec![sample; MAX_SAMPLES + 1].join(",")
+    );
+    assert!(fat.len() < protocol::MAX_LINE_BYTES);
+    handle.handle_line(&fat, Some(&reply));
     // A healthy command still works on the same connection.
     handle.handle_line("{\"cmd\":\"ping\"}", Some(&reply));
 
@@ -542,6 +536,81 @@ fn stats_on_a_city_reports_every_shard() {
     assert_eq!(field("received"), Some(total(|s| s.received)), "{line}");
 }
 
+/// A city's commands reach every shard: on a 4-shard front with stores
+/// attached, `checkpoint` writes a snapshot in every shard directory and
+/// `shutdown` drains every engine, and each command counts as one
+/// received line in the city's total, however many engines it reached.
+#[test]
+fn city_commands_reach_every_shard_and_count_once() {
+    const SHARDS: usize = 4;
+    let m = World::metropolis(200, 60, 68);
+    let trips = m.trips_chunk(0, 60);
+    let state = scratch_dir("city-commands");
+    let city = ShardedMonitor::new(
+        m.network.clone(),
+        &m.db,
+        Default::default(),
+        SHARDS,
+        OverflowPolicy::Score,
+    );
+    city.attach_stores(&state, 0, 1).unwrap();
+    let engines: Vec<ServeEngine> = city
+        .shards()
+        .iter()
+        .map(|s| ServeEngine::start(Arc::clone(s), ServeConfig::default()))
+        .collect();
+    let handles: Vec<EngineHandle> = engines.iter().map(ServeEngine::handle).collect();
+    let front = ShardFront::new(handles.clone(), city.shards().to_vec(), city.policy());
+    let (reply, buffer) = ReplySink::buffered();
+    for (i, trip) in trips.iter().enumerate() {
+        front.handle_line(&protocol::upload_line(trip, i as u64, None), Some(&reply));
+    }
+    wait_until("the commits", Duration::from_secs(30), || {
+        city.commit_counts().iter().sum::<u64>() == trips.len() as u64
+    });
+
+    let snapshots = |s: usize| {
+        std::fs::read_dir(shard_dir(&state, s))
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .path()
+                    .extension()
+                    .is_some_and(|x| x == "snap")
+            })
+            .count()
+    };
+    assert!((0..SHARDS).all(|s| snapshots(s) == 0), "no snapshot yet");
+    front.handle_line("{\"cmd\":\"checkpoint\"}", Some(&reply));
+    wait_until("a snapshot in every shard", Duration::from_secs(30), || {
+        (0..SHARDS).all(|s| snapshots(s) > 0)
+    });
+    front.handle_line("{\"cmd\":\"shutdown\"}", Some(&reply));
+    wait_until("every engine to drain", Duration::from_secs(30), || {
+        handles.iter().all(EngineHandle::finished)
+    });
+    let summaries: Vec<ServeSummary> = engines.into_iter().map(ServeEngine::join).collect();
+
+    let total = |f: fn(&ServeSummary) -> u64| -> u64 { summaries.iter().map(f).sum() };
+    assert_eq!(total(|s| s.committed), trips.len() as u64, "{summaries:?}");
+    assert_eq!(
+        total(|s| s.received),
+        trips.len() as u64 + 2,
+        "{summaries:?}"
+    );
+    // The requested checkpoint and the drain's, on every shard.
+    assert!(
+        summaries.iter().all(|s| s.checkpoints == 2),
+        "{summaries:?}"
+    );
+    let replies = String::from_utf8(buffer.lock().clone()).unwrap();
+    for answer in ["{\"ok\":\"checkpoint-scheduled\"}", "{\"ok\":\"draining\"}"] {
+        assert_eq!(replies.matches(answer).count(), 1, "{replies}");
+    }
+    let _ = std::fs::remove_dir_all(&state);
+}
+
 /// A front over one engine *is* that engine: the same script — good
 /// uploads, an oversized line, a garbage line, `ping`, `checkpoint`,
 /// `shutdown` — through a bare [`busprobe::serve::EngineHandle`] and
@@ -560,13 +629,7 @@ fn one_engine_front_is_the_bare_engine() {
         let publish = scratch_dir(&format!("front-{tag}-publish"));
         let monitor = Arc::new(world.monitor());
         monitor.attach_store_grouped(Store::open(&state).unwrap(), 0, 1);
-        let engine = ServeEngine::start(
-            Arc::clone(&monitor),
-            ServeConfig {
-                max_line_bytes: 64 * 1024,
-                ..ServeConfig::default()
-            },
-        );
+        let engine = ServeEngine::start(Arc::clone(&monitor), ServeConfig::default());
         let (reply, buffer) = ReplySink::buffered();
         let handle = engine.handle();
         let front = ShardFront::new(
@@ -585,7 +648,10 @@ fn one_engine_front_is_the_bare_engine() {
             wait_until(&format!("{tag}: {what}"), Duration::from_secs(30), done);
         };
 
-        send(&format!("{{\"pad\":\"{}\"}}", "x".repeat(70_000)));
+        send(&format!(
+            "{{\"pad\":\"{}\"}}",
+            "x".repeat(protocol::MAX_LINE_BYTES)
+        ));
         send("this is not json");
         send("{\"cmd\":\"ping\"}");
         for (i, trip) in trips.iter().enumerate() {
