@@ -227,6 +227,11 @@ bash benchmark/run.sh --workload city_batch --seconds 3 --trace 0
 # traced city map against the real one.
 bash benchmark/run.sh --workload city_batch --seconds 3 --trace 1
 bash benchmark/run.sh --workload durable_stream --seconds 3 --trace 0
+# crash_restart is the workload WAL replay, checkpoint and restart
+# dominate, over a 40 h history: non-zero unless every recovery, from
+# the WAL image and from the snapshot image, ends with the live map
+# digest, the full commit count and no skipped or corrupt records.
+bash benchmark/run.sh --workload crash_restart --seconds 3 --trace 0
 
 echo "== cargo doc (our crates, rustdoc warnings denied) =="
 # Broken, private or redundant intra-doc links in the root package and

@@ -381,9 +381,9 @@ mod tests {
     struct TwoMapFusion {
         period_s: f64,
         inflation_per_period: f64,
-        #[serde(with = "crate::serde_util::map_as_pairs")]
+        #[serde(with = "busprobe_network::map_as_pairs")]
         states: BTreeMap<SegmentKey, (BayesianSpeed, f64)>,
-        #[serde(with = "crate::serde_util::map_as_pairs")]
+        #[serde(with = "busprobe_network::map_as_pairs")]
         windows: BTreeMap<SegmentKey, BTreeMap<u32, BayesianSpeed>>,
     }
 

@@ -66,7 +66,6 @@ pub mod mapping;
 pub mod matching;
 pub mod parallel;
 pub mod sanitize;
-mod serde_util;
 pub mod server;
 mod telemetry;
 pub mod updater;

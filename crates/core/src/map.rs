@@ -145,7 +145,7 @@ pub struct TrafficMap {
     /// Snapshot time, seconds.
     pub time_s: f64,
     /// Per-segment estimates (only segments with data appear).
-    #[serde(with = "crate::serde_util::map_as_pairs")]
+    #[serde(with = "busprobe_network::map_as_pairs")]
     pub segments: BTreeMap<SegmentKey, SegmentEstimate>,
 }
 

@@ -83,11 +83,14 @@ pub(crate) fn ingest_batch<T: Borrow<Trip> + Sync>(
     let workers = effective_workers(workers).min(trips.len().max(1));
     if workers <= 1 {
         // One worker: stage+commit back to back is already the serial
-        // path — no threads, no channel, nothing to merge.
+        // path — no threads, no channel, nothing to merge — and the
+        // batch is one group window, as on the pool.
         let reports = trips
             .iter()
             .enumerate()
-            .map(|(seq, trip)| monitor.ingest_upload(trip.borrow(), received(seq)))
+            .map(|(seq, trip)| {
+                monitor.commit_staged(monitor.stage_upload(trip.borrow(), received(seq), None))
+            })
             .collect();
         monitor.flush_wal_group();
         return reports;

@@ -440,8 +440,8 @@ impl TrafficMonitor {
         }
         // The refresh consumed pending harvest and possibly rewrote the
         // database; sequence it in the log so replay re-runs the same
-        // (deterministic) election at the same point. It joins the open
-        // group behind the commits before it and closes the group.
+        // (deterministic) election at the same point. It joins the group
+        // of a batch it races, if any, and closes the group.
         self.log(&WalRecord::Refresh);
         self.flush_wal_group();
         changed

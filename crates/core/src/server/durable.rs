@@ -1,6 +1,11 @@
 //! The durable half of the monitor: the attached WAL store with its
 //! group-commit window, retry and fail-stop policy, checkpoints, and
 //! recovery — snapshot load plus WAL replay through `apply_commit`.
+//!
+//! A group window closes when the ingest or refresh call that opened it
+//! returns, so between calls every commit is in the WAL. A fail-stop is
+//! latched in the attached store: nothing is appended after it, and
+//! every later sync and checkpoint returns it.
 
 use super::TrafficMonitor;
 use crate::database::StopFingerprintDb;
@@ -10,6 +15,7 @@ use busprobe_network::TransitNetwork;
 use busprobe_store::Store;
 use busprobe_telemetry::Level;
 use busprobe_trace::RecoveryTrace;
+use parking_lot::MutexGuard;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -28,7 +34,8 @@ const STORE_IO_BACKOFF_BASE_MS: u64 = 2;
 /// Ceiling on the per-retry backoff delay.
 const STORE_IO_BACKOFF_CAP_MS: u64 = 50;
 
-/// A durable store attached to the monitor, plus its checkpoint cadence.
+/// A durable store attached to the monitor, plus its checkpoint cadence
+/// and its fail-stop latch.
 #[derive(Debug)]
 pub(super) struct AttachedStore {
     store: Store,
@@ -40,9 +47,14 @@ pub(super) struct AttachedStore {
     /// producing a log byte-identical to ungrouped operation).
     group_every: u64,
     /// Commit payloads buffered for the current group window, in commit
-    /// order. Flushed as one frame when the window fills, before any
-    /// fsync/checkpoint/refresh, at batch boundaries, and on detach.
+    /// order. Flushed as one frame when the window fills and when the
+    /// call that opened the window returns, so it is empty between
+    /// calls.
     pending: Vec<Vec<u8>>,
+    /// The kind of store I/O error that fail-stopped durability, once
+    /// one has. Nothing is appended after it, and every sync and
+    /// checkpoint returns it.
+    failed: Option<io::ErrorKind>,
 }
 
 impl AttachedStore {
@@ -53,17 +65,16 @@ impl AttachedStore {
     fn next_seq(&self) -> u64 {
         self.store.next_seq() + self.pending.len() as u64
     }
-}
 
-impl Drop for AttachedStore {
-    /// Best-effort flush of a partial group on detach, mirroring the
-    /// buffered-writer contract: a clean exit or unwinding panic loses
-    /// nothing, while a SIGKILL mid-window may lose the buffered group,
-    /// which recovery reports as a missing suffix and a resumed ingest
-    /// re-commits.
-    fn drop(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        let _ = self.store.append_group(&pending);
+    /// The latched fail-stop as an error, or `Ok` while durable.
+    fn check(&self) -> io::Result<()> {
+        match self.failed {
+            None => Ok(()),
+            Some(kind) => Err(io::Error::new(
+                kind,
+                format!("durable store fail-stopped ({kind}); nothing since is durable"),
+            )),
+        }
     }
 }
 
@@ -102,20 +113,20 @@ impl TrafficMonitor {
     }
 
     /// Degrades durability to an attributed fail-stop after store I/O
-    /// exhausted its retries: the store is detached (no further appends
-    /// are attempted), the failure is counted, logged at error level and
-    /// latched in [`store_failed`](Self::store_failed). Ingestion itself
-    /// continues — availability over durability, and never a panic.
-    fn fail_stop_store(&self, guard: &mut Option<AttachedStore>, what: &str, e: &io::Error) {
+    /// exhausted its retries: the error's kind is latched in the
+    /// attached store, which stays attached but takes no further
+    /// appends, and the failure is counted and logged in full at error
+    /// level. Ingestion itself continues — availability over
+    /// durability, and never a panic.
+    fn fail_stop_store(&self, attached: &mut AttachedStore, what: &str, e: &io::Error) {
         self.metrics.store_failstop.inc();
-        self.store_failed.store(true, Ordering::Release);
-        *guard = None;
+        attached.failed = Some(e.kind());
         busprobe_telemetry::event(
             Level::Error,
             "core::store",
             format!(
                 "{what} still failing after {STORE_IO_RETRIES} retries; \
-                 durability fail-stop, store detached: {e}"
+                 durability fail-stop, no further appends: {e}"
             ),
         );
     }
@@ -125,80 +136,76 @@ impl TrafficMonitor {
     /// diagnostics instead of silently serving non-durable acks.
     #[must_use]
     pub fn store_failed(&self) -> bool {
-        self.store_failed.load(Ordering::Acquire)
+        self.store
+            .lock()
+            .as_ref()
+            .is_some_and(|a| a.failed.is_some())
     }
 
     /// Queues one WAL record — a commit or a refresh — for the attached
     /// store (a no-op without one), appending the buffered group as one
     /// WAL frame when the group window fills, and auto-checkpoints on
     /// the configured cadence. Returns the record's WAL sequence number,
-    /// or `None` when no store is attached or the append failed.
+    /// or `None` when no store is attached, it has fail-stopped or the
+    /// append failed.
     ///
     /// An append failure is retried with backoff; exhausting the retries
     /// degrades durability, never availability: the failure is counted,
-    /// logged, latched via [`store_failed`](Self::store_failed), and
+    /// logged, latched (see [`store_failed`](Self::store_failed)), and
     /// ingestion continues.
     pub(super) fn log(&self, record: &WalRecord) -> Option<u64> {
         let mut guard = self.store.lock();
-        let attached = guard.as_mut()?;
+        let attached = guard.as_mut().filter(|a| a.failed.is_none())?;
         let wal_seq = attached.next_seq();
         attached.pending.push(record.encode());
         let full = attached.pending.len() as u64 >= attached.group_every;
-        let due = full && self.flush_group(&mut guard).ok()?;
-        drop(guard);
-        self.checkpoint_if(due);
-        Some(wal_seq)
+        (!full || self.flush_group(guard)).then_some(wal_seq)
     }
 
     /// Appends the buffered commit group (if any) to the WAL as one
-    /// frame, and says whether a periodic checkpoint is now due: the
-    /// flushed sequence range `[first, end)` crossed the snapshot
-    /// cadence — the grouped generalization of "every
-    /// `snapshot_every`-th record snapshots", to which it degenerates
-    /// exactly at a group window of one. On exhausted retries the store
-    /// is fail-stopped and the error returned.
-    fn flush_group(&self, guard: &mut Option<AttachedStore>) -> io::Result<bool> {
+    /// frame, releases the store lock, and checkpoints when the flushed
+    /// sequence range `[first, end)` crossed the snapshot cadence — the
+    /// grouped generalization of "every `snapshot_every`-th record
+    /// snapshots", to which it degenerates exactly at a group window of
+    /// one. Returns false when the append exhausted its retries and
+    /// fail-stopped the store.
+    fn flush_group(&self, mut guard: MutexGuard<'_, Option<AttachedStore>>) -> bool {
         let Some(attached) = guard.as_mut().filter(|a| !a.pending.is_empty()) else {
-            return Ok(false);
+            return true;
         };
         let pending = std::mem::take(&mut attached.pending);
         let every = attached.snapshot_every;
-        match self.retry_store_io("WAL group append", || attached.store.append_group(&pending)) {
-            Ok(first) => Ok(every != 0 && (first + pending.len() as u64) / every != first / every),
+        let first = match self
+            .retry_store_io("WAL group append", || attached.store.append_group(&pending))
+        {
+            Ok(first) => first,
             Err(e) => {
                 self.metrics.store_append_errors.inc();
-                self.fail_stop_store(guard, "WAL group append", &e);
-                Err(e)
+                self.fail_stop_store(attached, "WAL group append", &e);
+                return false;
+            }
+        };
+        drop(guard);
+        if every != 0 && (first + pending.len() as u64) / every != first / every {
+            if let Err(e) = self.checkpoint() {
+                busprobe_telemetry::event(
+                    Level::Warn,
+                    "core::store",
+                    format!("periodic checkpoint failed: {e}"),
+                );
             }
         }
+        true
     }
 
-    /// Runs the periodic checkpoint a flush reported due, once the
-    /// caller has released the store lock.
-    fn checkpoint_if(&self, due: bool) {
-        if !due {
-            return;
-        }
-        if let Err(e) = self.checkpoint() {
-            busprobe_telemetry::event(
-                Level::Warn,
-                "core::store",
-                format!("periodic checkpoint failed: {e}"),
-            );
-        }
-    }
-
-    /// Flushes any buffered group to the WAL — at the batch-ingest
-    /// reorder-buffer boundary and after a refresh — honoring the
-    /// snapshot cadence for the flushed range. Flush failures have
-    /// already fail-stopped the store and are not propagated: batch
-    /// ingest, like per-upload ingest, degrades durability rather than
-    /// availability.
+    /// Closes the open group window, if any: appends the buffered group
+    /// to the WAL, honoring the snapshot cadence for the flushed range.
+    /// Every call that commits — an upload, a batch, a refresh — ends
+    /// here, so no window outlives the call that opened it. A flush
+    /// failure has already fail-stopped the store and is not
+    /// propagated: ingest degrades durability rather than availability.
     pub(crate) fn flush_wal_group(&self) {
-        let mut guard = self.store.lock();
-        let due = self.flush_group(&mut guard).unwrap_or(false);
-        drop(guard);
-        self.checkpoint_if(due);
+        self.flush_group(self.store.lock());
     }
 
     /// Attaches a durable store: every subsequent commit appends one WAL
@@ -210,56 +217,43 @@ impl TrafficMonitor {
     ///
     /// `group_every` is the group-commit window: commits buffer
     /// in-process and append as one WAL group frame per `group_every`
-    /// commits (and at every fsync, checkpoint, refresh, batch boundary
-    /// and detach), so the ordered commit phase pays one frame — and, for
-    /// callers gating acknowledgements on
+    /// commits, and the partial window left when an ingest or refresh
+    /// call returns appends as a smaller one, so a batch pays one frame
+    /// — and, for callers gating acknowledgements on
     /// [`sync_store`](Self::sync_store), one fsync — per window instead
     /// of per trip. Recovery replays group members to the exact
     /// per-record state; a window of 1 writes every commit as a plain
     /// record frame, the pre-group log format byte for byte. A SIGKILL
-    /// can lose at most the buffered window — never an upload
-    /// acknowledged after a sync.
+    /// can lose at most the window of the call in flight — never an
+    /// upload acknowledged after a sync.
     pub fn attach_store_grouped(&self, store: Store, snapshot_every: u64, group_every: u64) {
         *self.store.lock() = Some(AttachedStore {
             store,
             snapshot_every,
             group_every: group_every.max(1),
             pending: Vec::new(),
+            failed: None,
         });
     }
 
-    /// Whether a durable store is attached.
-    #[must_use]
-    pub fn has_store(&self) -> bool {
-        self.store.lock().is_some()
-    }
-
-    /// Flushes and fsyncs the attached store's WAL, making every commit
-    /// appended so far durable against a crash. No-op when no store is
-    /// attached. Appends are otherwise buffered and reach the OS at
-    /// rotation, checkpoints and drop.
+    /// Fsyncs the attached store's WAL, making every commit appended so
+    /// far durable against a crash. No-op when no store is attached.
+    /// Appends are otherwise buffered and reach the OS at rotation,
+    /// checkpoints and drop.
     ///
     /// A failing fsync is retried with backoff; exhaustion fail-stops
-    /// durability (store detached, [`store_failed`](Self::store_failed)
-    /// latched) *and* returns the error, so callers gating
-    /// acknowledgements on durability never release them.
+    /// durability and returns the error. Once the store fail-stopped —
+    /// on an append or an fsync — every call returns the latched error,
+    /// so callers gating acknowledgements on durability never release
+    /// them.
     pub fn sync_store(&self) -> io::Result<()> {
         let mut guard = self.store.lock();
-        // A partial group window flushes (as a smaller group frame)
-        // before the fsync, so "synced" always means "every commit so
-        // far is on disk" — the acknowledgement contract is unchanged
-        // by group commit.
-        let due = self.flush_group(&mut guard)?;
         let Some(attached) = guard.as_mut() else {
             return Ok(());
         };
-        if let Err(e) = self.retry_store_io("WAL fsync", || attached.store.sync()) {
-            self.fail_stop_store(&mut guard, "WAL fsync", &e);
-            return Err(e);
-        }
-        drop(guard);
-        self.checkpoint_if(due);
-        Ok(())
+        attached.check()?;
+        self.retry_store_io("WAL fsync", || attached.store.sync())
+            .inspect_err(|e| self.fail_stop_store(attached, "WAL fsync", e))
     }
 
     /// The WAL sequence number below which every record is known
@@ -273,18 +267,17 @@ impl TrafficMonitor {
 
     /// Writes a full-state snapshot covering every record appended so
     /// far, then compacts covered WAL segments. Returns the snapshot's
-    /// coverage sequence number, or `None` when no store is attached.
+    /// coverage sequence number, or `None` when no store is attached,
+    /// and the latched error once the store fail-stopped.
     ///
     /// Call between batches (not concurrently with an in-flight ingest),
     /// so the snapshot observes a commit boundary.
     pub fn checkpoint(&self) -> io::Result<Option<u64>> {
         let mut guard = self.store.lock();
-        // The snapshot must cover every commit, including a buffered
-        // partial group; flush it first so coverage equals commit count.
-        self.flush_group(&mut guard)?;
         let Some(attached) = guard.as_mut() else {
             return Ok(None);
         };
+        attached.check()?;
         let state = self.state_at(attached.next_seq());
         let payload = serde_json::to_vec(&state)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
@@ -293,10 +286,15 @@ impl TrafficMonitor {
 
     /// The complete durable state — what [`checkpoint`](Self::checkpoint)
     /// serialises — as of the WAL records written so far (the commit
-    /// count when no store is attached).
+    /// count when no store is attached, or once it fail-stopped).
     #[must_use]
     pub fn export_state(&self) -> PersistedState {
-        let logged = self.store.lock().as_ref().map(AttachedStore::next_seq);
+        let logged = self
+            .store
+            .lock()
+            .as_ref()
+            .filter(|a| a.failed.is_none())
+            .map(AttachedStore::next_seq);
         self.state_at(logged.unwrap_or_else(|| self.commit_count()))
     }
 
@@ -497,12 +495,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A refresh that lands inside an open group window rides in the
-    /// group frame behind the commits before it, and WAL replay
-    /// reproduces the live state: the refresh drains the harvest at the
-    /// same point, not after the commits that follow it.
+    /// A refresh between grouped batches is sequenced in the WAL between
+    /// their group frames, and replay reproduces the live state: the
+    /// refresh drains the harvest at the same point, not after the
+    /// commits that follow it.
     #[test]
-    fn a_refresh_inside_an_open_group_window_replays_to_the_live_state() {
+    fn a_refresh_between_group_windows_replays_to_the_live_state() {
         let (plain, scanner) = setup(54);
         let config = MonitorConfig {
             online_db_update: true,
@@ -514,14 +512,12 @@ mod tests {
         let trips: Vec<_> = (0..5)
             .map(|k| ride(&monitor, &scanner, 6, 4, 80.0, 500 + k))
             .collect();
-        for trip in &trips[..3] {
-            assert!(monitor.ingest_upload(trip, None).observations > 0);
-        }
-        // Three commits wait in the window of eight: the refresh joins them.
+        let reports = monitor.ingest_batch_parallel(&trips[..3], 1);
+        assert!(reports.iter().all(|r| r.observations > 0), "{reports:?}");
+        // The batch of three closed its window of eight on return.
         monitor.refresh_database();
-        for trip in &trips[3..] {
-            assert!(monitor.ingest_upload(trip, None).observations > 0);
-        }
+        let reports = monitor.ingest_batch_parallel(&trips[3..], 1);
+        assert!(reports.iter().all(|r| r.observations > 0), "{reports:?}");
         monitor.sync_store().unwrap();
         assert_ne!(
             monitor.export_state().updater,
@@ -556,7 +552,7 @@ mod tests {
             "each injected fault costs exactly one retry"
         );
         assert!(!monitor.store_failed(), "store healed, no fail-stop");
-        assert!(monitor.has_store(), "store stays attached");
+        monitor.sync_store().unwrap();
         assert_eq!(
             monitor.export_state().commits,
             1,
@@ -579,7 +575,6 @@ mod tests {
         let report = monitor.ingest_upload(&trip, None);
         assert!(report.observations > 0, "the commit itself still lands");
         assert!(monitor.store_failed(), "fail-stop latched");
-        assert!(!monitor.has_store(), "store detached on fail-stop");
         assert!(
             monitor.metrics.store_failstop.get() >= 1,
             "fail-stop attributed in telemetry"
@@ -588,6 +583,19 @@ mod tests {
         let trip2 = ride(&monitor, &scanner, 5, 3, 85.0, 2);
         let report2 = monitor.ingest_upload(&trip2, None);
         assert!(report2.observations > 0, "{report2:?}");
+        // The latch stays: the store is not mistaken for "no store".
+        assert!(monitor.store_failed());
+        assert!(monitor.checkpoint().is_err(), "checkpoint reports it");
+        for _ in 0..3 {
+            let err = monitor.sync_store().expect_err("every sync reports it");
+            assert_eq!(err.kind(), io::ErrorKind::Interrupted, "{err}");
+        }
+        assert_eq!(monitor.export_state().commits, monitor.commit_count());
+        assert_eq!(
+            Store::recover(&dir).unwrap().records.len(),
+            0,
+            "nothing was appended after the latch"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -603,9 +611,9 @@ mod tests {
         // An ack-gating caller must see the failure, not a silent Ok.
         assert!(monitor.sync_store().is_err(), "exhausted sync surfaces");
         assert!(monitor.store_failed());
-        assert!(!monitor.has_store());
-        // Once detached, sync is a no-op again.
-        assert!(monitor.sync_store().is_ok());
+        // The latch holds: a later sync fails too, although the injected
+        // faults are spent and an fsync would now succeed.
+        assert!(monitor.sync_store().is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -44,7 +44,7 @@ use busprobe_trace::Tracer;
 use durable::AttachedStore;
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Borrow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How many scans get a full per-scan [`MatchDecision`](busprobe_trace::TraceEvent::MatchDecision)
@@ -91,10 +91,6 @@ pub struct TrafficMonitor {
     /// Uploads committed so far — the trace sequence number, which is
     /// the commit order and therefore identical at any worker count.
     committed: AtomicU64,
-    /// Latched when store I/O exhausted its retries and the store was
-    /// detached: durability has fail-stopped while ingest continues.
-    /// Resident frontends poll this to drain and exit with diagnostics.
-    store_failed: AtomicBool,
 }
 
 impl TrafficMonitor {
@@ -130,7 +126,6 @@ impl TrafficMonitor {
             store: Mutex::new(None),
             tracer: RwLock::new(None),
             committed: AtomicU64::new(state.commits),
-            store_failed: AtomicBool::new(false),
         }
     }
 
@@ -213,9 +208,14 @@ impl TrafficMonitor {
     /// Never panics on hostile input: any pipeline panic is caught, the
     /// trip is isolated, and the report carries
     /// [`DropReason::InternalError`].
+    ///
+    /// The upload's WAL record is appended before this returns: one
+    /// upload is one group window.
     pub fn ingest_upload(&self, trip: &Trip, received_s: Option<f64>) -> IngestReport {
         let staged = self.stage_upload(trip, received_s, None);
-        self.commit_staged(staged)
+        let report = self.commit_staged(staged);
+        self.flush_wal_group();
+        report
     }
 
     /// Ingests many trips with `workers` stage threads (`0` = all

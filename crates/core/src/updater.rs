@@ -46,7 +46,7 @@ impl Default for UpdaterConfig {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DbUpdater {
     config: UpdaterConfig,
-    #[serde(with = "crate::serde_util::map_as_pairs")]
+    #[serde(with = "busprobe_network::map_as_pairs")]
     pending: BTreeMap<StopSiteId, Vec<Fingerprint>>,
 }
 

@@ -55,6 +55,6 @@ pub use generator::NetworkGenerator;
 pub use grid::{Grid, GridSpec, Road, RoadAxis};
 pub use ids::{RoadId, RouteId, SegmentKey, StopId, StopSiteId};
 pub use import::{ImportError, NetworkImport, RouteImport};
-pub use network::{BlockEdge, CoverageStats, NetworkError, Segment, TransitNetwork};
+pub use network::{map_as_pairs, BlockEdge, CoverageStats, NetworkError, Segment, TransitNetwork};
 pub use route::{BusRoute, RouteStop};
 pub use stop::{BusStop, StopSite, TravelDirection};

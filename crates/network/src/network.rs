@@ -128,12 +128,14 @@ pub struct TransitNetwork {
     follows_bits: OnceLock<FollowsBits>,
 }
 
-/// Serializes `BTreeMap`s with non-string keys as sequences of pairs so the
-/// network survives JSON round-trips (JSON object keys must be strings).
-mod map_as_pairs {
+/// Serializes `BTreeMap`s with non-string keys as sequences of pairs so
+/// they survive JSON round-trips (JSON object keys must be strings): use
+/// as `#[serde(with = "busprobe_network::map_as_pairs")]`.
+pub mod map_as_pairs {
     use serde::{Deserialize, Error, Serialize, Value};
     use std::collections::BTreeMap;
 
+    /// The map as an array of `[key, value]` pairs, in key order.
     pub fn to_value<K, V>(map: &BTreeMap<K, V>) -> Value
     where
         K: Serialize,
@@ -146,6 +148,7 @@ mod map_as_pairs {
         )
     }
 
+    /// The map back from its `[key, value]` pairs.
     pub fn from_value<K, V>(value: &Value) -> Result<BTreeMap<K, V>, Error>
     where
         K: for<'de> Deserialize<'de> + Ord,

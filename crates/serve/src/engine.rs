@@ -867,9 +867,7 @@ impl CommitLoop {
                 }
                 Popped::Batch(batch, left) => {
                     self.shared.tele.queue_depth.set(left as f64);
-                    if !self.commit_batch(batch) {
-                        break;
-                    }
+                    self.commit_batch(batch);
                     // The flush rule, after every batch (one shed whole
                     // or an empty one at the end of a burst included):
                     // fsync when the group is full, or when the queue
@@ -906,9 +904,10 @@ impl CommitLoop {
     }
 
     /// Sheds stale entries, ingests the rest, queues their acks (when
-    /// to release them is [`run`](Self::run)'s decision). Returns false
-    /// on a fatal condition.
-    fn commit_batch(&mut self, batch: Vec<Admission>) -> bool {
+    /// to release them is [`run`](Self::run)'s decision). A store that
+    /// fail-stops here fails the next [`flush_acks`](Self::flush_acks),
+    /// so none of these acks is released.
+    fn commit_batch(&mut self, batch: Vec<Admission>) {
         let shared = &self.shared;
         let config = &shared.config;
         let mut keep: Vec<Admission> = Vec::with_capacity(batch.len());
@@ -922,7 +921,7 @@ impl CommitLoop {
             keep.push(adm);
         }
         if keep.is_empty() {
-            return true;
+            return;
         }
         if let Some(throttle) = config.commit_throttle {
             std::thread::sleep(throttle);
@@ -954,15 +953,6 @@ impl CommitLoop {
                 .ingest_batch_received_parallel(&trips, &recvs, config.workers.max(1));
         shared.stats.committed.fetch_add(n, Ordering::Relaxed);
         self.committed_since_checkpoint = true;
-        if shared.monitor.store_failed() {
-            shared.set_fatal(format!(
-                "durable store fail-stopped mid-stream; {} commits will not be acknowledged",
-                self.pending_acks.len()
-            ));
-            self.pending_acks.clear();
-            return false;
-        }
-        true
     }
 
     /// Makes every pending commit durable, then releases its ack — the
@@ -1013,7 +1003,7 @@ impl CommitLoop {
             }
             Err(e) => {
                 shared.set_fatal(format!(
-                    "WAL fsync fail-stopped; withholding {} acknowledgements: {e}",
+                    "durable store failed; withholding {} acknowledgements: {e}",
                     self.pending_acks.len()
                 ));
                 self.pending_acks.clear();
@@ -1026,20 +1016,15 @@ impl CommitLoop {
     /// at drain). Acks flush first so the snapshot never covers
     /// unacknowledged commits. Returns false on a fatal flush.
     fn maybe_checkpoint(&mut self, force: bool) -> bool {
-        {
-            let shared = &self.shared;
-            let requested = shared.checkpoint_requested.swap(false, Ordering::Relaxed);
-            let time_due = shared
-                .config
-                .checkpoint_interval
-                .is_some_and(|iv| self.last_checkpoint.elapsed() >= iv)
-                && self.committed_since_checkpoint;
-            if !(force || requested || time_due) {
-                return true;
-            }
-            if !shared.monitor.has_store() {
-                return true;
-            }
+        let shared = &self.shared;
+        let requested = shared.checkpoint_requested.swap(false, Ordering::Relaxed);
+        let time_due = shared
+            .config
+            .checkpoint_interval
+            .is_some_and(|iv| self.last_checkpoint.elapsed() >= iv)
+            && self.committed_since_checkpoint;
+        if !(force || requested || time_due) {
+            return true;
         }
         if !self.flush_acks(FlushCause::Checkpoint) {
             return false;
@@ -1056,6 +1041,7 @@ impl CommitLoop {
                     format!("checkpoint covers {seq} commits"),
                 );
             }
+            // No store attached: nothing to write.
             Ok(None) => {}
             Err(e) => {
                 busprobe_telemetry::event(

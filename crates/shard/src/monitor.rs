@@ -467,3 +467,47 @@ impl ShardAccounting {
         self.routed == self.per_shard.iter().map(|(i, d)| i + d).sum::<u64>()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use busprobe_bench::World;
+    use busprobe_network::NetworkGenerator;
+
+    /// One shard's fail-stop is the city's: once shard 1's store fails
+    /// its appends past the retry budget, the city-wide sync and
+    /// checkpoint report it instead of `Ok`, while shard 0 stays durable.
+    #[test]
+    fn a_failed_shard_store_fails_the_city_sync_and_checkpoint() {
+        let network = NetworkGenerator::small(3).generate();
+        let db = World::synthetic_db(network.sites().len(), 3);
+        let city = ShardedMonitor::new(
+            network,
+            &db,
+            MonitorConfig::default(),
+            2,
+            OverflowPolicy::Score,
+        );
+        let state =
+            std::env::temp_dir().join(format!("busprobe-shard-failstop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state);
+        city.attach_stores(&state, 0, 1).unwrap();
+        let mut failing = Store::open(shard_dir(&state, 1)).unwrap();
+        failing.inject_io_faults(100, 0);
+        city.shards()[1].attach_store_grouped(failing, 0, 1);
+
+        let empty = Trip {
+            samples: Vec::new(),
+        };
+        for shard in city.shards() {
+            assert!(shard.ingest_upload(&empty, None).drop_reason().is_some());
+        }
+        assert!(city.shards()[1].store_failed());
+        assert!(city.sync_all().is_err(), "the failed shard's sync surfaces");
+        assert!(city.checkpoint_all().is_err(), "and so does its checkpoint");
+        assert!(city.sync_all().is_err(), "the latch holds");
+        city.shards()[0].sync_store().unwrap();
+        assert_eq!(city.shards()[0].checkpoint().unwrap(), Some(1));
+        let _ = std::fs::remove_dir_all(&state);
+    }
+}

@@ -12,9 +12,10 @@
 //!   payload written atomically (temp file + rename), named by the WAL
 //!   sequence number it covers.
 //!
-//! [`Store`] ties the two together: `append` extends the log,
-//! `checkpoint` writes a snapshot at the current sequence number and
-//! compacts away every segment the snapshot fully covers, and
+//! [`Store`] ties the two together: `append_group` extends the log by
+//! one frame (a plain record frame for one payload, a group frame for
+//! more), `checkpoint` writes a snapshot at the current sequence number
+//! and compacts away every segment the snapshot fully covers, and
 //! [`Store::recover`] reads the newest valid snapshot plus the WAL tail
 //! back out. Recovery never panics on damaged input: torn tails and
 //! corrupt records are skipped, counted and reported per segment

@@ -72,14 +72,9 @@ pub fn write(dir: &Path, seq: u64, payload: &[u8]) -> io::Result<()> {
 pub type LoadedSnapshot = Option<(u64, Vec<u8>)>;
 
 /// Loads the newest snapshot that passes validation, returning its
-/// coverage sequence number, its payload and how many newer-but-corrupt
-/// snapshots were skipped on the way.
-pub fn load_latest(dir: &Path) -> io::Result<(LoadedSnapshot, u64)> {
-    load_latest_if(dir, &mut |_, _| true)
-}
-
-/// [`load_latest`] with a say for the payload's owner: a snapshot whose
-/// frame is intact but whose `(seq, payload)` the caller does not
+/// coverage sequence number, its payload and how many newer snapshots
+/// were skipped on the way. The payload's owner has a say: a snapshot
+/// whose frame is intact but whose `(seq, payload)` the caller does not
 /// `accept` — it does not decode, or decodes to something inconsistent
 /// — is skipped and counted exactly like one that failed its CRC.
 pub fn load_latest_if(
@@ -103,7 +98,7 @@ pub fn load_latest_if(
 
 /// Coverage sequence number of the newest *valid* snapshot, if any.
 pub fn latest_seq(dir: &Path) -> io::Result<Option<u64>> {
-    Ok(load_latest(dir)?.0.map(|(seq, _)| seq))
+    Ok(load_latest_if(dir, &mut |_, _| true)?.0.map(|(seq, _)| seq))
 }
 
 #[cfg(test)]
@@ -122,7 +117,7 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         write(&dir, 3, b"old state").unwrap();
         write(&dir, 9, b"new state").unwrap();
-        let (loaded, skipped) = load_latest(&dir).unwrap();
+        let (loaded, skipped) = load_latest_if(&dir, &mut |_, _| true).unwrap();
         assert_eq!(loaded, Some((9, b"new state".to_vec())));
         assert_eq!(skipped, 0);
         fs::remove_dir_all(&dir).unwrap();
@@ -139,7 +134,7 @@ mod tests {
         buf[last] ^= 0x01;
         fs::write(&newest, &buf).unwrap();
 
-        let (loaded, skipped) = load_latest(&dir).unwrap();
+        let (loaded, skipped) = load_latest_if(&dir, &mut |_, _| true).unwrap();
         assert_eq!(loaded, Some((3, b"good".to_vec())));
         assert_eq!(skipped, 1);
         fs::remove_dir_all(&dir).unwrap();
@@ -148,7 +143,7 @@ mod tests {
     #[test]
     fn empty_dir_loads_nothing() {
         let dir = tmp_dir("empty");
-        assert_eq!(load_latest(&dir).unwrap(), (None, 0));
+        assert_eq!(load_latest_if(&dir, &mut |_, _| true).unwrap(), (None, 0));
         assert_eq!(latest_seq(&dir).unwrap(), None);
         fs::remove_dir_all(&dir).unwrap();
     }

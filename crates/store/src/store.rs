@@ -1,7 +1,8 @@
 //! The [`Store`]: one state directory holding WAL segments and
 //! snapshots, with append / checkpoint / compact / recover operations.
+//! Appends go one way, [`Store::append_group`]: one payload is a plain
+//! record frame, more share a group frame.
 
-use crate::frame::HEADER_LEN;
 use crate::wal::{self, ReplayReport, WalWriter};
 use crate::{snapshot, StoreMetrics};
 use std::fs;
@@ -85,7 +86,7 @@ impl Store {
     }
 
     /// Fault injection for robustness tests: the next `appends` calls to
-    /// [`append`](Self::append) and the next `syncs` calls to
+    /// [`append_group`](Self::append_group) and the next `syncs` calls to
     /// [`sync`](Self::sync) fail with a transient-looking
     /// [`io::ErrorKind::Interrupted`] error before touching the WAL,
     /// then the store behaves normally again. Models an I/O layer that
@@ -114,18 +115,6 @@ impl Store {
     #[must_use]
     pub fn synced_seq(&self) -> u64 {
         self.wal.synced_seq()
-    }
-
-    /// Appends one commit payload; returns its sequence number.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        if self.fault_appends > 0 {
-            self.fault_appends -= 1;
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "injected transient append fault",
-            ));
-        }
-        self.wal.append(payload)
     }
 
     /// Appends `payloads` as one group frame (one buffer write, one
@@ -252,12 +241,6 @@ impl Store {
         }
         Ok(!wal::list_segments(dir)?.is_empty() || !snapshot::list_snapshots(dir)?.is_empty())
     }
-
-    /// Bytes a payload occupies on disk once framed.
-    #[must_use]
-    pub fn framed_len(payload_len: usize) -> usize {
-        HEADER_LEN + payload_len
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +261,9 @@ mod tests {
         };
         let mut store = Store::open_with(&dir, config).unwrap();
         for i in 0u64..12 {
-            store.append(format!("record-{i:02}").as_bytes()).unwrap();
+            store
+                .append_group(&[format!("record-{i:02}").into_bytes()])
+                .unwrap();
         }
         let covered = store.checkpoint(b"state-after-12").unwrap();
         assert_eq!(covered, 12);
@@ -287,7 +272,9 @@ mod tests {
         let segments = wal::list_segments(&dir).unwrap();
         assert_eq!(segments.len(), 1, "compaction kept only the active segment");
         for i in 12u64..15 {
-            store.append(format!("record-{i:02}").as_bytes()).unwrap();
+            store
+                .append_group(&[format!("record-{i:02}").into_bytes()])
+                .unwrap();
         }
         drop(store);
 
@@ -311,7 +298,7 @@ mod tests {
         let dir = tmp_dir("monotone");
         let mut store = Store::open(&dir).unwrap();
         for _ in 0..5 {
-            store.append(b"r").unwrap();
+            store.append_group(&[b"r".to_vec()]).unwrap();
         }
         store.checkpoint(b"covered").unwrap();
         drop(store);
@@ -322,7 +309,7 @@ mod tests {
         }
         let mut store = Store::open(&dir).unwrap();
         assert_eq!(store.next_seq(), 5, "snapshot floors the sequence");
-        assert_eq!(store.append(b"next").unwrap(), 5);
+        assert_eq!(store.append_group(&[b"next".to_vec()]).unwrap(), 5);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -341,8 +328,8 @@ mod tests {
         let dir = tmp_dir("resume");
         {
             let mut store = Store::open(&dir).unwrap();
-            store.append(b"a").unwrap();
-            store.append(b"b").unwrap();
+            store.append_group(&[b"a".to_vec()]).unwrap();
+            store.append_group(&[b"b".to_vec()]).unwrap();
         }
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.next_seq(), 2);

@@ -341,46 +341,30 @@ impl WalWriter {
         self.segment_first
     }
 
-    /// Appends `payload` as the next record and returns its sequence
-    /// number: a one-payload group, written as a plain record frame. The
-    /// frame is buffered; see [`StoreConfig`] for when it reaches the OS
-    /// and disk.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        self.scratch.clear();
-        frame::encode(RECORD_MAGIC, self.next_seq, payload, &mut self.scratch);
-        self.write_frame(1)
-    }
-
-    /// Appends `payloads` as one group frame occupying consecutive
-    /// sequence numbers, returning the first. One frame means one buffer
-    /// write per group instead of one per record. A single payload is a
-    /// plain [`append`](Self::append), so ungrouped logs stay
-    /// byte-identical; an empty group writes nothing.
+    /// Appends `payloads` as the next records, at consecutive sequence
+    /// numbers, and returns the first. One payload is written as a plain
+    /// record frame, so logs from a group size of one are byte-identical
+    /// to ungrouped logs; more share one group frame — one buffer write
+    /// per group instead of one per record. An empty group writes
+    /// nothing. The frame is buffered, rotating first when it would
+    /// overflow the active segment; see [`StoreConfig`] for when it
+    /// reaches the OS and disk.
     pub fn append_group(&mut self, payloads: &[Vec<u8>]) -> io::Result<u64> {
-        match payloads {
-            [] => Ok(self.next_seq),
-            [payload] => self.append(payload),
-            _ => {
-                self.scratch.clear();
-                frame::encode_group(self.next_seq, payloads, &mut self.scratch);
-                self.write_frame(payloads.len() as u64)
-            }
-        }
-    }
-
-    /// Buffers the frame encoded in `scratch` — `records` records from
-    /// `next_seq` on — rotating first when it would overflow the active
-    /// segment. Returns the frame's first sequence number.
-    fn write_frame(&mut self, records: u64) -> io::Result<u64> {
         let first = self.next_seq;
+        self.scratch.clear();
+        match payloads {
+            [] => return Ok(first),
+            [payload] => frame::encode(RECORD_MAGIC, first, payload, &mut self.scratch),
+            _ => frame::encode_group(first, payloads, &mut self.scratch),
+        }
         let len = self.scratch.len() as u64;
         if self.segment_bytes > 0 && self.segment_bytes + len > self.config.max_segment_bytes {
             self.rotate(first)?;
         }
         self.file.write_all(&self.scratch)?;
         self.segment_bytes += len;
-        self.next_seq = first + records;
-        self.metrics.wal_appends.add(records);
+        self.next_seq = first + payloads.len() as u64;
+        self.metrics.wal_appends.add(payloads.len() as u64);
         self.metrics.wal_bytes.add(len);
         Ok(first)
     }
@@ -434,7 +418,9 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
         for i in 0u64..20 {
-            let seq = wal.append(format!("payload-{i}").as_bytes()).unwrap();
+            let seq = wal
+                .append_group(&[format!("payload-{i}").into_bytes()])
+                .unwrap();
             assert_eq!(seq, i);
         }
         assert_eq!(wal.synced_seq(), 0, "appended, not yet synced");
@@ -454,12 +440,12 @@ mod tests {
         let dir = tmp_dir("reopen");
         {
             let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
-            wal.append(b"a").unwrap();
-            wal.append(b"b").unwrap();
+            wal.append_group(&[b"a".to_vec()]).unwrap();
+            wal.append_group(&[b"b".to_vec()]).unwrap();
         }
         let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
         assert_eq!(wal.next_seq(), 2);
-        wal.append(b"c").unwrap();
+        wal.append_group(&[b"c".to_vec()]).unwrap();
         wal.sync().unwrap();
         let (records, _) = collect(&dir);
         assert_eq!(
@@ -477,7 +463,7 @@ mod tests {
         };
         let mut wal = WalWriter::open(&dir, config, 0).unwrap();
         for _ in 0..10 {
-            wal.append(&[0xAB; 30]).unwrap();
+            wal.append_group(&[vec![0xAB; 30]]).unwrap();
         }
         wal.sync().unwrap();
         let segments = list_segments(&dir).unwrap();
@@ -494,7 +480,8 @@ mod tests {
         {
             let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
             for i in 0u64..5 {
-                wal.append(format!("record-{i}").as_bytes()).unwrap();
+                wal.append_group(&[format!("record-{i}").into_bytes()])
+                    .unwrap();
             }
         }
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
@@ -514,7 +501,7 @@ mod tests {
         // Reopening repairs the tail and reuses the torn sequence number.
         let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
         assert_eq!(wal.next_seq(), 4);
-        wal.append(b"replacement").unwrap();
+        wal.append_group(&[b"replacement".to_vec()]).unwrap();
         wal.sync().unwrap();
         let (records, report) = collect(&dir);
         assert_eq!(records.len(), 5);
@@ -528,7 +515,8 @@ mod tests {
         {
             let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
             for i in 0u64..6 {
-                wal.append(format!("record-{i}").as_bytes()).unwrap();
+                wal.append_group(&[format!("record-{i}").into_bytes()])
+                    .unwrap();
             }
         }
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
@@ -555,7 +543,7 @@ mod tests {
         let dir = tmp_dir("group");
         {
             let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
-            wal.append(b"solo-0").unwrap();
+            wal.append_group(&[b"solo-0".to_vec()]).unwrap();
             let first = wal
                 .append_group(&[b"g-1".to_vec(), b"g-2".to_vec(), b"g-3".to_vec()])
                 .unwrap();
@@ -592,7 +580,7 @@ mod tests {
         let dir = tmp_dir("group-torn");
         {
             let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
-            wal.append(b"keep").unwrap();
+            wal.append_group(&[b"keep".to_vec()]).unwrap();
             wal.append_group(&[b"lost-1".to_vec(), b"lost-2".to_vec()])
                 .unwrap();
         }
@@ -627,7 +615,7 @@ mod tests {
         let dir = tmp_dir("group-resync");
         {
             let mut wal = WalWriter::open(&dir, StoreConfig::default(), 0).unwrap();
-            wal.append(b"victim").unwrap();
+            wal.append_group(&[b"victim".to_vec()]).unwrap();
             wal.append_group(&[b"after-1".to_vec(), b"after-2".to_vec()])
                 .unwrap();
         }
@@ -671,7 +659,7 @@ mod tests {
         let dir = tmp_dir("floor");
         let mut wal = WalWriter::open(&dir, StoreConfig::default(), 41).unwrap();
         assert_eq!(wal.next_seq(), 41);
-        assert_eq!(wal.append(b"x").unwrap(), 41);
+        assert_eq!(wal.append_group(&[b"x".to_vec()]).unwrap(), 41);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -58,10 +58,10 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
         ..ServeConfig::default()
     };
 
-    // Group commit: the WAL appends one group frame (one fsync) per
-    // ack group, which holds at most `--sync-every` commits — fewer
-    // whenever the queue runs dry first. Acks release only after the
-    // group fsync.
+    // Group commit: the window is `--sync-every` wide and closes when
+    // the batch that opened it returns, so each commit batch appends
+    // one WAL frame. Acks release after one fsync per ack group, which
+    // may span batches but holds at most `--sync-every` commits.
     let backend = open(
         &world.network,
         &world.db,

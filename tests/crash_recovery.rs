@@ -210,9 +210,9 @@ const GROUP_SIZES: [u64; 3] = [1, 8, 64];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GroupCrash {
-    /// Crash with the last group window partially filled. The drop-side
-    /// flush writes the partial window (clean-exit contract), so
-    /// recovery must replay every commit.
+    /// Crash after a batch that ended with its last group window
+    /// partially filled. The window closed when the batch returned, as
+    /// a smaller group frame, so recovery must replay every commit.
     InsideWindow,
     /// Crash exactly at a window boundary: every group frame complete.
     AtBoundary,
@@ -246,9 +246,9 @@ fn run_group_cell(fx: &Fixture, workers: usize, group_every: u64, crash: GroupCr
             &fx.received[..prefix],
             workers,
         );
-        // Crash: drop without the end-of-run checkpoint. The detach
-        // flush appends any buffered window — a SIGKILL that loses it
-        // is the TornGroupFrame cell below.
+        // Crash: drop without the end-of-run checkpoint. The batch
+        // appended its last window before returning — a SIGKILL that
+        // loses it is the TornGroupFrame cell below.
     }
     if crash == GroupCrash::TornGroupFrame {
         let report = damage_store_dir(&dir, &WalFaultPlan::torn_tail(9), SEED).unwrap();
@@ -317,9 +317,9 @@ fn every_group_size_recovers_to_the_same_state() {
         {
             let monitor = fx.world.monitor();
             monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, group_every);
-            for (i, t) in fx.trips.iter().enumerate() {
-                monitor.ingest_upload(t, Some(fx.received[i]));
-            }
+            // One serial batch is one run of windows: full group frames
+            // and a partial one at the end.
+            let _ = monitor.ingest_batch_received_parallel(&fx.trips, &fx.received, 1);
             // Crash before any checkpoint: the WAL is the only copy.
         }
         let (monitor, summary) = fx.recover(&dir);

@@ -346,6 +346,44 @@ fn drain_flushes_acks_and_writes_a_final_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store whose appends fail past the retry budget fail-stops on the
+/// first commit. The latch reaches the commit loop through the fsync
+/// that gates the acks: not one ack is written, the summary names the
+/// store failure, and `join` still returns.
+#[test]
+fn a_failed_store_withholds_every_ack_and_ends_the_run() {
+    let world = TestWorld::new(SEED, 4);
+    let trips = World::small(SEED).ride_corpus(6, SEED);
+    let dir = scratch_dir("failstop");
+
+    let monitor = Arc::new(world.monitor());
+    let mut store = Store::open(&dir).unwrap();
+    store.inject_io_faults(100, 0);
+    monitor.attach_store_grouped(store, 0, 1);
+    let engine = ServeEngine::start(Arc::clone(&monitor), ServeConfig::default());
+    let handle = engine.handle();
+    let (reply, buffer) = ReplySink::buffered();
+    for (i, trip) in trips.iter().enumerate() {
+        handle.handle_line(&protocol::upload_line(trip, i as u64, None), Some(&reply));
+    }
+    handle.begin_drain();
+    let summary = engine.join();
+    let responses = String::from_utf8(buffer.lock().clone()).unwrap();
+    assert!(
+        !responses.contains("\"ack\""),
+        "no ack may follow a fail-stop: {responses}"
+    );
+    assert_eq!(summary.acked, 0, "{summary:?}");
+    assert!(summary.committed >= 1, "{summary:?}");
+    let fatal = summary.fatal.expect("the fail-stop ends the run");
+    assert!(
+        fatal.contains("durable store fail-stopped"),
+        "diagnostic names the store failure: {fatal}"
+    );
+    assert!(monitor.store_failed());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A wedged commit loop (modeled by a large commit throttle) freezes
 /// the heartbeat; the watchdog must declare a fatal diagnostic, fire
 /// the hook, and the summary must say the run did not end cleanly.
