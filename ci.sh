@@ -94,10 +94,11 @@ grep -q "outcome: dropped" "$tmpdir/explain.out"
 
 echo "== trace overhead gate (disabled hooks <1% of per-trip ingest) =="
 # The tracing hooks stay on the ingest hot path even with no sink
-# attached; the bench times that exact sequence against real per-trip
-# ingest and asserts the ratio (crates/bench/benches/trace.rs).
-cargo bench -p busprobe-bench --bench trace 2>/dev/null \
-  | grep "trace_disabled_overhead"
+# attached; this release-mode test times that exact sequence against
+# real per-trip ingest and asserts the ratio (crates/bench/tests/overhead.rs).
+# Its sibling, the <5% telemetry budget, fails today and is not run here.
+cargo test --release -q -p busprobe-bench --test overhead \
+  disabled_trace_hooks_cost_under_1_percent_of_ingest -- --ignored --nocapture
 
 echo "== CLI crash drill: tear the WAL, recover, resume, compare =="
 # End-to-end durability through the binary: ingest a prefix durably,
@@ -219,7 +220,9 @@ echo "== benchmark: pinned names compile, district, city and live stream end to 
 # on any unacked, doubly acked or unrecovered upload). Regressions are
 # judged by the driver, parent against change on one box, within the
 # bounds in BENCHMARK.json — not here against a frozen baseline.
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# --locked: a dependency edit that would rewrite benchmark/Cargo.lock fails
+# here rather than being rewritten quietly by run.sh.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --workload district_batch --seconds 3 --trace 0
 bash benchmark/run.sh --workload city_batch --seconds 3 --trace 0
 # The traced city leg runs the per-layer probes the untraced legs skip —
@@ -232,6 +235,13 @@ bash benchmark/run.sh --workload durable_stream --seconds 3 --trace 0
 # the WAL image and from the snapshot image, ends with the live map
 # digest, the full commit count and no skipped or corrupt records.
 bash benchmark/run.sh --workload crash_restart --seconds 3 --trace 0
+
+echo "== results/: every committed figure output regenerates byte-for-byte =="
+# Each results/<bin>.txt is exactly the stdout of the busprobe-bench
+# binary <bin> (all seeded); rerun every one and compare.
+for f in results/*.txt; do
+  ./target/release/"$(basename "$f" .txt)" | cmp - "$f"
+done
 
 echo "== cargo doc (our crates, rustdoc warnings denied) =="
 # Broken, private or redundant intra-doc links in the root package and

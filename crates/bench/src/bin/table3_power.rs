@@ -1,9 +1,14 @@
 //! Table III reproduction: phone power consumption per sensor setting,
-//! plus the derived battery-life and Goertzel-vs-FFT comparisons (§IV-D).
+//! plus the derived battery-life and Goertzel-vs-FFT comparisons (§IV-D):
+//! operation counts for N ∈ {240, 480, 960} × M ∈ {2, 7} and the band
+//! count at which the FFT becomes cheaper.
 //!
 //! Run with `cargo run --release -p busprobe-bench --bin table3_power`.
 
 use busprobe_mobile::{fft, Goertzel, PhoneModel, PowerModel, SensorConfig};
+
+/// Audio window lengths in samples at 8 kHz: 30, 60 and 120 ms.
+const WINDOWS: [usize; 3] = [240, 480, 960];
 
 fn main() {
     println!("# Table III: power consumption comparison (mW), 10-minute runs, screen off");
@@ -76,4 +81,30 @@ fn main() {
             ..Default::default()
         }) - htc.power_mw(SensorConfig::busprobe_app())
     );
+
+    println!();
+    println!("# §IV-D op counts per window: Goertzel O(K_g·N·M) vs FFT O(K_f·N·log N), 8 kHz");
+    println!("# (M = 2: the beep bands only; M = 7: the app's 2 beep + 5 reference bands)");
+    println!(
+        "{:>6} {:>8} {:>4} {:>14} {:>10} {:>14}",
+        "N", "window", "M", "goertzel ops", "fft ops", "fft/goertzel"
+    );
+    for n in WINDOWS {
+        for m in [2, 7] {
+            println!(
+                "{n:>6} {:>5} ms {m:>4} {:>14} {:>10} {:>13.1}x",
+                n / 8,
+                Goertzel::ops(n, m),
+                fft::ops(n),
+                fft::ops(n) as f64 / Goertzel::ops(n, m) as f64
+            );
+        }
+    }
+    println!("# crossover M*: the fewest bands at which the FFT is cheaper");
+    for n in WINDOWS {
+        let crossover = (1..)
+            .find(|&m| fft::ops(n) < Goertzel::ops(n, m))
+            .expect("Goertzel cost grows without bound in M");
+        println!("  N = {n:>4}: M* = {crossover}");
+    }
 }

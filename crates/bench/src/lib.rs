@@ -11,8 +11,6 @@
 
 pub mod gps_baseline;
 pub mod stats;
-pub mod timing;
 pub mod world;
 
-pub use timing::{best_ns_per_call, ns_per_call};
 pub use world::World;

@@ -1,0 +1,160 @@
+//! Observability cost on the ingest hot path, as release-mode gates.
+//!
+//! Each test times the exact instrument sequence one trip executes, in
+//! isolation, against the real per-trip cost of `ingest_upload`, and
+//! asserts the ratio. The hooks cannot be compiled out, so a with/without
+//! ingest diff would drown a cost this small in scheduler noise.
+//!
+//! Timings are meaningless in a debug build, so both tests are ignored
+//! by default. Run them with
+//! `cargo test --release -p busprobe-bench --test overhead -- --ignored --nocapture`.
+
+use busprobe_bench::World;
+use busprobe_core::{MonitorConfig, TrafficMonitor};
+use busprobe_mobile::Trip;
+use busprobe_sim::SimTime;
+use busprobe_telemetry::Span;
+use busprobe_trace::Tracer;
+use parking_lot::RwLock;
+use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+/// Disabled-path trace hooks as a fraction of per-trip ingest.
+const TRACE_CEILING: f64 = 0.01;
+/// Telemetry instruments as a fraction of per-trip ingest.
+const TELEMETRY_CEILING: f64 = 0.05;
+
+/// `cargo test` runs tests on parallel threads; one timing at a time
+/// keeps them from sharing cores. A failed gate poisons the lock, which
+/// guards no data, so the other test takes it anyway.
+static TIMING: Mutex<()> = Mutex::new(());
+
+/// Wall-clock of `f()` repeated until a window of at least 50 ms, in
+/// nanoseconds per call, after a warm-up. The minimum of three windows
+/// is what the machine can do, and is far steadier run-to-run than any
+/// single window.
+fn best_ns_per_call(mut f: impl FnMut()) -> f64 {
+    for _ in 0..16 {
+        f();
+    }
+    let mut window = || {
+        let mut iters = 16u64;
+        loop {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            let elapsed = start.elapsed();
+            if elapsed.as_millis() >= 50 {
+                return elapsed.as_nanos() as f64 / iters as f64;
+            }
+            iters *= 2;
+        }
+    };
+    (0..3).map(|_| window()).fold(f64::INFINITY, f64::min)
+}
+
+/// Per-trip `ingest_upload` cost on the first 64 uploads of a small
+/// world's 08:00–09:00, with no trace sink attached (the default). A
+/// fresh monitor per round keeps the duplicate filter from
+/// short-circuiting the pipeline.
+fn ingest_ns_per_trip() -> f64 {
+    let world = World::small(5);
+    let db = world.build_db(5);
+    let output = world.simulate(SimTime::from_hms(8, 0, 0), SimTime::from_hms(9, 0, 0));
+    let trips: Vec<Trip> = world
+        .uploads(&output, 1.0, 1)
+        .into_iter()
+        .take(64)
+        .collect();
+    assert!(!trips.is_empty(), "need uploads to time");
+    let fresh_monitor =
+        || TrafficMonitor::new(world.network.clone(), db.clone(), MonitorConfig::default());
+    let mut monitor = fresh_monitor();
+    let mut i = 0usize;
+    best_ns_per_call(|| {
+        if i == 0 {
+            monitor = fresh_monitor();
+        }
+        black_box(monitor.ingest_upload(black_box(&trips[i]), None));
+        i = (i + 1) % trips.len();
+    })
+}
+
+#[test]
+#[ignore = "release-mode timing gate; ci.sh runs it with --release -- --ignored"]
+fn disabled_trace_hooks_cost_under_1_percent_of_ingest() {
+    let _serial = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let per_trip_ns = ingest_ns_per_trip();
+
+    // What a trip with no sink executes: one sink check at stage, one
+    // sink clone at commit, one commit-sequence increment. The monitor
+    // holds its sink in a `parking_lot::RwLock`.
+    let sink: RwLock<Option<Arc<Tracer>>> = RwLock::new(None);
+    let seq = AtomicU64::new(0);
+    let hooks_ns = best_ns_per_call(|| {
+        black_box(sink.read().is_some());
+        black_box(sink.read().clone());
+        black_box(seq.fetch_add(1, Ordering::Relaxed));
+    });
+
+    let overhead = hooks_ns / per_trip_ns;
+    println!(
+        "trace_disabled_overhead: ingest {per_trip_ns:.0} ns/trip, hooks {hooks_ns:.1} ns/trip \
+         ({:.3}%)",
+        overhead * 100.0
+    );
+    assert!(
+        overhead < TRACE_CEILING,
+        "disabled tracing must cost <{:.0}% of the ingest hot path, measured {:.3}%",
+        TRACE_CEILING * 100.0,
+        overhead * 100.0
+    );
+}
+
+#[test]
+#[ignore = "release-mode timing gate that fails today: a productive trip's instruments cost \
+            ~7% of its ingest, over the 5% budget (ROADMAP item 2), so ci.sh does not run it"]
+fn telemetry_costs_under_5_percent_of_ingest() {
+    let _serial = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let per_trip_ns = ingest_ns_per_trip();
+
+    // The fewest instrument operations a productive trip performs:
+    // 14 counter adds (trips and samples at commit, four sanitizer
+    // counts, five pipeline volumes, fusion updates, and the matcher's
+    // scored/pruned pair for at least one distinct fingerprint), 7 spans
+    // (pipeline, the five stages, fusion) and 1 histogram record
+    // (observations per trip).
+    let registry = busprobe_telemetry::global();
+    let counters: Vec<_> = (0..14)
+        .map(|i| registry.counter(&format!("busprobe_bench_overhead_{i}")))
+        .collect();
+    let stages: Vec<_> = (0..7)
+        .map(|i| registry.stage(&format!("busprobe_bench_overhead_stage_{i}")))
+        .collect();
+    let histogram = registry.histogram("busprobe_bench_overhead_hist", &[1.0, 2.0, 4.0, 8.0, 16.0]);
+    let telemetry_ns = best_ns_per_call(|| {
+        for counter in &counters {
+            counter.add(black_box(3));
+        }
+        for stage in &stages {
+            Span::start(Arc::clone(stage)).finish();
+        }
+        histogram.record(black_box(3.0));
+    });
+
+    let overhead = telemetry_ns / per_trip_ns;
+    println!(
+        "telemetry_overhead: ingest {per_trip_ns:.0} ns/trip, telemetry {telemetry_ns:.0} ns/trip \
+         ({:.2}%)",
+        overhead * 100.0
+    );
+    assert!(
+        overhead < TELEMETRY_CEILING,
+        "telemetry must cost <{:.0}% of the ingest hot path, measured {:.2}%",
+        TELEMETRY_CEILING * 100.0,
+        overhead * 100.0
+    );
+}

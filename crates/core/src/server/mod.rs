@@ -86,7 +86,7 @@ pub struct TrafficMonitor {
     store: Mutex<Option<AttachedStore>>,
     /// Optional per-upload decision-provenance sink. `None` (the
     /// default) costs one uncontended read-lock acquisition per upload
-    /// — the <1% overhead budget gated by `benches/trace.rs`.
+    /// — the <1% overhead budget gated by `crates/bench/tests/overhead.rs`.
     tracer: RwLock<Option<Arc<Tracer>>>,
     /// Uploads committed so far — the trace sequence number, which is
     /// the commit order and therefore identical at any worker count.
@@ -263,7 +263,7 @@ impl TrafficMonitor {
     /// Tracing never changes what the pipeline decides — traced and
     /// untraced runs produce bit-identical reports, state and maps —
     /// and a detached tracer costs one lock check per upload (<1% of
-    /// ingest, gated in CI).
+    /// ingest, gated in CI by `crates/bench/tests/overhead.rs`).
     pub fn set_trace_sink(&self, tracer: Option<Arc<Tracer>>) {
         *self.tracer.write() = tracer;
     }

@@ -121,7 +121,7 @@ impl TrafficMonitor {
             return bare;
         }
         // The whole per-upload cost of a detached tracer is this one
-        // uncontended read-lock check (gated <1% by benches/trace.rs).
+        // uncontended read-lock check (gated <1% by crates/bench/tests/overhead.rs).
         let mut draft = self.tracer.read().is_some().then(|| TraceDraft {
             worker,
             ..TraceDraft::default()
