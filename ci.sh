@@ -96,7 +96,8 @@ echo "== trace overhead gate (disabled hooks <1% of per-trip ingest) =="
 # The tracing hooks stay on the ingest hot path even with no sink
 # attached; this release-mode test times that exact sequence against
 # real per-trip ingest and asserts the ratio (crates/bench/tests/overhead.rs).
-# Its sibling, the <5% telemetry budget, fails today and is not run here.
+# Its sibling, the <5% telemetry budget, reads 4.3-5.6% and does not pass
+# reliably, so it is not run here.
 cargo test --release -q -p busprobe-bench --test overhead \
   disabled_trace_hooks_cost_under_1_percent_of_ingest -- --ignored --nocapture
 

@@ -13,7 +13,7 @@ use busprobe_bench::World;
 use busprobe_core::{MonitorConfig, TrafficMonitor};
 use busprobe_mobile::Trip;
 use busprobe_sim::SimTime;
-use busprobe_telemetry::Span;
+use busprobe_telemetry::Stage;
 use busprobe_trace::Tracer;
 use parking_lot::RwLock;
 use std::hint::black_box;
@@ -115,33 +115,46 @@ fn disabled_trace_hooks_cost_under_1_percent_of_ingest() {
 }
 
 #[test]
-#[ignore = "release-mode timing gate that fails today: a productive trip's instruments cost \
-            ~7% of its ingest, over the 5% budget (ROADMAP item 2), so ci.sh does not run it"]
+#[ignore = "release-mode timing gate that does not pass reliably: a productive trip's \
+            instruments cost 4.3-5.6% of its ingest on a 2-vCPU box (8 of 10 runs under \
+            the 5% budget), so ci.sh does not run it"]
 fn telemetry_costs_under_5_percent_of_ingest() {
     let _serial = TIMING.lock().unwrap_or_else(|e| e.into_inner());
     let per_trip_ns = ingest_ns_per_trip();
 
-    // The fewest instrument operations a productive trip performs:
-    // 14 counter adds (trips and samples at commit, four sanitizer
-    // counts, five pipeline volumes, fusion updates, and the matcher's
-    // scored/pruned pair for at least one distinct fingerprint), 7 spans
-    // (pipeline, the five stages, fusion) and 1 histogram record
-    // (observations per trip).
+    // Every instrument operation a productive, untraced trip performs in
+    // `ingest_upload`, through the production stage timers:
+    // - 14 counter adds. At commit (`commit_inner`): trips and samples,
+    //   four sanitizer counts (`record_sanitize`), five pipeline volumes
+    //   (`note_pipeline_counters`) and fusion updates. In matching: the
+    //   scored/pruned pair, once per trip (`Matcher::record_queries`).
+    //   The conditional ones a clean productive trip skips (a drop
+    //   reason, clock normalization, salvage) are left out.
+    // - The stage clock, 8 clock reads and 7 timer records. Staging
+    //   (`stage_inner`, `run_stages`) starts `Sanitize`, hands over to
+    //   `Matching`, `Clustering`, `Mapping` and `Estimation`, finishes,
+    //   and records `Pipeline` from those same readings. Commit starts
+    //   and finishes `Fusion`.
+    // - 1 histogram record (observations per trip).
     let registry = busprobe_telemetry::global();
     let counters: Vec<_> = (0..14)
         .map(|i| registry.counter(&format!("busprobe_bench_overhead_{i}")))
         .collect();
-    let stages: Vec<_> = (0..7)
-        .map(|i| registry.stage(&format!("busprobe_bench_overhead_stage_{i}")))
-        .collect();
+    let stages = busprobe_telemetry::stage_timers();
     let histogram = registry.histogram("busprobe_bench_overhead_hist", &[1.0, 2.0, 4.0, 8.0, 16.0]);
     let telemetry_ns = best_ns_per_call(|| {
         for counter in &counters {
             counter.add(black_box(3));
         }
-        for stage in &stages {
-            Span::start(Arc::clone(stage)).finish();
+        let mut span = stages.start(Stage::Sanitize);
+        black_box(span.hand_over(Stage::Matching));
+        let pipeline_start_ns = span.start_ns();
+        for stage in [Stage::Clustering, Stage::Mapping, Stage::Estimation] {
+            black_box(span.hand_over(stage));
         }
+        let last = span.finish();
+        stages[Stage::Pipeline].record_ns(last.end_ns() - pipeline_start_ns);
+        black_box(stages.start(Stage::Fusion).finish());
         histogram.record(black_box(3.0));
     });
 

@@ -26,6 +26,7 @@ use crate::index::{MatchIndex, TripPool};
 use crate::telemetry::MatcherMetrics;
 use busprobe_cellular::{CellTowerId, Fingerprint};
 use busprobe_network::StopSiteId;
+use busprobe_telemetry::Stage;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -231,11 +232,11 @@ pub struct Matcher {
 
 impl Matcher {
     /// Creates a matcher over `db`, building the inverted cell-ID index
-    /// (timed under `busprobe_core_stage_index_build`).
+    /// (timed as [`Stage::IndexBuild`]).
     #[must_use]
     pub fn new(db: StopFingerprintDb, config: MatchConfig) -> Self {
         let metrics = MatcherMetrics::new();
-        let span = metrics.span_index_build();
+        let span = metrics.stages.start(Stage::IndexBuild);
         let index = MatchIndex::build(db.iter());
         span.finish();
         Matcher {
@@ -302,9 +303,11 @@ impl Matcher {
         if !self.indexed() {
             return self.best_match_brute(sample);
         }
-        self.with_pool(&[sample], |scratch| {
+        let (best, scored) = self.with_pool(&[sample], |scratch| {
             self.best_match_pooled(0, sample, scratch)
-        })
+        });
+        self.record_queries(1, scored);
+        best
     }
 
     /// [`best_match`](Self::best_match) for every sample of one trip,
@@ -346,13 +349,17 @@ impl Matcher {
             .collect();
 
         let mut answers: Vec<Option<MatchResult>> = Vec::with_capacity(distinct.len());
+        let mut scored = 0;
         for chunk in distinct.chunks(TRIP_DISTINCT_CAP) {
             self.with_pool(chunk, |scratch| {
                 for (k, fp) in chunk.iter().enumerate() {
-                    answers.push(self.best_match_pooled(k, fp, scratch));
+                    let (best, n) = self.best_match_pooled(k, fp, scratch);
+                    answers.push(best);
+                    scored += n;
                 }
             });
         }
+        self.record_queries(distinct.len(), scored);
         occ.iter().map(|&o| answers[o as usize]).collect()
     }
 
@@ -401,13 +408,14 @@ impl Matcher {
     /// [`best_match`](Self::best_match) against the trip pool: shared
     /// counts come from mask popcounts, candidates visit level by level
     /// (shared desc; pool position — i.e. site — ascending within a
-    /// level), and alignments run over the SoA arena slices.
+    /// level), and alignments run over the SoA arena slices. Also returns
+    /// how many candidates it aligned.
     fn best_match_pooled(
         &self,
         k: usize,
         sample: &Fingerprint,
         scratch: &mut TripScratch,
-    ) -> Option<MatchResult> {
+    ) -> (Option<MatchResult>, usize) {
         let levels = self.levels(k, sample, scratch);
         let TripScratch { pool, counts } = scratch;
         let mut best: Option<MatchResult> = None;
@@ -457,8 +465,7 @@ impl Matcher {
                 }
             }
         });
-        self.record_query(scored);
-        best
+        (best, scored)
     }
 
     /// Reference implementation of [`best_match`](Self::best_match): a
@@ -577,12 +584,14 @@ impl Matcher {
         }
     }
 
-    /// Folds one indexed query's counters into telemetry.
-    fn record_query(&self, scored: usize) {
+    /// Folds the counters of `queries` indexed queries that aligned
+    /// `scored` candidates in all into telemetry, once per call: a query
+    /// prunes every stop it does not align.
+    fn record_queries(&self, queries: usize, scored: usize) {
         self.metrics.candidates_scored.add(scored as u64);
         self.metrics
             .candidates_pruned
-            .add((self.db.len().saturating_sub(scored)) as u64);
+            .add((queries * self.db.len()).saturating_sub(scored) as u64);
     }
 }
 

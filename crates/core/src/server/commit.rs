@@ -16,7 +16,7 @@ use crate::durability::{CommitRecord, HarvestEntry, WalRecord};
 use crate::mapping::MappedVisit;
 use crate::sanitize::SanitizeReport;
 use busprobe_mobile::CellularSample;
-use busprobe_telemetry::Level;
+use busprobe_telemetry::{Level, Stage};
 use busprobe_trace::{TraceEvent, TraceOutcome, TraceRecord, Tracer, TripTrace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -50,7 +50,7 @@ impl TrafficMonitor {
         match catch_unwind(AssertUnwindSafe(|| self.commit_inner(staged))) {
             Ok(report) => report,
             Err(_) => {
-                self.metrics.drop_internal_error.inc();
+                self.metrics.drops[DropReason::InternalError as usize].inc();
                 busprobe_telemetry::event(
                     Level::Warn,
                     "core::ingest",
@@ -133,19 +133,12 @@ impl TrafficMonitor {
         };
         match verdict {
             Verdict::Duplicate => {
-                self.metrics.drop_rejected_duplicate.inc();
-                busprobe_telemetry::event(
-                    Level::Debug,
-                    "core::ingest",
-                    format!("duplicate upload rejected ({raw_samples} samples)"),
-                );
                 record.report.duplicate = true;
                 note(TraceEvent::ExactDuplicate {
                     digest: staged.digest,
                 });
             }
             Verdict::Panicked => {
-                self.metrics.drop_internal_error.inc();
                 busprobe_telemetry::event(
                     Level::Warn,
                     "core::ingest",
@@ -160,7 +153,6 @@ impl TrafficMonitor {
                     near_duplicate: true,
                     ..IngestReport::sanitized(raw_samples, &staged.san)
                 };
-                self.count_drop(&record.report);
                 note(Self::sanitize_event(raw_samples, &staged.san));
                 if let Some(digests) = staged.near_digests {
                     note(TraceEvent::NearDuplicate { digests });
@@ -169,7 +161,6 @@ impl TrafficMonitor {
             Verdict::Fold => {
                 self.record_sanitize(&staged.san);
                 self.note_pipeline_counters(&staged.report);
-                self.count_drop(&staged.report);
                 record.near_digests = staged.near_digests;
                 if let Some((samples, visits)) = &staged.harvest {
                     record.harvest = self.harvest_entries(samples, visits);
@@ -183,9 +174,12 @@ impl TrafficMonitor {
             }
         }
 
-        let fusion_span = (verdict == Verdict::Fold).then(|| self.metrics.span_fusion());
+        let fusion_span =
+            (verdict == Verdict::Fold).then(|| self.metrics.stages.start(Stage::Fusion));
         self.apply_commit(&record, events.as_mut());
-        drop(fusion_span);
+        if let Some(span) = fusion_span {
+            span.finish();
+        }
         if verdict == Verdict::Fold {
             let observations = record.observations.len();
             if let Some(events) = events.as_mut().filter(|_| observations > 0) {
@@ -268,8 +262,9 @@ impl TrafficMonitor {
     }
 
     /// The single exit of every commit path: writes the WAL record,
-    /// then finalizes and submits the upload's trace (when a tracer is
-    /// attached) with the authoritative outcome and WAL seq.
+    /// counts a drop against its reason, then finalizes and submits the
+    /// upload's trace (when a tracer is attached) with the authoritative
+    /// outcome and WAL seq.
     fn seal_commit(
         &self,
         record: CommitRecord,
@@ -281,6 +276,9 @@ impl TrafficMonitor {
         let report = record.report;
         let digest = record.digest;
         let wal_seq = self.log(&WalRecord::Commit(record));
+        if let Some(reason) = report.drop_reason() {
+            self.metrics.drops[reason as usize].inc();
+        }
         if let Some(tracer) = tracer {
             let outcome = match report.drop_reason() {
                 None => TraceOutcome::Committed {
@@ -343,38 +341,6 @@ impl TrafficMonitor {
         self.metrics.observations.add(report.observations as u64);
     }
 
-    /// Attribute a zero-observation (non-duplicate) trip to the stage
-    /// that dropped it.
-    fn count_drop(&self, report: &IngestReport) {
-        match report.drop_reason() {
-            Some(DropReason::RejectedNearDuplicate) => self.metrics.drop_near_duplicate.inc(),
-            Some(DropReason::Malformed) => self.metrics.drop_malformed.inc(),
-            Some(DropReason::UnmatchedScans) => self.metrics.drop_unmatched_scans.inc(),
-            Some(DropReason::Unmapped) => self.metrics.drop_unmapped.inc(),
-            Some(DropReason::TooFewVisits) => self.metrics.drop_too_few_visits.inc(),
-            // Duplicates and internal errors are counted at their own
-            // sites; admission-layer reasons never come out of an
-            // IngestReport (they fire before staging, in the serve
-            // frontend) but the match stays wildcard-free on purpose.
-            Some(
-                DropReason::RejectedDuplicate
-                | DropReason::InternalError
-                | DropReason::ShedQueueFull
-                | DropReason::ShedDeadline
-                | DropReason::Oversized
-                | DropReason::Unparseable,
-            )
-            | None => {}
-        }
-        if let Some(reason) = report.drop_reason() {
-            busprobe_telemetry::event(
-                Level::Debug,
-                "core::ingest",
-                format!("trip dropped: {reason:?} ({} samples)", report.samples),
-            );
-        }
-    }
-
     /// The updater harvest this trip contributes — for every
     /// confidently-identified visit, the samples taken during that visit
     /// are fresh fingerprints of that stop. Mirrors
@@ -417,7 +383,7 @@ impl TrafficMonitor {
     /// inverted index exact without rebuilding it. Returns how many
     /// entries changed.
     pub fn refresh_database(&self) -> usize {
-        let _span = self.metrics.span_refresh();
+        let span = self.metrics.stages.start(Stage::Refresh);
         let changes = {
             let matcher = self.matcher.read();
             self.updater
@@ -444,6 +410,7 @@ impl TrafficMonitor {
         // of a batch it races, if any, and closes the group.
         self.log(&WalRecord::Refresh);
         self.flush_wal_group();
+        span.finish();
         changed
     }
 }

@@ -40,6 +40,7 @@ use crate::updater::DbUpdater;
 use busprobe_cellular::Fingerprint;
 use busprobe_mobile::Trip;
 use busprobe_network::TransitNetwork;
+use busprobe_telemetry::Stage;
 use busprobe_trace::Tracer;
 use durable::AttachedStore;
 use parking_lot::{Mutex, RwLock};
@@ -250,10 +251,12 @@ impl TrafficMonitor {
         T: Borrow<Trip> + Sync,
         R: Copy + Into<Option<f64>> + Sync,
     {
-        let _batch_span = self.metrics.span_ingest_batch();
+        let span = self.metrics.stages.start(Stage::IngestBatch);
         crate::parallel::assert_arrivals_match(received_s.len(), trips.len());
         let received = |seq: usize| received_s.get(seq).copied().and_then(Into::into);
-        crate::parallel::ingest_batch(self, trips, &received, workers)
+        let reports = crate::parallel::ingest_batch(self, trips, &received, workers);
+        span.finish();
+        reports
     }
 
     /// Attaches (or, with `None`, detaches) a per-upload decision-
@@ -493,7 +496,8 @@ mod tests {
         let snapshot = busprobe_telemetry::snapshot();
         let mut counters = std::collections::BTreeSet::new();
         let mut labels = std::collections::BTreeSet::new();
-        for reason in DropReason::ALL {
+        for (i, reason) in DropReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason as usize, i, "ALL is in declaration order");
             assert!(
                 snapshot.counter(reason.counter_name()).is_some(),
                 "{} is not a registered telemetry counter",

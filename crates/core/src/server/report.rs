@@ -5,6 +5,7 @@
 use crate::sanitize::{SanitizeConfig, SanitizeReport};
 use crate::updater::UpdaterConfig;
 use crate::{ClusterConfig, EstimatorConfig, MatchConfig};
+use busprobe_telemetry::Counter;
 use serde::{Deserialize, Serialize};
 
 /// Complete backend configuration.
@@ -64,7 +65,8 @@ pub enum DropReason {
 
 impl DropReason {
     /// Every variant, in pipeline order (admission-layer reasons last —
-    /// they fire before the upload ever reaches staging). The
+    /// they fire before the upload ever reaches staging), which is also
+    /// declaration order, so `reason as usize` indexes this array. The
     /// exhaustiveness tests walk this list so a new variant can't
     /// silently lose its telemetry counter or trace attribution.
     pub const ALL: [DropReason; 11] = [
@@ -97,6 +99,14 @@ impl DropReason {
             DropReason::Oversized => "busprobe_core_drop_oversized_total",
             DropReason::Unparseable => "busprobe_core_drop_unparseable_total",
         }
+    }
+
+    /// Every reason's global telemetry counter, resolved once from
+    /// [`counter_name`](Self::counter_name) and indexed by `reason as
+    /// usize`.
+    #[must_use]
+    pub fn counters() -> [Counter; DropReason::ALL.len()] {
+        DropReason::ALL.map(|reason| busprobe_telemetry::counter(reason.counter_name()))
     }
 
     /// The stable label carried by a trace's `Dropped` outcome.

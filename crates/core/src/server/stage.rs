@@ -9,10 +9,9 @@ use crate::mapping::{MappedVisit, TripMapper};
 use crate::matching::MatchResult;
 use crate::sanitize::{self, SanitizeReport};
 use busprobe_mobile::{CellularSample, Trip};
-use busprobe_telemetry::{Span, StageTimer};
-use busprobe_trace::{CandidateScore, StageSpan, TraceEvent};
+use busprobe_telemetry::{Span, Stage, StageSpan};
+use busprobe_trace::{CandidateScore, TraceEvent};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 /// The speculative result of the read-only ingest stages for one upload —
 /// everything `commit_staged` needs to fold the trip into shared state
@@ -77,6 +76,16 @@ pub(crate) struct TraceDraft {
     pub(super) worker: Option<usize>,
 }
 
+impl TraceDraft {
+    /// Keeps a finished stage's readings when tracing: the same readings
+    /// the stage timers record, so tracing reads no clock of its own.
+    fn note_span(draft: Option<&mut TraceDraft>, done: StageSpan) {
+        if let Some(draft) = draft {
+            draft.spans.push(done);
+        }
+    }
+}
+
 impl TrafficMonitor {
     /// Phase 1 of ingest: the read-only, speculative stages — sanitize →
     /// match → cluster → map → estimate. Touches no mutable monitor state,
@@ -128,12 +137,8 @@ impl TrafficMonitor {
         });
 
         // Sanitize: validate, normalize the clock, reorder, deduplicate.
-        let (samples, san) = self.timed(
-            &self.metrics.stage_sanitize,
-            "sanitize",
-            draft.as_mut(),
-            |_| sanitize::sanitize(&trip.samples, received_s, &self.config.sanitize),
-        );
+        let mut span = self.metrics.stages.start(Stage::Sanitize);
+        let (samples, san) = sanitize::sanitize(&trip.samples, received_s, &self.config.sanitize);
         let mut report = IngestReport::sanitized(trip.samples.len(), &san);
 
         // Near-duplicate digests of the sanitized content: a jittered or
@@ -146,6 +151,7 @@ impl TrafficMonitor {
             digests.iter().any(|d| seen.contains(d))
         });
         if near_hit {
+            TraceDraft::note_span(draft.as_mut(), span.finish());
             return StagedUpload {
                 report,
                 san,
@@ -155,7 +161,8 @@ impl TrafficMonitor {
             };
         }
 
-        let (visits, observations) = self.run_stages(&samples, &mut report, draft.as_mut());
+        TraceDraft::note_span(draft.as_mut(), span.hand_over(Stage::Matching));
+        let (visits, observations) = self.run_stages(&samples, &mut report, draft.as_mut(), span);
         StagedUpload {
             report,
             san,
@@ -176,108 +183,82 @@ impl TrafficMonitor {
     pub fn observations_for(&self, trip: &Trip) -> (IngestReport, Vec<SpeedObservation>) {
         let (samples, san) = sanitize::sanitize(&trip.samples, None, &self.config.sanitize);
         let mut report = IngestReport::sanitized(trip.samples.len(), &san);
-        let (_, observations) = self.run_stages(&samples, &mut report, None);
+        let span = self.metrics.stages.start(Stage::Matching);
+        let (_, observations) = self.run_stages(&samples, &mut report, None, span);
         self.note_pipeline_counters(&report);
         (report, observations)
     }
 
-    /// Runs one stage under its telemetry span and, when tracing, records
-    /// its wall-clock span in the draft (which `work` may also write
-    /// decision events to).
-    fn timed<T>(
-        &self,
-        timer: &Arc<StageTimer>,
-        stage: &'static str,
-        mut trace: Option<&mut TraceDraft>,
-        work: impl FnOnce(Option<&mut TraceDraft>) -> T,
-    ) -> T {
-        let start_ns = trace.as_ref().map(|_| busprobe_telemetry::clock_ns());
-        let span = Span::start(Arc::clone(timer));
-        let out = work(trace.as_deref_mut());
-        span.finish();
-        if let (Some(draft), Some(start_ns)) = (trace, start_ns) {
-            let dur_ns = busprobe_telemetry::clock_ns().saturating_sub(start_ns);
-            draft.spans.push(StageSpan {
-                stage,
-                start_ns,
-                dur_ns,
-            });
-        }
-        out
-    }
-
     /// The full §III-C/§III-D pipeline for one sanitized upload: matching
-    /// → clustering → mapping → estimation. Fills the stage fields of
-    /// `report` in place. Read-only with respect to the monitor (the
-    /// matcher is taken through its read guard), so stage workers may run
-    /// it concurrently; the volume counters are applied at commit by
-    /// `note_pipeline_counters`.
+    /// → clustering → mapping → estimation. `span` is the running
+    /// `Matching` stage; each later stage starts where the one before it
+    /// ends (one clock reading per boundary, which a traced upload's
+    /// draft also keeps), and `Pipeline` records the first reading to the
+    /// last. Fills
+    /// the stage fields of `report` in place. Read-only with respect to
+    /// the monitor (the matcher is taken through its read guard), so
+    /// stage workers may run it concurrently; the volume counters are
+    /// applied at commit by `note_pipeline_counters`.
     fn run_stages(
         &self,
         samples: &[CellularSample],
         report: &mut IngestReport,
         mut trace: Option<&mut TraceDraft>,
+        mut span: Span<'_>,
     ) -> (Vec<MappedVisit>, Vec<SpeedObservation>) {
-        let _pipeline_span = self.metrics.span_pipeline();
+        let pipeline_start_ns = span.start_ns();
+        let out = 'stages: {
+            // Trip-level batch matching (γ filter included). Samples within
+            // a trip hear the same few stops, so the batch scorer
+            // deduplicates repeated cell sequences and shares one index
+            // probe across the whole upload — bit-identical to a per-sample
+            // `best_match` loop.
+            let matched = self.match_samples(samples, trace.as_deref_mut());
+            report.matched = matched.len();
+            if matched.is_empty() {
+                break 'stages (Vec::new(), Vec::new());
+            }
 
-        // Trip-level batch matching (γ filter included). Samples within a
-        // trip hear the same few stops, so the batch scorer deduplicates
-        // repeated cell sequences and shares one index probe across the
-        // whole upload — bit-identical to a per-sample `best_match` loop.
-        let matched = self.timed(
-            &self.metrics.stage_matching,
-            "matching",
-            trace.as_deref_mut(),
-            |draft| self.match_samples(samples, draft),
-        );
-        report.matched = matched.len();
-        if matched.is_empty() {
-            return (Vec::new(), Vec::new());
-        }
+            // Per-stop clustering.
+            TraceDraft::note_span(trace.as_deref_mut(), span.hand_over(Stage::Clustering));
+            let clusters = self.clusterer.cluster(matched);
+            if let Some(draft) = trace.as_mut() {
+                draft.events.push(TraceEvent::Clustering {
+                    clusters: clusters.len(),
+                });
+            }
+            report.clusters = clusters.len();
 
-        // Per-stop clustering.
-        let clusters = self.timed(
-            &self.metrics.stage_clustering,
-            "clustering",
-            trace.as_deref_mut(),
-            |_| self.clusterer.cluster(matched),
-        );
-        if let Some(draft) = trace.as_mut() {
-            draft.events.push(TraceEvent::Clustering {
-                clusters: clusters.len(),
-            });
-        }
-        report.clusters = clusters.len();
+            // Per-trip mapping with partial-trip salvage: keep the longest
+            // route-consistent run instead of dropping a noisy trip whole.
+            TraceDraft::note_span(trace.as_deref_mut(), span.hand_over(Stage::Mapping));
+            let mapped = TripMapper::new(&self.network).map_trip_salvaged(&clusters);
+            let Some((visits, salvage_dropped)) = mapped else {
+                break 'stages (Vec::new(), Vec::new());
+            };
+            if let Some(draft) = trace.as_mut() {
+                let confidences = visits.iter().map(|v| v.confidence);
+                draft.events.push(TraceEvent::Mapping {
+                    visits: visits.len(),
+                    salvage_dropped,
+                    min_confidence: confidences.clone().fold(f64::INFINITY, f64::min),
+                    max_confidence: confidences.fold(f64::NEG_INFINITY, f64::max),
+                });
+            }
+            report.visits = visits.len();
+            report.salvage_dropped = salvage_dropped;
 
-        // Per-trip mapping with partial-trip salvage: keep the longest
-        // route-consistent run instead of dropping a noisy trip whole.
-        let mapped = self.timed(
-            &self.metrics.stage_mapping,
-            "mapping",
-            trace.as_deref_mut(),
-            |_| TripMapper::new(&self.network).map_trip_salvaged(&clusters),
-        );
-        let Some((visits, salvage_dropped)) = mapped else {
-            return (Vec::new(), Vec::new());
+            // Traffic estimation.
+            TraceDraft::note_span(trace.as_deref_mut(), span.hand_over(Stage::Estimation));
+            let observations =
+                TripEstimator::new(&self.network, self.config.estimation).estimate(&visits);
+            report.observations = observations.len();
+            (visits, observations)
         };
-        if let Some(draft) = trace.as_mut() {
-            let confidences = visits.iter().map(|v| v.confidence);
-            draft.events.push(TraceEvent::Mapping {
-                visits: visits.len(),
-                salvage_dropped,
-                min_confidence: confidences.clone().fold(f64::INFINITY, f64::min),
-                max_confidence: confidences.fold(f64::NEG_INFINITY, f64::max),
-            });
-        }
-        report.visits = visits.len();
-        report.salvage_dropped = salvage_dropped;
-
-        // Traffic estimation.
-        let observations = self.timed(&self.metrics.stage_estimation, "estimation", trace, |_| {
-            TripEstimator::new(&self.network, self.config.estimation).estimate(&visits)
-        });
-        report.observations = observations.len();
-        (visits, observations)
+        let last = span.finish();
+        self.metrics.stages[Stage::Pipeline].record_ns(last.end_ns() - pipeline_start_ns);
+        TraceDraft::note_span(trace, last);
+        out
     }
 
     /// Matches every sample of one upload under one matcher read guard,

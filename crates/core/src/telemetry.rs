@@ -5,7 +5,8 @@
 //! once per [`TrafficMonitor`](crate::TrafficMonitor) so the per-trip
 //! hot path records through plain atomics without any name lookups.
 
-use busprobe_telemetry::{Counter, Histogram, Span, StageTimer};
+use crate::server::DropReason;
+use busprobe_telemetry::{Counter, Histogram, StageTimers};
 use std::sync::Arc;
 
 /// Upper bounds for the observations-per-trip histogram.
@@ -33,15 +34,10 @@ pub(crate) struct PipelineMetrics {
     // Partial-trip salvage.
     pub salvaged_trips: Counter,
     pub salvage_dropped_visits: Counter,
-    // Drop attribution: every ingested trip that yields zero
-    // observations increments exactly one of these.
-    pub drop_rejected_duplicate: Counter,
-    pub drop_near_duplicate: Counter,
-    pub drop_malformed: Counter,
-    pub drop_unmatched_scans: Counter,
-    pub drop_unmapped: Counter,
-    pub drop_too_few_visits: Counter,
-    pub drop_internal_error: Counter,
+    // Drop attribution, indexed by `DropReason as usize`: every ingested
+    // trip that yields zero observations increments exactly one of
+    // these, at commit.
+    pub drops: [Counter; DropReason::ALL.len()],
     // Durable-store appends that failed (ingestion continues; durability
     // of the affected commits is lost).
     pub store_append_errors: Counter,
@@ -52,31 +48,13 @@ pub(crate) struct PipelineMetrics {
     pub store_failstop: Counter,
     // Distribution of observations per accepted trip.
     pub obs_per_trip: Arc<Histogram>,
-    // Wall-time per pipeline stage. The five read-only stages are
-    // started by the stage phase's one `timed` helper.
-    pub stage_sanitize: Arc<StageTimer>,
-    pub stage_matching: Arc<StageTimer>,
-    pub stage_clustering: Arc<StageTimer>,
-    pub stage_mapping: Arc<StageTimer>,
-    pub stage_estimation: Arc<StageTimer>,
-    stage_ingest_batch: Arc<StageTimer>,
-    stage_pipeline: Arc<StageTimer>,
-    stage_fusion: Arc<StageTimer>,
-    stage_refresh: Arc<StageTimer>,
+    // Wall time per pipeline stage.
+    pub stages: &'static StageTimers,
 }
 
 impl PipelineMetrics {
     pub(crate) fn new() -> Self {
         let registry = busprobe_telemetry::global();
-        // Admission-layer drop reasons (queue shedding, deadline misses,
-        // oversized/unparseable frames) are incremented by the streaming
-        // frontend, which resolves these same counters by name; touching
-        // every variant here keeps the DropReason exhaustiveness
-        // contract — each variant owns a live counter the moment any
-        // monitor exists.
-        for reason in crate::server::DropReason::ALL {
-            registry.counter(reason.counter_name());
-        }
         Self {
             trips: registry.counter("busprobe_core_trips_ingested_total"),
             samples: registry.counter("busprobe_core_samples_total"),
@@ -94,44 +72,13 @@ impl PipelineMetrics {
             clock_normalized_trips: registry.counter("busprobe_core_clock_normalized_trips_total"),
             salvaged_trips: registry.counter("busprobe_core_salvaged_trips_total"),
             salvage_dropped_visits: registry.counter("busprobe_core_salvage_dropped_visits_total"),
-            drop_rejected_duplicate: registry
-                .counter("busprobe_core_drop_rejected_duplicate_total"),
-            drop_near_duplicate: registry.counter("busprobe_core_drop_near_duplicate_total"),
-            drop_malformed: registry.counter("busprobe_core_drop_malformed_total"),
-            drop_unmatched_scans: registry.counter("busprobe_core_drop_unmatched_scans_total"),
-            drop_unmapped: registry.counter("busprobe_core_drop_unmapped_total"),
-            drop_too_few_visits: registry.counter("busprobe_core_drop_too_few_visits_total"),
-            drop_internal_error: registry.counter("busprobe_core_drop_internal_error_total"),
+            drops: DropReason::counters(),
             store_append_errors: registry.counter("busprobe_core_store_append_errors_total"),
             store_io_retries: registry.counter("busprobe_store_io_retries_total"),
             store_failstop: registry.counter("busprobe_core_store_failstop_total"),
             obs_per_trip: registry.histogram("busprobe_core_observations_per_trip", &OBS_BUCKETS),
-            stage_ingest_batch: registry.stage("busprobe_core_stage_ingest_batch"),
-            stage_pipeline: registry.stage("busprobe_core_stage_pipeline"),
-            stage_sanitize: registry.stage("busprobe_core_stage_sanitize"),
-            stage_matching: registry.stage("busprobe_core_stage_matching"),
-            stage_clustering: registry.stage("busprobe_core_stage_clustering"),
-            stage_mapping: registry.stage("busprobe_core_stage_mapping"),
-            stage_estimation: registry.stage("busprobe_core_stage_estimation"),
-            stage_fusion: registry.stage("busprobe_core_stage_fusion"),
-            stage_refresh: registry.stage("busprobe_core_stage_refresh"),
+            stages: busprobe_telemetry::stage_timers(),
         }
-    }
-
-    pub(crate) fn span_ingest_batch(&self) -> Span {
-        Span::start(Arc::clone(&self.stage_ingest_batch))
-    }
-
-    pub(crate) fn span_pipeline(&self) -> Span {
-        Span::start(Arc::clone(&self.stage_pipeline))
-    }
-
-    pub(crate) fn span_fusion(&self) -> Span {
-        Span::start(Arc::clone(&self.stage_fusion))
-    }
-
-    pub(crate) fn span_refresh(&self) -> Span {
-        Span::start(Arc::clone(&self.stage_refresh))
     }
 }
 
@@ -147,8 +94,8 @@ pub(crate) struct MatcherMetrics {
     pub candidates_pruned: Counter,
     /// Stops actually aligned per indexed query.
     pub candidates_scored: Counter,
-    /// Wall time of inverted-index construction.
-    stage_index_build: Arc<StageTimer>,
+    /// Wall time per stage (the matcher times `IndexBuild`).
+    pub stages: &'static StageTimers,
 }
 
 impl MatcherMetrics {
@@ -157,11 +104,7 @@ impl MatcherMetrics {
         Self {
             candidates_pruned: registry.counter("busprobe_core_match_candidates_pruned_total"),
             candidates_scored: registry.counter("busprobe_core_match_candidates_scored_total"),
-            stage_index_build: registry.stage("busprobe_core_stage_index_build"),
+            stages: busprobe_telemetry::stage_timers(),
         }
-    }
-
-    pub(crate) fn span_index_build(&self) -> Span {
-        Span::start(Arc::clone(&self.stage_index_build))
     }
 }

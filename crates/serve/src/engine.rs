@@ -230,10 +230,8 @@ struct Stats {
     admitted: AtomicU64,
     committed: AtomicU64,
     acked: AtomicU64,
-    shed_queue_full: AtomicU64,
-    shed_deadline: AtomicU64,
-    oversized: AtomicU64,
-    unparseable: AtomicU64,
+    /// Admission drops, indexed by `DropReason as usize`.
+    dropped: [AtomicU64; DropReason::ALL.len()],
     refused_draining: AtomicU64,
     checkpoints: AtomicU64,
     flushes: AtomicU64,
@@ -256,6 +254,12 @@ enum FlushCause {
     Drain,
 }
 
+impl FlushCause {
+    /// Each cause's `busprobe_serve_flushes_<name>_total` name, in
+    /// declaration order, so `cause as usize` indexes it.
+    const NAMES: [&'static str; 5] = ["full", "dry", "idle", "checkpoint", "drain"];
+}
+
 /// Pre-resolved global telemetry instruments.
 struct ServeMetrics {
     admitted: Counter,
@@ -267,15 +271,10 @@ struct ServeMetrics {
     admission_latency: Arc<Histogram>,
     ack_latency: Arc<Histogram>,
     flush_group_size: Arc<Histogram>,
-    flushes_full: Counter,
-    flushes_dry: Counter,
-    flushes_idle: Counter,
-    flushes_checkpoint: Counter,
-    flushes_drain: Counter,
-    shed_queue_full: Counter,
-    shed_deadline: Counter,
-    oversized: Counter,
-    unparseable: Counter,
+    /// Indexed by `FlushCause as usize`.
+    flushes: [Counter; FlushCause::NAMES.len()],
+    /// Indexed by `DropReason as usize`.
+    drops: [Counter; DropReason::ALL.len()],
 }
 
 impl ServeMetrics {
@@ -299,27 +298,10 @@ impl ServeMetrics {
                 "busprobe_serve_flush_group_size",
                 &GROUP_SIZE_BUCKETS,
             ),
-            flushes_full: busprobe_telemetry::counter("busprobe_serve_flushes_full_total"),
-            flushes_dry: busprobe_telemetry::counter("busprobe_serve_flushes_dry_total"),
-            flushes_idle: busprobe_telemetry::counter("busprobe_serve_flushes_idle_total"),
-            flushes_checkpoint: busprobe_telemetry::counter(
-                "busprobe_serve_flushes_checkpoint_total",
-            ),
-            flushes_drain: busprobe_telemetry::counter("busprobe_serve_flushes_drain_total"),
-            shed_queue_full: busprobe_telemetry::counter(DropReason::ShedQueueFull.counter_name()),
-            shed_deadline: busprobe_telemetry::counter(DropReason::ShedDeadline.counter_name()),
-            oversized: busprobe_telemetry::counter(DropReason::Oversized.counter_name()),
-            unparseable: busprobe_telemetry::counter(DropReason::Unparseable.counter_name()),
-        }
-    }
-
-    fn flushes(&self, cause: FlushCause) -> &Counter {
-        match cause {
-            FlushCause::Full => &self.flushes_full,
-            FlushCause::Dry => &self.flushes_dry,
-            FlushCause::Idle => &self.flushes_idle,
-            FlushCause::Checkpoint => &self.flushes_checkpoint,
-            FlushCause::Drain => &self.flushes_drain,
+            flushes: FlushCause::NAMES.map(|name| {
+                busprobe_telemetry::counter(&format!("busprobe_serve_flushes_{name}_total"))
+            }),
+            drops: DropReason::counters(),
         }
     }
 }
@@ -351,33 +333,11 @@ impl Shared {
         }
     }
 
-    /// The per-engine and global counters of an admission-layer drop
-    /// reason. Wildcard-free, like `core`'s own attribution, so a new
-    /// variant cannot silently count as another.
-    fn drop_counters(&self, reason: DropReason) -> (&AtomicU64, &Counter) {
-        match reason {
-            DropReason::ShedQueueFull => (&self.stats.shed_queue_full, &self.tele.shed_queue_full),
-            DropReason::ShedDeadline => (&self.stats.shed_deadline, &self.tele.shed_deadline),
-            DropReason::Oversized => (&self.stats.oversized, &self.tele.oversized),
-            DropReason::Unparseable => (&self.stats.unparseable, &self.tele.unparseable),
-            DropReason::RejectedDuplicate
-            | DropReason::RejectedNearDuplicate
-            | DropReason::Malformed
-            | DropReason::UnmatchedScans
-            | DropReason::Unmapped
-            | DropReason::TooFewVisits
-            | DropReason::InternalError => {
-                unreachable!("{reason:?} is attributed by the pipeline, not at admission")
-            }
-        }
-    }
-
     /// Attributes one upload dropped before staging: counter, trace,
     /// and (when the producer is still listening) a `drop` response.
     fn attribute_drop(&self, adm: &Admission, reason: DropReason) {
-        let (stat, tele) = self.drop_counters(reason);
-        stat.fetch_add(1, Ordering::Relaxed);
-        tele.inc();
+        self.stats.dropped[reason as usize].fetch_add(1, Ordering::Relaxed);
+        self.tele.drops[reason as usize].inc();
         if let Some(tracer) = self.monitor.trace_sink() {
             tracer.submit(TraceRecord {
                 trace: TripTrace::admission_drop(
@@ -403,15 +363,17 @@ impl Shared {
         // the difference — commits staged but not yet fsynced and
         // acked — cannot read negative.
         let acked = self.stats.acked.load(Ordering::Relaxed);
+        let dropped =
+            |reason: DropReason| self.stats.dropped[reason as usize].load(Ordering::Relaxed);
         ServeSummary {
             received: self.stats.received.load(Ordering::Relaxed),
             admitted: self.stats.admitted.load(Ordering::Relaxed),
             committed: self.stats.committed.load(Ordering::Relaxed),
             acked,
-            shed_queue_full: self.stats.shed_queue_full.load(Ordering::Relaxed),
-            shed_deadline: self.stats.shed_deadline.load(Ordering::Relaxed),
-            oversized: self.stats.oversized.load(Ordering::Relaxed),
-            unparseable: self.stats.unparseable.load(Ordering::Relaxed),
+            shed_queue_full: dropped(DropReason::ShedQueueFull),
+            shed_deadline: dropped(DropReason::ShedDeadline),
+            oversized: dropped(DropReason::Oversized),
+            unparseable: dropped(DropReason::Unparseable),
             refused_draining: self.stats.refused_draining.load(Ordering::Relaxed),
             checkpoints: self.stats.checkpoints.load(Ordering::Relaxed),
             flushes: self.stats.flushes.load(Ordering::Relaxed),
@@ -997,7 +959,7 @@ impl CommitLoop {
                     shared.stats.idle_flushes.fetch_add(1, Ordering::Relaxed);
                 }
                 shared.tele.acked.add(group);
-                shared.tele.flushes(cause).inc();
+                shared.tele.flushes[cause as usize].inc();
                 shared.tele.flush_group_size.record(group as f64);
                 true
             }

@@ -154,7 +154,7 @@ impl Simulation {
     /// Runs every dispatch of every route to completion.
     #[must_use]
     pub fn run(&self) -> SimOutput {
-        let _run_span = metrics().span_run();
+        let start_ns = busprobe_telemetry::clock_ns();
         let mut output = SimOutput::default();
         let mut bus_counter = 0u32;
         let mut rider_counter = 0u64;
@@ -185,6 +185,9 @@ impl Simulation {
                 t = t + self.scenario.headway_s;
             }
         }
+        metrics()
+            .stage_run
+            .record_ns(busprobe_telemetry::clock_ns() - start_ns);
         output
     }
 

@@ -8,13 +8,13 @@ use std::time::{SystemTime, UNIX_EPOCH};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
     /// Development tracing.
-    Debug = 0,
+    Debug,
     /// Routine operational signals.
-    Info = 1,
+    Info,
     /// Degraded but recoverable conditions.
-    Warn = 2,
+    Warn,
     /// Failures.
-    Error = 3,
+    Error,
 }
 
 impl Level {

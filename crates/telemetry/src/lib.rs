@@ -1,18 +1,22 @@
 //! Pipeline-wide observability for busprobe: named counters, gauges,
-//! fixed-bucket histograms, per-stage wall-time spans and a structured
+//! fixed-bucket histograms, per-stage wall-time timers and a structured
 //! event ring, with JSON and Prometheus text exporters.
 //!
 //! Instruments live in a [`Registry`]. Most code uses the process-wide
 //! global registry through the free functions:
 //!
 //! ```
+//! use busprobe_telemetry::Stage;
+//!
 //! busprobe_telemetry::counter("busprobe_doc_example_total").inc();
-//! {
-//!     let _span = busprobe_telemetry::span("busprobe_doc_example_stage");
-//!     // ... timed work ...
-//! }
+//! let mut span = busprobe_telemetry::stage_timers().start(Stage::Matching);
+//! // ... matching ...
+//! span.hand_over(Stage::Clustering); // one clock reading ends one, starts the other
+//! // ... clustering ...
+//! span.finish();
 //! let snapshot = busprobe_telemetry::snapshot();
 //! assert_eq!(snapshot.counter("busprobe_doc_example_total"), Some(1));
+//! assert!(snapshot.stage("busprobe_core_stage_clustering").unwrap().calls >= 1);
 //! ```
 //!
 //! Metric names follow `busprobe_<crate>_<name>` (see DESIGN.md,
@@ -36,16 +40,23 @@ pub use events::{Event, Level};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{HistogramSnapshot, Registry, Snapshot, StageSnapshot, DEFAULT_EVENT_CAPACITY};
 pub use ring::Ring;
-pub use span::{Span, StageTimer};
+pub use span::{Span, Stage, StageSpan, StageTimer, StageTimers};
 
 use std::sync::OnceLock;
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
+static STAGE_TIMERS: OnceLock<StageTimers> = OnceLock::new();
 
 /// The process-wide registry.
 #[must_use]
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
+}
+
+/// The global registry's [`Stage`] timers, resolved once per process.
+#[must_use]
+pub fn stage_timers() -> &'static StageTimers {
+    STAGE_TIMERS.get_or_init(|| StageTimers::new(global()))
 }
 
 /// The global counter named `name` (created on first use).
@@ -64,11 +75,6 @@ pub fn gauge(name: &str) -> Gauge {
 #[must_use]
 pub fn histogram(name: &str, bounds: &[f64]) -> std::sync::Arc<Histogram> {
     global().histogram(name, bounds)
-}
-
-/// Start timing `stage` in the global registry.
-pub fn span(stage: &str) -> Span {
-    global().span(stage)
 }
 
 /// Record a structured event in the global registry.
@@ -97,9 +103,7 @@ mod tests {
     fn global_free_functions_share_one_registry() {
         counter("libtest_hits_total").add(3);
         gauge("libtest_level").set(1.25);
-        {
-            let _span = span("libtest_stage");
-        }
+        global().stage("libtest_stage").record_ns(7);
         event(Level::Info, "libtest", "hello");
         let snap = snapshot();
         assert_eq!(snap.counter("libtest_hits_total"), Some(3));

@@ -2,10 +2,9 @@
 
 use crate::events::{Event, EventRing, Level};
 use crate::metrics::{Counter, Gauge, Histogram};
-use crate::span::{Span, StageTimer};
+use crate::span::StageTimer;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Default capacity of the event ring.
@@ -25,7 +24,6 @@ pub struct Registry {
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
     stages: RwLock<BTreeMap<String, Arc<StageTimer>>>,
     events: Mutex<EventRing>,
-    min_level: AtomicU8,
 }
 
 impl Default for Registry {
@@ -50,7 +48,6 @@ impl Registry {
             histograms: RwLock::new(BTreeMap::new()),
             stages: RwLock::new(BTreeMap::new()),
             events: Mutex::new(EventRing::new(capacity)),
-            min_level: AtomicU8::new(Level::Debug as u8),
         }
     }
 
@@ -107,21 +104,8 @@ impl Registry {
         )
     }
 
-    /// Start timing `stage`; the returned guard records on drop.
-    pub fn span(&self, stage: &str) -> Span {
-        Span::start(self.stage(stage))
-    }
-
-    /// Drop events below `level` from now on.
-    pub fn set_min_level(&self, level: Level) {
-        self.min_level.store(level as u8, Ordering::Relaxed);
-    }
-
-    /// Record a structured event (subject to the level filter).
+    /// Record a structured event.
     pub fn event(&self, level: Level, target: &str, message: impl Into<String>) {
-        if (level as u8) < self.min_level.load(Ordering::Relaxed) {
-            return;
-        }
         self.events.lock().push(level, target, message.into());
     }
 
@@ -156,12 +140,15 @@ impl Registry {
             .stages
             .read()
             .iter()
-            .map(|(name, t)| StageSnapshot {
-                name: name.clone(),
-                calls: t.calls(),
-                total_ns: t.total_ns(),
-                max_ns: t.max_ns(),
-                log2_ns: t.log2_bucket_counts(),
+            .map(|(name, t)| {
+                let log2_ns = t.log2_bucket_counts();
+                StageSnapshot {
+                    name: name.clone(),
+                    calls: log2_ns.iter().sum(),
+                    total_ns: t.total_ns(),
+                    max_ns: t.max_ns(),
+                    log2_ns,
+                }
             })
             .collect();
         let (events, events_dropped) = {
@@ -218,7 +205,7 @@ pub struct HistogramSnapshot {
 pub struct StageSnapshot {
     /// Registered stage name.
     pub name: String,
-    /// Completed spans.
+    /// Completed spans (the sum of `log2_ns`).
     pub calls: u64,
     /// Aggregate wall time in nanoseconds.
     pub total_ns: u64,
@@ -335,6 +322,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::{Stage, StageTimers};
 
     #[test]
     fn instruments_are_get_or_create() {
@@ -358,13 +346,13 @@ mod tests {
     #[test]
     fn spans_feed_stage_snapshots() {
         let registry = Registry::new();
-        {
-            let _span = registry.span("stage_x");
-        }
+        let timers = StageTimers::new(&registry);
+        timers.start(Stage::Matching).finish();
         let snap = registry.snapshot();
-        let stage = snap.stage("stage_x").unwrap();
+        let stage = snap.stage("busprobe_core_stage_matching").unwrap();
         assert_eq!(stage.calls, 1);
         assert!(stage.mean_seconds() >= 0.0);
+        assert_eq!(snap.stage("busprobe_core_stage_mapping").unwrap().calls, 0);
     }
 
     #[test]
@@ -391,17 +379,6 @@ mod tests {
         assert!(stage.percentile_ns(1.0) <= stage.max_ns);
         // Zero-call stages report zero.
         assert_eq!(StageSnapshot::default().p50_ns(), 0);
-    }
-
-    #[test]
-    fn level_filter_drops_chatty_events() {
-        let registry = Registry::new();
-        registry.set_min_level(Level::Warn);
-        registry.event(Level::Debug, "t", "dropped");
-        registry.event(Level::Error, "t", "kept");
-        let snap = registry.snapshot();
-        assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.events[0].message, "kept");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Telemetry under contention: many threads hammering shared
 //! instruments must lose no updates, and snapshots/exporters must agree.
 
-use busprobe_telemetry::{Level, Registry};
+use busprobe_telemetry::{Level, Registry, Stage, StageTimers};
 
 const THREADS: u64 = 8;
 const PER_THREAD: u64 = 10_000;
@@ -34,16 +34,16 @@ fn concurrent_counter_increments_are_lossless() {
 fn concurrent_histogram_and_span_recording() {
     let registry = Registry::new();
     let histogram = registry.histogram("busprobe_test_latency", &[0.5, 1.5, 2.5]);
+    let timers = StageTimers::new(&registry);
     crossbeam::scope(|scope| {
         for t in 0..4u64 {
             let histogram = histogram.clone();
-            let registry = &registry;
+            let timers = &timers;
             scope.spawn(move |_| {
                 for i in 0..1_000u64 {
                     // Cycle deterministically through all buckets.
                     histogram.record(((t + i) % 4) as f64);
-                    let span = registry.span("busprobe_test_stage");
-                    span.finish();
+                    timers.start(Stage::Matching).finish();
                 }
             });
         }
@@ -54,7 +54,8 @@ fn concurrent_histogram_and_span_recording() {
     // 0,1,2,3 cycled evenly: one observation per bucket per round.
     assert_eq!(histogram.bucket_counts(), vec![1_000, 1_000, 1_000, 1_000]);
     let snap = registry.snapshot();
-    assert_eq!(snap.stage("busprobe_test_stage").unwrap().calls, 4_000);
+    let stage = snap.stage("busprobe_core_stage_matching").unwrap();
+    assert_eq!(stage.calls, 4_000);
 }
 
 #[test]

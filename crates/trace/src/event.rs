@@ -9,6 +9,7 @@
 //! upload, wall-clock stage spans) live next to it in a
 //! [`TraceRecord`] and surface only through the Chrome trace export.
 
+use busprobe_telemetry::StageSpan;
 use serde::Serialize;
 
 /// One scored fingerprint-match candidate.
@@ -213,18 +214,6 @@ impl TripTrace {
     }
 }
 
-/// One timed pipeline stage for the Chrome trace export. Wall-clock,
-/// so never part of the JSONL schema.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct StageSpan {
-    /// Stage name (matches the `busprobe_core_stage_*` timer names).
-    pub stage: &'static str,
-    /// Start, ns on the shared process clock.
-    pub start_ns: u64,
-    /// Duration, ns.
-    pub dur_ns: u64,
-}
-
 /// A finished trace plus its runtime (non-deterministic) context.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
@@ -233,7 +222,9 @@ pub struct TraceRecord {
     /// Stage-pool worker that staged the upload (None = serial path
     /// or a commit-side synthesized trace).
     pub worker: Option<usize>,
-    /// Wall-clock stage spans captured while staging and committing.
+    /// Wall-clock stage spans captured while staging, for the Chrome
+    /// export only: the same readings the stage timers record, so never
+    /// part of the JSONL schema.
     pub spans: Vec<StageSpan>,
 }
 

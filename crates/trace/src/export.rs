@@ -46,7 +46,7 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
         let tid = record.worker.map_or(0, |w| w + 1);
         for span in &record.spans {
             events.push(object(vec![
-                ("name", Value::String(span.stage.to_string())),
+                ("name", Value::String(span.stage.name().to_string())),
                 ("ph", Value::String("X".to_string())),
                 (
                     "ts",
@@ -73,7 +73,7 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
         let outcome_ts = record
             .spans
             .last()
-            .map_or(0.0, |s| (s.start_ns + s.dur_ns) as f64 / 1000.0);
+            .map_or(0.0, |s| s.end_ns() as f64 / 1000.0);
         events.push(object(vec![
             (
                 "name",
@@ -103,7 +103,8 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{StageSpan, TraceEvent, TraceOutcome};
+    use crate::event::{TraceEvent, TraceOutcome};
+    use busprobe_telemetry::{Stage, StageSpan};
 
     fn trace(seq: u64) -> TripTrace {
         TripTrace {
@@ -136,14 +137,15 @@ mod tests {
             trace: trace(3),
             worker: Some(1),
             spans: vec![StageSpan {
-                stage: "matching",
+                stage: Stage::Matching,
                 start_ns: 2000,
                 dur_ns: 1000,
             }],
         };
         let json = to_chrome_trace(&[record]);
         assert!(json.starts_with('['), "{json}");
-        assert!(json.contains("\"name\":\"matching\""), "{json}");
+        let name = format!("\"name\":\"{}\"", Stage::Matching.name());
+        assert!(json.contains(&name), "{json}");
         assert!(json.contains("\"ph\":\"X\""), "{json}");
         assert!(json.contains("\"ph\":\"i\""), "{json}");
         assert!(json.contains("\"tid\":2"), "worker 1 maps to tid 2: {json}");

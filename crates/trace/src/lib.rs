@@ -28,7 +28,8 @@ mod narrative;
 mod policy;
 mod recovery;
 
-pub use event::{CandidateScore, StageSpan, TraceEvent, TraceOutcome, TraceRecord, TripTrace};
+pub use busprobe_telemetry::StageSpan;
+pub use event::{CandidateScore, TraceEvent, TraceOutcome, TraceRecord, TripTrace};
 pub use export::{to_chrome_trace, to_jsonl};
 pub use narrative::outcome_label;
 pub use policy::TracePolicy;

@@ -99,20 +99,12 @@ fn print_metrics_text(snapshot: &busprobe::telemetry::Snapshot, reports: &[Inges
     println!("uploads ingested      {:>8}", reports.len());
     println!("produced observations {productive:>8}");
     println!("dropped               {dropped:>8}");
-    for (reason, label) in [
-        (DropReason::RejectedDuplicate, "  duplicate digest"),
-        (DropReason::RejectedNearDuplicate, "  near-duplicate"),
-        (DropReason::Malformed, "  malformed upload"),
-        (DropReason::UnmatchedScans, "  no scans matched"),
-        (DropReason::Unmapped, "  no visits mapped"),
-        (DropReason::TooFewVisits, "  too few visits"),
-        (DropReason::InternalError, "  internal error"),
-    ] {
+    for reason in DropReason::ALL {
         let n = reports
             .iter()
             .filter(|r| r.drop_reason() == Some(reason))
             .count();
-        println!("{label:<22} {n:>8}");
+        println!("  {:<20} {n:>8}", reason.trace_label());
     }
 
     if !snapshot.events.is_empty() {

@@ -309,17 +309,9 @@ fn telemetry_snapshot_covers_every_pipeline_stage() {
             "counter {counter} must be non-zero after a simulated day"
         );
     }
-    for stage in [
-        "busprobe_core_stage_ingest_batch",
-        "busprobe_core_stage_pipeline",
-        "busprobe_core_stage_matching",
-        "busprobe_core_stage_clustering",
-        "busprobe_core_stage_mapping",
-        "busprobe_core_stage_estimation",
-        "busprobe_core_stage_fusion",
-        "busprobe_core_stage_refresh",
-    ] {
-        let s = snapshot.stage(stage).unwrap_or_else(|| {
+    for stage in busprobe::telemetry::Stage::ALL {
+        let stage = format!("busprobe_core_stage_{}", stage.name());
+        let s = snapshot.stage(&stage).unwrap_or_else(|| {
             panic!("stage {stage} must be registered");
         });
         assert!(s.calls > 0, "stage {stage} must have recorded spans");
