@@ -63,6 +63,14 @@ echo "== crash-recovery matrix (WAL + snapshot durability) =="
 # commit: workers {1,4} x group window {1,8,64} x crash {inside window,
 # at a window boundary, torn group frame} (see tests/crash_recovery.rs).
 cargo test -q --test crash_recovery
+# Snapshot payloads are a hand-rolled binary codec read from disk, where
+# hostile bytes arrive: on a real checkpoint's payload, every truncation
+# and every count blown up to u32::MAX is refused, seeded byte flips
+# never panic and decode only to states that re-encode to themselves,
+# mutated .snap frames never panic the frame decoder, and a refused
+# snapshot is skipped, counted and replaced by an exact WAL replay
+# (tests/fuzz_snapshot.rs).
+cargo test -q --test fuzz_snapshot
 
 echo "== CLI differential: ingest --jobs 1 vs --jobs 4 =="
 # End-to-end through the binary: the same simulated day ingested with 1

@@ -12,20 +12,24 @@
 //! — the identical argument that makes parallel ingest equal serial
 //! ingest makes recovery equal the never-crashed run.
 //!
-//! Records are encoded with a hand-rolled little-endian binary codec
-//! (floats as IEEE-754 bit patterns, so `NaN`s and signed zeros survive
-//! exactly); the framing, CRC and fault tolerance live one layer down in
-//! `busprobe-store`. Snapshots are JSON ([`PersistedState`]): they are
-//! rare and human-inspectable.
+//! Records and snapshots ([`PersistedState`]) are encoded with one
+//! hand-rolled little-endian binary codec (floats as IEEE-754 bit
+//! patterns, so `NaN`s and signed zeros survive exactly, and every count
+//! checked against the bytes left before anything is allocated); the
+//! framing, CRC and fault tolerance live one layer down in
+//! `busprobe-store`. A snapshot payload opens with
+//! [`SNAPSHOT_FORMAT`]; payloads that open with `{` are the JSON
+//! snapshots older state directories hold, still read on recovery.
 
 use crate::database::StopFingerprintDb;
 use crate::estimation::SpeedObservation;
-use crate::fusion::SegmentFusion;
+use crate::fusion::{BayesianSpeed, SegmentFusion, SegmentState};
 use crate::server::{IngestReport, MonitorConfig};
-use crate::updater::DbUpdater;
+use crate::updater::{DbUpdater, UpdaterConfig};
 use busprobe_cellular::{CellTowerId, Fingerprint};
 use busprobe_network::{SegmentKey, StopSiteId};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// One harvested fingerprint: a sample taken during a
 /// confidently-identified stop visit, destined for the online updater.
@@ -75,16 +79,17 @@ pub enum WalRecord {
     Refresh,
 }
 
-/// Why a WAL payload failed to decode (the framing CRC already passed,
-/// so this indicates a version mismatch, not disk damage).
+/// Why a WAL or snapshot payload failed to decode (the framing CRC
+/// already passed, so this indicates a version mismatch or a state that
+/// contradicts itself, not disk damage).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecError {
     /// The payload ended mid-field.
     Truncated,
-    /// Unknown record tag.
+    /// Unknown record tag or snapshot format byte.
     BadTag,
     /// A field held an impossible value (length overrun, duplicate cells
-    /// in a fingerprint, trailing bytes).
+    /// in a fingerprint, keys out of order, trailing bytes).
     Invalid,
 }
 
@@ -130,33 +135,28 @@ impl WalRecord {
 
 impl CommitRecord {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.digest.to_le_bytes());
+        out.put_u64(self.digest);
         match &self.near_digests {
             Some(digests) => {
                 out.push(FLAG_NEAR_DIGESTS);
-                for d in digests {
-                    out.extend_from_slice(&d.to_le_bytes());
+                for &d in digests {
+                    out.put_u64(d);
                 }
             }
             None => out.push(0),
         }
-        out.extend_from_slice(&(self.observations.len() as u32).to_le_bytes());
+        out.put_count(self.observations.len());
         for obs in &self.observations {
-            out.extend_from_slice(&obs.key.from.0.to_le_bytes());
-            out.extend_from_slice(&obs.key.to.0.to_le_bytes());
-            out.extend_from_slice(&obs.speed_mps.to_bits().to_le_bytes());
-            out.extend_from_slice(&obs.variance.to_bits().to_le_bytes());
-            out.extend_from_slice(&obs.time_s.to_bits().to_le_bytes());
+            out.put_key(obs.key);
+            out.put_f64(obs.speed_mps);
+            out.put_f64(obs.variance);
+            out.put_f64(obs.time_s);
         }
-        out.extend_from_slice(&(self.harvest.len() as u32).to_le_bytes());
+        out.put_count(self.harvest.len());
         for entry in &self.harvest {
-            out.extend_from_slice(&entry.site.0.to_le_bytes());
-            out.extend_from_slice(&entry.confidence.to_bits().to_le_bytes());
-            let cells = entry.fingerprint.cells();
-            out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
-            for cell in cells {
-                out.extend_from_slice(&cell.0.to_le_bytes());
-            }
+            out.put_u32(entry.site.0);
+            out.put_f64(entry.confidence);
+            out.put_fingerprint(&entry.fingerprint);
         }
         encode_report(&self.report, out);
     }
@@ -170,37 +170,21 @@ impl CommitRecord {
         };
         // Element sizes bound `with_capacity`, so a corrupt count cannot
         // request more memory than the payload could possibly hold.
-        let n_obs = r.count(32)?;
-        let mut observations = Vec::with_capacity(n_obs);
-        for _ in 0..n_obs {
-            let key = SegmentKey {
-                from: StopSiteId(r.u32()?),
-                to: StopSiteId(r.u32()?),
-            };
-            observations.push(SpeedObservation {
-                key,
+        let observations = r.list(32, |r| {
+            Ok(SpeedObservation {
+                key: r.key()?,
                 speed_mps: r.f64()?,
                 variance: r.f64()?,
                 time_s: r.f64()?,
-            });
-        }
-        let n_harvest = r.count(16)?;
-        let mut harvest = Vec::with_capacity(n_harvest);
-        for _ in 0..n_harvest {
-            let site = StopSiteId(r.u32()?);
-            let confidence = r.f64()?;
-            let n_cells = r.count(4)?;
-            let mut cells = Vec::with_capacity(n_cells);
-            for _ in 0..n_cells {
-                cells.push(CellTowerId(r.u32()?));
-            }
-            let fingerprint = Fingerprint::new(cells).map_err(|_| CodecError::Invalid)?;
-            harvest.push(HarvestEntry {
-                site,
-                fingerprint,
-                confidence,
-            });
-        }
+            })
+        })?;
+        let harvest = r.list(16, |r| {
+            Ok(HarvestEntry {
+                site: StopSiteId(r.u32()?),
+                confidence: r.f64()?,
+                fingerprint: r.fingerprint()?,
+            })
+        })?;
         let report = decode_report(r)?;
         Ok(CommitRecord {
             digest,
@@ -235,9 +219,9 @@ fn encode_report(report: &IngestReport, out: &mut Vec<u8>) {
         report.salvage_dropped,
         report.observations,
     ] {
-        out.extend_from_slice(&(n as u64).to_le_bytes());
+        out.put_u64(n as u64);
     }
-    out.extend_from_slice(&report.clock_skew_s.to_bits().to_le_bytes());
+    out.put_f64(report.clock_skew_s);
 }
 
 fn decode_report(r: &mut Reader<'_>) -> Result<IngestReport, CodecError> {
@@ -269,7 +253,56 @@ fn decode_report(r: &mut Reader<'_>) -> Result<IngestReport, CodecError> {
     })
 }
 
-/// Bounds-checked little-endian reader over a WAL payload.
+/// Little-endian writes, floats as IEEE-754 bit patterns: the
+/// counterpart of [`Reader`].
+trait Put {
+    fn put_u32(&mut self, v: u32);
+    fn put_u64(&mut self, v: u64);
+    fn put_f64(&mut self, v: f64);
+    /// An element count, as the u32 [`Reader::count`] reads.
+    fn put_count(&mut self, n: usize);
+    fn put_key(&mut self, key: SegmentKey);
+    fn put_speed(&mut self, speed: BayesianSpeed);
+    fn put_fingerprint(&mut self, fingerprint: &Fingerprint);
+}
+
+impl Put for Vec<u8> {
+    fn put_u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_f64(&mut self, v: f64) {
+        self.put_u64(v.to_bits());
+    }
+
+    fn put_count(&mut self, n: usize) {
+        self.put_u32(u32::try_from(n).expect("no list in the state holds 2^32 items"));
+    }
+
+    fn put_key(&mut self, key: SegmentKey) {
+        self.put_u32(key.from.0);
+        self.put_u32(key.to.0);
+    }
+
+    fn put_speed(&mut self, speed: BayesianSpeed) {
+        self.put_f64(speed.mean_mps);
+        self.put_f64(speed.variance);
+    }
+
+    fn put_fingerprint(&mut self, fingerprint: &Fingerprint) {
+        let cells = fingerprint.cells();
+        self.put_count(cells.len());
+        for cell in cells {
+            self.put_u32(cell.0);
+        }
+    }
+}
+
+/// Bounds-checked little-endian reader over a WAL or snapshot payload.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -322,14 +355,83 @@ impl<'a> Reader<'a> {
         }
         Ok(n)
     }
+
+    fn key(&mut self) -> Result<SegmentKey, CodecError> {
+        Ok(SegmentKey {
+            from: StopSiteId(self.u32()?),
+            to: StopSiteId(self.u32()?),
+        })
+    }
+
+    fn speed(&mut self) -> Result<BayesianSpeed, CodecError> {
+        Ok(BayesianSpeed {
+            mean_mps: self.f64()?,
+            variance: self.f64()?,
+        })
+    }
+
+    /// A fingerprint; one naming a cell twice is invalid.
+    fn fingerprint(&mut self) -> Result<Fingerprint, CodecError> {
+        let cells = self.list(4, |r| r.u32().map(CellTowerId))?;
+        Fingerprint::new(cells).map_err(|_| CodecError::Invalid)
+    }
+
+    /// A count-prefixed list of `item`s, `min_item_bytes` each at least.
+    fn list<T>(
+        &mut self,
+        min_item_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let n = self.count(min_item_bytes)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// A [`list`](Self::list) of `(key, value)` entries whose keys must
+    /// strictly ascend — how every map in a snapshot is stored, so a
+    /// duplicated or reordered key is refused, never merged.
+    fn ascending<K: Ord, V>(
+        &mut self,
+        min_entry_bytes: usize,
+        entry: impl FnMut(&mut Self) -> Result<(K, V), CodecError>,
+    ) -> Result<Vec<(K, V)>, CodecError> {
+        let entries = self.list(min_entry_bytes, entry)?;
+        if entries.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(CodecError::Invalid);
+        }
+        Ok(entries)
+    }
 }
+
+/// The leading byte of a binary snapshot payload. It is never `{`,
+/// which opens the legacy JSON payloads older state directories hold.
+pub const SNAPSHOT_FORMAT: u8 = 1;
 
 /// The complete durable state of a monitor, as written into snapshots.
 ///
 /// Besides the traffic beliefs, database and seen set it carries the
 /// updater's pending harvest (so a refresh after recovery elects from
-/// the same candidates) and the WAL coverage point; `seen` is stored
-/// sorted so snapshot bytes are deterministic.
+/// the same candidates) and the WAL coverage point.
+///
+/// A snapshot payload is [`encode`](Self::encode)'s binary layout: the
+/// [`SNAPSHOT_FORMAT`] byte, then, little-endian with counts as u32 and
+/// floats as their bits,
+/// - `commits` (u64);
+/// - the config as length-prefixed JSON text (read once, compared only
+///   to warn, and its fields change whenever a knob is added);
+/// - fusion: period, inflation, then per segment in key order its key,
+///   belief, last update and `(window, belief)` series;
+/// - the database: per site in order, the site and its cells;
+/// - `seen`, sorted, 8 bytes each;
+/// - the updater: its config, then per site in order its pending
+///   fingerprints.
+///
+/// Every map is stored in ascending key order and `seen` sorted, so the
+/// bytes are a function of the state. The `Serialize` / `Deserialize`
+/// form is the legacy JSON payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PersistedState {
     /// WAL sequence number this snapshot covers (records `0..commits`
@@ -361,6 +463,134 @@ impl PersistedState {
             seen: Vec::new(),
             updater: DbUpdater::new(config.updater),
         }
+    }
+
+    /// Encodes this state as a binary snapshot payload (layout above).
+    /// `seen` must be sorted, as [`export_state`] leaves it.
+    ///
+    /// [`export_state`]: crate::TrafficMonitor::export_state
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let config = serde_json::to_vec(&self.config).expect("the JSON writer is infallible");
+        let fusion = self.fusion.segments();
+        let windows: usize = fusion.values().map(|s| s.windows.len()).sum();
+        let mut out = Vec::with_capacity(
+            64 + config.len() + 36 * fusion.len() + 20 * windows + 8 * self.seen.len(),
+        );
+        out.push(SNAPSHOT_FORMAT);
+        out.put_u64(self.commits);
+        out.put_count(config.len());
+        out.extend_from_slice(&config);
+
+        out.put_f64(self.fusion.period_s());
+        out.put_f64(self.fusion.inflation_per_period());
+        out.put_count(fusion.len());
+        for (&key, segment) in fusion {
+            out.put_key(key);
+            out.put_speed(segment.belief);
+            out.put_f64(segment.last_s);
+            out.put_count(segment.windows.len());
+            for &(window, speed) in &segment.windows {
+                out.put_u32(window);
+                out.put_speed(speed);
+            }
+        }
+
+        out.put_count(self.database.len());
+        for (site, fingerprint) in self.database.iter() {
+            out.put_u32(site.0);
+            out.put_fingerprint(fingerprint);
+        }
+
+        out.put_count(self.seen.len());
+        for &digest in &self.seen {
+            out.put_u64(digest);
+        }
+
+        let updater = self.updater.config();
+        out.put_f64(updater.min_confidence);
+        out.put_u64(updater.min_samples as u64);
+        out.put_u64(updater.max_samples as u64);
+        let pending = self.updater.pending();
+        out.put_count(pending.len());
+        for (site, fingerprints) in pending {
+            out.put_u32(site.0);
+            out.put_count(fingerprints.len());
+            for fingerprint in fingerprints {
+                out.put_fingerprint(fingerprint);
+            }
+        }
+        out
+    }
+
+    /// Decodes a binary snapshot payload produced by
+    /// [`encode`](Self::encode). A payload that opens with any byte but
+    /// [`SNAPSHOT_FORMAT`] is [`CodecError::BadTag`]; keys that do not
+    /// strictly ascend, an unsorted or repeated `seen`, a fusion state
+    /// [`SegmentFusion`] refuses and trailing bytes are
+    /// [`CodecError::Invalid`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
+        if r.u8()? != SNAPSHOT_FORMAT {
+            return Err(CodecError::BadTag);
+        }
+        let commits = r.u64()?;
+        let config_len = r.count(1)?;
+        let config =
+            serde_json::from_slice(r.take(config_len)?).map_err(|_| CodecError::Invalid)?;
+
+        let period_s = r.f64()?;
+        let inflation_per_period = r.f64()?;
+        let segments = r.ascending(36, |r| {
+            let key = r.key()?;
+            let belief = r.speed()?;
+            let last_s = r.f64()?;
+            let windows = r.list(20, |r| Ok((r.u32()?, r.speed()?)))?;
+            Ok((
+                key,
+                SegmentState {
+                    belief,
+                    last_s,
+                    windows,
+                },
+            ))
+        })?;
+        let fusion = SegmentFusion::from_segments(period_s, inflation_per_period, segments)
+            .map_err(|_| CodecError::Invalid)?;
+
+        let database = r
+            .ascending(8, |r| Ok((StopSiteId(r.u32()?), r.fingerprint()?)))?
+            .into_iter()
+            .collect();
+
+        let seen = r.list(8, Reader::u64)?;
+        if seen.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(CodecError::Invalid);
+        }
+
+        let updater_config = UpdaterConfig {
+            min_confidence: r.f64()?,
+            min_samples: r.usize()?,
+            max_samples: r.usize()?,
+        };
+        let pending: BTreeMap<_, _> = r
+            .ascending(8, |r| {
+                Ok((StopSiteId(r.u32()?), r.list(4, Reader::fingerprint)?))
+            })?
+            .into_iter()
+            .collect();
+
+        if r.remaining() != 0 {
+            return Err(CodecError::Invalid);
+        }
+        Ok(PersistedState {
+            commits,
+            config,
+            fusion,
+            database,
+            seen,
+            updater: DbUpdater::with_pending(updater_config, pending),
+        })
     }
 }
 
@@ -478,6 +708,88 @@ mod tests {
         // near(16); blow it up.
         bytes[26..30].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(WalRecord::decode(&bytes).is_err());
+    }
+
+    fn sample_state() -> PersistedState {
+        let mut state = PersistedState::fresh(StopFingerprintDb::new(), MonitorConfig::default());
+        let fp = |cells: &[u32]| Fingerprint::new(cells.iter().map(|&c| CellTowerId(c)).collect());
+        let key = |from, to| SegmentKey::new(StopSiteId(from), StopSiteId(to));
+        state.commits = 41;
+        state.fusion.observe(key(2, 3), 10.0, 6.0, 1.0);
+        state.fusion.observe(key(2, 3), 650.0, 7.5, 0.5);
+        state.fusion.observe(key(1, 9), -20.0, f64::NAN, 2.0);
+        state
+            .database
+            .insert(StopSiteId(7), fp(&[4, 1, 8]).unwrap());
+        state.database.insert(StopSiteId(2), fp(&[]).unwrap());
+        state.seen = vec![0, 5, u64::MAX];
+        state
+            .updater
+            .record(StopSiteId(7), fp(&[1, 4]).unwrap(), 9.0);
+        state.updater.record(StopSiteId(7), fp(&[8]).unwrap(), 5.0);
+        state.updater.record(StopSiteId(3), fp(&[2]).unwrap(), 6.0);
+        state
+    }
+
+    #[test]
+    fn snapshot_round_trips_to_the_same_bytes() {
+        let state = sample_state();
+        let bytes = state.encode();
+        assert_eq!(bytes[0], SNAPSHOT_FORMAT);
+        assert_eq!(bytes, sample_state().encode(), "encoding is deterministic");
+        let decoded = PersistedState::decode(&bytes).unwrap();
+        // NaN != NaN, so compare through the bit-exact encoding, and the
+        // NaN-free fields directly.
+        assert_eq!(decoded.encode(), bytes);
+        assert_eq!(
+            (&decoded.database, &decoded.seen, &decoded.updater),
+            (&state.database, &state.seen, &state.updater)
+        );
+        assert_eq!(decoded.config, state.config);
+        let empty = PersistedState::fresh(StopFingerprintDb::new(), MonitorConfig::default());
+        assert_eq!(PersistedState::decode(&empty.encode()), Ok(empty));
+    }
+
+    #[test]
+    fn snapshot_truncation_trailing_bytes_and_foreign_formats_are_refused() {
+        let bytes = sample_state().encode();
+        for cut in 0..bytes.len() {
+            assert!(PersistedState::decode(&bytes[..cut]).is_err(), "{cut}");
+        }
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert_eq!(PersistedState::decode(&padded), Err(CodecError::Invalid));
+        assert_eq!(PersistedState::decode(b"{}"), Err(CodecError::BadTag));
+    }
+
+    #[test]
+    fn unsorted_or_repeated_seen_digests_are_invalid() {
+        for seen in [vec![5, 0], vec![5, 5]] {
+            let mut state = sample_state();
+            state.seen = seen;
+            assert_eq!(
+                PersistedState::decode(&state.encode()),
+                Err(CodecError::Invalid)
+            );
+        }
+    }
+
+    #[test]
+    fn segments_out_of_key_order_are_invalid() {
+        let state = sample_state();
+        let mut bytes = state.encode();
+        let config = serde_json::to_vec(&state.config).unwrap().len();
+        // Segment (1,9) holds one window, (2,3) two: swap the blocks so
+        // each is intact but the keys descend.
+        let at = 1 + 8 + 4 + config + 8 + 8 + 4;
+        let (first, second) = (36 + 20, 36 + 2 * 20);
+        bytes[at..at + first + second].rotate_left(first);
+        assert_eq!(PersistedState::decode(&bytes), Err(CodecError::Invalid));
+        bytes[at..at + first + second].rotate_right(first);
+        assert!(
+            PersistedState::decode(&bytes).is_ok(),
+            "the splice is exact"
+        );
     }
 
     #[test]

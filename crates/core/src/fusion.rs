@@ -59,19 +59,19 @@ impl BayesianSpeed {
 
 /// Everything fusion keeps for one segment.
 #[derive(Debug, Clone, PartialEq)]
-struct SegmentState {
+pub(crate) struct SegmentState {
     /// The running belief, aged between refresh periods.
-    belief: BayesianSpeed,
+    pub(crate) belief: BayesianSpeed,
     /// When the segment last received an observation, seconds.
-    last_s: f64,
+    pub(crate) last_s: f64,
     /// Per-period beliefs, fused independently per window — the retained
     /// speed time series (what Fig. 10 plots). Window-ascending.
-    windows: Vec<(u32, BayesianSpeed)>,
+    pub(crate) windows: Vec<(u32, BayesianSpeed)>,
 }
 
 /// Per-segment fusion state with the paper's periodic refresh.
 ///
-/// Serializable so a server restart can resume with its accumulated
+/// Persisted so a server restart can resume with its accumulated
 /// traffic state (see `TrafficMonitor::export_state`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentFusion {
@@ -83,9 +83,9 @@ pub struct SegmentFusion {
     segments: BTreeMap<SegmentKey, SegmentState>,
 }
 
-/// The serialised form of [`SegmentFusion`]: `(belief, last update)` per
-/// segment and the window series per segment as two key-ascending pair
-/// lists — the shape every snapshot on disk already has.
+/// The legacy JSON form of [`SegmentFusion`]: `(belief, last update)`
+/// per segment and the window series per segment as two key-ascending
+/// pair lists — the shape of every JSON snapshot on disk.
 #[derive(Serialize, Deserialize)]
 struct FusionWire {
     period_s: f64,
@@ -111,10 +111,8 @@ impl Serialize for SegmentFusion {
 }
 
 impl<'de> Deserialize<'de> for SegmentFusion {
-    /// The two lists must name the same segments, pair for pair, and
-    /// every series must be window-ascending — what serialisation
-    /// writes. Anything else is refused rather than patched up: a state
-    /// whose halves disagree has no right answer.
+    /// The two lists must name the same segments, pair for pair; the
+    /// rest is `SegmentFusion::from_segments`'s to judge.
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let wire = FusionWire::from_value(value)?;
         if wire.states.len() != wire.windows.len() {
@@ -124,7 +122,7 @@ impl<'de> Deserialize<'de> for SegmentFusion {
                 wire.windows.len()
             )));
         }
-        let mut segments = BTreeMap::new();
+        let mut segments = Vec::with_capacity(wire.states.len());
         for ((key, (belief, last_s)), (series_key, windows)) in
             wire.states.into_iter().zip(wire.windows)
         {
@@ -133,25 +131,17 @@ impl<'de> Deserialize<'de> for SegmentFusion {
                     "fusion state names segment {key} where its window series name {series_key}"
                 )));
             }
-            if !windows.windows(2).all(|w| w[0].0 < w[1].0) {
-                return Err(serde::Error::msg(format!(
-                    "window series of segment {key} is not ascending"
-                )));
-            }
-            segments.insert(
+            segments.push((
                 key,
                 SegmentState {
                     belief,
                     last_s,
                     windows,
                 },
-            );
+            ));
         }
-        Ok(SegmentFusion {
-            period_s: wire.period_s,
-            inflation_per_period: wire.inflation_per_period,
-            segments,
-        })
+        SegmentFusion::from_segments(wire.period_s, wire.inflation_per_period, segments)
+            .map_err(serde::Error::msg)
     }
 }
 
@@ -176,6 +166,55 @@ impl SegmentFusion {
     #[must_use]
     pub fn paper_default() -> Self {
         SegmentFusion::new(300.0, 4.0)
+    }
+
+    /// Rebuilds a persisted store — the one validator every snapshot
+    /// decoder goes through. Segments must come in strictly ascending
+    /// key order and every window series must be strictly
+    /// window-ascending, which is what [`segments`](Self::segments)
+    /// yields; anything else, or a period that [`new`](Self::new) would
+    /// refuse, is refused rather than patched up: a state that
+    /// contradicts itself has no right reading.
+    pub(crate) fn from_segments(
+        period_s: f64,
+        inflation_per_period: f64,
+        segments: Vec<(SegmentKey, SegmentState)>,
+    ) -> Result<Self, String> {
+        if period_s.is_nan() || period_s <= 0.0 {
+            return Err(format!("fusion period {period_s} is not positive"));
+        }
+        if let Some(pair) = segments.windows(2).find(|p| p[0].0 >= p[1].0) {
+            return Err(format!(
+                "fusion segment {} follows {}: keys do not ascend",
+                pair[1].0, pair[0].0
+            ));
+        }
+        if let Some((key, _)) = segments
+            .iter()
+            .find(|(_, s)| s.windows.windows(2).any(|w| w[0].0 >= w[1].0))
+        {
+            return Err(format!("window series of segment {key} is not ascending"));
+        }
+        Ok(SegmentFusion {
+            period_s,
+            inflation_per_period,
+            segments: segments.into_iter().collect(),
+        })
+    }
+
+    /// Refresh period `T`, seconds.
+    pub(crate) fn period_s(&self) -> f64 {
+        self.period_s
+    }
+
+    /// Variance inflation applied per elapsed period.
+    pub(crate) fn inflation_per_period(&self) -> f64 {
+        self.inflation_per_period
+    }
+
+    /// Every segment's state, in key order.
+    pub(crate) fn segments(&self) -> &BTreeMap<SegmentKey, SegmentState> {
+        &self.segments
     }
 
     /// Folds one observation into the segment's belief.
@@ -416,7 +455,7 @@ mod tests {
     }
 
     /// A snapshot whose two lists disagree about which segments exist, or
-    /// whose series is out of order, is refused, not patched up.
+    /// whose keys or series are out of order, is refused, not patched up.
     #[test]
     fn disagreeing_wire_lists_are_refused() {
         let mut f = SegmentFusion::paper_default();
@@ -458,6 +497,19 @@ mod tests {
         wire.windows.pop();
         let err = SegmentFusion::from_value(&wire.to_value()).unwrap_err();
         assert!(err.to_string().contains("window series for 1"), "{err}");
+
+        // Both lists agree, but in descending key order.
+        let mut wire = FusionWire::from_value(&good).unwrap();
+        wire.states.reverse();
+        wire.windows.reverse();
+        let err = SegmentFusion::from_value(&wire.to_value()).unwrap_err();
+        assert!(err.to_string().contains("keys do not ascend"), "{err}");
+
+        // A period `new` would refuse.
+        let mut wire = FusionWire::from_value(&good).unwrap();
+        wire.period_s = 0.0;
+        let err = SegmentFusion::from_value(&wire.to_value()).unwrap_err();
+        assert!(err.to_string().contains("not positive"), "{err}");
     }
 
     #[test]

@@ -73,7 +73,9 @@ pub mod updater;
 pub use alignment::{align, AlignOp, Alignment};
 pub use clustering::{Cluster, ClusterCandidate, ClusterConfig, Clusterer, MatchedSample};
 pub use database::StopFingerprintDb;
-pub use durability::{CodecError, CommitRecord, HarvestEntry, PersistedState, WalRecord};
+pub use durability::{
+    CodecError, CommitRecord, HarvestEntry, PersistedState, WalRecord, SNAPSHOT_FORMAT,
+};
 pub use estimation::{EstimatorConfig, SpeedObservation, TripEstimator};
 pub use fusion::{BayesianSpeed, SegmentFusion};
 pub use index::MatchIndex;

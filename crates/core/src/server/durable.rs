@@ -78,6 +78,18 @@ impl AttachedStore {
     }
 }
 
+/// A snapshot payload as [`PersistedState`]: binary from
+/// [`PersistedState::decode`], or — when it opens with `{` — the JSON
+/// that older state directories hold. Either reader refuses a state
+/// that contradicts itself.
+fn decode_snapshot(payload: &[u8]) -> Result<PersistedState, String> {
+    if payload.first() == Some(&b'{') {
+        serde_json::from_slice(payload).map_err(|e| e.to_string())
+    } else {
+        PersistedState::decode(payload).map_err(|e| format!("{e:?}"))
+    }
+}
+
 impl TrafficMonitor {
     /// Runs one store I/O operation with bounded retries and capped
     /// exponential backoff, counting every retry. Transient failures
@@ -278,14 +290,12 @@ impl TrafficMonitor {
             return Ok(None);
         };
         attached.check()?;
-        let state = self.state_at(attached.next_seq());
-        let payload = serde_json::to_vec(&state)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
+        let payload = self.state_at(attached.next_seq()).encode();
         attached.store.checkpoint(&payload).map(Some)
     }
 
     /// The complete durable state — what [`checkpoint`](Self::checkpoint)
-    /// serialises — as of the WAL records written so far (the commit
+    /// encodes — as of the WAL records written so far (the commit
     /// count when no store is attached, or once it fail-stopped).
     #[must_use]
     pub fn export_state(&self) -> PersistedState {
@@ -338,24 +348,31 @@ impl TrafficMonitor {
         config: MonitorConfig,
         dir: impl AsRef<Path>,
     ) -> io::Result<(Self, RecoveryTrace)> {
+        Self::recover_dir(network.into(), initial_db, config, dir.as_ref())
+    }
+
+    /// The body of [`recover`](Self::recover), compiled once here rather
+    /// than in every crate that calls it.
+    fn recover_dir(
+        network: Arc<TransitNetwork>,
+        initial_db: StopFingerprintDb,
+        config: MonitorConfig,
+        dir: &Path,
+    ) -> io::Result<(Self, RecoveryTrace)> {
         let mut snapshot: Option<PersistedState> = None;
-        let recovered = Store::recover_with(dir.as_ref(), |seq, payload| {
-            match serde_json::from_slice::<PersistedState>(payload) {
-                Ok(mut state) => {
-                    state.commits = state.commits.max(seq);
-                    snapshot = Some(state);
-                    true
-                }
-                Err(e) => {
-                    busprobe_telemetry::event(
-                        Level::Warn,
-                        "core::store",
-                        format!(
-                            "snapshot {seq} is framed correctly but not decodable ({e}); skipped"
-                        ),
-                    );
-                    false
-                }
+        let recovered = Store::recover_with(dir, |seq, payload| match decode_snapshot(payload) {
+            Ok(mut state) => {
+                state.commits = state.commits.max(seq);
+                snapshot = Some(state);
+                true
+            }
+            Err(e) => {
+                busprobe_telemetry::event(
+                    Level::Warn,
+                    "core::store",
+                    format!("snapshot {seq} is framed correctly but not decodable ({e}); skipped"),
+                );
+                false
             }
         })?;
         let snapshot_seq = recovered.snapshot.as_ref().map(|(seq, _)| *seq);
@@ -375,7 +392,7 @@ impl TrafficMonitor {
         };
         // Trace sequence numbers continue from the recovered commit
         // count, as they would on a monitor that never crashed.
-        let monitor = Self::from_state(network.into(), config, state);
+        let monitor = Self::from_state(network, config, state);
 
         let mut replayed_commits = 0u64;
         let mut replayed_refreshes = 0u64;
@@ -482,7 +499,12 @@ mod tests {
         let recovered = Store::recover(&dir).unwrap();
         let (seq, payload) = recovered.snapshot.expect("checkpoint wrote a snapshot");
         assert_eq!(Some(seq), covered);
-        let on_disk: PersistedState = serde_json::from_slice(&payload).unwrap();
+        assert_eq!(
+            payload[0],
+            crate::durability::SNAPSHOT_FORMAT,
+            "binary, not JSON"
+        );
+        let on_disk = PersistedState::decode(&payload).unwrap();
         let exported = monitor.export_state();
         assert!(!exported.seen.is_empty() && exported.seen.is_sorted());
         assert_eq!(exported.commits, 20);

@@ -453,9 +453,8 @@ mod tests {
         let before = monitor.snapshot(600.0);
         assert!(!before.is_empty());
 
-        // Persist to JSON, restart, restore.
-        let state_json = serde_json::to_string(&monitor.export_state()).unwrap();
-        let state: PersistedState = serde_json::from_str(&state_json).unwrap();
+        // Persist as a snapshot payload, restart, restore.
+        let state = PersistedState::decode(&monitor.export_state().encode()).unwrap();
         let restored =
             TrafficMonitor::from_state(Arc::clone(&monitor.network), *monitor.config(), state);
         assert_eq!(restored.commit_count(), 1, "the commit count survives too");

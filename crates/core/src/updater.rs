@@ -66,6 +66,20 @@ impl DbUpdater {
         &self.config
     }
 
+    /// An updater holding `pending`, harvested under `config` — a
+    /// persisted one on its way back through recovery.
+    pub(crate) fn with_pending(
+        config: UpdaterConfig,
+        pending: BTreeMap<StopSiteId, Vec<Fingerprint>>,
+    ) -> Self {
+        DbUpdater { config, pending }
+    }
+
+    /// The pending harvest, in site order.
+    pub(crate) fn pending(&self) -> &BTreeMap<StopSiteId, Vec<Fingerprint>> {
+        &self.pending
+    }
+
     /// Harvests one sample for `site`, recorded from a visit identified
     /// with `confidence`. Low-confidence samples are ignored.
     pub fn record(&mut self, site: StopSiteId, fingerprint: Fingerprint, confidence: f64) {

@@ -156,19 +156,17 @@ impl Store {
         snapshot::write(&self.dir, seq, payload)?;
         self.metrics.snapshots_written.inc();
         self.metrics.snapshot_bytes.record(payload.len() as f64);
-        self.compact()?;
+        self.compact(seq)?;
         Ok(seq)
     }
 
-    /// Deletes WAL segments fully covered by the newest valid snapshot
-    /// and snapshots older than it. A segment is covered when the *next*
-    /// segment starts at or before the snapshot's coverage point (its
-    /// own records then all have `seq < covered`); the active segment is
-    /// never deleted. Returns the number of segments removed.
-    pub fn compact(&mut self) -> io::Result<u64> {
-        let Some(covered) = snapshot::latest_seq(&self.dir)? else {
-            return Ok(0);
-        };
+    /// Deletes WAL segments fully covered by the snapshot at `covered`,
+    /// which the caller has just written and fsynced, and snapshots
+    /// older than it. A segment is covered when the *next* segment
+    /// starts at or before the snapshot's coverage point (its own
+    /// records then all have `seq < covered`); the active segment is
+    /// never deleted.
+    fn compact(&mut self, covered: u64) -> io::Result<()> {
         for (seq, path) in snapshot::list_snapshots(&self.dir)? {
             if seq < covered {
                 fs::remove_file(path)?;
@@ -185,7 +183,7 @@ impl Store {
             }
         }
         self.metrics.segments_compacted.add(removed);
-        Ok(removed)
+        Ok(())
     }
 
     /// Read-only recovery: loads the newest valid snapshot and the WAL

@@ -414,48 +414,32 @@ fn corrupt_snapshot_falls_back_to_wal_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot can be damaged *above* the frame: intact CRC, valid JSON,
-/// but its fusion state names a segment in its window series that its
-/// belief list does not. That has no right reading, so it is refused
-/// and recovery treats it as one more corrupt snapshot.
-#[test]
-fn self_contradicting_snapshot_falls_back_to_wal_replay() {
+/// Ingests the fixture into a checkpointed state dir, re-frames its
+/// snapshot with the payload `rewrite` returns (given the live monitor
+/// and the payload it wrote), and checks that recovery refuses it like
+/// a corrupt one: one snapshot skipped, and a full WAL replay to the
+/// exact live state.
+fn rewritten_snapshot_falls_back_to_wal_replay(
+    tag: &str,
+    rewrite: impl FnOnce(&TrafficMonitor, &[u8]) -> Vec<u8>,
+) {
     use busprobe::store::frame::{self, SNAPSHOT_MAGIC};
     use busprobe::store::snapshot;
-    use serde_json::Value;
-
-    fn field<'a>(object: &'a mut Value, name: &str) -> &'a mut Value {
-        let Value::Object(fields) = object else {
-            panic!("{name}: not an object");
-        };
-        &mut fields.iter_mut().find(|(k, _)| k == name).unwrap().1
-    }
 
     let fx = Fixture::build();
-    let dir = scratch_dir("snapkeys");
-    {
+    let dir = scratch_dir(tag);
+    let (seq, payload) = {
         let monitor = fx.world.monitor();
         monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, 1);
         for (i, t) in fx.trips.iter().enumerate() {
             monitor.ingest_upload(t, Some(fx.received[i]));
         }
-        monitor.checkpoint().unwrap();
-    }
-    // Re-frame the snapshot with the first window series renamed to the
-    // second's segment.
-    let (seq, path) = snapshot::list_snapshots(&dir).unwrap().pop().unwrap();
-    let file = std::fs::read(&path).unwrap();
-    let payload = frame::decode(SNAPSHOT_MAGIC, &file).unwrap().payload;
-    let mut state: Value = serde_json::from_slice(payload).unwrap();
-    let Value::Array(series) = field(field(&mut state, "fusion"), "windows") else {
-        panic!("window series are a pair list");
+        let seq = monitor.checkpoint().unwrap().unwrap();
+        let file = std::fs::read(dir.join(snapshot::snapshot_file_name(seq))).unwrap();
+        let written = frame::decode(SNAPSHOT_MAGIC, &file).unwrap().payload;
+        (seq, rewrite(&monitor, written))
     };
-    let (Value::Array(second), Value::Array(first)) = (series[1].clone(), &mut series[0]) else {
-        panic!("pairs are arrays");
-    };
-    assert_ne!(first[0], second[0]);
-    first[0] = second[0].clone();
-    snapshot::write(&dir, seq, &serde_json::to_vec(&state).unwrap()).unwrap();
+    snapshot::write(&dir, seq, &payload).unwrap();
 
     let (monitor, summary) = fx.recover(&dir);
     assert_eq!(summary.snapshots_skipped, 1, "{summary:?}");
@@ -467,4 +451,76 @@ fn self_contradicting_snapshot_falls_back_to_wal_replay() {
         "WAL replay alone rebuilds the exact state"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot can be damaged *above* the frame: intact CRC, valid JSON,
+/// but its fusion state names a segment in its window series that its
+/// belief list does not. That has no right reading, so the legacy JSON
+/// reader refuses it and recovery treats it as one more corrupt
+/// snapshot.
+#[test]
+fn self_contradicting_snapshot_falls_back_to_wal_replay() {
+    use serde_json::Value;
+
+    fn field<'a>(object: &'a mut Value, name: &str) -> &'a mut Value {
+        let Value::Object(fields) = object else {
+            panic!("{name}: not an object");
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == name).unwrap().1
+    }
+
+    // The legacy JSON payload of the live state, with the first window
+    // series renamed to the second's segment.
+    rewritten_snapshot_falls_back_to_wal_replay("snapkeys", |monitor, _| {
+        let mut state = serde_json::to_value(&monitor.export_state());
+        let Value::Array(series) = field(field(&mut state, "fusion"), "windows") else {
+            panic!("window series are a pair list");
+        };
+        let (Value::Array(second), Value::Array(first)) = (series[1].clone(), &mut series[0])
+        else {
+            panic!("pairs are arrays");
+        };
+        assert_ne!(first[0], second[0]);
+        first[0] = second[0].clone();
+        serde_json::to_vec(&state).unwrap()
+    });
+}
+
+/// The binary twin: the payload `checkpoint` wrote, with one segment's
+/// window series spliced so that its second window repeats its first.
+/// Every count and length still adds up, so only the fusion validator
+/// can refuse it.
+#[test]
+fn self_contradicting_binary_snapshot_falls_back_to_wal_replay() {
+    use busprobe::core::{PersistedState, SNAPSHOT_FORMAT};
+
+    fn u32_at(bytes: &[u8], at: usize) -> usize {
+        u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+    }
+
+    rewritten_snapshot_falls_back_to_wal_replay("snapbinary", |_, written| {
+        assert_eq!(written[0], SNAPSHOT_FORMAT);
+        assert!(PersistedState::decode(written).is_ok());
+        let mut payload = written.to_vec();
+        // Format byte and commits, then the length-prefixed config, then
+        // period and inflation: the segment count.
+        let config_len = u32_at(&payload, 1 + 8);
+        let mut at = 1 + 8 + 4 + config_len + 8 + 8;
+        let segments = u32_at(&payload, at);
+        at += 4;
+        for _ in 0..segments {
+            // Key, belief and last update, then the window count.
+            let windows = u32_at(&payload, at + 8 + 16 + 8);
+            at += 8 + 16 + 8 + 4;
+            if windows >= 2 {
+                let (first, second) = (at, at + 20);
+                assert!(u32_at(&payload, first) < u32_at(&payload, second));
+                payload.copy_within(first..first + 4, second);
+                assert!(PersistedState::decode(&payload).is_err());
+                return payload;
+            }
+            at += 20 * windows;
+        }
+        panic!("no segment holds two windows");
+    });
 }

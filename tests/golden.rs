@@ -80,6 +80,24 @@ fn monitor() -> TrafficMonitor {
     TestWorld::new(17, 5).monitor()
 }
 
+/// A minute past the last upload: every belief is still fresh.
+fn end_s(trips: &[Trip]) -> f64 {
+    trips
+        .iter()
+        .map(Trip::end_s)
+        .filter(|e| e.is_finite())
+        .fold(0.0f64, f64::max)
+        + 60.0
+}
+
+/// What `map.geojson` pins: the monitor's map after `trips`, as GeoJSON.
+fn map_geojson(monitor: &TrafficMonitor, trips: &[Trip]) -> String {
+    let map = monitor.snapshot_with_max_age(end_s(trips), f64::INFINITY);
+    let projection = LocalProjection::new(1.34, 103.70);
+    let geojson = map_to_geojson(&map, &monitor.network().clone(), &projection);
+    serde_json::to_string_pretty(&geojson).unwrap()
+}
+
 #[test]
 fn golden_corpus_snapshot_is_stable() {
     let corpus_path = golden_dir().join("corpus.json");
@@ -113,21 +131,9 @@ fn golden_corpus_snapshot_is_stable() {
         &serde_json::to_string_pretty(&reports).unwrap(),
     );
 
-    let end_s = trips
-        .iter()
-        .map(Trip::end_s)
-        .filter(|e| e.is_finite())
-        .fold(0.0f64, f64::max)
-        + 60.0;
-    let map = monitor.snapshot_with_max_age(end_s, f64::INFINITY);
+    let map = monitor.snapshot_with_max_age(end_s(&trips), f64::INFINITY);
     assert_golden("map.json", &serde_json::to_string_pretty(&map).unwrap());
-
-    let projection = LocalProjection::new(1.34, 103.70);
-    let geojson = map_to_geojson(&map, &monitor.network().clone(), &projection);
-    assert_golden(
-        "map.geojson",
-        &serde_json::to_string_pretty(&geojson).unwrap(),
-    );
+    assert_golden("map.geojson", &map_geojson(&monitor, &trips));
 
     // The snapshots cover real behaviour: some accepted observations,
     // some attributed drops, the dedup pair flagged.
@@ -200,4 +206,67 @@ fn golden_corpus_matches_under_parallel_ingest() {
             &serde_json::to_string_pretty(&reports).unwrap(),
         );
     }
+}
+
+/// Old state directories still recover. `legacy_snapshot.json` is the
+/// JSON snapshot payload written by commit 5dc2ea2, the last whose
+/// checkpoints wrote JSON. It was made in a checkout of that commit by
+/// appending this test to `tests/golden.rs` and running `cargo test
+/// --test golden write_legacy_snapshot`:
+///
+/// ```text
+/// #[test]
+/// fn write_legacy_snapshot() {
+///     use busprobe::store::Store;
+///     let committed = std::fs::read_to_string(golden_dir().join("corpus.json")).unwrap();
+///     let (trips, received): (Vec<Trip>, Vec<f64>) = serde_json::from_str(&committed).unwrap();
+///     let dir = std::env::temp_dir().join("busprobe-legacy-snapshot");
+///     let _ = std::fs::remove_dir_all(&dir);
+///     let monitor = monitor();
+///     monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, 1);
+///     monitor.ingest_batch_received_parallel(&trips, &received, 0);
+///     monitor.checkpoint().unwrap();
+///     let (_, payload) = Store::recover(&dir).unwrap().snapshot.unwrap();
+///     std::fs::write(golden_dir().join("legacy_snapshot.json"), payload).unwrap();
+/// }
+/// ```
+///
+/// Framed as the only snapshot of a state directory, it must recover
+/// with nothing to replay to the golden map byte for byte, and to the
+/// state a fresh ingest of the corpus exports.
+#[test]
+fn legacy_json_snapshot_recovers_to_the_golden_map() {
+    use busprobe::core::MonitorConfig;
+    use busprobe::store::snapshot;
+
+    let payload = std::fs::read(golden_dir().join("legacy_snapshot.json")).unwrap();
+    assert_eq!(payload.first(), Some(&b'{'), "a JSON payload");
+    let committed = std::fs::read_to_string(golden_dir().join("corpus.json")).unwrap();
+    let (trips, received): (Vec<Trip>, Vec<f64>) = serde_json::from_str(&committed).unwrap();
+    let dir = std::env::temp_dir().join(format!("busprobe-legacy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    snapshot::write(&dir, trips.len() as u64, &payload).unwrap();
+
+    let world = TestWorld::new(17, 5);
+    let (recovered, summary) = TrafficMonitor::recover(
+        world.network.clone(),
+        world.db.clone(),
+        MonitorConfig::default(),
+        &dir,
+    )
+    .unwrap();
+    assert_eq!(
+        summary.snapshot_seq,
+        Some(trips.len() as u64),
+        "{summary:?}"
+    );
+    assert_eq!(summary.snapshots_skipped, 0, "{summary:?}");
+    assert_eq!(summary.replayed_commits, 0, "{summary:?}");
+    let want = std::fs::read_to_string(golden_dir().join("map.geojson")).unwrap();
+    assert_eq!(map_geojson(&recovered, &trips), want);
+
+    let fresh = world.monitor();
+    let _ = fresh.ingest_batch_received_parallel(&trips, &received, 0);
+    assert_eq!(recovered.export_state(), fresh.export_state());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
