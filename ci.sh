@@ -36,6 +36,19 @@ echo "== batch-scorer equivalence suite (batched == per-scan == brute) =="
 # pools (crates/core/tests/batch_equivalence.rs).
 cargo test -q -p busprobe-core --test batch_equivalence
 
+echo "== derived-table equivalence (chains ≡ route scans, city plan ≡ reference) =="
+# The on-demand segment chains against a scan of the routes in id order
+# for every ordered site pair — keys, and totals bit for bit — on
+# generated, hand-assembled (loop route, hop ties, a strictly shorter
+# later route), registry-holed and composed networks; and the
+# dense-array city plan against the ordered-map build it replaced, at
+# 1-16 shards on generated networks, calibrated districts, a
+# metropolis and a cell shared across otherwise separate routes
+# (crates/network/tests/properties.rs,
+# crates/shard/tests/partition_properties.rs).
+cargo test -q -p busprobe-network --test properties
+cargo test -q -p busprobe-shard --test partition_properties
+
 echo "== serve suite (overload shedding + kill -9 crash matrix) =="
 # The streaming frontend's contracts: sustained 2x overload sheds with
 # every drop attributed over a bounded queue, block-policy backpressure

@@ -116,7 +116,7 @@ impl<'a> TripEstimator<'a> {
             // lacks (inconsistent wire data) — skip rather than panic;
             // hostile uploads must not be able to reach an abort. The
             // free-time total is the chain's length-weighted harmonic
-            // free-speed composition, precomputed in chain order.
+            // free-speed composition, summed in chain order.
             let Some((chain, length, free_time)) =
                 self.network.segment_chain_stats(from.site, to.site)
             else {

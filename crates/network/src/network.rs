@@ -2,7 +2,7 @@ use crate::grid::Grid;
 use crate::ids::{RouteId, SegmentKey, StopId, StopSiteId};
 use crate::route::BusRoute;
 use crate::stop::{BusStop, StopSite};
-use crate::tables::{ChainTable, FollowsBits};
+use crate::tables::{ChainIndex, FollowsBits};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -116,11 +116,11 @@ pub struct TransitNetwork {
     /// Which routes traverse each block edge (for coverage stats).
     #[serde(with = "map_as_pairs")]
     edge_routes: BTreeMap<BlockEdge, BTreeSet<RouteId>>,
-    /// Lazily built [`Self::segment_chain`] results for every served
-    /// site pair. Derived data: skipped on the wire and rebuilt on first
-    /// use after deserialization.
+    /// Lazily built per-site route-visit index that answers
+    /// [`Self::segment_chain`] on demand. Derived data: skipped on the
+    /// wire and rebuilt on first use after deserialization.
     #[serde(skip)]
-    chains: OnceLock<ChainTable>,
+    chains: OnceLock<ChainIndex>,
     /// The `follows` relation as a bitmap, the mapper's Viterbi inner
     /// loop being too hot for per-query tree walks. Derived from
     /// `successors`; skipped on the wire.
@@ -375,8 +375,8 @@ impl TransitNetwork {
         self.chains().get(a, b).map(|chain| chain.keys)
     }
 
-    /// The segment chain from `a` to `b` plus its precomputed totals
-    /// `(length_m, free travel time_s)`. `None` when no single route
+    /// The segment chain from `a` to `b` plus its totals `(length_m,
+    /// free travel time_s)`, summed over the chain in travel order. `None` when no single route
     /// visits `a` then `b`, or when the chain references a segment the
     /// registry lacks (inconsistent wire data) — callers skip the hop in
     /// both cases.
@@ -387,14 +387,14 @@ impl TransitNetwork {
         b: StopSiteId,
     ) -> Option<(&[SegmentKey], f64, f64)> {
         let chain = self.chains().get(a, b)?;
-        let (length_m, free_time_s) = chain.totals?;
+        let (length_m, free_time_s) = chain.totals()?;
         Some((chain.keys, length_m, free_time_s))
     }
 
-    /// All chains, built once on first use.
-    fn chains(&self) -> &ChainTable {
+    /// The chain index, built once on first use.
+    fn chains(&self) -> &ChainIndex {
         self.chains
-            .get_or_init(|| ChainTable::build(&self.routes, &self.segments))
+            .get_or_init(|| ChainIndex::build(&self.routes, &self.segments))
     }
 
     /// Driving distance of the shortest segment chain from `a` to `b`.
@@ -606,28 +606,27 @@ mod tests {
         assert_eq!(err, NetworkError::NonDenseIds("site"));
     }
 
-    /// The derived tables are O(served pairs), not O(sites²) and not a
-    /// heap allocation per pair — as a number, on a tiled city where a
-    /// dense `sites × sites` bitmap row alone would already be
-    /// `sites / 8` bytes.
+    /// The derived tables are O(route stops) and O(sites), not
+    /// O(served pairs) or O(sites²), and hold no heap allocation per
+    /// pair — as a number, on a tiled city where a dense `sites × sites`
+    /// bitmap row alone would already be `sites / 8` bytes.
     #[test]
-    fn derived_tables_stay_small_per_site_and_per_pair() {
+    fn derived_tables_stay_small_per_site_and_per_stop() {
         let tiles: Vec<TransitNetwork> = (0..4)
             .map(|t| crate::NetworkGenerator::small(40 + t).generate())
             .collect();
         let city = crate::compose_tiles(2, 2, &tiles).unwrap();
         let sites = city.sites().len();
-        let pairs: usize = city.successors.iter().map(BTreeSet::len).sum();
+        let stops: usize = city.routes().iter().map(BusRoute::stop_count).sum();
         // Force both tables.
         let last = StopSiteId(sites as u32 - 1);
         assert!(!city.follows(last, last));
         assert!(city.segment_chain_ref(last, last).is_none());
 
         let chains = city.chains.get().unwrap();
-        assert_eq!(chains.len(), pairs, "loop-free routes: one chain per pair");
         assert!(
-            chains.heap_bytes() < 64 * pairs,
-            "{} B of chain table for {pairs} pairs",
+            chains.heap_bytes() < 64 * stops + 8 * sites,
+            "{} B of chain index for {stops} route stops over {sites} sites",
             chains.heap_bytes()
         );
         let bits = city.follows_bits.get().unwrap();

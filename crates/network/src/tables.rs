@@ -1,7 +1,8 @@
 //! Derived lookup tables of a [`TransitNetwork`](crate::TransitNetwork):
-//! the per-pair segment chains and the `follows` relation, laid out flat
-//! so their size is O(served pairs) at any city size and a lookup touches
-//! a couple of cache lines.
+//! a per-site route-visit index that answers segment chains on demand,
+//! and the `follows` relation as a banded bitmap. Both are flat — the
+//! index is O(route stops), the bitmap a few words per site — and a
+//! lookup touches a couple of cache lines.
 //!
 //! Both are pure functions of serialised fields (`routes`, `segments`,
 //! `successors`), are never serialised themselves and are rebuilt lazily
@@ -12,64 +13,92 @@ use crate::network::Segment;
 use crate::route::BusRoute;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The chain of one served ordered site pair.
+/// One route's first visit to a site.
 #[derive(Debug, Clone, Copy)]
-struct ChainEntry {
-    /// Destination site (the origin is the run this entry sits in).
-    to: StopSiteId,
-    /// Where the chain starts in [`ChainTable::hop_keys`].
-    first_hop: u32,
-    /// Number of elementary segments in the chain.
-    hops: u32,
-    /// Whether every hop has a segment registry entry (always, unless
-    /// the network came off the wire inconsistent).
-    complete: bool,
-    /// Total length, summed hop by hop in chain order from 0.0.
-    length_m: f64,
-    /// Total free-flow travel time, summed the same way.
-    free_time_s: f64,
+struct Visit {
+    /// The visiting route's id.
+    route: u32,
+    /// The visit's position in [`ChainIndex::hop_keys`]: the route's
+    /// base plus the site's first stop index on the route, so the hops
+    /// from this visit to a later one on the same route are
+    /// `hop_keys[from.hop..to.hop]`.
+    hop: u32,
 }
 
-/// One looked-up chain, borrowed from its [`ChainTable`].
+/// One looked-up chain, borrowed from its [`ChainIndex`].
 pub(crate) struct Chain<'a> {
     /// The elementary segments, in travel order.
     pub(crate) keys: &'a [SegmentKey],
-    /// `(length_m, free travel time_s)` over `keys`; `None` when a hop
-    /// has no segment entry.
-    pub(crate) totals: Option<(f64, f64)>,
+    /// `(length_m, free travel time_s)` per key; `None` where the
+    /// registry lacks the segment.
+    stats: &'a [Option<(f64, f64)>],
 }
 
-/// Every served ordered site pair's segment chain, as one CSR table.
+impl Chain<'_> {
+    /// `(length_m, free travel time_s)` over the chain, summed hop by
+    /// hop in chain order from 0.0 — bit for bit a per-field `.sum()`
+    /// over the chain's segments (differences of per-route prefix sums
+    /// would not be). `None` when a hop has no segment entry.
+    pub(crate) fn totals(&self) -> Option<(f64, f64)> {
+        let mut length_m = 0.0f64;
+        let mut free_time_s = 0.0f64;
+        for stats in self.stats {
+            let (hop_m, hop_s) = (*stats)?;
+            length_m += hop_m;
+            free_time_s += hop_s;
+        }
+        Some((length_m, free_time_s))
+    }
+}
+
+/// Every route's visits, per site, and every route's hops, from which
+/// the chain of any ordered site pair is merged on demand.
 #[derive(Debug, Clone)]
-pub(crate) struct ChainTable {
-    /// `entries[starts[a]..starts[a + 1]]` are the pairs leaving site `a`.
+pub(crate) struct ChainIndex {
+    /// `visits[starts[s]..starts[s + 1]]` are the routes visiting site
+    /// `s`, route-ascending.
     starts: Vec<u32>,
-    /// One entry per served pair, destination-ascending within a run.
-    entries: Vec<ChainEntry>,
+    /// One entry per (site, route visiting it), at the site's first
+    /// occurrence on the route.
+    visits: Vec<Visit>,
     /// The consecutive-stop keys of every route, routes concatenated in
     /// id order. A chain is a sub-slice of one route's run.
     hop_keys: Vec<SegmentKey>,
+    /// `(length_m, free travel time_s)` per entry of `hop_keys`, looked
+    /// up once per route hop rather than once per query.
+    hop_stats: Vec<Option<(f64, f64)>>,
 }
 
-impl ChainTable {
-    /// Builds the table. Of the routes visiting `a` then `b` the one
-    /// with the fewest hops wins, the lowest route id among equals, and
-    /// a site a route visits twice counts at its first occurrence only —
-    /// the selection a scan of the routes in id order makes when it
-    /// replaces a chain only by a strictly shorter one.
+impl ChainIndex {
+    /// Builds the index in one pass over the route stops, plus a
+    /// counting sort of the visits by site.
     pub(crate) fn build(routes: &[BusRoute], segments: &BTreeMap<SegmentKey, Segment>) -> Self {
+        // Sized by the routes, not the site list: a network off the wire
+        // is not validated, and must not panic here.
+        let sites = routes
+            .iter()
+            .flat_map(BusRoute::stops)
+            .map(|rs| rs.site.index() + 1)
+            .max()
+            .unwrap_or(0);
         let mut hop_keys: Vec<SegmentKey> = Vec::new();
-        // `(length_m, free travel time_s)` per hop, looked up once here
-        // rather than once per chain crossing the hop.
         let mut hop_stats: Vec<Option<(f64, f64)>> = Vec::new();
-        // `(from, to, hops, first_hop)`: sorting puts each pair's winner
-        // first, since a lower route id means a lower `first_hop` and a
-        // route offers each pair at most once.
-        let mut candidates: Vec<(StopSiteId, StopSiteId, u32, u32)> = Vec::new();
-        let mut order: Vec<(StopSiteId, usize)> = Vec::new();
-        for route in routes {
-            let stops = route.stops();
+        // `(site, visit)` in route order, first occurrences only.
+        let mut firsts: Vec<(u32, Visit)> = Vec::new();
+        // The last route that visited each site, so a second visit by
+        // the same route is recognised in O(1).
+        let mut last_route = vec![u32::MAX; sites];
+        for (r, route) in routes.iter().enumerate() {
+            let r = u32::try_from(r).expect("fewer than 2^32 routes");
             let base = hop_keys.len();
+            for (i, rs) in route.stops().iter().enumerate() {
+                let seen = &mut last_route[rs.site.index()];
+                if *seen != r {
+                    *seen = r;
+                    let hop = u32::try_from(base + i).expect("fewer than 2^32 route hops");
+                    firsts.push((rs.site.0, Visit { route: r, hop }));
+                }
+            }
             for key in route.segment_keys() {
                 hop_keys.push(key);
                 hop_stats.push(
@@ -78,95 +107,77 @@ impl ChainTable {
                         .map(|seg| (seg.length_m, seg.free_travel_time_s())),
                 );
             }
-            // First occurrence of each site, in stop order.
-            order.clear();
-            for (i, rs) in stops.iter().enumerate() {
-                if !order.iter().any(|&(s, _)| s == rs.site) {
-                    order.push((rs.site, i));
-                }
-            }
-            for (x, &(a, ia)) in order.iter().enumerate() {
-                for &(b, ib) in &order[x + 1..] {
-                    candidates.push((a, b, (ib - ia) as u32, (base + ia) as u32));
-                }
-            }
         }
-        // Checked before any candidate is read: the `as u32`s above
-        // are all below this count.
-        assert!(
-            u32::try_from(hop_keys.len()).is_ok(),
-            "fewer than 2^32 route hops"
-        );
-        candidates.sort_unstable();
-        candidates.dedup_by_key(|c| (c.0, c.1));
-        assert!(
-            u32::try_from(candidates.len()).is_ok(),
-            "fewer than 2^32 served pairs"
-        );
 
-        let sites = candidates.last().map_or(0, |c| c.0.index() + 1);
         let mut starts = vec![0u32; sites + 1];
-        let mut entries = Vec::with_capacity(candidates.len());
-        for &(from, to, hops, first_hop) in &candidates {
-            // Totals accumulate in chain order from 0.0, matching a
-            // per-field `.sum()` over the chain bit for bit (differences
-            // of per-route prefix sums would not).
-            let mut length_m = 0.0f64;
-            let mut free_time_s = 0.0f64;
-            let mut complete = true;
-            for stats in &hop_stats[first_hop as usize..][..hops as usize] {
-                let Some((hop_m, hop_s)) = stats else {
-                    complete = false;
-                    break;
-                };
-                length_m += hop_m;
-                free_time_s += hop_s;
-            }
-            starts[from.index() + 1] += 1;
-            entries.push(ChainEntry {
-                to,
-                first_hop,
-                hops,
-                complete,
-                length_m,
-                free_time_s,
-            });
+        for &(site, _) in &firsts {
+            starts[site as usize + 1] += 1;
         }
-        for a in 0..sites {
-            starts[a + 1] += starts[a];
+        for s in 0..sites {
+            starts[s + 1] += starts[s];
         }
-        ChainTable {
+        // Placing in route order keeps every run route-ascending.
+        let mut next = starts.clone();
+        let mut visits = vec![Visit { route: 0, hop: 0 }; firsts.len()];
+        for &(site, visit) in &firsts {
+            visits[next[site as usize] as usize] = visit;
+            next[site as usize] += 1;
+        }
+        ChainIndex {
             starts,
-            entries,
+            visits,
             hop_keys,
+            hop_stats,
         }
     }
 
-    /// The chain from `a` to `b`, if one route visits `a` then `b`.
+    /// The routes visiting `site`, route-ascending; `None` past the end.
+    fn visits(&self, site: StopSiteId) -> Option<&[Visit]> {
+        let lo = *self.starts.get(site.index())? as usize;
+        let hi = *self.starts.get(site.index() + 1)? as usize;
+        Some(&self.visits[lo..hi])
+    }
+
+    /// The chain from `a` to `b`, if one route visits `a` then `b`. Of
+    /// the routes whose first visit to `a` precedes their first visit
+    /// to `b`, the one with the fewest hops wins, the lowest route id
+    /// among equals — what a scan of the routes in id order selects
+    /// when it replaces a chain only by a strictly shorter one.
     pub(crate) fn get(&self, a: StopSiteId, b: StopSiteId) -> Option<Chain<'_>> {
-        let lo = *self.starts.get(a.index())? as usize;
-        let hi = *self.starts.get(a.index() + 1)? as usize;
-        let run = &self.entries[lo..hi];
-        let entry = &run[run.binary_search_by_key(&b, |e| e.to).ok()?];
+        let (from, to) = (self.visits(a)?, self.visits(b)?);
+        // `(first hop, hops)` of the best chain so far.
+        let mut best: Option<(u32, u32)> = None;
+        let (mut i, mut j) = (0, 0);
+        while i < from.len() && j < to.len() {
+            let (va, vb) = (from[i], to[j]);
+            if va.route < vb.route {
+                i += 1;
+            } else if va.route > vb.route {
+                j += 1;
+            } else {
+                if va.hop < vb.hop && best.is_none_or(|(_, hops)| vb.hop - va.hop < hops) {
+                    best = Some((va.hop, vb.hop - va.hop));
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+        let (first, hops) = best?;
+        let range = first as usize..(first + hops) as usize;
         Some(Chain {
-            keys: &self.hop_keys[entry.first_hop as usize..][..entry.hops as usize],
-            totals: entry
-                .complete
-                .then_some((entry.length_m, entry.free_time_s)),
+            keys: &self.hop_keys[range.clone()],
+            stats: &self.hop_stats[range],
         })
     }
 
-    /// Heap bytes held, for the size-per-pair test.
+    /// Heap bytes held, for the size-per-stop test.
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
-        size_of_val(&*self.starts) + size_of_val(&*self.entries) + size_of_val(&*self.hop_keys)
-    }
-
-    /// Number of served ordered pairs.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        size_of_val(&*self.starts)
+            + size_of_val(&*self.visits)
+            + size_of_val(&*self.hop_keys)
+            + size_of_val(&*self.hop_stats)
     }
 }
 

@@ -23,11 +23,9 @@
 //! orders and replays, which is what lets `recover` reconstruct the
 //! plan from the manifest instead of persisting the assignment.
 
-use busprobe_cellular::CellTowerId;
 use busprobe_core::StopFingerprintDb;
 use busprobe_network::{StopSiteId, TransitNetwork};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A deterministic assignment of every stop site to exactly one shard.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,6 +87,8 @@ impl CityPlan {
         let n = sites.len();
 
         // 1. Atomic groups: route-sharing ∪ cell-sharing components.
+        //    The smaller root wins every union, so a component's root
+        //    is its smallest site whatever order the unions come in.
         let mut sets = DisjointSets::new(n);
         for route in network.routes() {
             let stops = route.stops();
@@ -96,42 +96,39 @@ impl CityPlan {
                 sets.union(pair[0].site.0, pair[1].site.0);
             }
         }
-        let mut cell_owner: BTreeMap<CellTowerId, u32> = BTreeMap::new();
-        for (site, fp) in db.iter() {
-            if site.index() >= n {
-                continue;
-            }
-            for &cell in fp.cells() {
-                match cell_owner.get(&cell) {
-                    Some(&first) => sets.union(first, site.0),
-                    None => {
-                        cell_owner.insert(cell, site.0);
-                    }
-                }
+        // `cell << 32 | site`, sorted: the sites holding one cell are
+        // neighbours, and uniting each with the next unites them all.
+        let mut cell_sites: Vec<u64> = db
+            .iter()
+            .filter(|(site, _)| site.index() < n)
+            .flat_map(|(site, fp)| {
+                fp.cells()
+                    .iter()
+                    .map(move |cell| u64::from(cell.0) << 32 | u64::from(site.0))
+            })
+            .collect();
+        cell_sites.sort_unstable();
+        for pair in cell_sites.windows(2) {
+            if pair[0] >> 32 == pair[1] >> 32 {
+                sets.union(pair[0] as u32, pair[1] as u32);
             }
         }
 
-        // 2. Component summaries keyed by root.
-        struct Component {
-            min_site: u32,
-            count: usize,
-            sum_x: f64,
-            sum_y: f64,
-        }
-        let mut components: BTreeMap<u32, Component> = BTreeMap::new();
-        for site in sites {
-            let root = sets.find(site.id.0);
-            let c = components.entry(root).or_insert(Component {
-                min_site: site.id.0,
-                count: 0,
-                sum_x: 0.0,
-                sum_y: 0.0,
-            });
-            c.min_site = c.min_site.min(site.id.0);
-            c.count += 1;
-            c.sum_x += site.position.x;
-            c.sum_y += site.position.y;
-        }
+        // 2. Component summaries, indexed by root.
+        let mut count = vec![0usize; n];
+        let mut sum_x = vec![0.0f64; n];
+        let mut sum_y = vec![0.0f64; n];
+        let roots: Vec<u32> = sites
+            .iter()
+            .map(|site| {
+                let root = sets.find(site.id.0);
+                let r = root as usize;
+                count[r] += 1;
+                sum_x[r] += site.position.x;
+                sum_y[r] += site.position.y;
+                root
+            })
+            .collect();
 
         // 3. Geographic order: centroid cell in a ~√N grid over the
         //    stop bounding box, row-major, ties by smallest site id.
@@ -152,25 +149,28 @@ impl CityPlan {
             let cy = (((y - min_y) / span_y * gy as f64) as usize).min(gy - 1);
             cy * gx + cx
         };
-        let mut ordered: Vec<(usize, u32, u32, usize)> = components
-            .iter()
-            .map(|(&root, c)| {
-                let cell = cell_of(c.sum_x / c.count as f64, c.sum_y / c.count as f64);
-                (cell, c.min_site, root, c.count)
+        // Roots are the smallest member sites, so sorting by `(cell,
+        // root)` breaks ties by smallest site id.
+        let mut ordered: Vec<(usize, u32, usize)> = (0..n)
+            .filter(|&r| count[r] > 0)
+            .map(|r| {
+                let cell = cell_of(sum_x[r] / count[r] as f64, sum_y[r] / count[r] as f64);
+                (cell, r as u32, count[r])
             })
             .collect();
         ordered.sort_unstable();
 
         // 4. Balanced linear cut of the cumulative site count.
-        let mut shard_of_root: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut shard_of_root = vec![0u32; n];
         let mut before = 0usize;
-        for (_, _, root, count) in ordered {
+        for (_, root, size) in ordered {
             let shard = (before * shards / n).min(shards - 1);
-            shard_of_root.insert(root, shard as u32);
-            before += count;
+            shard_of_root[root as usize] = shard as u32;
+            before += size;
         }
-        let assignment = (0..n as u32)
-            .map(|i| shard_of_root[&sets.find(i)])
+        let assignment = roots
+            .iter()
+            .map(|&root| shard_of_root[root as usize])
             .collect();
         CityPlan { shards, assignment }
     }

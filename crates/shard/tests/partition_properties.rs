@@ -1,4 +1,4 @@
-//! Property tests for the partitioner and router — the four contracts
+//! Property tests for the partitioner and router — the five contracts
 //! the sharding layer's correctness argument rests on:
 //!
 //! 1. every stop site lands in exactly one shard, at any shard count,
@@ -7,19 +7,23 @@
 //!    insertion order,
 //! 4. a boundary trip's overflow resolution (Score policy) is stable
 //!    across shard counts: whatever plan is in force, the trip follows
-//!    the same globally best-matching site.
+//!    the same globally best-matching site,
+//! 5. the plan equals the ordered-map reference build site for site, at
+//!    every shard count from 1 to 16.
 
 use busprobe_bench::world::Metropolis;
 use busprobe_bench::World;
 use busprobe_cellular::{CellObservation, CellScan, CellTowerId, Fingerprint};
 use busprobe_core::{MatchConfig, MatchResult, MonitorConfig, StopFingerprintDb, TrafficMonitor};
 use busprobe_faults::{FaultInjector, FaultPlan};
+use busprobe_geo::Point;
 use busprobe_mobile::{CellularSample, Trip};
-use busprobe_network::{NetworkGenerator, StopSiteId, TransitNetwork};
+use busprobe_network::{NetworkGenerator, NetworkImport, RouteImport, StopSiteId, TransitNetwork};
 use busprobe_shard::{CityPlan, OverflowPolicy, Routed, ShardRouter, ShardedMonitor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A calibrated district with window-overlapping synthetic
@@ -566,4 +570,314 @@ fn routing_equals_the_unfiltered_race_without_an_index() {
     let mut trips = m.trips_chunk(0, 12);
     trips.extend(hostile_trips(&m).into_iter().take(12));
     assert_routes_agree(city.shards(), &trips, "γ = 0");
+}
+
+/// Union-find over dense site indexes, as the reference plan used it.
+struct ReferenceSets {
+    parent: Vec<u32>,
+}
+
+impl ReferenceSets {
+    fn new(n: usize) -> Self {
+        ReferenceSets {
+            parent: (0..n as u32).collect(),
+        }
+    }
+
+    fn find(&mut self, x: u32) -> u32 {
+        let mut root = x;
+        while self.parent[root as usize] != root {
+            root = self.parent[root as usize];
+        }
+        let mut cur = x;
+        while self.parent[cur as usize] != root {
+            let next = self.parent[cur as usize];
+            self.parent[cur as usize] = root;
+            cur = next;
+        }
+        root
+    }
+
+    fn union(&mut self, a: u32, b: u32) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+            self.parent[hi as usize] = lo;
+        }
+    }
+}
+
+/// `CityPlan::build` as it was over ordered maps — a first owner per
+/// cell, component summaries and shards keyed by root — kept as the
+/// oracle the dense-array build must agree with site for site.
+/// `recover` rebuilds the plan instead of reading it, so this equality
+/// is what lets a state dir written under the map-based build resume
+/// with every site in the shard that logged it.
+fn reference_assignment(
+    network: &TransitNetwork,
+    db: &StopFingerprintDb,
+    shards: usize,
+) -> Vec<usize> {
+    let sites = network.sites();
+    let n = sites.len();
+
+    let mut sets = ReferenceSets::new(n);
+    for route in network.routes() {
+        let stops = route.stops();
+        for pair in stops.windows(2) {
+            sets.union(pair[0].site.0, pair[1].site.0);
+        }
+    }
+    let mut cell_owner: BTreeMap<CellTowerId, u32> = BTreeMap::new();
+    for (site, fp) in db.iter() {
+        if site.index() >= n {
+            continue;
+        }
+        for &cell in fp.cells() {
+            match cell_owner.get(&cell) {
+                Some(&first) => sets.union(first, site.0),
+                None => {
+                    cell_owner.insert(cell, site.0);
+                }
+            }
+        }
+    }
+
+    struct Component {
+        min_site: u32,
+        count: usize,
+        sum_x: f64,
+        sum_y: f64,
+    }
+    let mut components: BTreeMap<u32, Component> = BTreeMap::new();
+    for site in sites {
+        let root = sets.find(site.id.0);
+        let c = components.entry(root).or_insert(Component {
+            min_site: site.id.0,
+            count: 0,
+            sum_x: 0.0,
+            sum_y: 0.0,
+        });
+        c.min_site = c.min_site.min(site.id.0);
+        c.count += 1;
+        c.sum_x += site.position.x;
+        c.sum_y += site.position.y;
+    }
+
+    let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
+    let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for site in sites {
+        min_x = min_x.min(site.position.x);
+        max_x = max_x.max(site.position.x);
+        min_y = min_y.min(site.position.y);
+        max_y = max_y.max(site.position.y);
+    }
+    let gx = (shards as f64).sqrt().ceil() as usize;
+    let gy = shards.div_ceil(gx);
+    let span_x = (max_x - min_x).max(1e-9);
+    let span_y = (max_y - min_y).max(1e-9);
+    let cell_of = |x: f64, y: f64| -> usize {
+        let cx = (((x - min_x) / span_x * gx as f64) as usize).min(gx - 1);
+        let cy = (((y - min_y) / span_y * gy as f64) as usize).min(gy - 1);
+        cy * gx + cx
+    };
+    let mut ordered: Vec<(usize, u32, u32, usize)> = components
+        .iter()
+        .map(|(&root, c)| {
+            let cell = cell_of(c.sum_x / c.count as f64, c.sum_y / c.count as f64);
+            (cell, c.min_site, root, c.count)
+        })
+        .collect();
+    ordered.sort_unstable();
+
+    let mut shard_of_root: BTreeMap<u32, u32> = BTreeMap::new();
+    let mut before = 0usize;
+    for (_, _, root, count) in ordered {
+        let shard = (before * shards / n).min(shards - 1);
+        shard_of_root.insert(root, shard as u32);
+        before += count;
+    }
+    (0..n as u32)
+        .map(|i| shard_of_root[&sets.find(i)] as usize)
+        .collect()
+}
+
+/// Asserts the plan equals the reference at every shard count 1–16.
+fn assert_plans_match_reference(network: &TransitNetwork, db: &StopFingerprintDb, context: &str) {
+    for shards in 1..=16 {
+        let plan = CityPlan::build(network, db, shards);
+        assert_eq!(plan.shards(), shards, "{context}");
+        let assignment: Vec<usize> = network
+            .sites()
+            .iter()
+            .map(|site| plan.shard_of(site.id))
+            .collect();
+        assert_eq!(
+            assignment,
+            reference_assignment(network, db, shards),
+            "{context}, {shards} shards"
+        );
+    }
+}
+
+/// Three cells of a site's own.
+fn own_cells(site: StopSiteId) -> Vec<CellTowerId> {
+    (0..3).map(|k| CellTowerId(site.0 * 3 + k)).collect()
+}
+
+/// Short straight routes dropped on a 300 m lattice: a stop landing on
+/// another route's stop merges into its site, so route groups come in
+/// every size, from lone routes to long chains.
+fn lattice_network(rng: &mut StdRng) -> TransitNetwork {
+    let routes = (0..rng.gen_range(4..16))
+        .map(|r| {
+            let (x0, y0) = (rng.gen_range(0..12u32), rng.gen_range(0..12u32));
+            let (dx, dy) = if rng.gen_bool(0.5) { (1, 0) } else { (0, 1) };
+            RouteImport {
+                name: format!("r{r}"),
+                stops: (0..rng.gen_range(2..6u32))
+                    .map(|k| {
+                        Point::new(
+                            f64::from((x0 + dx * k) * 300),
+                            f64::from((y0 + dy * k) * 300),
+                        )
+                    })
+                    .collect(),
+                free_speed_mps: 12.0,
+            }
+        })
+        .collect();
+    NetworkImport {
+        merge_radius_m: 20.0,
+        routes,
+    }
+    .build()
+    .expect("lattice routes import")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The plan equals the reference on generated networks, under
+    /// corridor fingerprints (neighbours share cells) and disjoint ones
+    /// (components are the route groups alone).
+    #[test]
+    fn prop_plan_matches_reference(seed in 0u64..1000) {
+        let network = NetworkGenerator::small(seed).generate();
+        let corridor = World::synthetic_db(network.sites().len(), seed);
+        assert_plans_match_reference(&network, &corridor, &format!("small {seed}, corridor"));
+        let disjoint: StopFingerprintDb = network
+            .sites()
+            .iter()
+            .map(|s| (s.id, Fingerprint::new(own_cells(s.id)).unwrap()))
+            .collect();
+        assert_plans_match_reference(&network, &disjoint, &format!("small {seed}, disjoint"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The same on lattice networks of many route groups, where some
+    /// sites also hear one cell of a small shared pool, joining groups
+    /// at random.
+    #[test]
+    fn prop_lattice_plan_matches_reference(seed in 0u64..100_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let network = lattice_network(&mut rng);
+        let pool = (network.sites().len() as u32 / 4).max(1);
+        let db: StopFingerprintDb = network
+            .sites()
+            .iter()
+            .map(|s| {
+                let mut cells = own_cells(s.id);
+                if rng.gen_bool(0.3) {
+                    cells.push(CellTowerId(1_000_000 + rng.gen_range(0..pool)));
+                }
+                (s.id, Fingerprint::new(cells).unwrap())
+            })
+            .collect();
+        assert_plans_match_reference(&network, &db, &format!("lattice {seed}"));
+    }
+}
+
+#[test]
+fn calibrated_district_plan_matches_reference() {
+    for seed in [3, 7, 11] {
+        let network = World::calibrated(seed).network;
+        let db = World::synthetic_db(network.sites().len(), seed);
+        assert_plans_match_reference(&network, &db, &format!("calibrated {seed}"));
+    }
+}
+
+#[test]
+fn metropolis_plan_matches_reference() {
+    let m = World::metropolis(2000, 1, 23);
+    assert_plans_match_reference(&m.network, &m.db, "metropolis");
+}
+
+/// Two routes far apart joined only by one cell that a site on each
+/// hears, beside a third route that nothing joins, and a fingerprint
+/// for a site the network lacks (ignored by both builds).
+#[test]
+fn shared_cell_across_separate_routes_matches_reference() {
+    let route = |name: &str, x0: f64, y: f64| RouteImport {
+        name: name.into(),
+        stops: (0..4)
+            .map(|k| Point::new(x0 + 400.0 * f64::from(k), y))
+            .collect(),
+        free_speed_mps: 12.0,
+    };
+    let network = NetworkImport {
+        merge_radius_m: 20.0,
+        routes: vec![
+            route("west", 0.0, 0.0),
+            route("middle", 3000.0, 2500.0),
+            route("east", 6000.0, 5000.0),
+        ],
+    }
+    .build()
+    .expect("three disjoint routes import");
+    let n = network.sites().len() as u32;
+    assert_eq!(n, 12);
+    let shared = CellTowerId(1_000_000);
+    let (west, east) = (StopSiteId(2), StopSiteId(9));
+    let mut db: StopFingerprintDb = network
+        .sites()
+        .iter()
+        .map(|s| {
+            let mut cells: Vec<CellTowerId> = (0..3).map(|k| CellTowerId(s.id.0 * 3 + k)).collect();
+            if s.id == west || s.id == east {
+                cells.push(shared);
+            }
+            (s.id, Fingerprint::new(cells).unwrap())
+        })
+        .collect();
+    db.insert(
+        StopSiteId(n + 5),
+        Fingerprint::new(vec![shared, CellTowerId(0)]).unwrap(),
+    );
+    assert_plans_match_reference(&network, &db, "shared cell");
+    for shards in 1..=16 {
+        let plan = CityPlan::build(&network, &db, shards);
+        assert_eq!(plan.shard_of(west), plan.shard_of(east), "{shards} shards");
+        assert_eq!(plan.shard_of(StopSiteId(0)), plan.shard_of(StopSiteId(11)));
+    }
+    // Without the shared cell the west and east routes part at two shards.
+    db.remove(StopSiteId(n + 5));
+    let apart: StopFingerprintDb = db
+        .iter()
+        .map(|(site, fp)| {
+            let cells = fp
+                .cells()
+                .iter()
+                .copied()
+                .filter(|&c| c != shared)
+                .collect();
+            (site, Fingerprint::new(cells).unwrap())
+        })
+        .collect();
+    assert_plans_match_reference(&network, &apart, "no shared cell");
+    let plan = CityPlan::build(&network, &apart, 2);
+    assert_ne!(plan.shard_of(west), plan.shard_of(east));
 }

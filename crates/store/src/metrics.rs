@@ -17,6 +17,7 @@ pub(crate) struct StoreMetrics {
     pub wal_appends: Counter,
     pub wal_bytes: Counter,
     pub wal_fsyncs: Counter,
+    pub dir_fsyncs: Counter,
     pub segments_rotated: Counter,
     pub segments_compacted: Counter,
     pub snapshots_written: Counter,
@@ -38,6 +39,7 @@ impl StoreMetrics {
             wal_appends: registry.counter("busprobe_store_wal_appends_total"),
             wal_bytes: registry.counter("busprobe_store_wal_bytes_total"),
             wal_fsyncs: registry.counter("busprobe_store_wal_fsyncs_total"),
+            dir_fsyncs: registry.counter("busprobe_store_dir_fsyncs_total"),
             segments_rotated: registry.counter("busprobe_store_segments_rotated_total"),
             segments_compacted: registry.counter("busprobe_store_segments_compacted_total"),
             snapshots_written: registry.counter("busprobe_store_snapshots_written_total"),

@@ -255,6 +255,9 @@ pub struct WalWriter {
     next_seq: u64,
     /// `next_seq` as of the last [`sync`](Self::sync) (or open).
     synced_seq: u64,
+    /// A segment was created or opened since the last directory fsync,
+    /// so its directory entry may not survive a power loss yet.
+    dir_dirty: bool,
     scratch: Vec<u8>,
     metrics: StoreMetrics,
 }
@@ -316,6 +319,7 @@ impl WalWriter {
             segment_bytes,
             next_seq,
             synced_seq: next_seq,
+            dir_dirty: true,
             scratch: Vec::new(),
             metrics,
         })
@@ -369,10 +373,17 @@ impl WalWriter {
         Ok(first)
     }
 
-    /// Flushes and fsyncs the active segment.
+    /// Flushes and fsyncs the active segment, and the directory once
+    /// after a segment was created or opened: `sync_data` on a new file
+    /// does not make its directory entry durable.
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.flush()?;
         self.file.get_ref().sync_data()?;
+        if self.dir_dirty {
+            File::open(&self.dir)?.sync_all()?;
+            self.dir_dirty = false;
+            self.metrics.dir_fsyncs.inc();
+        }
         self.synced_seq = self.next_seq;
         self.metrics.wal_fsyncs.inc();
         Ok(())
@@ -386,6 +397,7 @@ impl WalWriter {
         self.metrics.wal_fsyncs.inc();
         let path = self.dir.join(segment_file_name(first_seq));
         self.file = BufWriter::new(File::create(&path)?);
+        self.dir_dirty = true;
         self.segment_first = first_seq;
         self.segment_bytes = 0;
         self.metrics.segments_rotated.inc();
