@@ -122,36 +122,57 @@ echo "== trace overhead gate (disabled hooks <1% of per-trip ingest) =="
 cargo test --release -q -p busprobe-bench --test overhead \
   disabled_trace_hooks_cost_under_1_percent_of_ingest -- --ignored --nocapture
 
-echo "== CLI crash drill: tear the WAL, recover, resume, compare =="
-# End-to-end durability through the binary: ingest a prefix durably,
-# truncate the newest WAL segment mid-record (a crash mid-append),
-# `recover` must attribute the torn tail without panicking, and a
-# resumed ingest must export GeoJSON byte-identical to an uninterrupted
-# run (duplicate commits are rejected by digest on replay).
-./target/release/busprobe ingest --dir "$tmpdir" --state "$tmpdir/state" \
-  --limit 12 --snapshot-every 5 >/dev/null
-wal_tail=$(ls "$tmpdir"/state/*.wal | sort | tail -n 1)
-truncate -s -9 "$wal_tail"
-./target/release/busprobe recover --dir "$tmpdir" --state "$tmpdir/state" \
-  > "$tmpdir/recover.out"
-grep -q "torn segment tails" "$tmpdir/recover.out"
+echo "== CLI crash drill: kill -9 a durable server, tear the WAL, recover, resume =="
+# End-to-end durability through the binary, on a real crash: a durable
+# server takes N uploads (all acked), is SIGKILLed, and the newest WAL
+# segment is truncated mid-record (a crash mid-append). The torn record
+# is one no snapshot covers: `recover` must replay the intact records
+# past the last snapshot and attribute the torn tail, and a resumed
+# ingest must re-commit the torn uploads and export GeoJSON
+# byte-identical to an uninterrupted run (duplicate commits are
+# rejected by digest).
+# $1: state dir, $2: uploads to send; the rest are extra serve flags.
+crash_drill() {
+  local state=$1 uploads=$2 sent=0 tail
+  shift 2
+  ./target/release/busprobe serve --dir "$tmpdir" --socket "$state.sock" --state "$state" \
+    "$@" >/dev/null 2>&1 &
+  local pid=$!
+  for _ in $(seq 100); do [ -S "$state.sock" ] && break; sleep 0.1; done
+  ./target/release/busprobe send --dir "$tmpdir" --socket "$state.sock" --limit "$uploads" \
+    > "$state.send" || sent=$?
+  # Killed before anything is checked, so a failed check leaves no
+  # server behind.
+  kill -KILL "$pid"
+  wait "$pid" 2>/dev/null || true
+  test "$sent" -eq 0
+  grep -q "$uploads acked, 0 dropped" "$state.send"
+  tail=$(ls "$state"/*.wal | sort | tail -n 1)
+  truncate -s -9 "$tail"
+  ./target/release/busprobe recover --dir "$tmpdir" --state "$state" > "$state.recover"
+  grep -q "1 torn segment tails" "$state.recover"
+}
+# One fsync per commit and a snapshot every 5 records: the last
+# snapshot covers 10 of the 12, record 10 replays, record 11 is torn.
+crash_drill "$tmpdir/state" 12 --snapshot-every 5 --sync-every 1
+grep -q "snapshot covering 10 records + 1 replayed commits" "$tmpdir/state.recover"
 ./target/release/busprobe ingest --dir "$tmpdir" --state "$tmpdir/state" \
   --geojson "$tmpdir/resumed.geojson" >/dev/null
 cmp "$tmpdir/jobs1.geojson" "$tmpdir/resumed.geojson"
 
 echo "== CLI group-commit crash drill: tear a group frame, recover, resume =="
-# The same drill on the group-commit path: ingest a prefix with one
-# BPG1 frame + fsync per 8 commits, truncate the newest segment inside
-# the last group frame, `recover` must attribute exactly that torn
-# tail, and a resumed grouped ingest must still export byte-identical
-# GeoJSON — the whole torn group is re-committed, nothing else doubles.
-./target/release/busprobe ingest --dir "$tmpdir" --state "$tmpdir/gstate" \
-  --limit 12 --group-every 8 >/dev/null
+# The same drill on the group-commit path, where each commit batch is
+# one WAL frame of up to --sync-every commits. The commit throttle holds
+# every batch 300 ms, so all 26 uploads are queued before the second
+# batch is taken: whatever the first batch took, the batches from record
+# 8 on are [8,16), [16,24) and [24,26). The snapshot every 16 records
+# lands at 16, so `recover` replays the group frame [16,24) whole, and
+# the torn tail is the BPG1 group frame [24,26). A resumed grouped
+# ingest re-commits both torn uploads and nothing doubles.
+crash_drill "$tmpdir/gstate" 26 --snapshot-every 16 --sync-every 8 --commit-throttle-ms 300
+grep -q "snapshot covering 16 records + 8 replayed commits" "$tmpdir/gstate.recover"
 gwal_tail=$(ls "$tmpdir"/gstate/*.wal | sort | tail -n 1)
-truncate -s -9 "$gwal_tail"
-./target/release/busprobe recover --dir "$tmpdir" --state "$tmpdir/gstate" \
-  > "$tmpdir/grecover.out"
-grep -q "torn segment tails" "$tmpdir/grecover.out"
+LC_ALL=C grep -aob 'BP[WG]1' "$gwal_tail" | tail -n 1 | grep -q BPG1
 ./target/release/busprobe ingest --dir "$tmpdir" --state "$tmpdir/gstate" \
   --group-every 8 --geojson "$tmpdir/gresumed.geojson" >/dev/null
 cmp "$tmpdir/jobs1.geojson" "$tmpdir/gresumed.geojson"

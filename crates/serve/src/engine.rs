@@ -120,8 +120,6 @@ pub struct ServeConfig {
     /// the queue runs dry, and never takes more uploads than the group
     /// has room for. 1 = one fsync per commit.
     pub sync_every: u64,
-    /// Checkpoint at least this often while commits are flowing.
-    pub checkpoint_interval: Option<Duration>,
     /// Fail fast when the commit loop makes no progress for this long.
     pub watchdog_stall: Option<Duration>,
     /// Commit-loop poll interval when the queue is empty.
@@ -139,7 +137,6 @@ impl Default for ServeConfig {
             latency_budget: None,
             workers: 1,
             sync_every: 32,
-            checkpoint_interval: None,
             watchdog_stall: None,
             idle_poll: Duration::from_millis(25),
             commit_throttle: None,
@@ -789,8 +786,6 @@ struct CommitLoop {
     shared: Arc<Shared>,
     /// Every commit since the last fsync, in commit order — the group.
     pending_acks: Vec<PendingAck>,
-    committed_since_checkpoint: bool,
-    last_checkpoint: Instant,
 }
 
 impl CommitLoop {
@@ -798,8 +793,6 @@ impl CommitLoop {
         CommitLoop {
             shared,
             pending_acks: Vec::new(),
-            committed_since_checkpoint: false,
-            last_checkpoint: Instant::now(),
         }
     }
 
@@ -914,7 +907,6 @@ impl CommitLoop {
                 .monitor
                 .ingest_batch_received_parallel(&trips, &recvs, config.workers.max(1));
         shared.stats.committed.fetch_add(n, Ordering::Relaxed);
-        self.committed_since_checkpoint = true;
     }
 
     /// Makes every pending commit durable, then releases its ack — the
@@ -974,18 +966,17 @@ impl CommitLoop {
         }
     }
 
-    /// Runs a checkpoint when one is due (interval, request, or `force`
-    /// at drain). Acks flush first so the snapshot never covers
-    /// unacknowledged commits. Returns false on a fatal flush.
+    /// Runs a checkpoint when one is asked for: by the `checkpoint`
+    /// command, or `force` at drain. The periodic cadence is the
+    /// monitor's own (`snapshot_every` records). Acks flush first so the
+    /// snapshot never covers unacknowledged commits. Returns false on a
+    /// fatal flush.
     fn maybe_checkpoint(&mut self, force: bool) -> bool {
-        let shared = &self.shared;
-        let requested = shared.checkpoint_requested.swap(false, Ordering::Relaxed);
-        let time_due = shared
-            .config
-            .checkpoint_interval
-            .is_some_and(|iv| self.last_checkpoint.elapsed() >= iv)
-            && self.committed_since_checkpoint;
-        if !(force || requested || time_due) {
+        let requested = self
+            .shared
+            .checkpoint_requested
+            .swap(false, Ordering::Relaxed);
+        if !(force || requested) {
             return true;
         }
         if !self.flush_acks(FlushCause::Checkpoint) {
@@ -1013,8 +1004,6 @@ impl CommitLoop {
                 );
             }
         }
-        self.committed_since_checkpoint = false;
-        self.last_checkpoint = Instant::now();
         true
     }
 }

@@ -12,8 +12,8 @@
 //!   balanced shards. Pure function of (network, DB, shard count).
 //! * [`ShardRouter`] — routes an upload by probing each shard's
 //!   inverted matcher index for its best candidate score bound; ties
-//!   fall to a configurable [`OverflowPolicy`] that stays bit-exact by
-//!   scoring candidates in shard-id order.
+//!   fall to the [`OverflowPolicy`], which stays bit-exact by scoring
+//!   candidates in shard-id order.
 //! * [`ShardedMonitor`] — N `TrafficMonitor`s (own matcher, fusion,
 //!   duplicate state, WAL dir — the state root for one shard,
 //!   `<state>/shard-NNNN/` for more) behind one batch-ingest façade

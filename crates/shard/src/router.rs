@@ -28,7 +28,9 @@ use std::sync::Arc;
 /// How many trip samples the router probes (evenly spaced, distinct).
 const PROBE_SAMPLES: usize = 4;
 
-/// What to do with a trip whose probe bounds tie across shards.
+/// What to do with a trip whose probe bounds tie across shards. One
+/// policy: any tie-break that does not follow the global best match
+/// makes the federated map depend on the shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum OverflowPolicy {
     /// Fully score the probe samples in each tied shard, in shard-id
@@ -37,10 +39,6 @@ pub enum OverflowPolicy {
     /// the shard count (the best-ranked site is a global property).
     #[default]
     Score,
-    /// Send the trip to the lowest tied shard id. Cheapest possible
-    /// tie-break; still deterministic, but a trip may land in a shard
-    /// that merely ties on the bound.
-    Lowest,
 }
 
 impl OverflowPolicy {
@@ -49,18 +47,13 @@ impl OverflowPolicy {
     pub fn label(self) -> &'static str {
         match self {
             OverflowPolicy::Score => "score",
-            OverflowPolicy::Lowest => "lowest",
         }
     }
 
     /// Parses a manifest label.
     #[must_use]
     pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "score" => Some(OverflowPolicy::Score),
-            "lowest" => Some(OverflowPolicy::Lowest),
-            _ => None,
-        }
+        (label == "score").then_some(OverflowPolicy::Score)
     }
 }
 
@@ -160,44 +153,37 @@ impl ShardRouter {
                 overflow: false,
             },
             _ => Routed {
-                shard: self.break_tie(shards, &winners, &probes),
+                shard: Self::break_tie(shards, &winners, &probes),
                 overflow: true,
             },
         }
     }
 
-    /// Resolves a bound tie. `winners` is already in shard-id order.
+    /// Resolves a bound tie under [`OverflowPolicy::Score`]. `winners`
+    /// is already in shard-id order.
     fn break_tie(
-        &self,
         shards: &[Arc<TrafficMonitor>],
         winners: &[usize],
         probes: &[Fingerprint],
     ) -> usize {
-        match self.policy {
-            OverflowPolicy::Lowest => winners[0],
-            OverflowPolicy::Score => {
-                let mut chosen = winners[0];
-                let mut best: Option<MatchResult> = None;
-                for &idx in winners {
-                    for fp in probes {
-                        let Some(m) = shards[idx].probe_best_match(fp) else {
-                            continue;
-                        };
-                        let better = match &best {
-                            None => true,
-                            Some(cur) => {
-                                MatchResult::rank_order(&m, cur) == std::cmp::Ordering::Less
-                            }
-                        };
-                        if better {
-                            best = Some(m);
-                            chosen = idx;
-                        }
-                    }
+        let mut chosen = winners[0];
+        let mut best: Option<MatchResult> = None;
+        for &idx in winners {
+            for fp in probes {
+                let Some(m) = shards[idx].probe_best_match(fp) else {
+                    continue;
+                };
+                let better = match &best {
+                    None => true,
+                    Some(cur) => MatchResult::rank_order(&m, cur) == std::cmp::Ordering::Less,
+                };
+                if better {
+                    best = Some(m);
+                    chosen = idx;
                 }
-                chosen
             }
         }
+        chosen
     }
 }
 

@@ -290,11 +290,7 @@ fn short_arrival_list_is_refused_by_a_city_that_splits_the_batch() {
 /// The router as it was before the pre-filter — every probe against
 /// every shard, then the bound race — kept as the oracle `route` must
 /// agree with on every trip.
-fn route_probing_every_shard(
-    policy: OverflowPolicy,
-    shards: &[Arc<TrafficMonitor>],
-    trip: &Trip,
-) -> Routed {
+fn route_probing_every_shard(shards: &[Arc<TrafficMonitor>], trip: &Trip) -> Routed {
     let routed = |shard, overflow| Routed { shard, overflow };
     if shards.len() <= 1 {
         return routed(0, false);
@@ -335,11 +331,10 @@ fn route_probing_every_shard(
             winners.push(idx);
         }
     }
-    match (winners.len(), policy) {
-        (0, _) => routed(0, true),
-        (1, _) => routed(winners[0], false),
-        (_, OverflowPolicy::Lowest) => routed(winners[0], true),
-        (_, OverflowPolicy::Score) => {
+    match winners.len() {
+        0 => routed(0, true),
+        1 => routed(winners[0], false),
+        _ => {
             let mut chosen = winners[0];
             let mut top: Option<MatchResult> = None;
             for &idx in &winners {
@@ -394,17 +389,15 @@ fn hostile_trips(m: &Metropolis) -> Vec<Trip> {
 }
 
 /// Asserts `route` ≡ the unfiltered race — shard *and* overflow flag —
-/// for every trip, under both policies.
+/// for every trip.
 fn assert_routes_agree(shards: &[Arc<TrafficMonitor>], trips: &[Trip], context: &str) {
-    for policy in [OverflowPolicy::Score, OverflowPolicy::Lowest] {
-        let router = ShardRouter::new(policy);
-        for (i, trip) in trips.iter().enumerate() {
-            assert_eq!(
-                router.route(shards, trip),
-                route_probing_every_shard(policy, shards, trip),
-                "{context}, {policy:?}, trip {i}"
-            );
-        }
+    let router = ShardRouter::new(OverflowPolicy::Score);
+    for (i, trip) in trips.iter().enumerate() {
+        assert_eq!(
+            router.route(shards, trip),
+            route_probing_every_shard(shards, trip),
+            "{context}, trip {i}"
+        );
     }
 }
 

@@ -9,6 +9,7 @@
 //! ultimately to cold-start + full replay), counting what it skipped.
 
 use crate::frame::{self, SNAPSHOT_MAGIC};
+use crate::wal;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -47,7 +48,9 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 /// Writes `payload` as the snapshot covering `seq`, atomically: the
 /// frame goes to a temp file, is fsynced, then renamed into place, so a
 /// crash mid-write leaves either the old snapshot set or the new one —
-/// never a half-written file under the snapshot name.
+/// never a half-written file under the snapshot name. The directory is
+/// fsynced last, and its failure is returned: until then the rename
+/// may not survive a power cut, so nothing may be compacted on it.
 pub fn write(dir: &Path, seq: u64, payload: &[u8]) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let mut buf = Vec::with_capacity(frame::HEADER_LEN + payload.len());
@@ -60,12 +63,8 @@ pub fn write(dir: &Path, seq: u64, payload: &[u8]) -> io::Result<()> {
         file.sync_all()?;
     }
     fs::rename(&tmp_path, &final_path)?;
-    // Persist the rename itself; not all platforms support fsync on a
-    // directory handle, so failure here is non-fatal.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    let fsyncs = busprobe_telemetry::counter("busprobe_store_dir_fsyncs_total");
+    wal::sync_dir(dir, &fsyncs)
 }
 
 /// The newest valid snapshot as `(covered_seq, payload)`, if any.
@@ -94,11 +93,6 @@ pub fn load_latest_if(
         }
     }
     Ok((None, skipped))
-}
-
-/// Coverage sequence number of the newest *valid* snapshot, if any.
-pub fn latest_seq(dir: &Path) -> io::Result<Option<u64>> {
-    Ok(load_latest_if(dir, &mut |_, _| true)?.0.map(|(seq, _)| seq))
 }
 
 #[cfg(test)]
@@ -144,7 +138,6 @@ mod tests {
     fn empty_dir_loads_nothing() {
         let dir = tmp_dir("empty");
         assert_eq!(load_latest_if(&dir, &mut |_, _| true).unwrap(), (None, 0));
-        assert_eq!(latest_seq(&dir).unwrap(), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -69,12 +69,17 @@ impl Store {
     ///
     /// Positions the appender after the last valid WAL record (repairing
     /// a torn tail by truncation) and floors the sequence counter at the
-    /// newest snapshot's coverage point, so compacted history can never
-    /// cause a sequence number to be reused.
+    /// newest snapshot's file name, so compacted history can never cause
+    /// a sequence number to be reused. The name is enough: a snapshot is
+    /// only written once the WAL reached its coverage point, and whether
+    /// its payload is intact is [`recover`](Self::recover)'s question,
+    /// not this one's.
     pub fn open_with(dir: impl AsRef<Path>, config: StoreConfig) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let floor = snapshot::latest_seq(&dir)?.unwrap_or(0);
+        let floor = snapshot::list_snapshots(&dir)?
+            .last()
+            .map_or(0, |(seq, _)| *seq);
         let wal = WalWriter::open(&dir, config, floor)?;
         Ok(Store {
             dir,
@@ -148,8 +153,9 @@ impl Store {
 
     /// Writes `payload` as a snapshot covering everything appended so
     /// far, then compacts. The WAL is fsynced first so the snapshot
-    /// never claims coverage of records that could still be lost.
-    /// Returns the snapshot's coverage sequence number.
+    /// never claims coverage of records that could still be lost, and
+    /// nothing is compacted unless the snapshot's directory fsync
+    /// succeeded. Returns the snapshot's coverage sequence number.
     pub fn checkpoint(&mut self, payload: &[u8]) -> io::Result<u64> {
         self.wal.sync()?;
         let seq = self.wal.next_seq();
@@ -308,6 +314,30 @@ mod tests {
         let mut store = Store::open(&dir).unwrap();
         assert_eq!(store.next_seq(), 5, "snapshot floors the sequence");
         assert_eq!(store.append_group(&[b"next".to_vec()]).unwrap(), 5);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_floors_at_the_newest_snapshot_name_even_when_it_is_corrupt() {
+        let dir = tmp_dir("corrupt-floor");
+        let mut store = Store::open(&dir).unwrap();
+        for _ in 0..5 {
+            store.append_group(&[b"r".to_vec()]).unwrap();
+        }
+        store.checkpoint(b"covered").unwrap();
+        drop(store);
+        for (_, path) in wal::list_segments(&dir).unwrap() {
+            fs::remove_file(path).unwrap();
+        }
+        let newest = dir.join(snapshot::snapshot_file_name(5));
+        let mut buf = fs::read(&newest).unwrap();
+        let last = buf.len() - 1;
+        buf[last] ^= 0x01;
+        fs::write(&newest, &buf).unwrap();
+        assert_eq!(Store::recover(&dir).unwrap().snapshots_skipped, 1);
+
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.next_seq(), 5, "the name floors the sequence");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,6 +9,7 @@
 
 use crate::frame::{self, GROUP_MAGIC, HEADER_LEN, RECORD_MAGIC};
 use crate::{StoreConfig, StoreMetrics};
+use busprobe_telemetry::Counter;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -104,6 +105,16 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     }
     segments.sort_unstable_by_key(|(seq, _)| *seq);
     Ok(segments)
+}
+
+/// Fsyncs the directory `dir`, so the entries created or renamed in it
+/// survive a power cut, and counts it in `fsyncs`
+/// (`busprobe_store_dir_fsyncs_total`). WAL segments and snapshots
+/// share this rule: a failure is returned, never ignored.
+pub(crate) fn sync_dir(dir: &Path, fsyncs: &Counter) -> io::Result<()> {
+    File::open(dir)?.sync_all()?;
+    fsyncs.inc();
+    Ok(())
 }
 
 /// Scans one segment buffer, calling `sink` for every valid frame and
@@ -380,9 +391,8 @@ impl WalWriter {
         self.file.flush()?;
         self.file.get_ref().sync_data()?;
         if self.dir_dirty {
-            File::open(&self.dir)?.sync_all()?;
+            sync_dir(&self.dir, &self.metrics.dir_fsyncs)?;
             self.dir_dirty = false;
-            self.metrics.dir_fsyncs.inc();
         }
         self.synced_seq = self.next_seq;
         self.metrics.wal_fsyncs.inc();

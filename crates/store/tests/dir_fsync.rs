@@ -1,5 +1,6 @@
 //! A WAL segment's directory entry is made durable once, by the first
-//! sync after the segment is created or opened. Alone in its test
+//! sync after the segment is created or opened, and a snapshot's once,
+//! by the checkpoint that renames it into place. Alone in its test
 //! binary so nothing else moves the process-global counter it reads.
 
 use busprobe_store::{Store, StoreConfig};
@@ -48,6 +49,15 @@ fn directory_is_fsynced_once_per_new_segment() {
     let mut store = Store::open_with(&dir, config).unwrap();
     store.sync().unwrap();
     assert_eq!(dir_fsyncs() - base, 3);
+
+    // A checkpoint syncs the WAL (its segment is already persisted) and
+    // renames a snapshot into place: exactly one directory fsync.
+    store.checkpoint(b"state").unwrap();
+    assert_eq!(
+        dir_fsyncs() - base,
+        4,
+        "the snapshot's rename is persisted once"
+    );
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }

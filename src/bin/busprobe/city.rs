@@ -37,10 +37,7 @@ pub fn cmd_demo(args: &[String]) -> Result<(), String> {
 /// accounting. `--geojson` exports the aggregated map, which is
 /// byte-identical at every `--shards` count (ci.sh compares 1 vs 4).
 pub fn cmd_city(args: &[String]) -> Result<(), String> {
-    check_flags(
-        args,
-        "--seed --stops --trips --shards --jobs --overflow --geojson",
-    )?;
+    check_flags(args, "--seed --stops --trips --shards --jobs --geojson")?;
     let seed: u64 = parse_flag(args, "--seed", 7)?;
     let stops: usize = parse_flag(args, "--stops", 5_000)?;
     let trips: usize = parse_flag(args, "--trips", 20_000)?;

@@ -30,21 +30,11 @@ impl Backend {
     }
 }
 
-/// Parses `--overflow score|lowest` — the router's policy for boundary
-/// trips whose probe ties across regions.
-fn parse_overflow(args: &[String]) -> Result<OverflowPolicy, String> {
-    match flag_value(args, "--overflow") {
-        None => Ok(OverflowPolicy::Score),
-        Some(v) => OverflowPolicy::from_label(v)
-            .ok_or_else(|| format!("invalid --overflow `{v}` (score|lowest)")),
-    }
-}
-
-/// Builds the monitor every stateful command runs on, from `--state`,
-/// `--shards` and `--overflow`: recovered from the state directory when
-/// that holds a city (its shard count and policy are the directory's; a
-/// `--shards` that disagrees is refused), else cold with `--shards`
-/// (default 1) regions. `attach` = `(snapshot_every, group_every)` opens
+/// Builds the monitor every stateful command runs on, from `--state`
+/// and `--shards`: recovered from the state directory when that holds a
+/// city (its shard count is the directory's; a `--shards` that
+/// disagrees is refused), else cold with `--shards` (default 1)
+/// regions. `attach` = `(snapshot_every, group_every)` opens
 /// the directory's stores for appending; `None` leaves it untouched.
 pub fn open(
     network: &TransitNetwork,
@@ -57,7 +47,6 @@ pub fn open(
     if shards == Some(0) {
         return Err("--shards must be at least 1".into());
     }
-    let policy = parse_overflow(args)?;
     let config = MonitorConfig::default();
     let stored = match &state {
         Some(state) => city_layout(state, shards).map_err(|e| e.to_string())?,
@@ -67,7 +56,13 @@ pub fn open(
         (Some(state), Some(_)) => ShardedMonitor::recover(network.clone(), db, config, state)
             .map_err(|e| format!("recover from {state:?}: {e}"))?,
         _ => (
-            ShardedMonitor::new(network.clone(), db, config, shards.unwrap_or(1), policy),
+            ShardedMonitor::new(
+                network.clone(),
+                db,
+                config,
+                shards.unwrap_or(1),
+                OverflowPolicy::Score,
+            ),
             Vec::new(),
         ),
     };
@@ -214,7 +209,7 @@ pub fn cmd_ingest(args: &[String]) -> Result<(), String> {
     check_flags(
         args,
         "--dir --jobs --snapshot --regional --geojson --state --snapshot-every --group-every \
-         --limit --shards --overflow",
+         --limit --shards",
     )?;
     let dir = path_flag(args, "--dir")?;
     let world = World::load(&dir)?;
@@ -224,8 +219,8 @@ pub fn cmd_ingest(args: &[String]) -> Result<(), String> {
     // cores. The result is bit-identical for every value.
     let jobs: usize = parse_flag(args, "--jobs", 0)?;
     let snapshot_every: u64 = parse_flag(args, "--snapshot-every", 0)?;
-    // WAL group-commit window (1 = one frame + fsync per commit, the
-    // pre-group byte format). Parallel ingest flushes the window at every
+    // WAL group-commit window (1 = one frame per commit, the pre-group
+    // byte format). Parallel ingest flushes the window at every
     // reorder-buffer flush regardless, so recovery replays identically.
     let group_every: u64 = parse_flag(args, "--group-every", 1)?;
     let limit = parse_opt_flag::<usize>(args, "--limit")?.unwrap_or(usize::MAX);

@@ -66,19 +66,18 @@ USAGE:
                       [--faults SPEC] [--fault-seed N]
     busprobe ingest   --dir DIR [--jobs N] [--snapshot HH:MM] [--regional] [--geojson FILE]
                       [--state DIR] [--snapshot-every N] [--group-every N] [--limit N]
-                      [--shards N] [--overflow score|lowest]
+                      [--shards N]
     busprobe recover  --dir DIR --state DIR [--snapshot HH:MM] [--geojson FILE]
     busprobe explain  --dir DIR [TRIP-ID] [--jobs N]
     busprobe trace    --dir DIR [--out FILE] [--jsonl FILE] [--sample-every N] [--jobs N]
     busprobe demo     [--seed N]
     busprobe city     [--seed N] [--stops N] [--trips N] [--shards N] [--jobs N]
-                      [--overflow score|lowest] [--geojson FILE]
+                      [--geojson FILE]
     busprobe metrics  --dir DIR [--format text|json|prometheus] [--state DIR] [--shards N]
     busprobe serve    --dir DIR (--socket PATH | --stdin) [--state DIR] [--snapshot-every N]
                       [--queue N] [--on-full block|reject|shed-oldest] [--latency-budget-ms N]
-                      [--jobs N] [--sync-every N] [--checkpoint-interval-s F]
-                      [--publish DIR] [--publish-interval-s F] [--watchdog-s F]
-                      [--commit-throttle-ms N] [--shards N] [--overflow score|lowest]
+                      [--jobs N] [--sync-every N] [--publish DIR] [--publish-interval-s F]
+                      [--watchdog-s F] [--commit-throttle-ms N] [--shards N]
     busprobe send     --dir DIR --socket PATH [--stream-faults SPEC] [--limit N] [--from N]
                       [--timeout-s F]
 
@@ -96,8 +95,9 @@ uses all cores).
 CRC-framed record to a write-ahead log in DIR, `--snapshot-every N`
 checkpoints a full-state snapshot every N records (0, the default, only
 checkpoints when the run finishes), `--group-every N` amortises the WAL
-into one group frame + fsync per N commits (1, the default, keeps the
-one-frame-per-commit byte format), and an existing DIR is recovered
+into one group frame per N commits (1, the default, keeps the
+one-frame-per-commit byte format; a batch ingest fsyncs only at
+checkpoints and segment rotation), and an existing DIR is recovered
 from — snapshot plus WAL replay — before ingesting, so repeated (or
 crashed and resumed) ingests accumulate bit-identically to one
 uninterrupted run. `--limit N` ingests only the first N uploads (crash
@@ -110,9 +110,8 @@ WAL segments and snapshots at the root of DIR; `--shards N` (on
 `ingest`, `serve` and `metrics`) with N >= 2 writes a `city.json`
 manifest and one store per shard under `DIR/shard-NNNN/`, and routes
 every upload to the region owning its best-matching stop; ambiguous
-boundary trips fall to the `--overflow` policy (`score`, the default,
-follows the globally best candidate; `lowest` pins ties to the lowest
-shard id). Every stateful command reads the shard count from DIR, so
+boundary trips follow the globally best candidate, whatever the shard
+count. Every stateful command reads the shard count from DIR, so
 `--shards` is only needed to create a city; one that disagrees with
 what DIR holds is refused. The federated city map (and its GeoJSON) is
 bit-identical at every shard count. With two or more shards the
@@ -150,11 +149,12 @@ acknowledgements are withheld until fsync, so a producer that re-sends
 its unacked tail after a crash loses nothing. One fsync covers at most
 `--sync-every` commits (default 32): the commit loop syncs as soon as
 the queue runs dry, so a lone upload is acked after one fsync and
-groups grow towards the cap only under load. `--snapshot-every` /
-`--checkpoint-interval-s` snapshot periodically and `--publish DIR`
-republishes the federated `map.geojson` + `metrics.prom` (atomic
-renames) every `--publish-interval-s` while uploads commit and once
-more after drain, at every shard count. `--watchdog-s` fails fast
+groups grow towards the cap only under load. `--snapshot-every N`
+checkpoints every N records, as in `ingest` — the only periodic
+checkpoint; a `{\"cmd\":\"checkpoint\"}` line and the drain write one
+too. `--publish DIR` republishes the federated `map.geojson` +
+`metrics.prom` (atomic renames) every `--publish-interval-s` while
+uploads commit and once more after drain, at every shard count. `--watchdog-s` fails fast
 (exit 2) when the commit loop stalls; `--commit-throttle-ms` slows
 every commit batch, to provoke that in drills. SIGTERM/SIGINT (or a
 `{\"cmd\":\"shutdown\"}` line) drains gracefully: stop admission, flush

@@ -24,8 +24,8 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
     check_flags(
         args,
         "--dir --socket --stdin --state --snapshot-every --queue --on-full --latency-budget-ms \
-         --jobs --sync-every --checkpoint-interval-s --publish --publish-interval-s --watchdog-s \
-         --commit-throttle-ms --shards --overflow",
+         --jobs --sync-every --publish --publish-interval-s --watchdog-s --commit-throttle-ms \
+         --shards",
     )?;
     let dir = path_flag(args, "--dir")?;
     let world = World::load(&dir)?;
@@ -47,7 +47,6 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map(Duration::from_millis),
         workers: parse_flag(args, "--jobs", 1)?,
         sync_every: parse_flag(args, "--sync-every", 32)?,
-        checkpoint_interval: parse_opt_flag(args, "--checkpoint-interval-s")?.and_then(seconds),
         // 0 disables the watchdog; the default (30 s) is far above any
         // healthy commit-loop iteration.
         watchdog_stall: seconds(parse_flag(args, "--watchdog-s", 30.0)?),

@@ -4,22 +4,18 @@
 use crate::args::{
     check_flags, flag_present, flag_value, parse_flag, parse_hhmm, parse_opt_flag, path_flag,
 };
-use busprobe::cellular::{DeploymentSpec, PropagationModel, Scanner, TowerDeployment};
+use busprobe::cellular::{PropagationModel, Scanner, TowerDeployment};
 use busprobe::core::geojson::{map_to_geojson, regional_to_geojson};
 use busprobe::core::{
-    latest_upload_s, MatchConfig, RegionalMap, StopFingerprintDb, TrafficMap, HORIZON_GRACE_S,
+    latest_upload_s, RegionalMap, StopFingerprintDb, TrafficMap, HORIZON_GRACE_S,
 };
 use busprobe::faults::{FaultInjector, FaultPlan};
 use busprobe::geo::LocalProjection;
-use busprobe::mobile::{CellularSample, Trip};
-use busprobe::network::{NetworkGenerator, TransitNetwork};
-use busprobe::sensors::trip_observations;
-use busprobe::sim::{Scenario, SimTime, Simulation};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use busprobe::mobile::Trip;
+use busprobe::network::TransitNetwork;
+use busprobe::sim::SimTime;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Metadata tying the artifacts of one study region together.
@@ -159,38 +155,24 @@ pub fn cmd_init(args: &[String]) -> Result<(), String> {
     let small = flag_present(args, "--small");
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {dir:?}: {e}"))?;
 
-    let network = if small {
-        NetworkGenerator::small(seed).generate()
+    // The bench crate's world is the one builder: region, towers and
+    // the war-collected database (five scan rounds per stop).
+    let world = if small {
+        busprobe_bench::World::small(seed)
     } else {
-        NetworkGenerator::paper_region(seed).generate()
+        busprobe_bench::World::paper(seed)
     };
-    let towers = TowerDeployment::generate(
-        network.grid().spec().region(),
-        DeploymentSpec::default(),
-        seed,
-    );
-    let scanner = Scanner::new(towers.clone(), PropagationModel::default(), seed);
-
-    // War-collect the fingerprint database: five noisy scan rounds per
-    // stop, keep the most mutually similar sample.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xD1B5_4A32_D192_ED03);
-    let mut samples = BTreeMap::new();
-    for site in network.sites() {
-        let fps = (0..5)
-            .map(|_| scanner.scan(site.position, &mut rng).fingerprint())
-            .collect();
-        samples.insert(site.id, fps);
-    }
-    let db = StopFingerprintDb::build_from_samples(&samples, &MatchConfig::default());
+    let towers = world.scanner.deployment();
+    let db = world.build_db(5);
 
     write_json(&dir.join("world.json"), &WorldMeta { seed, small })?;
-    write_json(&dir.join("network.json"), &network)?;
-    write_json(&dir.join("towers.json"), &towers)?;
+    write_json(&dir.join("network.json"), &world.network)?;
+    write_json(&dir.join("towers.json"), towers)?;
     write_json(&dir.join("db.json"), &db)?;
     println!(
         "initialized {dir:?}: {} routes, {} stop sites, {} towers, {} fingerprints",
-        network.routes().len(),
-        network.sites().len(),
+        world.network.routes().len(),
+        world.network.sites().len(),
         towers.len(),
         db.len()
     );
@@ -206,7 +188,6 @@ pub fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let meta: WorldMeta = read_json(&dir.join("world.json"))?;
     let network: TransitNetwork = read_json(&dir.join("network.json"))?;
     let towers: TowerDeployment = read_json(&dir.join("towers.json"))?;
-    let scanner = Scanner::new(towers, PropagationModel::default(), meta.seed);
     let start = parse_hhmm(flag_value(args, "--start").unwrap_or("08:00"))?;
     let end = parse_hhmm(flag_value(args, "--end").unwrap_or("09:30"))?;
     if end <= start {
@@ -217,28 +198,15 @@ pub fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let fault_plan: Option<FaultPlan> = parse_opt_flag(args, "--faults")?;
     let fault_seed: u64 = parse_flag(args, "--fault-seed", sim_seed)?;
 
-    let scenario = Scenario::new(network, sim_seed).with_span(start, end);
-    let output = Simulation::new(scenario).run();
-
-    let mut rng = StdRng::seed_from_u64(sim_seed ^ 0x5151);
-    let mut trips: Vec<Trip> = Vec::new();
-    for rider in &output.rider_trips {
-        if rng.gen_range(0.0..1.0) >= participation {
-            continue;
-        }
-        let obs = trip_observations(rider, &output, &scanner, &mut rng);
-        if obs.len() >= 2 {
-            trips.push(Trip {
-                samples: obs
-                    .into_iter()
-                    .map(|o| CellularSample {
-                        time_s: o.time.seconds(),
-                        scan: o.scan,
-                    })
-                    .collect(),
-            });
-        }
-    }
+    // The region's radio keeps its `init` seed; the riders and their
+    // phones follow `--seed`.
+    let world = busprobe_bench::World {
+        network,
+        scanner: Scanner::new(towers, PropagationModel::default(), meta.seed),
+        seed: sim_seed,
+    };
+    let output = world.simulate(start, end);
+    let trips = world.uploads(&output, participation, sim_seed ^ 0x5151);
     let clean_count = trips.len();
     let received_path = dir.join("received.json");
     match fault_plan {

@@ -2,13 +2,24 @@
 //! file workflow, flag validation, and artifact integrity.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output};
 
 fn busprobe(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_busprobe"))
         .args(args)
         .output()
         .expect("binary runs")
+}
+
+/// A spawned `busprobe` that is SIGKILLed and reaped when dropped, so a
+/// failing assertion never leaves a server running.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -407,23 +418,45 @@ fn crash_recovery_resume_matches_uninterrupted_ingest() {
     .status
     .success());
 
-    // Crashed run: durably ingest a prefix, then tear the WAL tail
-    // (mid-record truncation models a crash mid-append).
+    // Crashed run: a durable server with one fsync per commit and a
+    // snapshot every 5 records takes 12 uploads, all acked, and is
+    // killed; then the WAL tail is torn (mid-record truncation models a
+    // crash mid-append). The last snapshot covers 10 records, so the
+    // torn record is one no snapshot covers.
     let state = dir.join("state");
     let state_s = state.to_string_lossy().to_string();
-    assert!(busprobe(&[
-        "ingest",
-        "--dir",
-        &dir_s,
-        "--state",
-        &state_s,
-        "--limit",
-        "12",
-        "--snapshot-every",
-        "5",
-    ])
-    .status
-    .success());
+    let socket = dir.join("serve.sock");
+    let socket_s = socket.to_string_lossy().to_string();
+    let serve = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_busprobe"))
+            .args([
+                "serve",
+                "--dir",
+                &dir_s,
+                "--socket",
+                &socket_s,
+                "--state",
+                &state_s,
+                "--snapshot-every",
+                "5",
+                "--sync-every",
+                "1",
+            ])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("binary runs"),
+    );
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !socket.exists() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let send = busprobe(&[
+        "send", "--dir", &dir_s, "--socket", &socket_s, "--limit", "12",
+    ]);
+    let sent = String::from_utf8_lossy(&send.stdout).to_string();
+    assert!(sent.contains("12 acked, 0 dropped"), "{sent}");
+    drop(serve); // kill -9
     let mut segments: Vec<PathBuf> = std::fs::read_dir(&state)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -442,7 +475,11 @@ fn crash_recovery_resume_matches_uninterrupted_ingest() {
         String::from_utf8_lossy(&recover.stderr)
     );
     let text = String::from_utf8_lossy(&recover.stdout).to_string();
-    assert!(text.contains("torn segment tails"), "{text}");
+    assert!(
+        text.contains("snapshot covering 10 records + 1 replayed commits"),
+        "{text}"
+    );
+    assert!(text.contains("1 torn segment tails"), "{text}");
     assert!(text.contains("traffic map"), "{text}");
 
     // Resume with the full corpus: duplicates are rejected, the torn

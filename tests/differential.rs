@@ -661,6 +661,28 @@ fn single_shard_is_bit_identical_to_unsharded() {
         "a manifest directory must keep appending under shard-0000/"
     );
 
+    // The retired `lowest` tie-break made the map depend on the shard
+    // count; a manifest naming it is refused by name, not reinterpreted.
+    drop(legacy);
+    let retired = CityManifest {
+        policy: "lowest".to_string(),
+        ..manifest
+    };
+    std::fs::write(
+        legacy_state.join(CITY_MANIFEST),
+        serde_json::to_string_pretty(&retired).unwrap(),
+    )
+    .unwrap();
+    let refused = ShardedMonitor::recover(
+        world.network.clone(),
+        &world.db,
+        MonitorConfig::default(),
+        &legacy_state,
+    )
+    .err()
+    .expect("a city.json naming `lowest` recovered");
+    assert!(refused.to_string().contains("\"lowest\""), "{refused}");
+
     let _ = std::fs::remove_dir_all(&flat_state);
     let _ = std::fs::remove_dir_all(&legacy_state);
 }
