@@ -7,75 +7,64 @@ echo "== cargo build --release =="
 cargo build --release --workspace
 
 echo "== cargo test =="
-cargo test -q --workspace
-
-echo "== fault matrix (chaos suite) =="
-# Graceful-degradation contract at each fault level: no panics, every
-# drop attributed, bounded error growth (see tests/faults.rs).
-cargo test -q --test faults chaos_clean
-cargo test -q --test faults chaos_calibrated
-cargo test -q --test faults chaos_extreme
-cargo test -q --test faults chaos_fault_rate_sweep
-
-echo "== differential suite (serial == parallel, bit-identical) =="
-# The parallel-ingest equivalence proof at worker counts {1,2,4,8} on
-# clean and fault-injected corpora, the randomized determinism
-# properties, the golden-corpus snapshots and the concurrency stress
-# tests (see tests/differential.rs and DESIGN.md "Parallelism").
-cargo test -q --test differential
-cargo test -q --test determinism_prop
-cargo test -q --test golden
-cargo test -q --test stress_concurrency
-
-echo "== batch-scorer equivalence suite (batched == per-scan == brute) =="
-# The trip-level batched SoA scorer against the per-scan query (the same
-# pool, one fingerprint) and the brute-force reference: bit-identical
-# scores and identical match sets on randomized databases, through index
+# One run of every test binary in the workspace. Among them, the suites
+# that carry the contracts below; none needs a flag of its own, so none
+# is run a second time.
+#
+# Fault matrix (tests/faults.rs, the chaos suite): the graceful-
+# degradation contract at each fault level — no panics, every drop
+# attributed, bounded error growth.
+#
+# Differential suite (serial == parallel, bit-identical): the
+# parallel-ingest equivalence proof at worker counts {1,2,4,8} on clean
+# and fault-injected corpora, the randomized determinism properties, the
+# golden-corpus snapshots and the concurrency stress tests
+# (tests/differential.rs, determinism_prop.rs, golden.rs,
+# stress_concurrency.rs; DESIGN.md "Parallelism").
+#
+# Batch-scorer equivalence (batched == per-scan == brute): the trip-level
+# batched SoA scorer against the per-scan query (the same pool, one
+# fingerprint) and the brute-force reference: bit-identical scores and
+# identical match sets on randomized databases, through index
 # maintenance churn, at γ <= 0 (where pruning is unsound), and on trips
 # far past the per-pool distinct-fingerprint cap, answered in several
 # pools (crates/core/tests/batch_equivalence.rs).
-cargo test -q -p busprobe-core --test batch_equivalence
-
-echo "== derived-table equivalence (chains ≡ route scans, city plan ≡ reference) =="
-# The on-demand segment chains against a scan of the routes in id order
-# for every ordered site pair — keys, and totals bit for bit — on
-# generated, hand-assembled (loop route, hop ties, a strictly shorter
-# later route), registry-holed and composed networks; and the
-# dense-array city plan against the ordered-map build it replaced, at
-# 1-16 shards on generated networks, calibrated districts, a
-# metropolis and a cell shared across otherwise separate routes
-# (crates/network/tests/properties.rs,
+#
+# Derived-table equivalence (chains ≡ route scans, city plan ≡
+# reference): the on-demand segment chains and the `follows` bitmap
+# against scans of the routes — chains in id order for every ordered
+# site pair, keys and totals bit for bit, and every stop pair i < j —
+# on generated, hand-assembled (loop route, hop ties, a strictly shorter
+# later route) and composed networks and on a network.json carrying
+# stale derived fields; and the dense-array city plan against the
+# ordered-map build it replaced, at 1-16 shards on generated networks,
+# calibrated districts, a metropolis and a cell shared across otherwise
+# separate routes (crates/network/tests/properties.rs,
 # crates/shard/tests/partition_properties.rs).
-cargo test -q -p busprobe-network --test properties
-cargo test -q -p busprobe-shard --test partition_properties
-
-echo "== serve suite (overload shedding + kill -9 crash matrix) =="
-# The streaming frontend's contracts: sustained 2x overload sheds with
-# every drop attributed over a bounded queue, block-policy backpressure
-# never drops, drain flushes acks and checkpoints, the watchdog fails
-# fast on a stalled commit loop (tests/serve_stream.rs) — and on real
-# processes, kill -9 mid-stream never loses an acked upload, a full
-# re-send restores byte-identity with batch ingest, and SIGTERM/SIGINT
-# exit 0 after checkpointing (tests/serve_crash.rs).
-cargo test -q --test serve_stream
-cargo test -q --test serve_crash
-# The wire decoder is a hand-written byte scanner; this suite proves it
-# equivalent to the serde_json Value-tree reader it replaced (kept there
-# as the oracle): on random, restyled and byte-mutated lines and all four
-# commands, both accept and refuse the same lines, decode the same
-# requests to the bit and refuse with the same reason and digest, and
-# upload_line writes what the tree writer wrote (tests/fuzz_protocol.rs).
-cargo test -q --test fuzz_protocol
-
-echo "== crash-recovery matrix (WAL + snapshot durability) =="
-# Workers {1,4} x snapshot cadence {1,7,none} x crash point {early, mid,
+#
+# Serve suite (overload shedding + kill -9 crash matrix): sustained 2x
+# overload sheds with every drop attributed over a bounded queue,
+# block-policy backpressure never drops, drain flushes acks and
+# checkpoints, the watchdog fails fast on a stalled commit loop
+# (tests/serve_stream.rs) — and on real processes, kill -9 mid-stream
+# never loses an acked upload, a full re-send restores byte-identity
+# with batch ingest, and SIGTERM/SIGINT exit 0 after checkpointing
+# (tests/serve_crash.rs). The wire decoder is a hand-written byte
+# scanner, proved equivalent to the serde_json Value-tree reader it
+# replaced (kept as the oracle): on random, restyled and byte-mutated
+# lines and all four commands, both accept and refuse the same lines,
+# decode the same requests to the bit and refuse with the same reason
+# and digest, and upload_line writes what the tree writer wrote
+# (tests/fuzz_protocol.rs).
+#
+# Crash-recovery matrix (WAL + snapshot durability): workers {1,4} x
+# snapshot cadence {1,7,none} x crash point {early, mid,
 # torn-last-record}: recover, resume, and the final state must be
 # bit-identical to a run that never crashed. Plus storage-level fault
 # injection: bit-flipped records are skipped with attribution, corrupt
 # snapshots fall back to full WAL replay. A second matrix covers group
 # commit: workers {1,4} x group window {1,8,64} x crash {inside window,
-# at a window boundary, torn group frame} (see tests/crash_recovery.rs).
-cargo test -q --test crash_recovery
+# at a window boundary, torn group frame} (tests/crash_recovery.rs).
 # Snapshot payloads are a hand-rolled binary codec read from disk, where
 # hostile bytes arrive: on a real checkpoint's payload, every truncation
 # and every count blown up to u32::MAX is refused, seeded byte flips
@@ -83,7 +72,7 @@ cargo test -q --test crash_recovery
 # mutated .snap frames never panic the frame decoder, and a refused
 # snapshot is skipped, counted and replaced by an exact WAL replay
 # (tests/fuzz_snapshot.rs).
-cargo test -q --test fuzz_snapshot
+cargo test -q --workspace
 
 echo "== CLI differential: ingest --jobs 1 vs --jobs 4 =="
 # End-to-end through the binary: the same simulated day ingested with 1

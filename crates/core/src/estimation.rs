@@ -111,12 +111,8 @@ impl<'a> TripEstimator<'a> {
                 continue;
             }
             let btt = (raw - self.config.hop_overhead_s).max(self.config.min_btt_s);
-            // `segment_chain_stats` is `None` both when no route connects
-            // the hop and when the chain references a segment the registry
-            // lacks (inconsistent wire data) — skip rather than panic;
-            // hostile uploads must not be able to reach an abort. The
-            // free-time total is the chain's length-weighted harmonic
-            // free-speed composition, summed in chain order.
+            // `None` when no route connects the hop. The free time, summed
+            // in chain order, composes the hops' free speeds harmonically.
             let Some((chain, length, free_time)) =
                 self.network.segment_chain_stats(from.site, to.site)
             else {

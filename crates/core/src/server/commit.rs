@@ -407,7 +407,9 @@ impl TrafficMonitor {
         // The refresh consumed pending harvest and possibly rewrote the
         // database; sequence it in the log so replay re-runs the same
         // (deterministic) election at the same point. It joins the group
-        // of a batch it races, if any, and closes the group.
+        // of a batch it races, if any, and closes the group. Its record
+        // takes a sequence number, live as on replay.
+        self.committed.fetch_add(1, Ordering::Relaxed);
         self.log(&WalRecord::Refresh);
         self.flush_wal_group();
         span.finish();

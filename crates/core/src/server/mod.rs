@@ -89,8 +89,8 @@ pub struct TrafficMonitor {
     /// default) costs one uncontended read-lock acquisition per upload
     /// — the <1% overhead budget gated by `crates/bench/tests/overhead.rs`.
     tracer: RwLock<Option<Arc<Tracer>>>,
-    /// Uploads committed so far — the trace sequence number, which is
-    /// the commit order and therefore identical at any worker count.
+    /// Committed uploads plus database refreshes — the trace sequence
+    /// number: the commit order, hence identical at any worker count.
     committed: AtomicU64,
 }
 
@@ -150,9 +150,9 @@ impl TrafficMonitor {
         h.finish()
     }
 
-    /// Uploads committed so far — equivalently, the sequence number the
-    /// next commit will receive. Monotone, so watchdogs can use it as a
-    /// liveness heartbeat for the commit path.
+    /// Committed uploads plus database refreshes, one per WAL record —
+    /// the sequence number the next commit will receive. Monotone, so
+    /// watchdogs can use it as a liveness heartbeat for the commit path.
     #[must_use]
     pub fn commit_count(&self) -> u64 {
         self.committed.load(Ordering::Relaxed)

@@ -1,6 +1,6 @@
 use crate::grid::Grid;
 use crate::ids::{RouteId, SegmentKey, StopId, StopSiteId};
-use crate::route::BusRoute;
+use crate::route::{BusRoute, RouteStop};
 use crate::stop::{BusStop, StopSite};
 use crate::tables::{ChainIndex, FollowsBits};
 use serde::{Deserialize, Serialize};
@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 /// A directed road segment between two consecutive logical stops on at
 /// least one route. This is the unit at which traffic is estimated and
 /// published (§III-D).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// Directed endpoints.
     pub key: SegmentKey,
@@ -20,8 +20,6 @@ pub struct Segment {
     /// Free-flow automobile speed in m/s (used for the intercept `a` of the
     /// BTT→ATT model: `a = length / free_speed`).
     pub free_speed_mps: f64,
-    /// Routes whose consecutive stop pairs traverse this segment.
-    pub routes: Vec<RouteId>,
 }
 
 impl Segment {
@@ -70,6 +68,8 @@ pub enum NetworkError {
     SiteMismatch(StopId),
     /// Ids are not dense 0..n in declaration order.
     NonDenseIds(&'static str),
+    /// A site lies on a road the grid does not have.
+    UnknownRoad(StopSiteId),
 }
 
 impl fmt::Display for NetworkError {
@@ -79,6 +79,7 @@ impl fmt::Display for NetworkError {
             NetworkError::UnknownSite(id) => write!(f, "route references unknown site {id}"),
             NetworkError::SiteMismatch(id) => write!(f, "stop {id} disagrees about its site"),
             NetworkError::NonDenseIds(kind) => write!(f, "{kind} ids are not dense"),
+            NetworkError::UnknownRoad(id) => write!(f, "site {id} lies on a road not in the grid"),
         }
     }
 }
@@ -99,33 +100,65 @@ pub struct BlockEdge {
 }
 
 /// The assembled study region: street grid, stop sites, physical stops,
-/// routes, the derived segment registry and the route-order relation.
+/// routes, and what is derived from them — the segment registry, the
+/// route-order relation and the segment chains.
 ///
 /// This is the "bus routes and traffic model" input of the system workflow
 /// (Fig. 4): "readily available" public information the backend exploits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransitNetwork {
     grid: Grid,
     sites: Vec<StopSite>,
     stops: Vec<BusStop>,
     routes: Vec<BusRoute>,
-    #[serde(with = "map_as_pairs")]
-    segments: BTreeMap<SegmentKey, Segment>,
-    /// `successors[x]` = sites reachable strictly after site `x` on some route.
-    successors: Vec<BTreeSet<StopSiteId>>,
     /// Which routes traverse each block edge (for coverage stats).
+    edge_routes: BTreeMap<BlockEdge, BTreeSet<RouteId>>,
+    /// The directed segments between consecutive stops of every route,
+    /// built by [`Self::assemble`].
+    segments: BTreeMap<SegmentKey, Segment>,
+    /// Per-site route visits, answering [`Self::segment_chain`]. Built
+    /// from the routes on first use (DESIGN.md, "Network tables", says
+    /// why not in `assemble`).
+    chains: OnceLock<ChainIndex>,
+    /// The route-order relation `R` of Eq. (2) as a bitmap, the mapper's
+    /// Viterbi inner loop being too hot for per-query tree walks. Built
+    /// from the routes' stop pairs on first use.
+    follows_bits: OnceLock<FollowsBits>,
+}
+
+/// The wire form of a [`TransitNetwork`]: what it is assembled from, and
+/// nothing derived. Reading goes through [`TransitNetwork::assemble`], so
+/// a file is validated like any other input, and the derived tables an
+/// older file also carries (`segments`, `successors`) are ignored.
+#[derive(Serialize, Deserialize)]
+struct NetworkWire {
+    grid: Grid,
+    sites: Vec<StopSite>,
+    stops: Vec<BusStop>,
+    routes: Vec<BusRoute>,
     #[serde(with = "map_as_pairs")]
     edge_routes: BTreeMap<BlockEdge, BTreeSet<RouteId>>,
-    /// Lazily built per-site route-visit index that answers
-    /// [`Self::segment_chain`] on demand. Derived data: skipped on the
-    /// wire and rebuilt on first use after deserialization.
-    #[serde(skip)]
-    chains: OnceLock<ChainIndex>,
-    /// The `follows` relation as a bitmap, the mapper's Viterbi inner
-    /// loop being too hot for per-query tree walks. Derived from
-    /// `successors`; skipped on the wire.
-    #[serde(skip)]
-    follows_bits: OnceLock<FollowsBits>,
+}
+
+impl Serialize for TransitNetwork {
+    fn to_value(&self) -> serde::Value {
+        NetworkWire {
+            grid: self.grid.clone(),
+            sites: self.sites.clone(),
+            stops: self.stops.clone(),
+            routes: self.routes.clone(),
+            edge_routes: self.edge_routes.clone(),
+        }
+        .to_value()
+    }
+}
+
+impl<'de> Deserialize<'de> for TransitNetwork {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let w = NetworkWire::from_value(value)?;
+        Self::assemble(w.grid, w.sites, w.stops, w.routes, w.edge_routes)
+            .map_err(|e| serde::Error::msg(e.to_string()))
+    }
 }
 
 /// Serializes `BTreeMap`s with non-string keys as sequences of pairs so
@@ -160,7 +193,8 @@ pub mod map_as_pairs {
 }
 
 impl TransitNetwork {
-    /// Assembles and validates a network.
+    /// Assembles and validates a network: the only way a network comes to
+    /// exist, in process or off the wire.
     ///
     /// `edge_routes` maps grid block edges to the routes traversing them and
     /// is used only for coverage statistics; pass an empty map when coverage
@@ -169,8 +203,8 @@ impl TransitNetwork {
     /// # Errors
     ///
     /// Returns a [`NetworkError`] if ids are not dense (`sites[k].id == k`,
-    /// likewise stops/routes) or a route references a missing or
-    /// inconsistent stop/site.
+    /// likewise stops/routes), a site lies on a road the grid lacks, or a
+    /// route references a missing or inconsistent stop/site.
     pub fn assemble(
         grid: Grid,
         sites: Vec<StopSite>,
@@ -187,6 +221,9 @@ impl TransitNetwork {
         if routes.iter().enumerate().any(|(k, r)| r.id.index() != k) {
             return Err(NetworkError::NonDenseIds("route"));
         }
+        if let Some(site) = sites.iter().find(|s| s.road.index() >= grid.roads().len()) {
+            return Err(NetworkError::UnknownRoad(site.id));
+        }
         for route in &routes {
             for rs in route.stops() {
                 let stop = stops
@@ -201,57 +238,16 @@ impl TransitNetwork {
             }
         }
 
-        let mut network = TransitNetwork {
+        Ok(TransitNetwork {
+            segments: segment_registry(&grid, &sites, &routes),
             grid,
             sites,
             stops,
             routes,
-            segments: BTreeMap::new(),
-            successors: Vec::new(),
             edge_routes,
             chains: OnceLock::new(),
             follows_bits: OnceLock::new(),
-        };
-        network.build_segments();
-        network.build_successors();
-        Ok(network)
-    }
-
-    fn build_segments(&mut self) {
-        self.segments.clear();
-        for route in &self.routes {
-            let stops = route.stops();
-            for w in stops.windows(2) {
-                let key = SegmentKey::new(w[0].site, w[1].site);
-                let length = w[1].offset - w[0].offset;
-                // Free-flow speed: the slower of the two endpoint roads
-                // (conservative when a segment spans a corner).
-                let road_a = &self.grid.roads()[self.sites[w[0].site.index()].road.index()];
-                let road_b = &self.grid.roads()[self.sites[w[1].site.index()].road.index()];
-                let free = road_a.speed_limit_mps.min(road_b.speed_limit_mps);
-                let entry = self.segments.entry(key).or_insert_with(|| Segment {
-                    key,
-                    length_m: length,
-                    free_speed_mps: free,
-                    routes: Vec::new(),
-                });
-                if !entry.routes.contains(&route.id) {
-                    entry.routes.push(route.id);
-                }
-            }
-        }
-    }
-
-    fn build_successors(&mut self) {
-        self.successors = vec![BTreeSet::new(); self.sites.len()];
-        for route in &self.routes {
-            let stops = route.stops();
-            for (i, a) in stops.iter().enumerate() {
-                for b in &stops[i + 1..] {
-                    self.successors[a.site.index()].insert(b.site);
-                }
-            }
-        }
+        })
     }
 
     /// The underlying street grid.
@@ -319,19 +315,9 @@ impl TransitNetwork {
     /// might arrive at `b` after passing `a`.
     #[must_use]
     pub fn follows(&self, a: StopSiteId, b: StopSiteId) -> bool {
-        let n = self.sites.len();
-        if a.index() >= n || b.index() >= n {
-            return false;
-        }
         self.follows_bits
-            .get_or_init(|| FollowsBits::build(&self.successors))
+            .get_or_init(|| FollowsBits::build(self.sites.len(), &self.routes))
             .contains(a, b)
-    }
-
-    /// All sites strictly after `a` on some route.
-    #[must_use]
-    pub fn successors(&self, a: StopSiteId) -> &BTreeSet<StopSiteId> {
-        &self.successors[a.index()]
     }
 
     /// The segment registry entry for `key`, if any route drives it.
@@ -365,21 +351,12 @@ impl TransitNetwork {
     /// spreads the measured travel time over this chain.
     #[must_use]
     pub fn segment_chain(&self, a: StopSiteId, b: StopSiteId) -> Option<Vec<SegmentKey>> {
-        self.segment_chain_ref(a, b).map(<[SegmentKey]>::to_vec)
-    }
-
-    /// Borrowed form of [`Self::segment_chain`]: the estimator walks every
-    /// hop of every trip through here, so the hot path must not clone.
-    #[must_use]
-    pub fn segment_chain_ref(&self, a: StopSiteId, b: StopSiteId) -> Option<&[SegmentKey]> {
-        self.chains().get(a, b).map(|chain| chain.keys)
+        self.chains().get(a, b).map(|chain| chain.keys.to_vec())
     }
 
     /// The segment chain from `a` to `b` plus its totals `(length_m,
-    /// free travel time_s)`, summed over the chain in travel order. `None` when no single route
-    /// visits `a` then `b`, or when the chain references a segment the
-    /// registry lacks (inconsistent wire data) — callers skip the hop in
-    /// both cases.
+    /// free travel time_s)`, summed over the chain in travel order. `None`
+    /// when no single route visits `a` then `b`.
     #[must_use]
     pub fn segment_chain_stats(
         &self,
@@ -387,14 +364,14 @@ impl TransitNetwork {
         b: StopSiteId,
     ) -> Option<(&[SegmentKey], f64, f64)> {
         let chain = self.chains().get(a, b)?;
-        let (length_m, free_time_s) = chain.totals()?;
+        let (length_m, free_time_s) = chain.totals();
         Some((chain.keys, length_m, free_time_s))
     }
 
     /// The chain index, built once on first use.
     fn chains(&self) -> &ChainIndex {
         self.chains
-            .get_or_init(|| ChainIndex::build(&self.routes, &self.segments))
+            .get_or_init(|| ChainIndex::build(self.sites.len(), &self.routes, &self.segments))
     }
 
     /// Driving distance of the shortest segment chain from `a` to `b`.
@@ -416,6 +393,32 @@ impl TransitNetwork {
             covered_2,
         }
     }
+}
+
+/// The segment registry: one entry per directed consecutive-stop pair of
+/// any route, measured on the first route that drives it.
+fn segment_registry(
+    grid: &Grid,
+    sites: &[StopSite],
+    routes: &[BusRoute],
+) -> BTreeMap<SegmentKey, Segment> {
+    let mut segments = BTreeMap::new();
+    for route in routes {
+        for w in route.stops().windows(2) {
+            let key = SegmentKey::new(w[0].site, w[1].site);
+            segments.entry(key).or_insert_with(|| {
+                // Free-flow speed: the slower of the two endpoint roads
+                // (conservative when a segment spans a corner).
+                let road = |rs: &RouteStop| &grid.roads()[sites[rs.site.index()].road.index()];
+                Segment {
+                    key,
+                    length_m: w[1].offset - w[0].offset,
+                    free_speed_mps: road(&w[0]).speed_limit_mps.min(road(&w[1]).speed_limit_mps),
+                }
+            });
+        }
+    }
+    segments
 }
 
 #[cfg(test)]
@@ -522,9 +525,9 @@ mod tests {
     fn segments_are_shared_between_routes() {
         let n = fixture();
         let key = SegmentKey::new(StopSiteId(1), StopSiteId(2));
-        let seg = n.segment(key).unwrap();
-        assert_eq!(seg.length_m, 500.0);
-        assert_eq!(seg.routes.len(), 2);
+        assert_eq!(n.segment(key).unwrap().length_m, 500.0);
+        let drives = |r: &&BusRoute| r.segment_keys().any(|k| k == key);
+        assert_eq!(n.routes().iter().filter(drives).count(), 2);
         assert_eq!(n.segment_count(), 3);
     }
 
@@ -621,7 +624,7 @@ mod tests {
         // Force both tables.
         let last = StopSiteId(sites as u32 - 1);
         assert!(!city.follows(last, last));
-        assert!(city.segment_chain_ref(last, last).is_none());
+        assert!(city.segment_chain(last, last).is_none());
 
         let chains = city.chains.get().unwrap();
         assert!(

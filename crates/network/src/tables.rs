@@ -4,14 +4,13 @@
 //! index is O(route stops), the bitmap a few words per site — and a
 //! lookup touches a couple of cache lines.
 //!
-//! Both are pure functions of serialised fields (`routes`, `segments`,
-//! `successors`), are never serialised themselves and are rebuilt lazily
-//! after deserialisation.
+//! Both are pure functions of the routes (and the segment registry built
+//! from them), are never serialised and are built on first use.
 
 use crate::ids::{SegmentKey, StopSiteId};
 use crate::network::Segment;
 use crate::route::BusRoute;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One route's first visit to a site.
 #[derive(Debug, Clone, Copy)]
@@ -29,25 +28,23 @@ struct Visit {
 pub(crate) struct Chain<'a> {
     /// The elementary segments, in travel order.
     pub(crate) keys: &'a [SegmentKey],
-    /// `(length_m, free travel time_s)` per key; `None` where the
-    /// registry lacks the segment.
-    stats: &'a [Option<(f64, f64)>],
+    /// `(length_m, free travel time_s)` per key.
+    stats: &'a [(f64, f64)],
 }
 
 impl Chain<'_> {
     /// `(length_m, free travel time_s)` over the chain, summed hop by
     /// hop in chain order from 0.0 — bit for bit a per-field `.sum()`
     /// over the chain's segments (differences of per-route prefix sums
-    /// would not be). `None` when a hop has no segment entry.
-    pub(crate) fn totals(&self) -> Option<(f64, f64)> {
+    /// would not be).
+    pub(crate) fn totals(&self) -> (f64, f64) {
         let mut length_m = 0.0f64;
         let mut free_time_s = 0.0f64;
-        for stats in self.stats {
-            let (hop_m, hop_s) = (*stats)?;
+        for &(hop_m, hop_s) in self.stats {
             length_m += hop_m;
             free_time_s += hop_s;
         }
-        Some((length_m, free_time_s))
+        (length_m, free_time_s)
     }
 }
 
@@ -66,23 +63,20 @@ pub(crate) struct ChainIndex {
     hop_keys: Vec<SegmentKey>,
     /// `(length_m, free travel time_s)` per entry of `hop_keys`, looked
     /// up once per route hop rather than once per query.
-    hop_stats: Vec<Option<(f64, f64)>>,
+    hop_stats: Vec<(f64, f64)>,
 }
 
 impl ChainIndex {
-    /// Builds the index in one pass over the route stops, plus a
-    /// counting sort of the visits by site.
-    pub(crate) fn build(routes: &[BusRoute], segments: &BTreeMap<SegmentKey, Segment>) -> Self {
-        // Sized by the routes, not the site list: a network off the wire
-        // is not validated, and must not panic here.
-        let sites = routes
-            .iter()
-            .flat_map(BusRoute::stops)
-            .map(|rs| rs.site.index() + 1)
-            .max()
-            .unwrap_or(0);
+    /// Builds the index over `sites` sites in one pass over the route
+    /// stops, plus a counting sort of the visits by site. `segments` is
+    /// the registry of these routes, so it holds every hop.
+    pub(crate) fn build(
+        sites: usize,
+        routes: &[BusRoute],
+        segments: &BTreeMap<SegmentKey, Segment>,
+    ) -> Self {
         let mut hop_keys: Vec<SegmentKey> = Vec::new();
-        let mut hop_stats: Vec<Option<(f64, f64)>> = Vec::new();
+        let mut hop_stats: Vec<(f64, f64)> = Vec::new();
         // `(site, visit)` in route order, first occurrences only.
         let mut firsts: Vec<(u32, Visit)> = Vec::new();
         // The last route that visited each site, so a second visit by
@@ -101,11 +95,8 @@ impl ChainIndex {
             }
             for key in route.segment_keys() {
                 hop_keys.push(key);
-                hop_stats.push(
-                    segments
-                        .get(&key)
-                        .map(|seg| (seg.length_m, seg.free_travel_time_s())),
-                );
+                let seg = &segments[&key];
+                hop_stats.push((seg.length_m, seg.free_travel_time_s()));
             }
         }
 
@@ -181,8 +172,8 @@ impl ChainIndex {
     }
 }
 
-/// One row of [`FollowsBits`]: the band of words spanning a site's
-/// successors.
+/// One row of [`FollowsBits`]: the band of words spanning the sites that
+/// follow a site.
 #[derive(Debug, Clone, Copy)]
 struct Band {
     /// Index (`site id / 64`) of the band's first word.
@@ -194,8 +185,8 @@ struct Band {
 }
 
 /// The `follows` relation as a banded bitmap: per site, only the words
-/// between its lowest and highest successor. Routes are local, so a band
-/// is a few words wide however many sites the city has.
+/// between the lowest and highest site that follows it. Routes are local,
+/// so a band is a few words wide however many sites the city has.
 #[derive(Debug, Clone)]
 pub(crate) struct FollowsBits {
     bands: Vec<Band>,
@@ -203,29 +194,51 @@ pub(crate) struct FollowsBits {
 }
 
 impl FollowsBits {
-    /// Builds the bitmap from the per-site successor sets.
-    pub(crate) fn build(successors: &[BTreeSet<StopSiteId>]) -> Self {
-        let mut bands = Vec::with_capacity(successors.len());
-        let mut words: Vec<u64> = Vec::new();
-        for succ in successors {
-            let offset = u32::try_from(words.len()).expect("fewer than 2^32 bitmap words");
-            // No successors: an empty band, which contains nothing.
-            let first_word = succ.first().map_or(0, |lo| lo.0 / 64);
-            let len = succ.last().map_or(0, |hi| hi.0 / 64 - first_word + 1);
-            words.resize(words.len() + len as usize, 0);
-            for y in succ {
-                words[(offset + y.0 / 64 - first_word) as usize] |= 1u64 << (y.0 % 64);
-            }
+    /// Builds the bitmap over `sites` sites from every route's stop pairs
+    /// `i < j`: `b` follows `a` iff some route stops at `b` after `a`,
+    /// revisits included.
+    pub(crate) fn build(sites: usize, routes: &[BusRoute]) -> Self {
+        let pairs = || {
+            routes.iter().flat_map(|route| {
+                let stops = route.stops();
+                (0..stops.len()).flat_map(move |i| {
+                    stops[i + 1..]
+                        .iter()
+                        .map(move |b| (stops[i].site, b.site.0))
+                })
+            })
+        };
+        // Per site, the lowest and highest site that follows it; a site
+        // nothing follows keeps `lo > hi` and gets an empty band.
+        let mut spans = vec![(u32::MAX, 0u32); sites];
+        for (a, b) in pairs() {
+            let (lo, hi) = &mut spans[a.index()];
+            (*lo, *hi) = ((*lo).min(b), (*hi).max(b));
+        }
+        let mut bands = Vec::with_capacity(sites);
+        let mut offset = 0u32;
+        for (lo, hi) in spans {
+            let (first_word, len) = if lo <= hi {
+                (lo / 64, hi / 64 - lo / 64 + 1)
+            } else {
+                (0, 0)
+            };
             bands.push(Band {
                 first_word,
                 offset,
                 len,
             });
+            offset = offset.checked_add(len).expect("fewer than 2^32 words");
+        }
+        let mut words = vec![0u64; offset as usize];
+        for (a, b) in pairs() {
+            let band = bands[a.index()];
+            words[(band.offset + b / 64 - band.first_word) as usize] |= 1u64 << (b % 64);
         }
         FollowsBits { bands, words }
     }
 
-    /// Whether `b` is a successor of `a`.
+    /// Whether `b` follows `a`; `false` for ids past the end.
     pub(crate) fn contains(&self, a: StopSiteId, b: StopSiteId) -> bool {
         let Some(band) = self.bands.get(a.index()) else {
             return false;

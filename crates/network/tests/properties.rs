@@ -7,6 +7,7 @@ use busprobe_network::{
     TransitNetwork,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn generated(seed: u64) -> TransitNetwork {
     NetworkGenerator::small(seed).generate()
@@ -34,11 +35,27 @@ fn scanned_chain(n: &TransitNetwork, a: StopSiteId, b: StopSiteId) -> Option<Vec
     best
 }
 
+/// `follows` by scanning: every stop pair `i < j` of every route,
+/// revisited sites included.
+fn scanned_follows(n: &TransitNetwork) -> BTreeSet<(StopSiteId, StopSiteId)> {
+    let mut pairs = BTreeSet::new();
+    for route in n.routes() {
+        let stops = route.stops();
+        for (i, a) in stops.iter().enumerate() {
+            for b in &stops[i + 1..] {
+                pairs.insert((a.site, b.site));
+            }
+        }
+    }
+    pairs
+}
+
 /// Checks the derived tables against scanning oracles for *every*
 /// ordered site pair (and a few ids past the end): the chain, its
 /// totals bit for bit, and the `follows` relation.
 fn assert_tables_match_scans(n: &TransitNetwork, context: &str) {
     let sites = n.sites().len() as u32;
+    let follows = scanned_follows(n);
     for a in (0..sites + 2).map(StopSiteId) {
         for b in (0..sites + 2).map(StopSiteId) {
             let expected = (a.0 < sites && b.0 < sites)
@@ -49,17 +66,14 @@ fn assert_tables_match_scans(n: &TransitNetwork, context: &str) {
                 expected,
                 "{context}: chain {a} -> {b}"
             );
-            assert_eq!(
-                n.segment_chain_ref(a, b),
-                expected.as_deref(),
-                "{context}: borrowed chain {a} -> {b}"
-            );
 
-            // Totals are `.sum()` over the chain's segments in order —
-            // `None` as soon as the registry lacks one of them.
-            let segments: Option<Vec<_>> = expected
-                .as_ref()
-                .and_then(|chain| chain.iter().map(|&k| n.segment(k)).collect());
+            // Totals are `.sum()` over the chain's segments in order.
+            let segments = expected.as_ref().map(|chain| {
+                chain
+                    .iter()
+                    .map(|&k| n.segment(k).expect("the registry holds every route hop"))
+                    .collect::<Vec<_>>()
+            });
             let totals = segments.map(|segs| {
                 (
                     segs.iter().map(|s| s.length_m).sum::<f64>().to_bits(),
@@ -84,14 +98,17 @@ fn assert_tables_match_scans(n: &TransitNetwork, context: &str) {
                 "{context}: distance {a} -> {b}"
             );
 
-            let follows = a.0 < sites && b.0 < sites && n.successors(a).contains(&b);
-            assert_eq!(n.follows(a, b), follows, "{context}: follows {a} -> {b}");
+            assert_eq!(
+                n.follows(a, b),
+                follows.contains(&(a, b)),
+                "{context}: follows {a} -> {b}"
+            );
         }
     }
 }
 
 /// The same again on a copy that went through JSON: the tables are not
-/// serialised, so the copy rebuilds them from what is.
+/// serialised, so the copy is assembled afresh from the inputs.
 fn assert_tables_survive_serde(n: &TransitNetwork, context: &str) {
     let back: TransitNetwork = serde_json::from_str(&serde_json::to_string(n).unwrap()).unwrap();
     assert_tables_match_scans(&back, &format!("{context}, round-tripped"));
@@ -158,34 +175,59 @@ fn hand_assembled_network_tables_match_scans() {
     assert_tables_survive_serde(&n, "hand-assembled");
 }
 
-/// A network off the wire may lack a segment its routes drive: chains
-/// over it still resolve, their totals do not.
+/// A `network.json` written before the wire form held only the inputs
+/// also carries a segment registry and per-site successor sets. Reading
+/// ignores both and assembles, so a stale copy of them — here a registry
+/// that lacks C -> D and measures every other segment wrong, and
+/// successor sets that name every site — changes no answer.
 #[test]
-fn missing_segment_voids_totals_not_chains() {
+fn stale_derived_fields_on_the_wire_are_ignored() {
     let n = hand_assembled();
+    let sites = n.sites().len() as u32;
     let lost = SegmentKey::new(StopSiteId(2), StopSiteId(3)); // C -> D
+    assert!(n.segment(lost).is_some());
+    let segments: Vec<String> = n
+        .segments()
+        .filter(|seg| seg.key != lost)
+        .map(|seg| {
+            let key = serde_json::to_string(&seg.key).unwrap();
+            format!(r#"[{key},{{"key":{key},"length_m":1.0,"free_speed_mps":1.0,"routes":[]}}]"#)
+        })
+        .collect();
+    let every_site: Vec<u32> = (0..sites).collect();
+    let successors = vec![every_site; sites as usize];
     let mut value = serde_json::to_value(&n);
     let serde_json::Value::Object(fields) = &mut value else {
         panic!("a network serialises as an object");
     };
-    let (_, segments) = fields.iter_mut().find(|(k, _)| k == "segments").unwrap();
-    let serde_json::Value::Array(pairs) = segments else {
-        panic!("segments serialise as pairs");
-    };
-    let before = pairs.len();
-    pairs.retain(|pair| pair[0] != serde_json::to_value(&lost));
-    assert_eq!(pairs.len(), before - 1);
-    let holed: TransitNetwork = serde_json::from_value(&value).unwrap();
+    // Whatever the writer put there is replaced by the stale copies.
+    fields.retain(|(k, _)| k != "segments" && k != "successors");
+    let stale_segments = format!("[{}]", segments.join(","));
+    fields.push((
+        "segments".into(),
+        serde_json::from_str(&stale_segments).unwrap(),
+    ));
+    fields.push(("successors".into(), serde_json::to_value(&successors)));
+    let read: TransitNetwork = serde_json::from_value(&value).unwrap();
 
-    assert!(holed.segment(lost).is_none());
+    assert_eq!(read.segment_count(), n.segment_count());
+    for seg in n.segments() {
+        assert_eq!(read.segment(seg.key), Some(seg));
+    }
+    for a in (0..sites).map(StopSiteId) {
+        for b in (0..sites).map(StopSiteId) {
+            let bits = |n: &TransitNetwork| {
+                n.segment_chain_stats(a, b)
+                    .map(|(keys, m, s)| (keys.to_vec(), m.to_bits(), s.to_bits()))
+            };
+            assert_eq!(bits(&read), bits(&n), "chain and totals {a} -> {b}");
+            assert_eq!(read.follows(a, b), n.follows(a, b), "follows {a} -> {b}");
+        }
+    }
     let (a, e) = (StopSiteId(0), StopSiteId(4));
-    assert_eq!(holed.segment_chain(a, e).map(|c| c.len()), Some(5));
-    assert_eq!(holed.segment_chain_stats(a, e), None);
-    assert_eq!(holed.site_distance(a, e), None);
-    assert!(holed
-        .segment_chain_stats(StopSiteId(0), StopSiteId(2))
-        .is_some());
-    assert_tables_match_scans(&holed, "holed");
+    assert_eq!(read.segment_chain(a, e).map(|c| c.len()), Some(5));
+    assert!(read.site_distance(a, e).is_some());
+    assert_tables_match_scans(&read, "stale wire fields");
 }
 
 #[test]

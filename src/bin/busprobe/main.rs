@@ -16,6 +16,20 @@
 //! directory holds. Every command refuses a flag its usage line does not
 //! name.
 
+// These shadow std's print macros: once a reader closes the pipe early
+// (`| head -1`), output is dropped and the command runs to its end.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        if let Err(e) = std::io::Write::write_fmt(&mut std::io::stdout(), format_args!($($arg)*)) {
+            assert!(e.kind() == std::io::ErrorKind::BrokenPipe, "failed printing to stdout: {e}");
+        }
+    };
+}
+macro_rules! println {
+    () => { print!("\n") };
+    ($($arg:tt)*) => { print!("{}\n", format_args!($($arg)*)) };
+}
+
 mod args;
 mod city;
 mod ingest;

@@ -2,7 +2,7 @@
 //! file workflow, flag validation, and artifact integrity.
 
 use std::path::PathBuf;
-use std::process::{Child, Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 
 fn busprobe(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_busprobe"))
@@ -93,7 +93,6 @@ fn unknown_flags_are_refused_by_name() {
 #[test]
 fn serve_stdin_survives_a_line_that_is_not_utf8() {
     use std::io::Write;
-    use std::process::Stdio;
 
     let dir = temp_dir("stdin-bytes");
     let dir_s = dir.to_string_lossy().to_string();
@@ -260,6 +259,39 @@ fn state_dir_accumulates_and_rejects_replays() {
     let text2 = String::from_utf8_lossy(&second.stdout).to_string();
     assert!(text2.contains("resumed server state"));
     assert!(text2.contains("0 samples matched"), "{text2}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reader that closes the pipe early (`busprobe recover ... | head -1`)
+/// ends the command quietly: no panic, no backtrace, exit 0.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let dir = temp_dir("closedpipe");
+    let dir_s = dir.to_string_lossy().to_string();
+    let state_s = dir.join("state").to_string_lossy().to_string();
+    for args in [
+        vec!["init", "--dir", &dir_s, "--seed", "9", "--small"],
+        vec![
+            "simulate", "--dir", &dir_s, "--start", "08:00", "--end", "08:30",
+        ],
+        vec!["ingest", "--dir", &dir_s, "--state", &state_s],
+    ] {
+        let out = busprobe(&args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+    }
+    let mut child = Command::new(env!("CARGO_BIN_EXE_busprobe"))
+        .args(["recover", "--dir", &dir_s, "--state", &state_s])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // Closed before the command prints anything: every write meets a
+    // pipe with no reader.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("recover ends");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -524,3 +524,44 @@ fn self_contradicting_binary_snapshot_falls_back_to_wal_replay() {
         panic!("no segment holds two windows");
     });
 }
+
+/// A database refresh is one WAL record and one sequence number, live as
+/// on replay: after a refresh between two halves of a durable ingest,
+/// the recovered monitor's commit count is the live one's, and the next
+/// upload is traced under the same sequence number on both.
+#[test]
+fn a_refresh_is_counted_alike_live_and_recovered() {
+    use busprobe::trace::{TracePolicy, Tracer};
+    use std::sync::Arc;
+
+    let seed = 29;
+    let world = TestWorld::new(seed, 4);
+    let trips = World::small(seed).ride_corpus(17, seed);
+    let (corpus, next) = trips.split_at(16);
+    let config = MonitorConfig {
+        online_db_update: true,
+        ..MonitorConfig::default()
+    };
+    let dir = scratch_dir("refresh-count");
+    let live = world.monitor_with(config);
+    live.attach_store_grouped(Store::open(&dir).unwrap(), 0, 1);
+    let (first, second) = corpus.split_at(corpus.len() / 2);
+    let _ = live.ingest_batch_parallel(first, 1);
+    live.refresh_database();
+    let _ = live.ingest_batch_parallel(second, 1);
+    live.sync_store().unwrap();
+
+    let (recovered, trace) =
+        TrafficMonitor::recover(world.network.clone(), world.db.clone(), config, &dir).unwrap();
+    assert_eq!(trace.replayed_refreshes, 1);
+    assert_eq!(recovered.commit_count(), live.commit_count());
+
+    let next_seq = |monitor: &TrafficMonitor| {
+        let tracer = Arc::new(Tracer::new(TracePolicy::export_all()));
+        monitor.set_trace_sink(Some(Arc::clone(&tracer)));
+        let _ = monitor.ingest_upload(&next[0], None);
+        tracer.exported()[0].trace.seq
+    };
+    assert_eq!(next_seq(&recovered), next_seq(&live));
+    std::fs::remove_dir_all(&dir).unwrap();
+}

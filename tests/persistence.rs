@@ -29,6 +29,24 @@ fn network_round_trips_with_queries_intact() {
     assert_eq!(n.coverage().covered_1, back.coverage().covered_1);
 }
 
+/// Reading `network.json` assembles the network, so a file whose site
+/// lies on a road the grid lacks is refused with an error, not a panic.
+#[test]
+fn network_with_a_site_off_the_grid_is_refused() {
+    let json = serde_json::to_string(&network()).unwrap();
+    let site = r#""sites":[{"id":0,"#;
+    let at = json.find(site).expect("site 0 opens the site list") + site.len();
+    let road = at + json[at..].find(r#""road":"#).unwrap() + r#""road":"#.len();
+    let digits = json[road..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let bad = format!("{}{}{}", &json[..road], u32::MAX, &json[road + digits..]);
+    let err = serde_json::from_str::<TransitNetwork>(&bad).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("site-0 lies on a road not in the grid"),
+        "{err}"
+    );
+}
+
 #[test]
 fn fingerprint_db_round_trips_and_matches_identically() {
     let n = network();
