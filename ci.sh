@@ -78,7 +78,18 @@ echo "== CLI differential: ingest --jobs 1 vs --jobs 4 =="
 # End-to-end through the binary: the same simulated day ingested with 1
 # and 4 workers must export byte-identical GeoJSON.
 tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
+# On every exit, a failed check included, kill and reap the servers the
+# drills below start in the background, then delete the scratch dir.
+cleanup() {
+  local pids
+  pids=$(jobs -p)
+  if [ -n "$pids" ]; then
+    kill -KILL $pids 2>/dev/null || true
+    wait $pids 2>/dev/null || true
+  fi
+  rm -rf "$tmpdir"
+}
+trap cleanup EXIT
 ./target/release/busprobe init --dir "$tmpdir" --small --seed 7 >/dev/null
 ./target/release/busprobe simulate --dir "$tmpdir" --faults calibrated >/dev/null
 ./target/release/busprobe ingest --dir "$tmpdir" --jobs 1 --geojson "$tmpdir/jobs1.geojson" >/dev/null

@@ -220,8 +220,6 @@ pub struct MatchIndex {
     by_site: HashMap<StopSiteId, u32>,
     /// Recycled slots available for reuse.
     free: Vec<u32>,
-    /// High-water mark of stored fingerprint lengths (sizes DP scratch).
-    max_fp_len: usize,
 }
 
 impl MatchIndex {
@@ -258,12 +256,6 @@ impl MatchIndex {
         self.cell_ids.len()
     }
 
-    /// High-water mark of indexed fingerprint lengths.
-    #[must_use]
-    pub fn max_fingerprint_len(&self) -> usize {
-        self.max_fp_len
-    }
-
     /// Indexes (or re-indexes) the fingerprint of `site`.
     pub fn insert(&mut self, site: StopSiteId, fp: &Fingerprint) {
         self.remove(site);
@@ -279,7 +271,6 @@ impl MatchIndex {
             }
             self.postings[ci as usize].push(slot);
         }
-        self.max_fp_len = self.max_fp_len.max(fp.len());
         self.entries[slot as usize] = Some(Entry {
             site,
             fp: fp.clone(),

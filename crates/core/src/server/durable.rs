@@ -1,11 +1,13 @@
 //! The durable half of the monitor: the attached WAL store with its
-//! group-commit window, retry and fail-stop policy, checkpoints, and
+//! group-commit window, fail-stop attribution, checkpoints, and
 //! recovery — snapshot load plus WAL replay through `apply_commit`.
 //!
 //! A group window closes when the ingest or refresh call that opened it
-//! returns, so between calls every commit is in the WAL. A fail-stop is
-//! latched in the attached store: nothing is appended after it, and
-//! every later sync and checkpoint returns it.
+//! returns, so between calls every commit is in the WAL. The store
+//! latches its first failed WAL write or fsync ([`Store::failed`]):
+//! nothing is appended after it, and every later sync and checkpoint
+//! returns it. The monitor counts and logs that fail-stop once and
+//! keeps ingesting.
 
 use super::TrafficMonitor;
 use crate::database::StopFingerprintDb;
@@ -20,22 +22,9 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Transient store I/O on the commit path (WAL append / fsync) is
-/// retried this many times after the first failure before the monitor
-/// degrades to an attributed durability fail-stop.
-const STORE_IO_RETRIES: u32 = 4;
-
-/// First retry delay; doubles per attempt up to
-/// [`STORE_IO_BACKOFF_CAP_MS`].
-const STORE_IO_BACKOFF_BASE_MS: u64 = 2;
-
-/// Ceiling on the per-retry backoff delay.
-const STORE_IO_BACKOFF_CAP_MS: u64 = 50;
 
 /// A durable store attached to the monitor, plus its checkpoint cadence
-/// and its fail-stop latch.
+/// and its group-commit window.
 #[derive(Debug)]
 pub(super) struct AttachedStore {
     store: Store,
@@ -51,10 +40,6 @@ pub(super) struct AttachedStore {
     /// call that opened the window returns, so it is empty between
     /// calls.
     pending: Vec<Vec<u8>>,
-    /// The kind of store I/O error that fail-stopped durability, once
-    /// one has. Nothing is appended after it, and every sync and
-    /// checkpoint returns it.
-    failed: Option<io::ErrorKind>,
 }
 
 impl AttachedStore {
@@ -66,15 +51,9 @@ impl AttachedStore {
         self.store.next_seq() + self.pending.len() as u64
     }
 
-    /// The latched fail-stop as an error, or `Ok` while durable.
-    fn check(&self) -> io::Result<()> {
-        match self.failed {
-            None => Ok(()),
-            Some(kind) => Err(io::Error::new(
-                kind,
-                format!("durable store fail-stopped ({kind}); nothing since is durable"),
-            )),
-        }
+    /// Whether the store has latched no failure.
+    fn sound(&self) -> bool {
+        self.store.failed().is_none()
     }
 }
 
@@ -91,56 +70,28 @@ fn decode_snapshot(payload: &[u8]) -> Result<PersistedState, String> {
 }
 
 impl TrafficMonitor {
-    /// Runs one store I/O operation with bounded retries and capped
-    /// exponential backoff, counting every retry. Transient failures
-    /// (EINTR, a hiccuping filesystem) heal invisibly; a persistent one
-    /// surfaces as the final error for the caller to fail-stop on.
-    fn retry_store_io<T>(
+    /// Attributes a store error: when `e` is the failure that latched
+    /// the store's fail-stop — the store was `was_sound` before the
+    /// call that returned it and is not now — it is counted and logged
+    /// in full at error level, once. A later call's latched error, and
+    /// a checkpoint's snapshot or compaction error (which does not
+    /// latch), are not counted. Ingestion continues either way —
+    /// availability over durability, and never a panic.
+    fn attribute_store_error(
         &self,
+        was_sound: bool,
+        attached: &AttachedStore,
         what: &str,
-        mut op: impl FnMut() -> io::Result<T>,
-    ) -> io::Result<T> {
-        let mut attempt = 0u32;
-        let mut delay = Duration::from_millis(STORE_IO_BACKOFF_BASE_MS);
-        loop {
-            match op() {
-                Ok(value) => return Ok(value),
-                Err(e) if attempt < STORE_IO_RETRIES => {
-                    attempt += 1;
-                    self.metrics.store_io_retries.inc();
-                    busprobe_telemetry::event(
-                        Level::Warn,
-                        "core::store",
-                        format!(
-                            "{what} failed (attempt {attempt}/{STORE_IO_RETRIES}), \
-                             retrying in {delay:?}: {e}"
-                        ),
-                    );
-                    std::thread::sleep(delay);
-                    delay = (delay * 2).min(Duration::from_millis(STORE_IO_BACKOFF_CAP_MS));
-                }
-                Err(e) => return Err(e),
-            }
+        e: &io::Error,
+    ) {
+        if was_sound && !attached.sound() {
+            self.metrics.store_failstop.inc();
+            busprobe_telemetry::event(
+                Level::Error,
+                "core::store",
+                format!("{what} failed; durability fail-stop, nothing more is appended: {e}"),
+            );
         }
-    }
-
-    /// Degrades durability to an attributed fail-stop after store I/O
-    /// exhausted its retries: the error's kind is latched in the
-    /// attached store, which stays attached but takes no further
-    /// appends, and the failure is counted and logged in full at error
-    /// level. Ingestion itself continues — availability over
-    /// durability, and never a panic.
-    fn fail_stop_store(&self, attached: &mut AttachedStore, what: &str, e: &io::Error) {
-        self.metrics.store_failstop.inc();
-        attached.failed = Some(e.kind());
-        busprobe_telemetry::event(
-            Level::Error,
-            "core::store",
-            format!(
-                "{what} still failing after {STORE_IO_RETRIES} retries; \
-                 durability fail-stop, no further appends: {e}"
-            ),
-        );
     }
 
     /// Whether store I/O fail-stopped: commits since the latch are not
@@ -148,10 +99,7 @@ impl TrafficMonitor {
     /// diagnostics instead of silently serving non-durable acks.
     #[must_use]
     pub fn store_failed(&self) -> bool {
-        self.store
-            .lock()
-            .as_ref()
-            .is_some_and(|a| a.failed.is_some())
+        self.store.lock().as_ref().is_some_and(|a| !a.sound())
     }
 
     /// Queues one WAL record — a commit or a refresh — for the attached
@@ -161,13 +109,12 @@ impl TrafficMonitor {
     /// or `None` when no store is attached, it has fail-stopped or the
     /// append failed.
     ///
-    /// An append failure is retried with backoff; exhausting the retries
-    /// degrades durability, never availability: the failure is counted,
-    /// logged, latched (see [`store_failed`](Self::store_failed)), and
-    /// ingestion continues.
+    /// An append failure degrades durability, never availability: the
+    /// store latches it (see [`store_failed`](Self::store_failed)), it
+    /// is counted and logged, and ingestion continues.
     pub(super) fn log(&self, record: &WalRecord) -> Option<u64> {
         let mut guard = self.store.lock();
-        let attached = guard.as_mut().filter(|a| a.failed.is_none())?;
+        let attached = guard.as_mut().filter(|a| a.sound())?;
         let wal_seq = attached.next_seq();
         attached.pending.push(record.encode());
         let full = attached.pending.len() as u64 >= attached.group_every;
@@ -179,21 +126,19 @@ impl TrafficMonitor {
     /// sequence range `[first, end)` crossed the snapshot cadence — the
     /// grouped generalization of "every `snapshot_every`-th record
     /// snapshots", to which it degenerates exactly at a group window of
-    /// one. Returns false when the append exhausted its retries and
-    /// fail-stopped the store.
+    /// one. Returns false when the append failed and fail-stopped the
+    /// store.
     fn flush_group(&self, mut guard: MutexGuard<'_, Option<AttachedStore>>) -> bool {
         let Some(attached) = guard.as_mut().filter(|a| !a.pending.is_empty()) else {
             return true;
         };
         let pending = std::mem::take(&mut attached.pending);
         let every = attached.snapshot_every;
-        let first = match self
-            .retry_store_io("WAL group append", || attached.store.append_group(&pending))
-        {
+        let was_sound = attached.sound();
+        let first = match attached.store.append_group(&pending) {
             Ok(first) => first,
             Err(e) => {
-                self.metrics.store_append_errors.inc();
-                self.fail_stop_store(attached, "WAL group append", &e);
+                self.attribute_store_error(was_sound, attached, "WAL group append", &e);
                 return false;
             }
         };
@@ -244,7 +189,6 @@ impl TrafficMonitor {
             snapshot_every,
             group_every: group_every.max(1),
             pending: Vec::new(),
-            failed: None,
         });
     }
 
@@ -253,19 +197,22 @@ impl TrafficMonitor {
     /// Appends are otherwise buffered and reach the OS at rotation,
     /// checkpoints and drop.
     ///
-    /// A failing fsync is retried with backoff; exhaustion fail-stops
-    /// durability and returns the error. Once the store fail-stopped —
-    /// on an append or an fsync — every call returns the latched error,
-    /// so callers gating acknowledgements on durability never release
-    /// them.
+    /// A failed fsync fail-stops durability and returns the error; it is
+    /// never retried, because a retried fsync that returns `Ok` proves
+    /// nothing about the pages the failed one dropped. Once the store
+    /// fail-stopped — on an append, a rotation, an fsync or a
+    /// checkpoint's fsync — every call returns the latched error, so
+    /// callers gating acknowledgements on durability never release them.
     pub fn sync_store(&self) -> io::Result<()> {
         let mut guard = self.store.lock();
         let Some(attached) = guard.as_mut() else {
             return Ok(());
         };
-        attached.check()?;
-        self.retry_store_io("WAL fsync", || attached.store.sync())
-            .inspect_err(|e| self.fail_stop_store(attached, "WAL fsync", e))
+        let was_sound = attached.sound();
+        attached
+            .store
+            .sync()
+            .inspect_err(|e| self.attribute_store_error(was_sound, attached, "WAL fsync", e))
     }
 
     /// The WAL sequence number below which every record is known
@@ -280,7 +227,9 @@ impl TrafficMonitor {
     /// Writes a full-state snapshot covering every record appended so
     /// far, then compacts covered WAL segments. Returns the snapshot's
     /// coverage sequence number, or `None` when no store is attached,
-    /// and the latched error once the store fail-stopped.
+    /// and the latched error once the store fail-stopped — a failed WAL
+    /// fsync here fail-stops it like one in
+    /// [`sync_store`](Self::sync_store).
     ///
     /// Call between batches (not concurrently with an in-flight ingest),
     /// so the snapshot observes a commit boundary.
@@ -289,9 +238,13 @@ impl TrafficMonitor {
         let Some(attached) = guard.as_mut() else {
             return Ok(None);
         };
-        attached.check()?;
+        let was_sound = attached.sound();
         let payload = self.state_at(attached.next_seq()).encode();
-        attached.store.checkpoint(&payload).map(Some)
+        attached
+            .store
+            .checkpoint(&payload)
+            .map(Some)
+            .inspect_err(|e| self.attribute_store_error(was_sound, attached, "checkpoint", e))
     }
 
     /// The complete durable state — what [`checkpoint`](Self::checkpoint)
@@ -303,7 +256,7 @@ impl TrafficMonitor {
             .store
             .lock()
             .as_ref()
-            .filter(|a| a.failed.is_none())
+            .filter(|a| a.sound())
             .map(AttachedStore::next_seq);
         self.state_at(logged.unwrap_or_else(|| self.commit_count()))
     }
@@ -454,10 +407,11 @@ impl TrafficMonitor {
 mod tests {
     use super::super::tests::{ride, setup};
     use super::*;
+    use busprobe_store::StoreConfig;
 
     fn store_scratch(tag: &str) -> std::path::PathBuf {
         let dir =
-            std::env::temp_dir().join(format!("busprobe-core-retry-{tag}-{}", std::process::id()));
+            std::env::temp_dir().join(format!("busprobe-core-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -555,50 +509,32 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn transient_store_faults_heal_with_retries() {
-        let (monitor, scanner) = setup(50);
-        let dir = store_scratch("heal");
-        let mut store = Store::open(&dir).unwrap();
-        // Two hiccups: well inside the retry budget, so the append must
-        // eventually land and durability must survive untouched.
-        store.inject_io_faults(2, 0);
-        monitor.attach_store_grouped(store, 0, 1);
-        let before = monitor.metrics.store_io_retries.get();
-        let trip = ride(&monitor, &scanner, 5, 3, 80.0, 1);
-        let report = monitor.ingest_upload(&trip, None);
-        assert!(report.observations > 0, "{report:?}");
-        assert_eq!(
-            monitor.metrics.store_io_retries.get() - before,
-            2,
-            "each injected fault costs exactly one retry"
-        );
-        assert!(!monitor.store_failed(), "store healed, no fail-stop");
-        monitor.sync_store().unwrap();
-        assert_eq!(
-            monitor.export_state().commits,
-            1,
-            "the commit reached the WAL"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+    /// Drops `monitor` — its store flushes what it buffered, as a
+    /// process exit would — and recovers a monitor from `dir`.
+    fn recover_after(monitor: TrafficMonitor, dir: &Path) -> RecoveryTrace {
+        let network = monitor.network().clone();
+        let (db, config) = (monitor.database(), *monitor.config());
+        drop(monitor);
+        TrafficMonitor::recover(network, db, config, dir).unwrap().1
     }
 
+    /// One injected fault fail-stops at once: nothing retries the
+    /// append, the store latches, the failure is attributed, ingestion
+    /// goes on, and the spent fault does not heal the store.
     #[test]
-    fn exhausted_store_retries_fail_stop_without_panicking() {
-        let (monitor, scanner) = setup(51);
-        let dir = store_scratch("failstop");
+    fn one_injected_fault_fail_stops_at_once() {
+        let (monitor, scanner) = setup(50);
+        let dir = store_scratch("once");
         let mut store = Store::open(&dir).unwrap();
-        // More consecutive faults than the retry budget: the append can
-        // never land, so durability must degrade to an attributed
-        // fail-stop while ingestion keeps going.
-        store.inject_io_faults(STORE_IO_RETRIES + 2, 0);
+        store.inject_io_faults(true, false);
         monitor.attach_store_grouped(store, 0, 1);
+        let before = monitor.metrics.store_failstop.get();
         let trip = ride(&monitor, &scanner, 5, 3, 80.0, 1);
         let report = monitor.ingest_upload(&trip, None);
         assert!(report.observations > 0, "the commit itself still lands");
-        assert!(monitor.store_failed(), "fail-stop latched");
+        assert!(monitor.store_failed(), "one fault latched the store");
         assert!(
-            monitor.metrics.store_failstop.get() >= 1,
+            monitor.metrics.store_failstop.get() > before,
             "fail-stop attributed in telemetry"
         );
         // Availability over durability: later uploads still ingest.
@@ -607,35 +543,95 @@ mod tests {
         assert!(report2.observations > 0, "{report2:?}");
         // The latch stays: the store is not mistaken for "no store".
         assert!(monitor.store_failed());
-        assert!(monitor.checkpoint().is_err(), "checkpoint reports it");
+        let err = monitor.checkpoint().expect_err("checkpoint reports it");
         for _ in 0..3 {
-            let err = monitor.sync_store().expect_err("every sync reports it");
-            assert_eq!(err.kind(), io::ErrorKind::Interrupted, "{err}");
+            let later = monitor.sync_store().expect_err("every sync reports it");
+            assert_eq!(later.kind(), err.kind(), "{later}");
         }
         assert_eq!(monitor.export_state().commits, monitor.commit_count());
-        assert_eq!(
-            Store::recover(&dir).unwrap().records.len(),
-            0,
-            "nothing was appended after the latch"
-        );
+        let trace = recover_after(monitor, &dir);
+        assert_eq!(trace.commits, 0, "nothing was appended after the latch");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn failed_sync_returns_err_after_fail_stop() {
+    fn a_failed_sync_fail_stops_and_the_latch_holds() {
         let (monitor, scanner) = setup(52);
         let dir = store_scratch("syncfail");
         let mut store = Store::open(&dir).unwrap();
-        store.inject_io_faults(0, STORE_IO_RETRIES + 2);
+        store.inject_io_faults(false, true);
         monitor.attach_store_grouped(store, 0, 1);
         let trip = ride(&monitor, &scanner, 5, 3, 80.0, 1);
         monitor.ingest_upload(&trip, None);
         // An ack-gating caller must see the failure, not a silent Ok.
-        assert!(monitor.sync_store().is_err(), "exhausted sync surfaces");
+        let err = monitor.sync_store().expect_err("the failed fsync surfaces");
         assert!(monitor.store_failed());
+        assert_eq!(monitor.synced_seq(), Some(0), "no record became durable");
         // The latch holds: a later sync fails too, although the injected
-        // faults are spent and an fsync would now succeed.
-        assert!(monitor.sync_store().is_err());
+        // fault is spent and an fsync would now succeed.
+        assert_eq!(monitor.sync_store().unwrap_err().kind(), err.kind());
+        let trip2 = ride(&monitor, &scanner, 5, 3, 85.0, 2);
+        monitor.ingest_upload(&trip2, None);
+        let trace = recover_after(monitor, &dir);
+        assert_eq!(trace.commits, 1, "the commit logged before the fault");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint's WAL fsync is the store's fsync: when it fails, the
+    /// checkpoint errs, every later sync errs with the same kind,
+    /// nothing more is appended, and recovery rebuilds exactly the
+    /// commits logged before the fault.
+    #[test]
+    fn a_failed_checkpoint_fsync_fail_stops_the_store() {
+        let (monitor, scanner) = setup(55);
+        let dir = store_scratch("checkpoint-fsync");
+        let mut store = Store::open(&dir).unwrap();
+        store.inject_io_faults(false, true);
+        monitor.attach_store_grouped(store, 0, 1);
+        for k in 0..2 {
+            let trip = ride(&monitor, &scanner, 5, 3, 80.0 + k as f64, 10 + k);
+            assert!(monitor.ingest_upload(&trip, None).observations > 0);
+        }
+        let err = monitor
+            .checkpoint()
+            .expect_err("the checkpoint's WAL fsync failed");
+        assert!(monitor.store_failed());
+        for _ in 0..3 {
+            let later = monitor.sync_store().expect_err("every later sync errs");
+            assert_eq!(later.kind(), err.kind(), "{later}");
+        }
+        let late = ride(&monitor, &scanner, 5, 3, 90.0, 12);
+        assert!(monitor.ingest_upload(&late, None).observations > 0);
+        let trace = recover_after(monitor, &dir);
+        assert_eq!(trace.snapshot_seq, None, "no snapshot was written");
+        assert_eq!(trace.commits, 2, "the commits logged before the fault");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The fsync that closes a full segment is the store's fsync too:
+    /// when it fails, the append that needed the rotation errs and the
+    /// store stays fail-stopped, with no new segment started.
+    #[test]
+    fn a_failed_rotation_fsync_fail_stops_the_store() {
+        let (monitor, scanner) = setup(56);
+        let dir = store_scratch("rotation-fsync");
+        let config = StoreConfig {
+            max_segment_bytes: 1,
+        };
+        let mut store = Store::open_with(&dir, config).unwrap();
+        store.inject_io_faults(false, true);
+        monitor.attach_store_grouped(store, 0, 1);
+        let first = ride(&monitor, &scanner, 5, 3, 80.0, 20);
+        monitor.ingest_upload(&first, None);
+        assert!(!monitor.store_failed(), "the empty segment took the record");
+        let second = ride(&monitor, &scanner, 5, 3, 85.0, 21);
+        monitor.ingest_upload(&second, None);
+        assert!(monitor.store_failed(), "the rotation's fsync failed");
+        let err = monitor.sync_store().expect_err("the latch holds");
+        assert_eq!(monitor.checkpoint().unwrap_err().kind(), err.kind());
+        let trace = recover_after(monitor, &dir);
+        assert_eq!(trace.wal_segments, 1, "no segment was started");
+        assert_eq!(trace.commits, 1, "the commit logged before the fault");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

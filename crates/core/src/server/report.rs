@@ -49,8 +49,8 @@ pub enum DropReason {
     /// dropped (a bug, but never a silent one and never an outage).
     InternalError,
     /// The streaming frontend's admission queue was full and the
-    /// configured policy rejected (or evicted) this upload instead of
-    /// blocking the producer.
+    /// `shed-oldest` policy evicted this upload, the oldest queued one,
+    /// instead of blocking the producer.
     ShedQueueFull,
     /// The upload waited in the admission queue past the configured
     /// latency budget and was shed before staging.

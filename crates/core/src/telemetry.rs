@@ -38,13 +38,9 @@ pub(crate) struct PipelineMetrics {
     // trip that yields zero observations increments exactly one of
     // these, at commit.
     pub drops: [Counter; DropReason::ALL.len()],
-    // Durable-store appends that failed (ingestion continues; durability
-    // of the affected commits is lost).
-    pub store_append_errors: Counter,
-    // Transient store I/O failures on the commit path that were retried
-    // (and may have healed), and retry exhaustions that latched the
-    // durability fail-stop.
-    pub store_io_retries: Counter,
+    // Store failures that latched the durability fail-stop: one per
+    // store, at its first failed WAL write or fsync (ingestion
+    // continues; nothing since is durable).
     pub store_failstop: Counter,
     // Distribution of observations per accepted trip.
     pub obs_per_trip: Arc<Histogram>,
@@ -73,8 +69,6 @@ impl PipelineMetrics {
             salvaged_trips: registry.counter("busprobe_core_salvaged_trips_total"),
             salvage_dropped_visits: registry.counter("busprobe_core_salvage_dropped_visits_total"),
             drops: DropReason::counters(),
-            store_append_errors: registry.counter("busprobe_core_store_append_errors_total"),
-            store_io_retries: registry.counter("busprobe_store_io_retries_total"),
             store_failstop: registry.counter("busprobe_core_store_failstop_total"),
             obs_per_trip: registry.histogram("busprobe_core_observations_per_trip", &OBS_BUCKETS),
             stages: busprobe_telemetry::stage_timers(),

@@ -82,13 +82,6 @@ impl NetworkGenerator {
         }
     }
 
-    /// Overrides the street grid.
-    #[must_use]
-    pub fn with_spec(mut self, spec: GridSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
     /// Overrides the number of routes.
     #[must_use]
     pub fn with_routes(mut self, n: usize) -> Self {

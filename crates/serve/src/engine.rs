@@ -69,9 +69,6 @@ pub enum FullPolicy {
     /// backpressure, nothing is lost.
     #[default]
     Block,
-    /// Bounce the *new* upload with an attributed `shed-queue-full`
-    /// drop; queued work is never disturbed.
-    Reject,
     /// Admit the new upload and shed the *oldest* queued one — freshest
     /// data wins under overload.
     ShedOldest,
@@ -83,7 +80,6 @@ impl FullPolicy {
     pub fn as_str(self) -> &'static str {
         match self {
             FullPolicy::Block => "block",
-            FullPolicy::Reject => "reject",
             FullPolicy::ShedOldest => "shed-oldest",
         }
     }
@@ -95,10 +91,9 @@ impl FromStr for FullPolicy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "block" => Ok(FullPolicy::Block),
-            "reject" => Ok(FullPolicy::Reject),
             "shed-oldest" => Ok(FullPolicy::ShedOldest),
             other => Err(format!(
-                "unknown full-queue policy {other:?} (expected block, reject or shed-oldest)"
+                "unknown full-queue policy {other:?} (expected block or shed-oldest)"
             )),
         }
     }
@@ -636,7 +631,6 @@ impl EngineHandle {
         }
         let outcome = match shared.config.full_policy {
             FullPolicy::Block => shared.queue.push_blocking(adm).map(|depth| (depth, None)),
-            FullPolicy::Reject => shared.queue.try_push(adm).map(|depth| (depth, None)),
             FullPolicy::ShedOldest => shared.queue.push_evicting(adm),
         };
         match outcome {
@@ -652,9 +646,10 @@ impl EngineHandle {
                     shared.attribute_drop(&victim, DropReason::ShedQueueFull);
                 }
             }
-            Err(adm) if shared.queue.is_closed() => {
-                // Refused synchronously because the server is draining —
-                // not a shed; the producer sees the error immediately.
+            Err(adm) => {
+                // Both policies refuse only once the queue is closed:
+                // the server is draining. Not a shed; the producer sees
+                // the error immediately.
                 shared
                     .stats
                     .refused_draining
@@ -665,10 +660,6 @@ impl EngineHandle {
                         &shared.tele.reply_errors,
                     );
                 }
-            }
-            Err(adm) => {
-                // Reject policy, queue full: bounce the newcomer.
-                shared.attribute_drop(&adm, DropReason::ShedQueueFull);
             }
         }
     }

@@ -9,8 +9,7 @@
 //! and stays correct under overload, faults, and crashes:
 //!
 //! * **Backpressure / load shedding** — a full queue either blocks the
-//!   producer, bounces the newcomer, or evicts the oldest entry
-//!   ([`FullPolicy`]); a latency budget sheds entries that waited too
+//!   producer or evicts the oldest entry ([`FullPolicy`]); a latency budget sheds entries that waited too
 //!   long. Every shed, oversized or unparseable upload is attributed
 //!   through the pipeline's `DropReason` counters and trace layer —
 //!   under any overload, drops are counted, never silent.

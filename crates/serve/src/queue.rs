@@ -1,12 +1,12 @@
-//! A bounded MPSC admission queue with blocking, rejecting and
-//! evicting push modes.
+//! A bounded MPSC admission queue with blocking and evicting push
+//! modes.
 //!
 //! This is the pressure vessel between untrusted producers (socket
 //! connections) and the single commit loop: capacity is fixed at
 //! construction, so queue memory is bounded no matter how fast
-//! producers arrive, and the three push modes implement the three
-//! overload policies ([`FullPolicy`](crate::FullPolicy)) — block the
-//! producer, bounce the new item, or evict the oldest waiter.
+//! producers arrive, and the two push modes implement the two overload
+//! policies ([`FullPolicy`](crate::FullPolicy)) — block the producer,
+//! or evict the oldest waiter.
 //!
 //! Built on `std::sync::Mutex` + `Condvar` (the vendored `parking_lot`
 //! has no condition variable) with two wait channels: consumers wait
@@ -104,7 +104,7 @@ impl<T> BoundedQueue<T> {
         inner.high_water = inner.high_water.max(inner.items.len());
         // Mid-burst the wake-up waits for `end_burst` — unless the queue
         // is filling up, which the consumer must not sleep through: a
-        // full queue blocks, bounces or sheds.
+        // full queue blocks or sheds.
         if self.bursting.load(Ordering::SeqCst) == 0 || 2 * inner.items.len() >= self.capacity {
             self.not_empty.notify_one();
         }
@@ -127,16 +127,6 @@ impl<T> BoundedQueue<T> {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
         if inner.closed {
-            return Err(item);
-        }
-        Ok(self.record_push(&mut inner, item))
-    }
-
-    /// Non-blocking push: returns the item back when the queue is full
-    /// or closed, so the caller can attribute the rejection.
-    pub fn try_push(&self, item: T) -> Result<Depth, T> {
-        let mut inner = self.lock();
-        if inner.closed || inner.items.len() >= self.capacity {
             return Err(item);
         }
         Ok(self.record_push(&mut inner, item))
@@ -256,7 +246,7 @@ mod tests {
     fn fifo_order_and_batch_limit() {
         let q = BoundedQueue::new(8);
         for i in 0..5 {
-            let depth = q.try_push(i).unwrap();
+            let depth = q.push_blocking(i).unwrap();
             assert_eq!((depth.len, depth.high_water), (i + 1, i + 1));
         }
         assert_eq!(
@@ -264,7 +254,7 @@ mod tests {
             Popped::Batch(vec![0, 1, 2], 2),
             "two stay queued: not dry"
         );
-        let depth = q.try_push(5).unwrap();
+        let depth = q.push_blocking(5).unwrap();
         assert_eq!(
             (depth.len, depth.high_water),
             (3, 5),
@@ -280,19 +270,10 @@ mod tests {
     }
 
     #[test]
-    fn try_push_bounces_when_full() {
-        let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(3));
-        assert_eq!(q.len(), 2, "memory stays bounded");
-    }
-
-    #[test]
     fn evicting_push_sheds_the_oldest() {
         let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        q.push_blocking(1).unwrap();
+        q.push_blocking(2).unwrap();
         let full = Depth {
             len: 2,
             high_water: 2,
@@ -316,7 +297,7 @@ mod tests {
     #[test]
     fn blocking_push_waits_for_space_then_lands() {
         let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(1).unwrap();
+        q.push_blocking(1).unwrap();
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.push_blocking(2))
@@ -346,8 +327,8 @@ mod tests {
         // Let the consumer find the queue empty and go to sleep.
         std::thread::sleep(Duration::from_millis(20));
         q.begin_burst();
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        q.push_blocking(1).unwrap();
+        q.push_blocking(2).unwrap();
         assert!(!q.is_dry(), "items queued");
         std::thread::sleep(Duration::from_millis(20));
         assert!(!consumer.is_finished(), "woken mid-burst");
@@ -384,8 +365,8 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         q.begin_burst();
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        q.push_blocking(1).unwrap();
+        q.push_blocking(2).unwrap();
         // No `end_burst` yet: the depth alone woke it, not the timeout.
         let pushed = std::time::Instant::now();
         assert_eq!(consumer.join().unwrap(), Popped::Batch(vec![1, 2], 0));
@@ -399,7 +380,7 @@ mod tests {
     #[test]
     fn close_unblocks_producers_and_drains_consumer() {
         let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(1).unwrap();
+        q.push_blocking(1).unwrap();
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.push_blocking(2))
@@ -407,7 +388,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(producer.join().unwrap(), Err(2), "blocked item returned");
-        assert_eq!(q.try_push(3), Err(3), "closed queue admits nothing");
+        assert_eq!(q.push_blocking(3), Err(3), "closed queue admits nothing");
+        assert_eq!(q.push_evicting(4), Err(4));
         // The item queued before close still drains, then Drained.
         assert_eq!(
             q.pop_batch(10, Duration::from_millis(1)),

@@ -97,20 +97,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the traffic profile.
-    #[must_use]
-    pub fn with_profile(mut self, profile: TrafficProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Overrides the demand model.
-    #[must_use]
-    pub fn with_demand(mut self, demand: DemandModel) -> Self {
-        self.demand = demand;
-        self
-    }
-
     /// Records kinematic traces for the first `n` dispatches of each route.
     #[must_use]
     pub fn with_traces(mut self, n: usize) -> Self {

@@ -20,6 +20,9 @@
 //! back out. Recovery never panics on damaged input: torn tails and
 //! corrupt records are skipped, counted and reported per segment
 //! ([`ReplayOutcome`]).
+//! A failed WAL write or fsync is final: the store latches the first
+//! one and refuses every later append, sync and checkpoint with it
+//! ([`Store::failed`]).
 //!
 //! The crate stores opaque byte payloads; the record codec (and the
 //! argument for why replaying commits in sequence order reproduces the

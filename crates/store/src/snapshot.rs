@@ -67,6 +67,20 @@ pub fn write(dir: &Path, seq: u64, payload: &[u8]) -> io::Result<()> {
     wal::sync_dir(dir, &fsyncs)
 }
 
+/// Deletes every `*.snap.tmp` under `dir`: what a [`write`] that
+/// crashed or failed before its rename left behind. No listing reads
+/// them, so nothing else would ever remove them.
+pub(crate) fn remove_temp_files(dir: &Path) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|name| name.to_str());
+        if name.is_some_and(|name| name.ends_with(".snap.tmp")) {
+            fs::remove_file(&path)?;
+        }
+    }
+    Ok(())
+}
+
 /// The newest valid snapshot as `(covered_seq, payload)`, if any.
 pub type LoadedSnapshot = Option<(u64, Vec<u8>)>;
 

@@ -53,10 +53,13 @@ pub struct Store {
     dir: PathBuf,
     wal: WalWriter,
     metrics: StoreMetrics,
-    /// Fault injection (tests only): the next this-many appends fail.
-    fault_appends: u32,
-    /// Fault injection (tests only): the next this-many syncs fail.
-    fault_syncs: u32,
+    /// The kind of the first WAL write or fsync that failed, on any
+    /// path: append, rotation, sync or a checkpoint's WAL fsync. Once
+    /// set, every append, sync and checkpoint returns it; see
+    /// [`failed`](Self::failed).
+    failed: Option<io::ErrorKind>,
+    /// Fault injection (tests only): the next append fails.
+    fail_next_append: bool,
 }
 
 impl Store {
@@ -85,21 +88,55 @@ impl Store {
             dir,
             wal,
             metrics: StoreMetrics::new(),
-            fault_appends: 0,
-            fault_syncs: 0,
+            failed: None,
+            fail_next_append: false,
         })
     }
 
-    /// Fault injection for robustness tests: the next `appends` calls to
-    /// [`append_group`](Self::append_group) and the next `syncs` calls to
-    /// [`sync`](Self::sync) fail with a transient-looking
-    /// [`io::ErrorKind::Interrupted`] error before touching the WAL,
-    /// then the store behaves normally again. Models an I/O layer that
-    /// hiccups and heals — the shape the commit path's bounded retry is
-    /// built for.
-    pub fn inject_io_faults(&mut self, appends: u32, syncs: u32) {
-        self.fault_appends = appends;
-        self.fault_syncs = syncs;
+    /// Fault injection for robustness tests: with `append`, the next
+    /// [`append_group`](Self::append_group) fails before it touches the
+    /// WAL; with `fsync`, the next WAL fsync fails after its buffer
+    /// flush, whichever path runs it first — [`sync`](Self::sync), a
+    /// [`checkpoint`](Self::checkpoint) or a segment rotation inside an
+    /// append. Either failure latches the store like a real one, so one
+    /// fault is all a test needs.
+    pub fn inject_io_faults(&mut self, append: bool, fsync: bool) {
+        self.fail_next_append = append;
+        self.wal.fail_next_fsync = fsync;
+    }
+
+    /// The kind of the WAL write or fsync that failed, once one has.
+    ///
+    /// The first such failure is final. A failed fsync may already have
+    /// dropped the dirty pages it was asked to write, and the kernel
+    /// reports that only once, so a retried fsync that returns `Ok`
+    /// proves nothing about the records before it. From then on every
+    /// [`append_group`](Self::append_group), [`sync`](Self::sync) and
+    /// [`checkpoint`](Self::checkpoint) returns an error of this kind
+    /// without touching the WAL. A failed snapshot write or compaction
+    /// does not latch: the WAL still holds every record it covers.
+    #[must_use]
+    pub fn failed(&self) -> Option<io::ErrorKind> {
+        self.failed
+    }
+
+    /// The latched failure as an error, or `Ok` while the WAL is sound.
+    fn check(&self) -> io::Result<()> {
+        match self.failed {
+            None => Ok(()),
+            Some(kind) => Err(io::Error::new(
+                kind,
+                format!("durable store fail-stopped ({kind}); nothing since is durable"),
+            )),
+        }
+    }
+
+    /// Latches `result`'s error, if any, as the store's failure.
+    fn latch<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        if let Err(e) = &result {
+            self.failed = Some(e.kind());
+        }
+        result
     }
 
     /// The state directory.
@@ -126,38 +163,34 @@ impl Store {
     /// frame on disk) occupying consecutive sequence numbers; returns
     /// the first. A single payload is written as a plain record frame,
     /// so logs from a group size of one are byte-identical to ungrouped
-    /// logs. Fault injection charges a group as one append — it models
-    /// one I/O operation.
+    /// logs. A failure, the rotation's fsync included, latches the
+    /// store (see [`failed`](Self::failed)).
     pub fn append_group(&mut self, payloads: &[Vec<u8>]) -> io::Result<u64> {
-        if self.fault_appends > 0 {
-            self.fault_appends -= 1;
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "injected transient append fault",
-            ));
-        }
-        self.wal.append_group(payloads)
+        self.check()?;
+        let result = if std::mem::take(&mut self.fail_next_append) {
+            Err(io::Error::other("injected WAL append fault"))
+        } else {
+            self.wal.append_group(payloads)
+        };
+        self.latch(result)
     }
 
-    /// Flushes and fsyncs the WAL.
+    /// Flushes and fsyncs the WAL. A failure latches the store (see
+    /// [`failed`](Self::failed)).
     pub fn sync(&mut self) -> io::Result<()> {
-        if self.fault_syncs > 0 {
-            self.fault_syncs -= 1;
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "injected transient sync fault",
-            ));
-        }
-        self.wal.sync()
+        self.check()?;
+        let result = self.wal.sync();
+        self.latch(result)
     }
 
     /// Writes `payload` as a snapshot covering everything appended so
-    /// far, then compacts. The WAL is fsynced first so the snapshot
-    /// never claims coverage of records that could still be lost, and
-    /// nothing is compacted unless the snapshot's directory fsync
-    /// succeeded. Returns the snapshot's coverage sequence number.
+    /// far, then compacts. The WAL is fsynced first, by [`sync`](Self::sync)
+    /// and under its latch, so the snapshot never claims coverage of
+    /// records that could still be lost, and nothing is compacted unless
+    /// the snapshot's directory fsync succeeded. Returns the snapshot's
+    /// coverage sequence number.
     pub fn checkpoint(&mut self, payload: &[u8]) -> io::Result<u64> {
-        self.wal.sync()?;
+        self.sync()?;
         let seq = self.wal.next_seq();
         snapshot::write(&self.dir, seq, payload)?;
         self.metrics.snapshots_written.inc();
@@ -168,11 +201,13 @@ impl Store {
 
     /// Deletes WAL segments fully covered by the snapshot at `covered`,
     /// which the caller has just written and fsynced, and snapshots
-    /// older than it. A segment is covered when the *next* segment
-    /// starts at or before the snapshot's coverage point (its own
-    /// records then all have `seq < covered`); the active segment is
-    /// never deleted.
+    /// older than it, and the temp files of snapshot writes that never
+    /// reached their rename. A segment is covered when the *next*
+    /// segment starts at or before the snapshot's coverage point (its
+    /// own records then all have `seq < covered`); the active segment
+    /// is never deleted.
     fn compact(&mut self, covered: u64) -> io::Result<()> {
+        snapshot::remove_temp_files(&self.dir)?;
         for (seq, path) in snapshot::list_snapshots(&self.dir)? {
             if seq < covered {
                 fs::remove_file(path)?;
@@ -349,6 +384,88 @@ mod tests {
         assert!(recovered.records.is_empty());
         assert!(!Store::exists(&dir).unwrap());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Segment names in `dir`, oldest first.
+    fn segment_seqs(dir: &Path) -> Vec<u64> {
+        wal::list_segments(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(seq, _)| seq)
+            .collect()
+    }
+
+    /// Recovered record sequence numbers.
+    fn recovered_seqs(dir: &Path) -> Vec<u64> {
+        let recovered = Store::recover(dir).unwrap();
+        recovered.records.iter().map(|(seq, _)| *seq).collect()
+    }
+
+    #[test]
+    fn a_failed_checkpoint_fsync_latches_the_store() {
+        let dir = tmp_dir("checkpoint-fsync");
+        let mut store = Store::open(&dir).unwrap();
+        for _ in 0..3 {
+            store.append_group(&[b"r".to_vec()]).unwrap();
+        }
+        store.inject_io_faults(false, true);
+        let err = store
+            .checkpoint(b"state")
+            .expect_err("the WAL fsync failed");
+        let kind = err.kind();
+        assert_eq!(store.failed(), Some(kind));
+        for _ in 0..3 {
+            let later = store.sync().expect_err("a later sync reports the latch");
+            assert_eq!(later.kind(), kind, "{later}");
+        }
+        assert_eq!(store.checkpoint(b"state").unwrap_err().kind(), kind);
+        assert_eq!(
+            store.append_group(&[b"late".to_vec()]).unwrap_err().kind(),
+            kind
+        );
+        assert_eq!(store.next_seq(), 3, "nothing more was appended");
+        drop(store);
+        assert!(snapshot::list_snapshots(&dir).unwrap().is_empty());
+        assert_eq!(recovered_seqs(&dir), vec![0, 1, 2]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_rotation_fsync_latches_the_store() {
+        let dir = tmp_dir("rotation-fsync");
+        let config = StoreConfig {
+            max_segment_bytes: 1,
+        };
+        let mut store = Store::open_with(&dir, config).unwrap();
+        store.append_group(&[b"first".to_vec()]).unwrap();
+        store.inject_io_faults(false, true);
+        let err = store
+            .append_group(&[b"second".to_vec()])
+            .expect_err("the full segment's fsync failed");
+        assert_eq!(store.failed(), Some(err.kind()));
+        assert_eq!(store.sync().unwrap_err().kind(), err.kind());
+        assert_eq!(store.next_seq(), 1);
+        drop(store);
+        assert_eq!(segment_seqs(&dir), vec![0], "no segment was started");
+        assert_eq!(recovered_seqs(&dir), vec![0]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_removes_a_stray_snapshot_temp_file() {
+        let dir = tmp_dir("stray-tmp");
+        let mut store = Store::open(&dir).unwrap();
+        store.append_group(&[b"r".to_vec()]).unwrap();
+        // What a crash between a snapshot's write and its rename leaves.
+        let stray = dir.join(format!("{}.tmp", snapshot::snapshot_file_name(1)));
+        fs::write(&stray, b"half a snapshot").unwrap();
+        store.append_group(&[b"r".to_vec()]).unwrap();
+        assert_eq!(store.checkpoint(b"state").unwrap(), 2);
+        assert!(
+            !stray.exists(),
+            "the stray temp file outlived the checkpoint"
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -271,6 +271,9 @@ pub struct WalWriter {
     dir_dirty: bool,
     scratch: Vec<u8>,
     metrics: StoreMetrics,
+    /// Fault injection (tests only): the next fsync of the active
+    /// segment fails; see [`Store::inject_io_faults`](crate::Store::inject_io_faults).
+    pub(crate) fail_next_fsync: bool,
 }
 
 impl WalWriter {
@@ -333,6 +336,7 @@ impl WalWriter {
             dir_dirty: true,
             scratch: Vec::new(),
             metrics,
+            fail_next_fsync: false,
         })
     }
 
@@ -388,13 +392,23 @@ impl WalWriter {
     /// after a segment was created or opened: `sync_data` on a new file
     /// does not make its directory entry durable.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.flush()?;
-        self.file.get_ref().sync_data()?;
+        self.sync_segment()?;
         if self.dir_dirty {
             sync_dir(&self.dir, &self.metrics.dir_fsyncs)?;
             self.dir_dirty = false;
         }
         self.synced_seq = self.next_seq;
+        Ok(())
+    }
+
+    /// Flushes the buffer and fsyncs the active segment's data: the one
+    /// segment fsync, for [`sync`](Self::sync) and rotation alike.
+    fn sync_segment(&mut self) -> io::Result<()> {
+        self.file.flush()?;
+        if std::mem::take(&mut self.fail_next_fsync) {
+            return Err(io::Error::other("injected WAL fsync fault"));
+        }
+        self.file.get_ref().sync_data()?;
         self.metrics.wal_fsyncs.inc();
         Ok(())
     }
@@ -402,9 +416,7 @@ impl WalWriter {
     /// Closes the active segment durably and starts a fresh one whose
     /// name is the sequence number of the record about to be written.
     fn rotate(&mut self, first_seq: u64) -> io::Result<()> {
-        self.file.flush()?;
-        self.file.get_ref().sync_data()?;
-        self.metrics.wal_fsyncs.inc();
+        self.sync_segment()?;
         let path = self.dir.join(segment_file_name(first_seq));
         self.file = BufWriter::new(File::create(&path)?);
         self.dir_dirty = true;

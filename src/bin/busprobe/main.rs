@@ -89,7 +89,7 @@ USAGE:
                       [--geojson FILE]
     busprobe metrics  --dir DIR [--format text|json|prometheus] [--state DIR] [--shards N]
     busprobe serve    --dir DIR (--socket PATH | --stdin) [--state DIR] [--snapshot-every N]
-                      [--queue N] [--on-full block|reject|shed-oldest] [--latency-budget-ms N]
+                      [--queue N] [--on-full block|shed-oldest] [--latency-budget-ms N]
                       [--jobs N] [--sync-every N] [--publish DIR] [--publish-interval-s F]
                       [--watchdog-s F] [--commit-throttle-ms N] [--shards N]
     busprobe send     --dir DIR --socket PATH [--stream-faults SPEC] [--limit N] [--from N]
@@ -153,8 +153,8 @@ identical at every `--jobs` count.
 per line over a unix socket (or stdin): uploads enter a bounded
 admission queue (`--queue`, default 256) in front of the stage/commit
 pipeline. When the queue is full, `--on-full` picks the policy: `block`
-stalls the producer (backpressure, the default), `reject` bounces the
-newcomer, `shed-oldest` evicts the oldest queued upload. A
+stalls the producer (backpressure, the default), `shed-oldest` evicts
+the oldest queued upload. A
 `--latency-budget-ms` sheds uploads that waited too long. Every shed,
 oversized (a line over 1 MiB, an upload over 4096 samples) or
 unparseable upload is attributed through the DropReason

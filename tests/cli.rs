@@ -648,3 +648,22 @@ fn end_before_start_is_rejected() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--end must be after"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn serve_refuses_an_unknown_overload_policy() {
+    let dir = temp_dir("onfull");
+    let dir_s = dir.to_string_lossy().to_string();
+    assert!(
+        busprobe(&["init", "--dir", &dir_s, "--seed", "7", "--small"])
+            .status
+            .success()
+    );
+    let out = busprobe(&["serve", "--dir", &dir_s, "--stdin", "--on-full", "reject"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown full-queue policy \"reject\" (expected block or shed-oldest)"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

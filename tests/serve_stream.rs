@@ -346,8 +346,7 @@ fn drain_flushes_acks_and_writes_a_final_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A store whose appends fail past the retry budget fail-stops on the
-/// first commit. The latch reaches the commit loop through the fsync
+/// A store whose first append fails fail-stops on the first commit. The latch reaches the commit loop through the fsync
 /// that gates the acks: not one ack is written, the summary names the
 /// store failure, and `join` still returns.
 #[test]
@@ -358,7 +357,7 @@ fn a_failed_store_withholds_every_ack_and_ends_the_run() {
 
     let monitor = Arc::new(world.monitor());
     let mut store = Store::open(&dir).unwrap();
-    store.inject_io_faults(100, 0);
+    store.inject_io_faults(true, false);
     monitor.attach_store_grouped(store, 0, 1);
     let engine = ServeEngine::start(Arc::clone(&monitor), ServeConfig::default());
     let handle = engine.handle();
@@ -381,6 +380,56 @@ fn a_failed_store_withholds_every_ack_and_ends_the_run() {
         "diagnostic names the store failure: {fatal}"
     );
     assert!(monitor.store_failed());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A count-triggered checkpoint runs inside the commit of the batch
+/// that crossed its cadence, before that batch's acks. When its WAL
+/// fsync fails, the store fail-stops there: no ack is written for that
+/// batch or any after it, the summary names the store failure, and the
+/// directory recovers exactly the commit logged before the fault.
+#[test]
+fn a_failed_checkpoint_fsync_withholds_every_ack_and_ends_the_run() {
+    let world = TestWorld::new(SEED, 4);
+    let trips = World::small(SEED).ride_corpus(6, SEED);
+    let dir = scratch_dir("checkpoint-fsync");
+
+    let monitor = Arc::new(world.monitor());
+    let mut store = Store::open(&dir).unwrap();
+    store.inject_io_faults(false, true);
+    // A snapshot every record: the first commit's checkpoint runs the
+    // store's first fsync.
+    monitor.attach_store_grouped(store, 1, 1);
+    let engine = ServeEngine::start(Arc::clone(&monitor), ServeConfig::default());
+    let handle = engine.handle();
+    let (reply, buffer) = ReplySink::buffered();
+    for (i, trip) in trips.iter().enumerate() {
+        handle.handle_line(&protocol::upload_line(trip, i as u64, None), Some(&reply));
+    }
+    handle.begin_drain();
+    let summary = engine.join();
+    let responses = String::from_utf8(buffer.lock().clone()).unwrap();
+    assert!(
+        !responses.contains("\"ack\""),
+        "no ack may follow a failed checkpoint fsync: {responses}"
+    );
+    assert_eq!(summary.acked, 0, "{summary:?}");
+    let fatal = summary.fatal.expect("the fail-stop ends the run");
+    assert!(
+        fatal.contains("durable store fail-stopped"),
+        "diagnostic names the store failure: {fatal}"
+    );
+    assert!(monitor.store_failed());
+    assert_eq!(monitor.synced_seq(), Some(0), "nothing became durable");
+    let (_, recovery) = TrafficMonitor::recover(
+        world.network.clone(),
+        world.db.clone(),
+        Default::default(),
+        &dir,
+    )
+    .unwrap();
+    assert_eq!(recovery.snapshot_seq, None, "{recovery:?}");
+    assert_eq!(recovery.commits, 1, "{recovery:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
