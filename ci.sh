@@ -6,6 +6,16 @@ cd "$(dirname "$0")"
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== pinned digests: no std DefaultHasher in program sources =="
+# Upload, near-duplicate and refusal digests are persisted (seen set,
+# WAL, trace ids), so they go through busprobe_core::digest — SipHash-1-3
+# with zero keys, pinned in-tree. std's DefaultHasher is unspecified
+# across releases and must not come back under crates/*/src or src/.
+if grep -rn 'DefaultHasher' crates/*/src src; then
+  echo "DefaultHasher found; use busprobe_core::digest::Digest" >&2
+  exit 1
+fi
+
 echo "== cargo test =="
 # One run of every test binary in the workspace. Among them, the suites
 # that carry the contracts below; none needs a flag of its own, so none
@@ -20,7 +30,13 @@ echo "== cargo test =="
 # and fault-injected corpora, the randomized determinism properties, the
 # golden-corpus snapshots and the concurrency stress tests
 # (tests/differential.rs, determinism_prop.rs, golden.rs,
-# stress_concurrency.rs; DESIGN.md "Parallelism").
+# stress_concurrency.rs; DESIGN.md "Parallelism"). Among the stress
+# tests, two durable races run 20 rounds each and recover the state dir
+# to the live state byte for byte:
+# a_refresh_racing_a_durable_batch_recovers_to_the_live_state (refresh
+# loop against a grouped durable batch) and
+# a_checkpoint_racing_a_parallel_batch_recovers_to_the_live_state
+# (checkpoint loop against a parallel batch).
 #
 # Batch-scorer equivalence (batched == per-scan == brute): the trip-level
 # batched SoA scorer against the per-scan query (the same pool, one

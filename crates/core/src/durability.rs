@@ -2,7 +2,8 @@
 //!
 //! The stage/commit split leaves the monitor with exactly one mutation
 //! point — the commit phase of [`TrafficMonitor`](crate::TrafficMonitor)
-//! — applied in upload sequence order by a single thread. Durability
+//! — applied in upload sequence order under one commit lock, which also
+//! covers the WAL append. Durability
 //! therefore reduces to a ledger of what each commit *does*: a
 //! [`CommitRecord`] captures the upload digest, the near-duplicate
 //! digests it registers, the harvest it feeds the updater and the

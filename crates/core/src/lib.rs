@@ -54,6 +54,7 @@
 pub mod alignment;
 pub mod clustering;
 pub mod database;
+pub mod digest;
 pub mod durability;
 pub mod estimation;
 pub mod fusion;

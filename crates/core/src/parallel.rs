@@ -12,9 +12,10 @@
 //!
 //! # Determinism argument
 //!
-//! Every mutation of monitor state happens in `commit_staged`, and the
-//! reducer calls it in upload sequence order from a single thread —
-//! exactly the order serial ingest would. The stage phase is a pure
+//! Every mutation of monitor state happens in `commit_staged`, under the
+//! monitor's one commit lock, and the reducer calls it in upload
+//! sequence order from a single thread — exactly the order serial ingest
+//! would. The stage phase is a pure
 //! function of (upload, shared database), except for two *hints* that
 //! peek at the seen set to skip provably-wasted work; both are
 //! monotone (the seen set only grows during a batch), so a hint can only
@@ -30,14 +31,12 @@
 //! its candidates even though commit discards the result). No state,
 //! report or map depends on either.
 //!
-//! # Lock discipline
-//!
-//! Stage workers take only the matcher `RwLock` read guard and brief
-//! seen-set peeks; the reducer takes the seen, fusion and updater locks.
-//! [`TrafficMonitor::refresh_database`](crate::TrafficMonitor) takes the
-//! matcher write guard, so a refresh racing a batch linearizes between
-//! per-trip read guards: every trip matches against exactly the old or
-//! exactly the new database, never a torn one.
+//! Stage workers never take the commit lock. A
+//! [`refresh_database`](crate::TrafficMonitor::refresh_database) racing a
+//! batch holds it and the matcher write guard, so it lands between two
+//! commits and between two trips' matcher reads: every trip matches
+//! against exactly the old or exactly the new database, never a torn
+//! one.
 
 use crate::server::{IngestReport, StagedUpload, TrafficMonitor};
 use busprobe_mobile::Trip;

@@ -26,6 +26,7 @@
 //!    than `duplicate_window_s` (false double-beeps, retry glue) collapse
 //!    to one.
 
+use crate::digest::Digest;
 use busprobe_mobile::CellularSample;
 use serde::{Deserialize, Serialize};
 
@@ -276,25 +277,23 @@ pub fn near_duplicate_digests(
     samples: &[CellularSample],
     cfg: &SanitizeConfig,
 ) -> Option<[u64; 2]> {
-    use std::hash::{Hash, Hasher};
     let start = samples.first()?.time_s;
     let bucket = cfg.near_dup_bucket_s.max(1e-9);
 
-    let mut content = std::collections::hash_map::DefaultHasher::new();
+    let mut content = Digest::new();
     for s in samples {
-        let rel = ((s.time_s - start) / bucket).round() as i64;
-        rel.hash(&mut content);
+        content.put_i64(((s.time_s - start) / bucket).round() as i64);
         for o in s.scan.observations() {
-            o.tower.hash(&mut content);
+            content.put_u32(o.tower.0);
         }
     }
     let content = content.finish();
 
     let window = cfg.near_dup_window_s.max(1e-9);
     let digest = |window_index: i64| {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        content.hash(&mut h);
-        window_index.hash(&mut h);
+        let mut h = Digest::new();
+        h.put_u64(content);
+        h.put_i64(window_index);
         h.finish()
     };
     let base = (start / window).floor() as i64;

@@ -1,25 +1,107 @@
 //! Phase 2 of ingest: the ordered commit, and the monitor's one
 //! mutation path.
 //!
-//! A commit decides what an upload does (`verdict`, reads only), writes
-//! that down as a [`CommitRecord`] and hands the record to
-//! `apply_commit` — the only function in this crate that writes the
-//! seen set, the updater's harvest or fusion. WAL replay hands the same
-//! function the same records, so a recovered monitor equals an
-//! uninterrupted one by construction. (`refresh_database`, below, is the
-//! other mutation: it owns the matcher and drains the harvest, and runs
-//! the same way live and in replay.)
+//! Under one hold of the commit lock, a commit takes its sequence
+//! number, decides what the upload does (`verdict`, reads only), writes
+//! that down as a [`CommitRecord`], applies it with
+//! [`CommitState::apply`] — the only writer of the seen set, the
+//! harvest and fusion — and logs it. Replay applies the same records
+//! with the same function, and a refresh's [`CommitState::refresh`]
+//! alike, so a recovered monitor equals an uninterrupted one.
 
-use super::stage::{StagedUpload, TraceDraft};
+use super::durable::AttachedStore;
+use super::stage::StagedUpload;
 use super::{DropReason, IngestReport, TrafficMonitor, TRACE_DETAIL};
 use crate::durability::{CommitRecord, HarvestEntry, WalRecord};
+use crate::fusion::SegmentFusion;
 use crate::mapping::MappedVisit;
+use crate::matching::{MatchConfig, Matcher};
 use crate::sanitize::SanitizeReport;
+use crate::updater::DbUpdater;
 use busprobe_mobile::CellularSample;
 use busprobe_telemetry::{Level, Stage};
-use busprobe_trace::{TraceEvent, TraceOutcome, TraceRecord, Tracer, TripTrace};
+use busprobe_trace::{TraceEvent, TraceOutcome, TraceRecord, TripTrace};
+use std::collections::HashSet;
+use std::ops::DerefMut;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+
+/// Everything only commits write, behind the monitor's one commit lock:
+/// holding it is being the single writer `durability` relies on.
+#[derive(Debug)]
+pub(super) struct CommitState {
+    pub(super) fusion: SegmentFusion,
+    pub(super) updater: DbUpdater,
+    /// Optional durable store with its group window.
+    pub(super) store: Option<AttachedStore>,
+    /// Committed uploads plus database refreshes: the sequence number
+    /// the next record takes.
+    pub(super) commits: u64,
+}
+
+impl CommitState {
+    /// Applies one commit record, live and in replay alike: seen-set
+    /// insert → near-digest registration → updater harvest → fusion,
+    /// stopping where a duplicate stops. State only, so replay is silent.
+    /// `seen` (the live guard, or replay's set) is released before the
+    /// fold, so stage workers' duplicate hints never wait on it. `deltas`
+    /// collects a [`TraceEvent::FusionDelta`] for each of the first
+    /// [`TRACE_DETAIL`] observations (prior and posterior must be read
+    /// between updates: two observations of one trip can hit the same
+    /// segment).
+    pub(super) fn apply(
+        &mut self,
+        mut seen: impl DerefMut<Target = HashSet<u64>>,
+        record: &CommitRecord,
+        mut deltas: Option<&mut Vec<TraceEvent>>,
+    ) {
+        if !seen.insert(record.digest) {
+            return;
+        }
+        if let Some(digests) = &record.near_digests {
+            let dup = digests.iter().any(|d| seen.contains(d));
+            seen.extend(digests.iter().copied());
+            if dup {
+                return;
+            }
+        }
+        drop(seen);
+        for entry in &record.harvest {
+            self.updater
+                .record(entry.site, entry.fingerprint.clone(), entry.confidence);
+        }
+        let fusion = &mut self.fusion;
+        for (i, obs) in record.observations.iter().enumerate() {
+            let Some(deltas) = deltas.as_deref_mut().filter(|_| i < TRACE_DETAIL) else {
+                fusion.observe(obs.key, obs.time_s, obs.speed_mps, obs.variance);
+                continue;
+            };
+            let prior_mps = fusion.belief(obs.key).map(|b| b.mean_mps);
+            fusion.observe(obs.key, obs.time_s, obs.speed_mps, obs.variance);
+            let posterior = fusion.belief(obs.key).expect("belief exists after observe");
+            deltas.push(TraceEvent::FusionDelta {
+                from: obs.key.from.0,
+                to: obs.key.to.0,
+                obs_mps: obs.speed_mps,
+                obs_variance: obs.variance,
+                prior_mps,
+                posterior_mps: posterior.mean_mps,
+                posterior_variance: posterior.variance,
+            });
+        }
+    }
+
+    /// The state half of a database refresh, live and in replay alike:
+    /// stops with enough fresh harvest get their fingerprints re-elected
+    /// and [`Matcher::insert`]ed incrementally. Returns how many changed.
+    pub(super) fn refresh(&mut self, matcher: &mut Matcher, config: &MatchConfig) -> usize {
+        let changes = self.updater.refresh_changes(matcher.db(), config);
+        let changed = changes.len();
+        for (site, fp) in changes {
+            matcher.insert(site, fp);
+        }
+        changed
+    }
+}
 
 /// What a commit will do with a staged upload, decided from reads alone
 /// before anything is applied.
@@ -58,7 +140,7 @@ impl TrafficMonitor {
                 );
                 // Even a commit-phase panic leaves an attributing trace —
                 // like an admission drop's, without events or a WAL seq
-                // (no record was written, so no seq advance either).
+                // (no record was logged, so no sequence number taken).
                 if let Some(tracer) = self.tracer.read().clone() {
                     tracer.submit(TraceRecord {
                         trace: TripTrace::admission_drop(
@@ -81,8 +163,8 @@ impl TrafficMonitor {
     }
 
     /// The authoritative fate of `staged`, from reads of the seen set
-    /// alone. Reading now and applying afterwards is race-free: commits
-    /// run one at a time in sequence order and stage workers only read.
+    /// alone. Reading now and applying afterwards is race-free: the
+    /// caller holds the commit lock and stage workers only read.
     fn verdict(&self, staged: &StagedUpload) -> Verdict {
         let seen = self.seen.lock();
         if seen.contains(&staged.digest) {
@@ -91,7 +173,7 @@ impl TrafficMonitor {
         if staged.panicked {
             return Verdict::Panicked;
         }
-        // `apply_commit` inserts the byte digest before it tests the
+        // `CommitState::apply` inserts the byte digest before it tests the
         // fuzzy ones, so a fuzzy digest equal to it counts as seen.
         let near = |d: &u64| *d == staged.digest || seen.contains(d);
         match &staged.near_digests {
@@ -102,9 +184,10 @@ impl TrafficMonitor {
 
     fn commit_inner(&self, staged: StagedUpload) -> IngestReport {
         let raw_samples = staged.report.samples;
-        // The trace sequence number is the commit order — identical at
-        // any worker count, so sampling and the JSONL export are too.
-        let seq = self.committed.fetch_add(1, Ordering::Relaxed);
+        let mut state = self.commit.lock();
+        // The trace sequence number is the commit order, identical at any
+        // worker count; the record takes it when it is logged, below.
+        let seq = state.commits;
         let tracer = self.tracer.read().clone();
         self.metrics.trips.inc();
         self.metrics.samples.add(raw_samples as u64);
@@ -176,7 +259,7 @@ impl TrafficMonitor {
 
         let fusion_span =
             (verdict == Verdict::Fold).then(|| self.metrics.stages.start(Stage::Fusion));
-        self.apply_commit(&record, events.as_mut());
+        state.apply(self.seen.lock(), &record, events.as_mut());
         if let Some(span) = fusion_span {
             span.finish();
         }
@@ -191,59 +274,39 @@ impl TrafficMonitor {
             self.metrics.fusion_updates.add(observations as u64);
             self.metrics.obs_per_trip.record(observations as f64);
         }
-        self.seal_commit(record, seq, staged.trace, events, tracer.as_deref())
-    }
-
-    /// Applies one commit record to the monitor's state, live and in
-    /// replay alike: seen-set insert → near-digest registration → updater
-    /// harvest → fusion, stopping where a duplicate stops. State only —
-    /// telemetry, events, the WAL append and the report belong to the
-    /// live commit around it, so replay is silent. `deltas` collects a
-    /// [`TraceEvent::FusionDelta`] for each of the first [`TRACE_DETAIL`]
-    /// observations (prior and posterior must be read between updates:
-    /// two observations of one trip can hit the same segment).
-    pub(super) fn apply_commit(
-        &self,
-        record: &CommitRecord,
-        mut deltas: Option<&mut Vec<TraceEvent>>,
-    ) {
-        let mut seen = self.seen.lock();
-        if !seen.insert(record.digest) {
-            return;
+        // The single exit: log the record, count a drop against its
+        // reason, then submit the trace with the authoritative outcome.
+        let report = record.report;
+        let wal_seq = self.log(&mut state, &WalRecord::Commit(record));
+        let drop_reason = report.drop_reason();
+        if let Some(reason) = drop_reason {
+            self.metrics.drops[reason as usize].inc();
         }
-        if let Some(digests) = &record.near_digests {
-            let dup = digests.iter().any(|d| seen.contains(d));
-            seen.extend(digests.iter().copied());
-            if dup {
-                return;
-            }
-        }
-        drop(seen);
-        if !record.harvest.is_empty() {
-            let mut updater = self.updater.lock();
-            for entry in &record.harvest {
-                updater.record(entry.site, entry.fingerprint.clone(), entry.confidence);
-            }
-        }
-        let mut fusion = self.fusion.lock();
-        for (i, obs) in record.observations.iter().enumerate() {
-            let Some(deltas) = deltas.as_deref_mut().filter(|_| i < TRACE_DETAIL) else {
-                fusion.observe(obs.key, obs.time_s, obs.speed_mps, obs.variance);
-                continue;
+        if let Some(tracer) = tracer {
+            let outcome = match drop_reason {
+                None => TraceOutcome::Committed {
+                    visits: report.visits,
+                    observations: report.observations,
+                },
+                Some(reason) => TraceOutcome::Dropped {
+                    reason: reason.trace_label().to_string(),
+                },
             };
-            let prior_mps = fusion.belief(obs.key).map(|b| b.mean_mps);
-            fusion.observe(obs.key, obs.time_s, obs.speed_mps, obs.variance);
-            let posterior = fusion.belief(obs.key).expect("belief exists after observe");
-            deltas.push(TraceEvent::FusionDelta {
-                from: obs.key.from.0,
-                to: obs.key.to.0,
-                obs_mps: obs.speed_mps,
-                obs_variance: obs.variance,
-                prior_mps,
-                posterior_mps: posterior.mean_mps,
-                posterior_variance: posterior.variance,
+            let draft = staged.trace.unwrap_or_default();
+            tracer.submit(TraceRecord {
+                trace: TripTrace {
+                    trace_id: staged.digest,
+                    seq,
+                    samples: report.samples,
+                    events: events.unwrap_or_default(),
+                    outcome,
+                    wal_seq,
+                },
+                worker: draft.worker,
+                spans: draft.spans,
             });
         }
+        report
     }
 
     /// The Sanitize trace event for one upload's accounting. Rebuilt at
@@ -259,51 +322,6 @@ impl TrafficMonitor {
             reordered: san.reordered,
             clock_skew_s: san.clock_skew_s,
         }
-    }
-
-    /// The single exit of every commit path: writes the WAL record,
-    /// counts a drop against its reason, then finalizes and submits the
-    /// upload's trace (when a tracer is attached) with the authoritative
-    /// outcome and WAL seq.
-    fn seal_commit(
-        &self,
-        record: CommitRecord,
-        seq: u64,
-        draft: Option<TraceDraft>,
-        events: Option<Vec<TraceEvent>>,
-        tracer: Option<&Tracer>,
-    ) -> IngestReport {
-        let report = record.report;
-        let digest = record.digest;
-        let wal_seq = self.log(&WalRecord::Commit(record));
-        if let Some(reason) = report.drop_reason() {
-            self.metrics.drops[reason as usize].inc();
-        }
-        if let Some(tracer) = tracer {
-            let outcome = match report.drop_reason() {
-                None => TraceOutcome::Committed {
-                    visits: report.visits,
-                    observations: report.observations,
-                },
-                Some(reason) => TraceOutcome::Dropped {
-                    reason: reason.trace_label().to_string(),
-                },
-            };
-            let (worker, spans) = draft.map_or((None, Vec::new()), |d| (d.worker, d.spans));
-            tracer.submit(TraceRecord {
-                trace: TripTrace {
-                    trace_id: digest,
-                    seq,
-                    samples: report.samples,
-                    events: events.unwrap_or_default(),
-                    outcome,
-                    wal_seq,
-                },
-                worker,
-                spans,
-            });
-        }
-        report
     }
 
     /// Folds one upload's sanitizer accounting into the global counters.
@@ -376,27 +394,16 @@ impl TrafficMonitor {
         entries
     }
 
-    /// Applies the online updater: stops with enough fresh harvested
-    /// samples get their fingerprints re-elected and applied to the live
-    /// matcher *incrementally* — each promoted entry goes through
-    /// [`Matcher::insert`](crate::Matcher::insert), which keeps the
-    /// inverted index exact without rebuilding it. Returns how many
-    /// entries changed.
+    /// Applies the online updater: stops with enough fresh harvest get
+    /// their fingerprints re-elected into the live matcher; returns how
+    /// many changed. The refresh is logged in the same critical section,
+    /// so replay re-runs the same election at the same point. It joins
+    /// the group window of a batch it races, if any, and closes it.
     pub fn refresh_database(&self) -> usize {
         let span = self.metrics.stages.start(Stage::Refresh);
-        let changes = {
-            let matcher = self.matcher.read();
-            self.updater
-                .lock()
-                .refresh_changes(matcher.db(), &self.config.matching)
-        };
-        let changed = changes.len();
+        let mut state = self.commit.lock();
+        let changed = state.refresh(&mut self.matcher.write(), &self.config.matching);
         if changed > 0 {
-            let mut matcher = self.matcher.write();
-            for (site, fp) in changes {
-                matcher.insert(site, fp);
-            }
-            drop(matcher);
             self.metrics.db_promotions.add(changed as u64);
             busprobe_telemetry::event(
                 Level::Info,
@@ -404,14 +411,8 @@ impl TrafficMonitor {
                 format!("database refresh promoted {changed} fingerprints"),
             );
         }
-        // The refresh consumed pending harvest and possibly rewrote the
-        // database; sequence it in the log so replay re-runs the same
-        // (deterministic) election at the same point. It joins the group
-        // of a batch it races, if any, and closes the group. Its record
-        // takes a sequence number, live as on replay.
-        self.committed.fetch_add(1, Ordering::Relaxed);
-        self.log(&WalRecord::Refresh);
-        self.flush_wal_group();
+        self.log(&mut state, &WalRecord::Refresh);
+        self.flush_group(&mut state);
         span.finish();
         changed
     }

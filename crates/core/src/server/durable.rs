@@ -1,14 +1,17 @@
 //! The durable half of the monitor: the attached WAL store with its
 //! group-commit window, fail-stop attribution, checkpoints, and
-//! recovery — snapshot load plus WAL replay through `apply_commit`.
+//! recovery — snapshot load plus WAL replay through
+//! [`CommitState::apply`] and [`CommitState::refresh`].
 //!
-//! A group window closes when the ingest or refresh call that opened it
-//! returns, so between calls every commit is in the WAL. The store
-//! latches its first failed WAL write or fsync ([`Store::failed`]):
-//! nothing is appended after it, and every later sync and checkpoint
-//! returns it. The monitor counts and logs that fail-stop once and
-//! keeps ingesting.
+//! The store lives in the [`CommitState`], so a record is logged in the
+//! critical section that applied it, and a checkpoint — which first
+//! closes the open group window — snapshots a commit boundary whenever
+//! it is called. A group window also closes when the call that opened
+//! it returns. The store latches its first failed WAL write or fsync
+//! ([`Store::failed`]); the monitor counts and logs that fail-stop once
+//! and keeps ingesting.
 
+use super::commit::CommitState;
 use super::TrafficMonitor;
 use crate::database::StopFingerprintDb;
 use crate::durability::{PersistedState, WalRecord};
@@ -17,7 +20,6 @@ use busprobe_network::TransitNetwork;
 use busprobe_store::Store;
 use busprobe_telemetry::Level;
 use busprobe_trace::RecoveryTrace;
-use parking_lot::MutexGuard;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -35,18 +37,14 @@ pub(super) struct AttachedStore {
     /// them as one WAL group frame (1 = append each commit immediately,
     /// producing a log byte-identical to ungrouped operation).
     group_every: u64,
-    /// Commit payloads buffered for the current group window, in commit
-    /// order. Flushed as one frame when the window fills and when the
-    /// call that opened the window returns, so it is empty between
-    /// calls.
+    /// Record payloads buffered for the open group window, in commit
+    /// order; empty between calls.
     pending: Vec<Vec<u8>>,
 }
 
 impl AttachedStore {
-    /// The WAL sequence number the next commit will carry once its
-    /// group flushes: the store's next sequence plus the records queued
-    /// ahead of it in the window. Deterministic even while buffered,
-    /// because appends happen in commit order.
+    /// The WAL sequence number the next record takes: the store's next
+    /// sequence plus the records queued ahead of it in the window.
     fn next_seq(&self) -> u64 {
         self.store.next_seq() + self.pending.len() as u64
     }
@@ -70,28 +68,30 @@ fn decode_snapshot(payload: &[u8]) -> Result<PersistedState, String> {
 }
 
 impl TrafficMonitor {
-    /// Attributes a store error: when `e` is the failure that latched
-    /// the store's fail-stop — the store was `was_sound` before the
-    /// call that returned it and is not now — it is counted and logged
-    /// in full at error level, once. A later call's latched error, and
-    /// a checkpoint's snapshot or compaction error (which does not
-    /// latch), are not counted. Ingestion continues either way —
-    /// availability over durability, and never a panic.
-    fn attribute_store_error(
+    /// Runs one store operation; when its error is the failure that
+    /// latched the store's fail-stop (sound before `op`, not after), it
+    /// is counted and logged at error level, once. A later call's
+    /// latched error, and a checkpoint's snapshot or compaction error
+    /// (which does not latch), are not. Ingestion continues either way.
+    fn store_io<T>(
         &self,
-        was_sound: bool,
-        attached: &AttachedStore,
+        attached: &mut AttachedStore,
         what: &str,
-        e: &io::Error,
-    ) {
-        if was_sound && !attached.sound() {
-            self.metrics.store_failstop.inc();
-            busprobe_telemetry::event(
-                Level::Error,
-                "core::store",
-                format!("{what} failed; durability fail-stop, nothing more is appended: {e}"),
-            );
+        op: impl FnOnce(&mut Store) -> io::Result<T>,
+    ) -> io::Result<T> {
+        let was_sound = attached.sound();
+        let result = op(&mut attached.store);
+        if let Err(e) = &result {
+            if was_sound && !attached.sound() {
+                self.metrics.store_failstop.inc();
+                busprobe_telemetry::event(
+                    Level::Error,
+                    "core::store",
+                    format!("{what} failed; durability fail-stop, nothing more is appended: {e}"),
+                );
+            }
         }
+        result
     }
 
     /// Whether store I/O fail-stopped: commits since the latch are not
@@ -99,52 +99,51 @@ impl TrafficMonitor {
     /// diagnostics instead of silently serving non-durable acks.
     #[must_use]
     pub fn store_failed(&self) -> bool {
-        self.store.lock().as_ref().is_some_and(|a| !a.sound())
+        self.commit
+            .lock()
+            .store
+            .as_ref()
+            .is_some_and(|a| !a.sound())
     }
 
-    /// Queues one WAL record — a commit or a refresh — for the attached
-    /// store (a no-op without one), appending the buffered group as one
-    /// WAL frame when the group window fills, and auto-checkpoints on
-    /// the configured cadence. Returns the record's WAL sequence number,
-    /// or `None` when no store is attached, it has fail-stopped or the
-    /// append failed.
+    /// Logs one record — a commit or a refresh: it takes the next
+    /// sequence number and is queued for the attached store, which
+    /// appends the group as one WAL frame when the window fills and
+    /// checkpoints on the configured cadence. Returns the record's WAL
+    /// sequence number, or `None` when no store is attached, it has
+    /// fail-stopped or the append failed.
     ///
     /// An append failure degrades durability, never availability: the
     /// store latches it (see [`store_failed`](Self::store_failed)), it
     /// is counted and logged, and ingestion continues.
-    pub(super) fn log(&self, record: &WalRecord) -> Option<u64> {
-        let mut guard = self.store.lock();
-        let attached = guard.as_mut().filter(|a| a.sound())?;
+    pub(super) fn log(&self, state: &mut CommitState, record: &WalRecord) -> Option<u64> {
+        state.commits += 1;
+        self.committed.store(state.commits, Ordering::Relaxed);
+        let attached = state.store.as_mut().filter(|a| a.sound())?;
         let wal_seq = attached.next_seq();
         attached.pending.push(record.encode());
         let full = attached.pending.len() as u64 >= attached.group_every;
-        (!full || self.flush_group(guard)).then_some(wal_seq)
+        (!full || self.flush_group(state)).then_some(wal_seq)
     }
 
     /// Appends the buffered commit group (if any) to the WAL as one
-    /// frame, releases the store lock, and checkpoints when the flushed
-    /// sequence range `[first, end)` crossed the snapshot cadence — the
-    /// grouped generalization of "every `snapshot_every`-th record
-    /// snapshots", to which it degenerates exactly at a group window of
-    /// one. Returns false when the append failed and fail-stopped the
-    /// store.
-    fn flush_group(&self, mut guard: MutexGuard<'_, Option<AttachedStore>>) -> bool {
-        let Some(attached) = guard.as_mut().filter(|a| !a.pending.is_empty()) else {
+    /// frame, and checkpoints when the flushed sequence range
+    /// `[first, end)` crossed the snapshot cadence — the grouped
+    /// generalization of "every `snapshot_every`-th record snapshots",
+    /// to which it degenerates exactly at a group window of one. Returns
+    /// false when the append failed and fail-stopped the store.
+    pub(super) fn flush_group(&self, state: &mut CommitState) -> bool {
+        let Some(attached) = state.store.as_mut().filter(|a| !a.pending.is_empty()) else {
             return true;
         };
         let pending = std::mem::take(&mut attached.pending);
         let every = attached.snapshot_every;
-        let was_sound = attached.sound();
-        let first = match attached.store.append_group(&pending) {
-            Ok(first) => first,
-            Err(e) => {
-                self.attribute_store_error(was_sound, attached, "WAL group append", &e);
-                return false;
-            }
+        let append = |store: &mut Store| store.append_group(&pending);
+        let Ok(first) = self.store_io(attached, "WAL group append", append) else {
+            return false;
         };
-        drop(guard);
         if every != 0 && (first + pending.len() as u64) / every != first / every {
-            if let Err(e) = self.checkpoint() {
+            if let Err(e) = self.checkpoint_locked(state) {
                 busprobe_telemetry::event(
                     Level::Warn,
                     "core::store",
@@ -155,14 +154,12 @@ impl TrafficMonitor {
         true
     }
 
-    /// Closes the open group window, if any: appends the buffered group
-    /// to the WAL, honoring the snapshot cadence for the flushed range.
-    /// Every call that commits — an upload, a batch, a refresh — ends
-    /// here, so no window outlives the call that opened it. A flush
-    /// failure has already fail-stopped the store and is not
-    /// propagated: ingest degrades durability rather than availability.
+    /// Closes the open group window, if any. Every call that commits
+    /// ends here, so no window outlives the call that opened it. A flush
+    /// failure has already fail-stopped the store and is not propagated:
+    /// ingest degrades durability rather than availability.
     pub(crate) fn flush_wal_group(&self) {
-        self.flush_group(self.store.lock());
+        self.flush_group(&mut self.commit.lock());
     }
 
     /// Attaches a durable store: every subsequent commit appends one WAL
@@ -184,7 +181,7 @@ impl TrafficMonitor {
     /// can lose at most the window of the call in flight — never an
     /// upload acknowledged after a sync.
     pub fn attach_store_grouped(&self, store: Store, snapshot_every: u64, group_every: u64) {
-        *self.store.lock() = Some(AttachedStore {
+        self.commit.lock().store = Some(AttachedStore {
             store,
             snapshot_every,
             group_every: group_every.max(1),
@@ -204,15 +201,11 @@ impl TrafficMonitor {
     /// checkpoint's fsync — every call returns the latched error, so
     /// callers gating acknowledgements on durability never release them.
     pub fn sync_store(&self) -> io::Result<()> {
-        let mut guard = self.store.lock();
-        let Some(attached) = guard.as_mut() else {
-            return Ok(());
-        };
-        let was_sound = attached.sound();
-        attached
-            .store
-            .sync()
-            .inspect_err(|e| self.attribute_store_error(was_sound, attached, "WAL fsync", e))
+        let mut state = self.commit.lock();
+        match state.store.as_mut() {
+            Some(attached) => self.store_io(attached, "WAL fsync", Store::sync),
+            None => Ok(()),
+        }
     }
 
     /// The WAL sequence number below which every record is known
@@ -221,30 +214,35 @@ impl TrafficMonitor {
     /// covers it.
     #[must_use]
     pub fn synced_seq(&self) -> Option<u64> {
-        self.store.lock().as_ref().map(|a| a.store.synced_seq())
+        self.commit
+            .lock()
+            .store
+            .as_ref()
+            .map(|a| a.store.synced_seq())
     }
 
-    /// Writes a full-state snapshot covering every record appended so
-    /// far, then compacts covered WAL segments. Returns the snapshot's
-    /// coverage sequence number, or `None` when no store is attached,
-    /// and the latched error once the store fail-stopped — a failed WAL
-    /// fsync here fail-stops it like one in
-    /// [`sync_store`](Self::sync_store).
-    ///
-    /// Call between batches (not concurrently with an in-flight ingest),
-    /// so the snapshot observes a commit boundary.
+    /// Appends the open group window, then writes a full-state snapshot
+    /// covering every record logged so far and compacts covered WAL
+    /// segments. Returns the snapshot's coverage sequence number, or
+    /// `None` when no store is attached, and the latched error once the
+    /// store fail-stopped — a failed WAL fsync here fail-stops it like
+    /// one in [`sync_store`](Self::sync_store). Safe mid-batch: the
+    /// commit lock makes the snapshot a commit boundary.
     pub fn checkpoint(&self) -> io::Result<Option<u64>> {
-        let mut guard = self.store.lock();
-        let Some(attached) = guard.as_mut() else {
+        self.checkpoint_locked(&mut self.commit.lock())
+    }
+
+    /// [`checkpoint`](Self::checkpoint) under a held commit lock.
+    fn checkpoint_locked(&self, state: &mut CommitState) -> io::Result<Option<u64>> {
+        self.flush_group(state);
+        let Some(covered) = state.store.as_ref().map(AttachedStore::next_seq) else {
             return Ok(None);
         };
-        let was_sound = attached.sound();
-        let payload = self.state_at(attached.next_seq()).encode();
-        attached
-            .store
-            .checkpoint(&payload)
+        let payload = self.state_at(state, covered).encode();
+        // invariant: the store was attached three lines up.
+        let attached = state.store.as_mut().expect("store attached");
+        self.store_io(attached, "checkpoint", |store| store.checkpoint(&payload))
             .map(Some)
-            .inspect_err(|e| self.attribute_store_error(was_sound, attached, "checkpoint", e))
     }
 
     /// The complete durable state — what [`checkpoint`](Self::checkpoint)
@@ -252,36 +250,33 @@ impl TrafficMonitor {
     /// count when no store is attached, or once it fail-stopped).
     #[must_use]
     pub fn export_state(&self) -> PersistedState {
-        let logged = self
-            .store
-            .lock()
-            .as_ref()
-            .filter(|a| a.sound())
-            .map(AttachedStore::next_seq);
-        self.state_at(logged.unwrap_or_else(|| self.commit_count()))
+        let state = self.commit.lock();
+        let sound = state.store.as_ref().filter(|a| a.sound());
+        self.state_at(&state, sound.map_or(state.commits, AttachedStore::next_seq))
     }
 
     /// The durable state, stamped as covering `commits` WAL records.
-    fn state_at(&self, commits: u64) -> PersistedState {
+    fn state_at(&self, state: &CommitState, commits: u64) -> PersistedState {
         let mut seen: Vec<u64> = self.seen.lock().iter().copied().collect();
         seen.sort_unstable();
         PersistedState {
             commits,
             config: self.config,
-            fusion: self.fusion.lock().clone(),
+            fusion: state.fusion.clone(),
             database: self.database(),
             seen,
-            updater: self.updater.lock().clone(),
+            updater: state.updater.clone(),
         }
     }
 
     /// Rebuilds a monitor from the store directory `dir`: loads the
     /// newest valid snapshot (falling back to a cold start from
     /// `initial_db` when none survives) and replays the WAL tail in
-    /// sequence order through `apply_commit` — the function every live
-    /// commit applied its record with. Because every record was written
-    /// at its commit, the recovered state is bit-identical to a monitor
-    /// that never crashed.
+    /// sequence order through `CommitState::apply` and
+    /// `CommitState::refresh` — the functions every live commit and
+    /// refresh applied its record with. Because every record was logged
+    /// in the critical section that applied it, the recovered state is
+    /// bit-identical to a monitor that never crashed.
     ///
     /// Disk damage is survived, counted and attributed, never fatal: torn
     /// tails and corrupt records are skipped, costing at most those
@@ -329,35 +324,34 @@ impl TrafficMonitor {
             }
         })?;
         let snapshot_seq = recovered.snapshot.as_ref().map(|(seq, _)| *seq);
-        let state = match snapshot {
-            Some(state) => {
-                if state.config != config {
-                    busprobe_telemetry::event(
-                        Level::Warn,
-                        "core::store",
-                        "recovered snapshot was written under a different configuration; \
-                         replay is well-defined but no longer matches the original run",
-                    );
-                }
-                state
-            }
-            None => PersistedState::fresh(initial_db, config),
-        };
-        // Trace sequence numbers continue from the recovered commit
-        // count, as they would on a monitor that never crashed.
-        let monitor = Self::from_state(network, config, state);
-
+        if snapshot
+            .as_ref()
+            .is_some_and(|state| state.config != config)
+        {
+            busprobe_telemetry::event(
+                Level::Warn,
+                "core::store",
+                "recovered snapshot was written under a different configuration; \
+                 replay is well-defined but no longer matches the original run",
+            );
+        }
+        let state = snapshot.unwrap_or_else(|| PersistedState::fresh(initial_db, config));
+        // Replay owns the monitor outright: it reaches the parts by
+        // `&mut`, takes no lock, and shares nothing until it returns.
+        let mut monitor = Self::from_state(network, config, state);
+        let commit = monitor.commit.get_mut();
+        let (seen, matcher) = (monitor.seen.get_mut(), monitor.matcher.get_mut());
         let mut replayed_commits = 0u64;
         let mut replayed_refreshes = 0u64;
         let mut undecodable = 0u64;
         for (seq, payload) in &recovered.records {
             match WalRecord::decode(payload) {
                 Ok(WalRecord::Commit(record)) => {
-                    monitor.apply_commit(&record, None);
+                    commit.apply(&mut *seen, &record, None);
                     replayed_commits += 1;
                 }
                 Ok(WalRecord::Refresh) => {
-                    monitor.refresh_database();
+                    commit.refresh(matcher, &config.matching);
                     replayed_refreshes += 1;
                 }
                 Err(e) => {
@@ -375,8 +369,11 @@ impl TrafficMonitor {
                     continue;
                 }
             }
-            monitor.committed.fetch_max(seq + 1, Ordering::Relaxed);
+            commit.commits = commit.commits.max(seq + 1);
         }
+        // Trace sequence numbers continue from the recovered commit
+        // count, as they would on a monitor that never crashed.
+        *monitor.committed.get_mut() = commit.commits;
         let summary = RecoveryTrace {
             wal_segments: recovered.report.segments,
             snapshot_seq,

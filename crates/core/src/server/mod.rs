@@ -10,8 +10,11 @@
 //!   speculative — it never mutates the monitor.
 //! - **commit** (`commit.rs`, `commit_staged`): duplicate suppression,
 //!   drop attribution, updater harvest and Bayesian fusion, applied as
-//!   one [`CommitRecord`](crate::CommitRecord) in upload sequence order
-//!   by exactly one thread at a time.
+//!   one [`CommitRecord`](crate::CommitRecord) in upload sequence order.
+//!
+//! What commits write is one `CommitState` behind one lock, held by a
+//! commit from its sequence number to its WAL push, so sequence, apply
+//! and WAL order agree by construction.
 //!
 //! Serial ingest is stage+commit back to back; [`crate::parallel`] runs
 //! stages on a work-stealing shard pool and feeds commits through a
@@ -31,20 +34,20 @@ pub(crate) use stage::StagedUpload;
 
 use crate::clustering::Clusterer;
 use crate::database::StopFingerprintDb;
+use crate::digest::Digest;
 use crate::durability::PersistedState;
-use crate::fusion::SegmentFusion;
 use crate::map::TrafficMap;
 use crate::matching::{MatchResult, Matcher};
 use crate::telemetry::PipelineMetrics;
-use crate::updater::DbUpdater;
 use busprobe_cellular::Fingerprint;
 use busprobe_mobile::Trip;
 use busprobe_network::TransitNetwork;
 use busprobe_telemetry::Stage;
 use busprobe_trace::Tracer;
-use durable::AttachedStore;
+use commit::CommitState;
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Borrow;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -72,25 +75,19 @@ pub struct TrafficMonitor {
     matcher: RwLock<Matcher>,
     clusterer: Clusterer,
     config: MonitorConfig,
-    fusion: Mutex<SegmentFusion>,
-    updater: Mutex<DbUpdater>,
-    /// Digests of ingested uploads, for duplicate suppression.
-    seen: Mutex<std::collections::HashSet<u64>>,
+    /// Everything commits write, behind the one commit lock.
+    commit: Mutex<CommitState>,
+    /// Digests of ingested uploads, for duplicate suppression. Written
+    /// only under the commit lock, and always the last lock taken.
+    seen: Mutex<HashSet<u64>>,
     /// Cached handles into the global telemetry registry.
     metrics: PipelineMetrics,
-    /// Optional durable store: every commit appends a WAL record here.
-    ///
-    /// Lock-order safety: the commit path drops every state lock (`seen`,
-    /// `fusion`, `updater`) before taking this one, and `checkpoint` takes
-    /// this one before any state lock — no thread ever waits on `store`
-    /// while holding a state lock *and* vice versa in the same direction.
-    store: Mutex<Option<AttachedStore>>,
     /// Optional per-upload decision-provenance sink. `None` (the
     /// default) costs one uncontended read-lock acquisition per upload
     /// — the <1% overhead budget gated by `crates/bench/tests/overhead.rs`.
     tracer: RwLock<Option<Arc<Tracer>>>,
-    /// Committed uploads plus database refreshes — the trace sequence
-    /// number: the commit order, hence identical at any worker count.
+    /// Lock-free mirror of the commit sequence, so
+    /// [`commit_count`](Self::commit_count) never waits on an fsync.
     committed: AtomicU64,
 }
 
@@ -120,11 +117,14 @@ impl TrafficMonitor {
             matcher: RwLock::new(Matcher::new(state.database, config.matching)),
             clusterer: Clusterer::new(config.clustering),
             config,
-            fusion: Mutex::new(state.fusion),
-            updater: Mutex::new(state.updater),
+            commit: Mutex::new(CommitState {
+                fusion: state.fusion,
+                updater: state.updater,
+                store: None,
+                commits: state.commits,
+            }),
             seen: Mutex::new(state.seen.into_iter().collect()),
             metrics: PipelineMetrics::new(),
-            store: Mutex::new(None),
             tracer: RwLock::new(None),
             committed: AtomicU64::new(state.commits),
         }
@@ -138,21 +138,20 @@ impl TrafficMonitor {
     /// would have carried.
     #[must_use]
     pub fn upload_digest(trip: &Trip) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = Digest::new();
         for s in &trip.samples {
-            s.time_s.to_bits().hash(&mut h);
+            h.put_u64(s.time_s.to_bits());
             for o in s.scan.observations() {
-                o.tower.hash(&mut h);
-                o.rss_dbm.to_bits().hash(&mut h);
+                h.put_u32(o.tower.0);
+                h.put_u64(o.rss_dbm.to_bits());
             }
         }
         h.finish()
     }
 
     /// Committed uploads plus database refreshes, one per WAL record —
-    /// the sequence number the next commit will receive. Monotone, so
-    /// watchdogs can use it as a liveness heartbeat for the commit path.
+    /// the sequence number the next commit will receive. Monotone and
+    /// lock-free: a liveness heartbeat for the commit path.
     #[must_use]
     pub fn commit_count(&self) -> u64 {
         self.committed.load(Ordering::Relaxed)
@@ -287,13 +286,13 @@ impl TrafficMonitor {
     /// updated within the last 30 minutes (six refresh periods).
     #[must_use]
     pub fn snapshot(&self, time_s: f64) -> TrafficMap {
-        TrafficMap::from_fusion(&self.fusion.lock(), time_s, 1800.0)
+        self.snapshot_with_max_age(time_s, 1800.0)
     }
 
     /// Publishes a map with an explicit staleness horizon.
     #[must_use]
     pub fn snapshot_with_max_age(&self, time_s: f64, max_age_s: f64) -> TrafficMap {
-        TrafficMap::from_fusion(&self.fusion.lock(), time_s, max_age_s)
+        TrafficMap::from_fusion(&self.commit.lock().fusion, time_s, max_age_s)
     }
 
     /// The retained speed time series of one segment: `(window start
@@ -301,8 +300,9 @@ impl TrafficMonitor {
     /// Fig. 10 curve for that segment.
     #[must_use]
     pub fn speed_series_kmh(&self, key: busprobe_network::SegmentKey) -> Vec<(f64, f64)> {
-        self.fusion
+        self.commit
             .lock()
+            .fusion
             .window_series(key)
             .into_iter()
             .map(|(t, b)| (t, b.mean_mps * 3.6))

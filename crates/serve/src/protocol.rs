@@ -36,11 +36,11 @@
 //! frames, never lines. [`upload_line`] writes a line the same way,
 //! straight into one `String`.
 
+use busprobe_core::digest::Digest;
 use busprobe_core::DropReason;
 use busprobe_mobile::{CellObservation, CellScan, CellTowerId, CellularSample, Trip};
 use serde_json::Number;
 use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
 
 /// One parsed client request.
 #[derive(Debug)]
@@ -89,8 +89,8 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// [`Request`].
 pub fn decode(line: &str) -> Frame {
     let refuse = |reason, detail| {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        line.hash(&mut h);
+        let mut h = Digest::new();
+        h.put_str(line);
         Refusal {
             reason,
             detail,
@@ -1055,8 +1055,8 @@ mod tests {
         let garbage = decode("not json").unwrap_err();
         assert_eq!(garbage.reason, DropReason::Unparseable);
         // The digest is the raw bytes' identity, whatever the verdict.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        long_line.hash(&mut h);
+        let mut h = Digest::new();
+        h.put_str(&long_line);
         assert_eq!(long.digest, h.finish());
         assert_ne!(long.digest, garbage.digest);
     }
