@@ -172,6 +172,7 @@ crash_drill() {
 # snapshot covers 10 of the 12, record 10 replays, record 11 is torn.
 crash_drill "$tmpdir/state" 12 --snapshot-every 5 --sync-every 1
 grep -q "snapshot covering 10 records + 1 replayed commits" "$tmpdir/state.recover"
+grep -q "left 1 covered WAL segments unread" "$tmpdir/state.recover"
 ./target/release/busprobe ingest --dir "$tmpdir" --state "$tmpdir/state" \
   --geojson "$tmpdir/resumed.geojson" >/dev/null
 cmp "$tmpdir/jobs1.geojson" "$tmpdir/resumed.geojson"
@@ -192,6 +193,26 @@ LC_ALL=C grep -aob 'BP[WG]1' "$gwal_tail" | tail -n 1 | grep -q BPG1
 ./target/release/busprobe ingest --dir "$tmpdir" --state "$tmpdir/gstate" \
   --group-every 8 --geojson "$tmpdir/gresumed.geojson" >/dev/null
 cmp "$tmpdir/jobs1.geojson" "$tmpdir/gresumed.geojson"
+
+echo "== CLI snapshot fallback drill: corrupt the newest snapshot, recover, resume =="
+# Compaction keeps two snapshot generations and the WAL after the older
+# one. A durable ingest of 24 uploads checkpoints at 16 (--snapshot-every)
+# and at 24 (the end of the run); with one byte of the newest snapshot
+# flipped, `recover` must pass it over and seed from the snapshot at 16
+# plus the 8 records after it, and a resumed ingest must export GeoJSON
+# byte-identical to an uninterrupted run.
+./target/release/busprobe ingest --dir "$tmpdir" --state "$tmpdir/fstate" --limit 24 \
+  --snapshot-every 16 >/dev/null
+snap=$(ls "$tmpdir"/fstate/*.snap | sort | tail -n 1)
+size=$(stat -c %s "$snap")
+byte=$(tail -c 1 "$snap" | od -An -tu1 | tr -d ' ')
+printf "$(printf '\\%03o' $((byte ^ 1)))" | dd of="$snap" bs=1 seek=$((size - 1)) conv=notrunc 2>/dev/null
+./target/release/busprobe recover --dir "$tmpdir" --state "$tmpdir/fstate" > "$tmpdir/fstate.recover"
+grep -q "1 corrupt snapshots passed over" "$tmpdir/fstate.recover"
+grep -q "snapshot covering 16 records + 8 replayed commits" "$tmpdir/fstate.recover"
+./target/release/busprobe ingest --dir "$tmpdir" --state "$tmpdir/fstate" \
+  --geojson "$tmpdir/fresumed.geojson" >/dev/null
+cmp "$tmpdir/jobs1.geojson" "$tmpdir/fresumed.geojson"
 
 echo "== CLI serve drill: stream over a socket, SIGTERM drain, compare =="
 # End-to-end through the resident server: serve the simulated world on

@@ -10,6 +10,7 @@
 //! alike, so a recovered monitor equals an uninterrupted one.
 
 use super::durable::AttachedStore;
+use super::seen::SeenSet;
 use super::stage::StagedUpload;
 use super::{DropReason, IngestReport, TrafficMonitor, TRACE_DETAIL};
 use crate::durability::{CommitRecord, HarvestEntry, WalRecord};
@@ -21,7 +22,6 @@ use crate::updater::DbUpdater;
 use busprobe_mobile::CellularSample;
 use busprobe_telemetry::{Level, Stage};
 use busprobe_trace::{TraceEvent, TraceOutcome, TraceRecord, TripTrace};
-use std::collections::HashSet;
 use std::ops::DerefMut;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -50,7 +50,7 @@ impl CommitState {
     /// segment).
     pub(super) fn apply(
         &mut self,
-        mut seen: impl DerefMut<Target = HashSet<u64>>,
+        mut seen: impl DerefMut<Target = SeenSet>,
         record: &CommitRecord,
         mut deltas: Option<&mut Vec<TraceEvent>>,
     ) {
@@ -59,7 +59,9 @@ impl CommitState {
         }
         if let Some(digests) = &record.near_digests {
             let dup = digests.iter().any(|d| seen.contains(d));
-            seen.extend(digests.iter().copied());
+            for &digest in digests {
+                seen.insert(digest);
+            }
             if dup {
                 return;
             }

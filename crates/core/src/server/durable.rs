@@ -61,7 +61,12 @@ impl AttachedStore {
 /// that contradicts itself.
 fn decode_snapshot(payload: &[u8]) -> Result<PersistedState, String> {
     if payload.first() == Some(&b'{') {
-        serde_json::from_slice(payload).map_err(|e| e.to_string())
+        let mut state: PersistedState =
+            serde_json::from_slice(payload).map_err(|e| e.to_string())?;
+        // The JSON reader checks no order; the seen set needs one.
+        state.seen.sort_unstable();
+        state.seen.dedup();
+        Ok(state)
     } else {
         PersistedState::decode(payload).map_err(|e| format!("{e:?}"))
     }
@@ -257,8 +262,7 @@ impl TrafficMonitor {
 
     /// The durable state, stamped as covering `commits` WAL records.
     fn state_at(&self, state: &CommitState, commits: u64) -> PersistedState {
-        let mut seen: Vec<u64> = self.seen.lock().iter().copied().collect();
-        seen.sort_unstable();
+        let seen = self.seen.lock().export();
         PersistedState {
             commits,
             config: self.config,
@@ -376,6 +380,7 @@ impl TrafficMonitor {
         *monitor.committed.get_mut() = commit.commits;
         let summary = RecoveryTrace {
             wal_segments: recovered.report.segments,
+            wal_segments_unread: recovered.report.segments_unread,
             snapshot_seq,
             commits: monitor.commit_count(),
             replayed_commits,

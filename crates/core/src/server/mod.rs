@@ -27,6 +27,7 @@
 mod commit;
 mod durable;
 mod report;
+mod seen;
 mod stage;
 
 pub use report::{DropReason, IngestReport, MonitorConfig};
@@ -46,8 +47,8 @@ use busprobe_telemetry::Stage;
 use busprobe_trace::Tracer;
 use commit::CommitState;
 use parking_lot::{Mutex, RwLock};
+use seen::SeenSet;
 use std::borrow::Borrow;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -79,7 +80,7 @@ pub struct TrafficMonitor {
     commit: Mutex<CommitState>,
     /// Digests of ingested uploads, for duplicate suppression. Written
     /// only under the commit lock, and always the last lock taken.
-    seen: Mutex<HashSet<u64>>,
+    seen: Mutex<SeenSet>,
     /// Cached handles into the global telemetry registry.
     metrics: PipelineMetrics,
     /// Optional per-upload decision-provenance sink. `None` (the
@@ -107,6 +108,8 @@ impl TrafficMonitor {
     /// A monitor holding `state` — a fresh one, or a snapshot on its way
     /// through recovery — with no store or tracer attached. Runs under
     /// `config`, whatever configuration the state was written under.
+    /// `state.seen` must strictly ascend, as a decoded snapshot's does:
+    /// the seen set adopts it as it is, unhashed.
     fn from_state(
         network: Arc<TransitNetwork>,
         config: MonitorConfig,
@@ -123,7 +126,7 @@ impl TrafficMonitor {
                 store: None,
                 commits: state.commits,
             }),
-            seen: Mutex::new(state.seen.into_iter().collect()),
+            seen: Mutex::new(SeenSet::from_sorted(state.seen)),
             metrics: PipelineMetrics::new(),
             tracer: RwLock::new(None),
             committed: AtomicU64::new(state.commits),

@@ -28,8 +28,10 @@ use std::path::{Path, PathBuf};
 /// How much storage damage to inject into one state directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalFaultPlan {
-    /// Cut this many bytes off the end of the newest WAL segment
-    /// (clamped to the segment length; 0 disables).
+    /// Cut this many bytes off the end of the newest WAL segment that
+    /// holds any — the one the last record went to, which is not the
+    /// newest when a checkpoint has since rolled the log to an empty
+    /// segment (clamped to the segment length; 0 disables).
     pub truncate_tail_bytes: u64,
     /// Append a torn record — a valid-looking frame header whose body
     /// never made it to disk — of this many bytes to the newest segment
@@ -76,7 +78,7 @@ pub struct WalFaultReport {
     pub segments_seen: usize,
     /// Snapshot files present in the directory.
     pub snapshots_seen: usize,
-    /// Bytes actually removed from the newest segment's tail.
+    /// Bytes actually removed from the newest non-empty segment's tail.
     pub tail_bytes_truncated: u64,
     /// Bytes of torn (headless) record appended to the newest segment.
     pub torn_bytes_appended: u64,
@@ -136,15 +138,20 @@ pub fn damage_store_dir(
     report.snapshots_seen = snapshots.len();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x57A1_F00D);
 
-    if let Some(newest) = segments.last() {
-        if plan.truncate_tail_bytes > 0 {
-            let len = fs::metadata(newest)?.len();
-            let cut = plan.truncate_tail_bytes.min(len);
-            let file = fs::OpenOptions::new().write(true).open(newest)?;
-            file.set_len(len - cut)?;
-            file.sync_all()?;
-            report.tail_bytes_truncated = cut;
+    if plan.truncate_tail_bytes > 0 {
+        for path in segments.iter().rev() {
+            let len = fs::metadata(path)?.len();
+            if len > 0 {
+                let cut = plan.truncate_tail_bytes.min(len);
+                let file = fs::OpenOptions::new().write(true).open(path)?;
+                file.set_len(len - cut)?;
+                file.sync_all()?;
+                report.tail_bytes_truncated = cut;
+                break;
+            }
         }
+    }
+    if let Some(newest) = segments.last() {
         if plan.torn_append_bytes > 0 {
             let mut torn = RECORD_MAGIC.to_vec();
             while (torn.len() as u64) < plan.torn_append_bytes {
@@ -259,6 +266,23 @@ mod tests {
         let bytes = fs::read(dir.join("0000000000000008.wal")).unwrap();
         assert_eq!(bytes.len(), 128 + 11);
         assert_eq!(&bytes[128..132], b"BPW1");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// After a checkpoint's roll the newest segment is empty; the tear
+    /// lands on the last record written, in the segment before it.
+    #[test]
+    fn a_torn_tail_skips_an_empty_newest_segment() {
+        let dir = tmp_dir("rolled");
+        seed_store(&dir);
+        fs::write(dir.join("0000000000000010.wal"), b"").unwrap();
+        let report = damage_store_dir(&dir, &WalFaultPlan::torn_tail(9), 3).unwrap();
+        assert_eq!(report.tail_bytes_truncated, 9);
+        let bytes = fs::read(dir.join("0000000000000008.wal")).unwrap();
+        assert_eq!(bytes.len(), 128 - 9);
+        assert!(fs::read(dir.join("0000000000000010.wal"))
+            .unwrap()
+            .is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,12 +14,13 @@
 //!
 //! [`Store`] ties the two together: `append_group` extends the log by
 //! one frame (a plain record frame for one payload, a group frame for
-//! more), `checkpoint` writes a snapshot at the current sequence number
-//! and compacts away every segment the snapshot fully covers, and
-//! [`Store::recover`] reads the newest valid snapshot plus the WAL tail
-//! back out. Recovery never panics on damaged input: torn tails and
-//! corrupt records are skipped, counted and reported per segment
-//! ([`ReplayOutcome`]).
+//! more), `checkpoint` writes a snapshot at the current sequence number,
+//! rolls the log to a fresh segment there and compacts down to two
+//! snapshot generations and the segments the older one does not cover,
+//! and [`Store::recover`] reads the newest valid snapshot plus the WAL
+//! segments past it back out. Recovery never panics on damaged input:
+//! torn tails and corrupt records are skipped, counted and reported per
+//! segment ([`ReplayOutcome`]).
 //! A failed WAL write or fsync is final: the store latches the first
 //! one and refuses every later append, sync and checkpoint with it
 //! ([`Store::failed`]).

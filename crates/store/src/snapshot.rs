@@ -7,11 +7,14 @@
 //! its CRC and replays only records with `seq >= S`. A corrupt snapshot
 //! is never fatal — the loader falls back to the next-newest one (and
 //! ultimately to cold-start + full replay), counting what it skipped.
+//! Compaction keeps two generations, so the next-newest is there to
+//! fall back to, with every WAL segment after it.
 
-use crate::frame::{self, SNAPSHOT_MAGIC};
+use crate::frame::{self, HEADER_LEN, SNAPSHOT_MAGIC};
 use crate::wal;
 use std::fs::{self, File};
 use std::io::{self, Write};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
 /// Formats the snapshot file name for a coverage sequence number.
@@ -81,8 +84,25 @@ pub(crate) fn remove_temp_files(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
+/// A loaded snapshot's payload, left in the buffer its file was read
+/// into: the frame header stays in front of it, so a load copies
+/// nothing. Dereferences to the payload bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotPayload {
+    /// The whole file: one validated frame.
+    frame: Vec<u8>,
+}
+
+impl Deref for SnapshotPayload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.frame[HEADER_LEN..]
+    }
+}
+
 /// The newest valid snapshot as `(covered_seq, payload)`, if any.
-pub type LoadedSnapshot = Option<(u64, Vec<u8>)>;
+pub type LoadedSnapshot = Option<(u64, SnapshotPayload)>;
 
 /// Loads the newest snapshot that passes validation, returning its
 /// coverage sequence number, its payload and how many newer snapshots
@@ -97,14 +117,15 @@ pub fn load_latest_if(
     let mut skipped = 0u64;
     for (seq, path) in list_snapshots(dir)?.into_iter().rev() {
         let buf = fs::read(&path)?;
-        match frame::decode(SNAPSHOT_MAGIC, &buf) {
-            // A valid frame followed by trailing bytes is still corrupt:
-            // the file must be exactly one frame.
-            Ok(f) if f.consumed == buf.len() && f.seq == seq && accept(seq, f.payload) => {
-                return Ok((Some((seq, f.payload.to_vec())), skipped));
-            }
-            _ => skipped += 1,
+        // A valid frame followed by trailing bytes is still corrupt: the
+        // file must be exactly one frame, so its payload starts at
+        // `HEADER_LEN` and runs to the end.
+        let valid = frame::decode(SNAPSHOT_MAGIC, &buf)
+            .is_ok_and(|f| f.consumed == buf.len() && f.seq == seq && accept(seq, f.payload));
+        if valid {
+            return Ok((Some((seq, SnapshotPayload { frame: buf })), skipped));
         }
+        skipped += 1;
     }
     Ok((None, skipped))
 }
@@ -126,7 +147,8 @@ mod tests {
         write(&dir, 3, b"old state").unwrap();
         write(&dir, 9, b"new state").unwrap();
         let (loaded, skipped) = load_latest_if(&dir, &mut |_, _| true).unwrap();
-        assert_eq!(loaded, Some((9, b"new state".to_vec())));
+        let (seq, payload) = loaded.unwrap();
+        assert_eq!((seq, &payload[..]), (9, &b"new state"[..]));
         assert_eq!(skipped, 0);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -143,7 +165,8 @@ mod tests {
         fs::write(&newest, &buf).unwrap();
 
         let (loaded, skipped) = load_latest_if(&dir, &mut |_, _| true).unwrap();
-        assert_eq!(loaded, Some((3, b"good".to_vec())));
+        let (seq, payload) = loaded.unwrap();
+        assert_eq!((seq, &payload[..]), (3, &b"good"[..]));
         assert_eq!(skipped, 1);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -3,11 +3,12 @@
 //! Appends go one way, [`Store::append_group`]: one payload is a plain
 //! record frame, more share a group frame.
 
+use crate::snapshot::{self, LoadedSnapshot};
 use crate::wal::{self, ReplayReport, WalWriter};
-use crate::{snapshot, StoreMetrics};
+use crate::StoreMetrics;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 /// Tuning for one store directory. Appends are buffered in-process and
@@ -34,11 +35,12 @@ impl Default for StoreConfig {
 #[derive(Debug)]
 pub struct Recovered {
     /// Coverage point and payload of the newest valid snapshot.
-    pub snapshot: Option<(u64, Vec<u8>)>,
+    pub snapshot: LoadedSnapshot,
     /// WAL records past the snapshot's coverage point, in sequence
     /// order: `(seq, payload)`.
     pub records: Vec<(u64, Vec<u8>)>,
-    /// Full replay accounting, including skipped/torn spans.
+    /// Replay accounting for the segments read, including skipped/torn
+    /// spans, and the count of covered segments left unread.
     pub report: ReplayReport,
     /// Newer-but-corrupt snapshots that were skipped.
     pub snapshots_skipped: u64,
@@ -50,7 +52,6 @@ pub struct Recovered {
 /// compaction.
 #[derive(Debug)]
 pub struct Store {
-    dir: PathBuf,
     wal: WalWriter,
     metrics: StoreMetrics,
     /// The kind of the first WAL write or fsync that failed, on any
@@ -78,14 +79,13 @@ impl Store {
     /// its payload is intact is [`recover`](Self::recover)'s question,
     /// not this one's.
     pub fn open_with(dir: impl AsRef<Path>, config: StoreConfig) -> io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        let floor = snapshot::list_snapshots(&dir)?
+        let dir = dir.as_ref();
+        fs::create_dir_all(dir)?;
+        let floor = snapshot::list_snapshots(dir)?
             .last()
             .map_or(0, |(seq, _)| *seq);
-        let wal = WalWriter::open(&dir, config, floor)?;
+        let wal = WalWriter::open(dir, config, floor)?;
         Ok(Store {
-            dir,
             wal,
             metrics: StoreMetrics::new(),
             failed: None,
@@ -142,7 +142,7 @@ impl Store {
     /// The state directory.
     #[must_use]
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.wal.dir()
     }
 
     /// The sequence number the next append will receive — equivalently,
@@ -189,36 +189,53 @@ impl Store {
     /// records that could still be lost, and nothing is compacted unless
     /// the snapshot's directory fsync succeeded. Returns the snapshot's
     /// coverage sequence number.
+    ///
+    /// The WAL then rolls to a fresh segment named by that number, so a
+    /// restart from this snapshot opens no segment the snapshot covers.
+    /// The roll adds no fsync: the old segment was just synced, and the
+    /// snapshot's directory fsync persists the new segment's entry. A
+    /// failed roll, like a failed snapshot write, errs without latching.
     pub fn checkpoint(&mut self, payload: &[u8]) -> io::Result<u64> {
         self.sync()?;
         let seq = self.wal.next_seq();
-        snapshot::write(&self.dir, seq, payload)?;
+        self.wal.roll()?;
+        snapshot::write(self.wal.dir(), seq, payload)?;
+        self.wal.dir_synced();
         self.metrics.snapshots_written.inc();
         self.metrics.snapshot_bytes.record(payload.len() as f64);
         self.compact(seq)?;
         Ok(seq)
     }
 
-    /// Deletes WAL segments fully covered by the snapshot at `covered`,
-    /// which the caller has just written and fsynced, and snapshots
-    /// older than it, and the temp files of snapshot writes that never
-    /// reached their rename. A segment is covered when the *next*
+    /// Keeps two generations: the snapshot at `newest`, which the caller
+    /// has just written and fsynced, and the newest one older than it,
+    /// with every WAL segment the older one does not fully cover — so a
+    /// newest snapshot that recovery refuses falls back to the older one
+    /// with nothing lost. Deletes the snapshots older than that, the
+    /// segments it covers and the temp files of snapshot writes that
+    /// never reached their rename. A segment is covered when the *next*
     /// segment starts at or before the snapshot's coverage point (its
-    /// own records then all have `seq < covered`); the active segment
-    /// is never deleted.
-    fn compact(&mut self, covered: u64) -> io::Result<()> {
-        snapshot::remove_temp_files(&self.dir)?;
-        for (seq, path) in snapshot::list_snapshots(&self.dir)? {
-            if seq < covered {
+    /// own records then all have smaller sequence numbers); the active
+    /// segment is never deleted. The first checkpoint deletes no
+    /// segment or snapshot.
+    fn compact(&mut self, newest: u64) -> io::Result<()> {
+        let dir = self.wal.dir();
+        snapshot::remove_temp_files(dir)?;
+        let snapshots = snapshot::list_snapshots(dir)?;
+        let Some(&(older, _)) = snapshots.iter().rev().find(|(seq, _)| *seq < newest) else {
+            return Ok(());
+        };
+        for (seq, path) in &snapshots {
+            if *seq < older {
                 fs::remove_file(path)?;
             }
         }
-        let segments = wal::list_segments(&self.dir)?;
+        let segments = wal::list_segments(dir)?;
         let mut removed = 0u64;
         for window in segments.windows(2) {
             let (first, path) = &window[0];
             let (next_first, _) = &window[1];
-            if *next_first <= covered && *first != self.wal.active_segment() {
+            if *next_first <= older && *first != self.wal.active_segment() {
                 fs::remove_file(path)?;
                 removed += 1;
             }
@@ -228,9 +245,10 @@ impl Store {
     }
 
     /// Read-only recovery: loads the newest valid snapshot and the WAL
-    /// tail past its coverage point. Damaged records are skipped and
-    /// attributed in the report — this never fails on corrupt *content*,
-    /// only on I/O errors.
+    /// tail past its coverage point. Segments the snapshot fully covers
+    /// are not opened. Damaged records are skipped and attributed in the
+    /// report — this never fails on corrupt *content*, only on I/O
+    /// errors.
     pub fn recover(dir: impl AsRef<Path>) -> io::Result<Recovered> {
         Self::recover_with(dir, |_, _| true)
     }
@@ -239,7 +257,8 @@ impl Store {
     /// *content*: `accept(seq, payload)` is asked about each intact
     /// snapshot, newest first, and one it refuses is skipped and counted
     /// under [`Recovered::snapshots_skipped`] like a corrupt one, falling
-    /// back to the next-newest and finally to a full WAL replay.
+    /// back to the next-newest, with every segment after it, and finally
+    /// to a replay of every segment left.
     pub fn recover_with(
         dir: impl AsRef<Path>,
         mut accept: impl FnMut(u64, &[u8]) -> bool,
@@ -250,7 +269,7 @@ impl Store {
         let (snapshot, snapshots_skipped) = snapshot::load_latest_if(dir, &mut accept)?;
         let covered = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
         let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
-        let report = wal::replay_into(dir, &mut |seq, payload| {
+        let report = wal::replay_into(dir, covered, &mut |seq, payload| {
             if seq >= covered {
                 records.push((seq, payload.to_vec()));
             }
@@ -285,6 +304,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("busprobe-store-{tag}-{}", std::process::id()));
@@ -292,43 +312,120 @@ mod tests {
         dir
     }
 
+    /// Appends one small record per sequence number in `seqs`.
+    fn append_records(store: &mut Store, seqs: std::ops::Range<u64>) {
+        for i in seqs {
+            store
+                .append_group(&[format!("record-{i:02}").into_bytes()])
+                .unwrap();
+        }
+    }
+
+    /// Snapshot names in `dir`, oldest first.
+    fn snapshot_seqs(dir: &Path) -> Vec<u64> {
+        snapshot::list_snapshots(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(seq, _)| seq)
+            .collect()
+    }
+
+    /// 64-byte segments hold two 29-byte records each.
+    const SMALL_SEGMENTS: StoreConfig = StoreConfig {
+        max_segment_bytes: 64,
+    };
+
     #[test]
     fn checkpoint_compacts_covered_segments_and_recovery_uses_the_tail() {
         let dir = tmp_dir("checkpoint");
-        let config = StoreConfig {
-            max_segment_bytes: 64,
-        };
-        let mut store = Store::open_with(&dir, config).unwrap();
-        for i in 0u64..12 {
-            store
-                .append_group(&[format!("record-{i:02}").into_bytes()])
-                .unwrap();
-        }
+        let mut store = Store::open_with(&dir, SMALL_SEGMENTS).unwrap();
+        append_records(&mut store, 0..12);
         let covered = store.checkpoint(b"state-after-12").unwrap();
         assert_eq!(covered, 12);
-        // Everything before the checkpoint lives in rotated segments; all
-        // but the active one are gone.
-        let segments = wal::list_segments(&dir).unwrap();
-        assert_eq!(segments.len(), 1, "compaction kept only the active segment");
-        for i in 12u64..15 {
-            store
-                .append_group(&[format!("record-{i:02}").into_bytes()])
-                .unwrap();
-        }
+        // The first generation deletes nothing; the WAL rolled to a fresh
+        // segment named by the coverage point.
+        assert_eq!(segment_seqs(&dir), vec![0, 2, 4, 6, 8, 10, 12]);
+        append_records(&mut store, 12..15);
+        assert_eq!(store.checkpoint(b"state-after-15").unwrap(), 15);
+        // Two generations: snapshot 12 with the segments after it, and
+        // snapshot 15. Everything snapshot 12 covers is gone.
+        assert_eq!(snapshot_seqs(&dir), vec![12, 15]);
+        assert_eq!(segment_seqs(&dir), vec![12, 14, 15]);
+        append_records(&mut store, 15..17);
         drop(store);
 
         let recovered = Store::recover(&dir).unwrap();
-        assert_eq!(recovered.snapshot, Some((12, b"state-after-12".to_vec())));
+        let (seq, payload) = recovered.snapshot.unwrap();
+        assert_eq!((seq, &payload[..]), (15, &b"state-after-15"[..]));
         assert_eq!(
             recovered
                 .records
                 .iter()
                 .map(|(s, _)| *s)
                 .collect::<Vec<_>>(),
-            vec![12, 13, 14],
+            vec![15, 16],
             "only the tail past the snapshot replays"
         );
+        assert_eq!(
+            (recovered.report.segments, recovered.report.segments_unread),
+            (1, 2),
+            "the two segments snapshot 15 covers are left unread"
+        );
         assert!(recovered.report.anomalies.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A newest snapshot that fails its CRC after the WAL rotated past
+    /// an older checkpoint: recovery falls back to the older generation
+    /// and replays every record after it, so nothing committed is lost.
+    #[test]
+    fn a_refused_newest_snapshot_falls_back_to_the_older_generation() {
+        let dir = tmp_dir("two-generations");
+        let mut store = Store::open_with(&dir, SMALL_SEGMENTS).unwrap();
+        append_records(&mut store, 0..12);
+        store.checkpoint(b"state-after-12").unwrap();
+        append_records(&mut store, 12..24);
+        assert_eq!(store.checkpoint(b"state-after-24").unwrap(), 24);
+        append_records(&mut store, 24..26);
+        drop(store);
+        let newest = dir.join(snapshot::snapshot_file_name(24));
+        let mut buf = fs::read(&newest).unwrap();
+        let last = buf.len() - 1;
+        buf[last] ^= 0x01;
+        fs::write(&newest, &buf).unwrap();
+
+        let recovered = Store::recover(&dir).unwrap();
+        assert_eq!(recovered.snapshots_skipped, 1);
+        let (seq, payload) = recovered.snapshot.unwrap();
+        assert_eq!((seq, &payload[..]), (12, &b"state-after-12"[..]));
+        assert_eq!(
+            recovered
+                .records
+                .iter()
+                .map(|(s, _)| *s)
+                .collect::<Vec<_>>(),
+            (12..26).collect::<Vec<_>>(),
+            "every record after the older snapshot replays"
+        );
+        assert_eq!(recovered.report.segments_unread, 0);
+        assert!(recovered.report.anomalies.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint with nothing appended since the last one rolls
+    /// nothing: the active segment is already the empty one it named.
+    #[test]
+    fn a_repeated_checkpoint_keeps_the_empty_segment() {
+        let dir = tmp_dir("repeat");
+        let mut store = Store::open(&dir).unwrap();
+        append_records(&mut store, 0..3);
+        assert_eq!(store.checkpoint(b"first").unwrap(), 3);
+        assert_eq!(store.checkpoint(b"again").unwrap(), 3);
+        assert_eq!(segment_seqs(&dir), vec![0, 3]);
+        assert_eq!(snapshot_seqs(&dir), vec![3]);
+        drop(store);
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.next_seq(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -341,8 +438,9 @@ mod tests {
         }
         store.checkpoint(b"covered").unwrap();
         drop(store);
-        // The active segment still holds seqs 0..5; delete it to model a
-        // directory where compaction removed every covered segment.
+        // Segment 0 holds seqs 0..5 and the roll left an empty segment 5;
+        // delete both to model a directory where compaction removed every
+        // covered segment.
         for (_, path) in wal::list_segments(&dir).unwrap() {
             fs::remove_file(path).unwrap();
         }

@@ -3,9 +3,12 @@
 //! reader that self-synchronizes past damage instead of panicking.
 //!
 //! Segment files are named `<first-seq, 16 hex digits>.wal`, so a
-//! lexicographic directory listing is also the sequence order and
-//! compaction can drop a segment by comparing its *successor's* first
-//! sequence number against the snapshot coverage point.
+//! lexicographic directory listing is also the sequence order, and
+//! compaction and replay can tell a segment is covered by a snapshot by
+//! comparing its *successor's* first sequence number against the
+//! snapshot's coverage point. A checkpoint rolls the log to a fresh
+//! segment named by that point, so the records it covers and the ones
+//! after it never share a segment.
 
 use crate::frame::{self, GROUP_MAGIC, HEADER_LEN, RECORD_MAGIC};
 use crate::{StoreConfig, StoreMetrics};
@@ -48,8 +51,11 @@ pub struct ReplayReport {
     pub records: u64,
     /// Payload + header bytes of valid records.
     pub bytes: u64,
-    /// Segments visited.
+    /// Segments read.
     pub segments: u64,
+    /// Segments left unopened because a snapshot covers every record in
+    /// them: the next segment starts at or before its coverage point.
+    pub segments_unread: u64,
     /// Lowest sequence number seen, if any record decoded.
     pub first_seq: Option<u64>,
     /// Highest sequence number seen, if any record decoded.
@@ -238,18 +244,36 @@ fn find_magic(buf: &[u8]) -> Option<usize> {
         .position(|w| w == RECORD_MAGIC || w == GROUP_MAGIC)
 }
 
-/// Replays every segment under `dir` in order, feeding valid records to
-/// `sink` and accounting anomalies. `dir` may not exist yet (an empty
-/// report is returned).
-pub fn replay_into(dir: &Path, sink: &mut dyn FnMut(u64, &[u8])) -> io::Result<ReplayReport> {
+/// Replays the segments under `dir` in order, feeding valid records to
+/// `sink` and accounting anomalies. A segment whose successor starts at
+/// or before `covered` — a snapshot's coverage point, 0 for none — holds
+/// only records that snapshot covers: it is counted under
+/// [`ReplayReport::segments_unread`] and never opened, so damage in it is
+/// not reported either. `dir` may not exist yet (an empty report is
+/// returned).
+pub fn replay_into(
+    dir: &Path,
+    covered: u64,
+    sink: &mut dyn FnMut(u64, &[u8]),
+) -> io::Result<ReplayReport> {
     let mut report = ReplayReport::default();
     if !dir.exists() {
         return Ok(report);
     }
-    for (first_seq, path) in list_segments(dir)? {
-        let buf = fs::read(&path)?;
+    let segments = list_segments(dir)?;
+    // Segment `i` is covered when segment `i + 1` starts at or before
+    // `covered`; names ascend, so the covered segments are a prefix, one
+    // per successor that starts that early.
+    let unread = segments
+        .iter()
+        .skip(1)
+        .take_while(|(next, _)| *next <= covered)
+        .count();
+    report.segments_unread = unread as u64;
+    for (first_seq, path) in &segments[unread..] {
+        let buf = fs::read(path)?;
         report.segments += 1;
-        scan_segment(first_seq, &buf, &mut report, sink);
+        scan_segment(*first_seq, &buf, &mut report, sink);
     }
     Ok(report)
 }
@@ -278,7 +302,8 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Opens (or creates) the log under `dir` and positions the writer
-    /// after the last valid record.
+    /// after the last valid record. Only the newest segment is read —
+    /// after a checkpoint, the fresh one its roll started.
     ///
     /// A torn tail on the newest segment is truncated away (replay
     /// already reported it); damage *between* valid records is left in
@@ -338,6 +363,12 @@ impl WalWriter {
             metrics,
             fail_next_fsync: false,
         })
+    }
+
+    /// The directory the log lives in.
+    #[must_use]
+    pub fn dir(&self) -> &Path {
+        &self.dir
     }
 
     /// The sequence number the next append will receive.
@@ -417,12 +448,38 @@ impl WalWriter {
     /// name is the sequence number of the record about to be written.
     fn rotate(&mut self, first_seq: u64) -> io::Result<()> {
         self.sync_segment()?;
+        self.start_segment(first_seq)?;
+        self.metrics.segments_rotated.inc();
+        Ok(())
+    }
+
+    /// Starts a fresh segment at the next sequence number — a checkpoint's
+    /// roll, right after its [`sync`](Self::sync), so the closed segment
+    /// needs no fsync of its own. A no-op when the active segment is
+    /// already that empty segment. The new directory entry is left dirty
+    /// for the snapshot's directory fsync to cover (see
+    /// [`dir_synced`](Self::dir_synced)); until then the next sync does it.
+    pub(crate) fn roll(&mut self) -> io::Result<()> {
+        if self.segment_bytes == 0 && self.segment_first == self.next_seq {
+            return Ok(());
+        }
+        self.start_segment(self.next_seq)
+    }
+
+    /// Records that the directory was fsynced after the active segment
+    /// was created — by the snapshot write that follows a roll — so the
+    /// next [`sync`](Self::sync) need not fsync it again.
+    pub(crate) fn dir_synced(&mut self) {
+        self.dir_dirty = false;
+    }
+
+    /// Makes a new, empty segment named `first_seq` the active one.
+    fn start_segment(&mut self, first_seq: u64) -> io::Result<()> {
         let path = self.dir.join(segment_file_name(first_seq));
         self.file = BufWriter::new(File::create(&path)?);
         self.dir_dirty = true;
         self.segment_first = first_seq;
         self.segment_bytes = 0;
-        self.metrics.segments_rotated.inc();
         Ok(())
     }
 }
@@ -440,7 +497,7 @@ mod tests {
 
     fn collect(dir: &Path) -> (Vec<(u64, Vec<u8>)>, ReplayReport) {
         let mut records = Vec::new();
-        let report = replay_into(dir, &mut |seq, payload| {
+        let report = replay_into(dir, 0, &mut |seq, payload| {
             records.push((seq, payload.to_vec()));
         })
         .unwrap();

@@ -1,6 +1,7 @@
 //! A WAL segment's directory entry is made durable once, by the first
 //! sync after the segment is created or opened, and a snapshot's once,
-//! by the checkpoint that renames it into place. Alone in its test
+//! by the checkpoint that renames it into place — which also covers the
+//! segment that checkpoint rolled to. Alone in its test
 //! binary so nothing else moves the process-global counter it reads.
 
 use busprobe_store::{Store, StoreConfig};
@@ -50,13 +51,22 @@ fn directory_is_fsynced_once_per_new_segment() {
     store.sync().unwrap();
     assert_eq!(dir_fsyncs() - base, 3);
 
-    // A checkpoint syncs the WAL (its segment is already persisted) and
-    // renames a snapshot into place: exactly one directory fsync.
+    // A checkpoint syncs the WAL (its segment is already persisted),
+    // rolls it to a fresh segment and renames a snapshot into place:
+    // exactly one directory fsync, which persists both new entries.
     store.checkpoint(b"state").unwrap();
     assert_eq!(
         dir_fsyncs() - base,
         4,
         "the snapshot's rename is persisted once"
+    );
+    assert_eq!(busprobe_store::wal::list_segments(&dir).unwrap().len(), 3);
+    store.append_group(std::slice::from_ref(&record)).unwrap();
+    store.sync().unwrap();
+    assert_eq!(
+        dir_fsyncs() - base,
+        4,
+        "the snapshot's directory fsync covered the rolled segment"
     );
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();

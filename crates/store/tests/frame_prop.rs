@@ -38,7 +38,7 @@ fn replay(stream: &[u8]) -> (Vec<(u64, Vec<u8>)>, ReplayReport) {
     let dir = case_dir();
     std::fs::write(dir.join(wal::segment_file_name(0)), stream).unwrap();
     let mut records = Vec::new();
-    let report = wal::replay_into(&dir, &mut |seq, payload| {
+    let report = wal::replay_into(&dir, 0, &mut |seq, payload| {
         records.push((seq, payload.to_vec()));
     })
     .unwrap();

@@ -9,8 +9,11 @@ use std::fmt::Write as _;
 /// the per-trip traces.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RecoveryTrace {
-    /// WAL segment files scanned.
+    /// WAL segment files read.
     pub wal_segments: u64,
+    /// WAL segment files left unopened: the snapshot used covers every
+    /// record in them.
+    pub wal_segments_unread: u64,
     /// Coverage sequence of the snapshot used, if any survived.
     pub snapshot_seq: Option<u64>,
     /// Newer snapshots that failed validation and were passed over.
@@ -39,6 +42,13 @@ impl RecoveryTrace {
             "recovery: scanned {} WAL segments in {:.3}s",
             self.wal_segments, self.duration_s
         );
+        if self.wal_segments_unread > 0 {
+            let _ = writeln!(
+                out,
+                "  left {} covered WAL segments unread",
+                self.wal_segments_unread
+            );
+        }
         match self.snapshot_seq {
             Some(seq) => {
                 let _ = writeln!(out, "  seeded from snapshot covering {seq} commits");
@@ -79,6 +89,7 @@ mod tests {
     fn narrative_covers_the_damage_path() {
         let trace = RecoveryTrace {
             wal_segments: 3,
+            wal_segments_unread: 2,
             snapshot_seq: Some(10),
             snapshots_skipped: 1,
             replayed_commits: 5,
@@ -90,6 +101,10 @@ mod tests {
         };
         let story = trace.narrative();
         assert!(story.contains("scanned 3 WAL segments"), "{story}");
+        assert!(
+            story.contains("left 2 covered WAL segments unread"),
+            "{story}"
+        );
         assert!(story.contains("snapshot covering 10"), "{story}");
         assert!(story.contains("passed over 1"), "{story}");
         assert!(story.contains("skipped 2 damaged"), "{story}");

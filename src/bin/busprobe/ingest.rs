@@ -128,14 +128,23 @@ fn print_recovery(state: &Path, summaries: &[RecoveryTrace]) {
                 summaries.len()
             );
             println!(
-                "{:>6} {:>9} {:>10} {:>9} {:>10} {:>8} {:>6} {:>9}",
-                "shard", "segments", "snapshot", "commits", "replayed", "skipped", "torn", "time"
+                "{:>6} {:>9} {:>7} {:>10} {:>9} {:>10} {:>8} {:>6} {:>9}",
+                "shard",
+                "segments",
+                "unread",
+                "snapshot",
+                "commits",
+                "replayed",
+                "skipped",
+                "torn",
+                "time"
             );
             for (s, summary) in summaries.iter().enumerate() {
                 println!(
-                    "{:>6} {:>9} {:>10} {:>9} {:>10} {:>8} {:>6} {:>8.3}s",
+                    "{:>6} {:>9} {:>7} {:>10} {:>9} {:>10} {:>8} {:>6} {:>8.3}s",
                     format!("{s:04}"),
                     summary.wal_segments,
+                    summary.wal_segments_unread,
                     summary
                         .snapshot_seq
                         .map_or_else(|| "-".to_string(), |seq| seq.to_string()),

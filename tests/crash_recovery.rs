@@ -129,6 +129,16 @@ impl Fixture {
     }
 }
 
+/// Whether the newest WAL segment in `dir` is empty: a checkpoint
+/// rolled the log after the last record.
+fn newest_segment_is_empty(dir: &std::path::Path) -> bool {
+    let (_, newest) = busprobe::store::wal::list_segments(dir)
+        .unwrap()
+        .pop()
+        .expect("a WAL segment exists");
+    std::fs::metadata(newest).unwrap().len() == 0
+}
+
 /// One cell of the matrix: durably ingest a prefix, crash (drop the
 /// monitor with no final checkpoint, optionally tearing the WAL tail),
 /// recover, resume with the full corpus, and compare everything the
@@ -149,7 +159,21 @@ fn run_cell(fx: &Fixture, workers: usize, snapshot_every: u64, crash: CrashPoint
         );
         // Crash: drop without the end-of-run checkpoint.
     }
+    // The tear lands on the last record written. When a checkpoint
+    // followed that record — at a cadence of one always, at seven when
+    // the prefix's commits are a multiple of it — the WAL has rolled past
+    // it, so the torn record is one the newest snapshot covers and
+    // recovery must leave its segment unread. Otherwise (with no
+    // snapshot, always) no snapshot covers it and recovery must read and
+    // attribute the torn tail.
+    let mut torn_is_covered = false;
     if crash == CrashPoint::TornLastRecord {
+        torn_is_covered = newest_segment_is_empty(&dir);
+        match snapshot_every {
+            0 => assert!(!torn_is_covered, "{context}: no snapshot covers it"),
+            1 => assert!(torn_is_covered, "{context}: every record is covered"),
+            _ => {}
+        }
         let report = damage_store_dir(&dir, &WalFaultPlan::torn_tail(9), SEED).unwrap();
         assert_eq!(report.tail_bytes_truncated, 9, "{context}: tail torn");
     }
@@ -157,10 +181,16 @@ fn run_cell(fx: &Fixture, workers: usize, snapshot_every: u64, crash: CrashPoint
     // Phase 2: recover and check attribution.
     let (monitor, summary) = fx.recover(&dir);
     assert_eq!(summary.skipped_records, 0, "{context}: {summary:?}");
-    if crash == CrashPoint::TornLastRecord {
+    if crash == CrashPoint::TornLastRecord && !torn_is_covered {
         assert_eq!(summary.corrupt_tails, 1, "{context}: {summary:?}");
     } else {
         assert_eq!(summary.corrupt_tails, 0, "{context}: {summary:?}");
+    }
+    if torn_is_covered {
+        assert!(
+            summary.wal_segments_unread >= 1,
+            "{context}: the torn, covered segment is skipped unread: {summary:?}"
+        );
     }
 
     // Phase 3: resume with the full corpus. Reopening the store repairs
@@ -389,8 +419,8 @@ fn corrupt_snapshot_falls_back_to_wal_replay() {
             monitor.ingest_upload(t, Some(fx.received[i]));
         }
         monitor.checkpoint().unwrap();
-        // Compaction keeps the active segment, so every record the
-        // snapshot covers is still in the WAL.
+        // The first checkpoint has no older generation to compact down
+        // to, so every record the snapshot covers is still in the WAL.
     }
     let plan = WalFaultPlan {
         snapshot_bit_flips: 3,
@@ -410,6 +440,68 @@ fn corrupt_snapshot_falls_back_to_wal_replay() {
         capture(&monitor, fx.end_s),
         fx.reference,
         "WAL replay alone rebuilds the exact state"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A newest snapshot that fails its CRC after the WAL rotated past an
+/// older checkpoint: recovery falls back to the older snapshot plus
+/// every segment after it, and rebuilds exactly the uninterrupted state
+/// — not the state of the records past the newest snapshot alone.
+#[test]
+fn a_corrupt_newest_snapshot_falls_back_to_the_older_generation() {
+    use busprobe::store::{snapshot, wal, StoreConfig};
+
+    let fx = Fixture::build();
+    let dir = scratch_dir("two-generations");
+    let n = fx.trips.len();
+    let config = StoreConfig {
+        max_segment_bytes: 4096,
+    };
+    let (older, newest, live_commits) = {
+        let monitor = fx.world.monitor();
+        monitor.attach_store_grouped(Store::open_with(&dir, config).unwrap(), 0, 1);
+        let ingest = |range: std::ops::Range<usize>| {
+            for i in range {
+                monitor.ingest_upload(&fx.trips[i], Some(fx.received[i]));
+            }
+        };
+        ingest(0..n / 3);
+        let older = monitor.checkpoint().unwrap().unwrap();
+        ingest(n / 3..2 * n / 3);
+        let newest = monitor.checkpoint().unwrap().unwrap();
+        ingest(2 * n / 3..n);
+        (older, newest, monitor.commit_count())
+        // Crash: drop without a final checkpoint.
+    };
+    let segments: Vec<u64> = wal::list_segments(&dir)
+        .unwrap()
+        .into_iter()
+        .map(|(seq, _)| seq)
+        .collect();
+    assert!(
+        segments
+            .iter()
+            .filter(|&&seq| seq > older && seq < newest)
+            .count()
+            >= 1,
+        "the WAL rotated between the checkpoints: {segments:?}"
+    );
+    let path = dir.join(snapshot::snapshot_file_name(newest));
+    let mut bytes = std::fs::read(&path).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let (monitor, summary) = fx.recover(&dir);
+    assert_eq!(summary.snapshots_skipped, 1, "{summary:?}");
+    assert_eq!(summary.snapshot_seq, Some(older), "{summary:?}");
+    assert_eq!(summary.skipped_records, 0, "{summary:?}");
+    assert_eq!(summary.corrupt_tails, 0, "{summary:?}");
+    assert_eq!(monitor.commit_count(), live_commits);
+    assert_eq!(
+        capture(&monitor, fx.end_s),
+        fx.reference,
+        "the older snapshot and the WAL after it rebuild the exact state"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
