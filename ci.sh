@@ -201,18 +201,36 @@ echo "== CLI snapshot fallback drill: corrupt the newest snapshot, recover, resu
 # flipped, `recover` must pass it over and seed from the snapshot at 16
 # plus the 8 records after it, and a resumed ingest must export GeoJSON
 # byte-identical to an uninterrupted run.
+flip_last_byte() {
+  local size byte
+  size=$(stat -c %s "$1")
+  byte=$(tail -c 1 "$1" | od -An -tu1 | tr -d ' ')
+  printf "$(printf '\\%03o' $((byte ^ 1)))" | dd of="$1" bs=1 seek=$((size - 1)) conv=notrunc 2>/dev/null
+}
 ./target/release/busprobe ingest --dir "$tmpdir" --state "$tmpdir/fstate" --limit 24 \
   --snapshot-every 16 >/dev/null
-snap=$(ls "$tmpdir"/fstate/*.snap | sort | tail -n 1)
-size=$(stat -c %s "$snap")
-byte=$(tail -c 1 "$snap" | od -An -tu1 | tr -d ' ')
-printf "$(printf '\\%03o' $((byte ^ 1)))" | dd of="$snap" bs=1 seek=$((size - 1)) conv=notrunc 2>/dev/null
+flip_last_byte "$(ls "$tmpdir"/fstate/*.snap | sort | tail -n 1)"
 ./target/release/busprobe recover --dir "$tmpdir" --state "$tmpdir/fstate" > "$tmpdir/fstate.recover"
 grep -q "1 corrupt snapshots passed over" "$tmpdir/fstate.recover"
 grep -q "snapshot covering 16 records + 8 replayed commits" "$tmpdir/fstate.recover"
 ./target/release/busprobe ingest --dir "$tmpdir" --state "$tmpdir/fstate" \
   --geojson "$tmpdir/fresumed.geojson" >/dev/null
 cmp "$tmpdir/jobs1.geojson" "$tmpdir/fresumed.geojson"
+# Second leg, on a fresh state dir: with *both* retained snapshots
+# flipped, recovery can only replay the 8 records compaction left after
+# 16. It must say that the records before seq 16 are gone, not claim a
+# cold start and a full WAL replay.
+./target/release/busprobe ingest --dir "$tmpdir" --state "$tmpdir/lstate" --limit 24 \
+  --snapshot-every 16 >/dev/null
+for snap in "$tmpdir"/lstate/*.snap; do flip_last_byte "$snap"; done
+./target/release/busprobe recover --dir "$tmpdir" --state "$tmpdir/lstate" > "$tmpdir/lstate.recover"
+grep -q "2 corrupt snapshots passed over" "$tmpdir/lstate.recover"
+grep -q "records before seq 16 were compacted away" "$tmpdir/lstate.recover"
+grep -q "state accounts for 24 commits" "$tmpdir/lstate.recover"
+if grep -q "cold start + full WAL replay" "$tmpdir/lstate.recover"; then
+  echo "recover claimed a full WAL replay of a compacted log" >&2
+  exit 1
+fi
 
 echo "== CLI serve drill: stream over a socket, SIGTERM drain, compare =="
 # End-to-end through the resident server: serve the simulated world on

@@ -1,15 +1,18 @@
 //! The durable half of the monitor: the attached WAL store with its
-//! group-commit window, fail-stop attribution, checkpoints, and
-//! recovery — snapshot load plus WAL replay through
-//! [`CommitState::apply`] and [`CommitState::refresh`].
+//! group-commit window, checkpoints, and recovery — snapshot load plus
+//! WAL replay through [`CommitState::apply`] and
+//! [`CommitState::refresh`].
 //!
 //! The store lives in the [`CommitState`], so a record is logged in the
 //! critical section that applied it, and a checkpoint — which first
 //! closes the open group window — snapshots a commit boundary whenever
 //! it is called. A group window also closes when the call that opened
-//! it returns. The store latches its first failed WAL write or fsync
-//! ([`Store::failed`]); the monitor counts and logs that fail-stop once
-//! and keeps ingesting.
+//! it returns. There is one sequence: a record's commit sequence number
+//! is its WAL sequence number, because a store is attached only where
+//! its log continues at the monitor's commit count, and recovery takes
+//! that count from the store. The store latches its first failed WAL
+//! write or fsync ([`Store::failed`]) and counts and logs that
+//! fail-stop itself; the monitor keeps ingesting.
 
 use super::commit::CommitState;
 use super::TrafficMonitor;
@@ -42,19 +45,6 @@ pub(super) struct AttachedStore {
     pending: Vec<Vec<u8>>,
 }
 
-impl AttachedStore {
-    /// The WAL sequence number the next record takes: the store's next
-    /// sequence plus the records queued ahead of it in the window.
-    fn next_seq(&self) -> u64 {
-        self.store.next_seq() + self.pending.len() as u64
-    }
-
-    /// Whether the store has latched no failure.
-    fn sound(&self) -> bool {
-        self.store.failed().is_none()
-    }
-}
-
 /// A snapshot payload as [`PersistedState`]: binary from
 /// [`PersistedState::decode`], or — when it opens with `{` — the JSON
 /// that older state directories hold. Either reader refuses a state
@@ -73,32 +63,6 @@ fn decode_snapshot(payload: &[u8]) -> Result<PersistedState, String> {
 }
 
 impl TrafficMonitor {
-    /// Runs one store operation; when its error is the failure that
-    /// latched the store's fail-stop (sound before `op`, not after), it
-    /// is counted and logged at error level, once. A later call's
-    /// latched error, and a checkpoint's snapshot or compaction error
-    /// (which does not latch), are not. Ingestion continues either way.
-    fn store_io<T>(
-        &self,
-        attached: &mut AttachedStore,
-        what: &str,
-        op: impl FnOnce(&mut Store) -> io::Result<T>,
-    ) -> io::Result<T> {
-        let was_sound = attached.sound();
-        let result = op(&mut attached.store);
-        if let Err(e) = &result {
-            if was_sound && !attached.sound() {
-                self.metrics.store_failstop.inc();
-                busprobe_telemetry::event(
-                    Level::Error,
-                    "core::store",
-                    format!("{what} failed; durability fail-stop, nothing more is appended: {e}"),
-                );
-            }
-        }
-        result
-    }
-
     /// Whether store I/O fail-stopped: commits since the latch are not
     /// durable, and resident frontends should drain and exit with
     /// diagnostics instead of silently serving non-durable acks.
@@ -108,27 +72,32 @@ impl TrafficMonitor {
             .lock()
             .store
             .as_ref()
-            .is_some_and(|a| !a.sound())
+            .is_some_and(|a| a.store.failed().is_some())
     }
 
     /// Logs one record — a commit or a refresh: it takes the next
-    /// sequence number and is queued for the attached store, which
-    /// appends the group as one WAL frame when the window fills and
-    /// checkpoints on the configured cadence. Returns the record's WAL
-    /// sequence number, or `None` when no store is attached, it has
-    /// fail-stopped or the append failed.
+    /// commit sequence number and is queued for the attached store,
+    /// which appends the group as one WAL frame when the window fills
+    /// and checkpoints on the configured cadence. Returns the sequence
+    /// number — the record's WAL sequence number too, see
+    /// [`attach_store_grouped`](Self::attach_store_grouped) — or `None`
+    /// when no store is attached, it has fail-stopped or the append
+    /// failed.
     ///
     /// An append failure degrades durability, never availability: the
-    /// store latches it (see [`store_failed`](Self::store_failed)), it
-    /// is counted and logged, and ingestion continues.
+    /// store latches it (see [`store_failed`](Self::store_failed)),
+    /// counts and logs it, and ingestion continues.
     pub(super) fn log(&self, state: &mut CommitState, record: &WalRecord) -> Option<u64> {
+        let seq = state.commits;
         state.commits += 1;
         self.committed.store(state.commits, Ordering::Relaxed);
-        let attached = state.store.as_mut().filter(|a| a.sound())?;
-        let wal_seq = attached.next_seq();
+        let attached = state
+            .store
+            .as_mut()
+            .filter(|a| a.store.failed().is_none())?;
         attached.pending.push(record.encode());
         let full = attached.pending.len() as u64 >= attached.group_every;
-        (!full || self.flush_group(state)).then_some(wal_seq)
+        (!full || self.flush_group(state)).then_some(seq)
     }
 
     /// Appends the buffered commit group (if any) to the WAL as one
@@ -143,8 +112,7 @@ impl TrafficMonitor {
         };
         let pending = std::mem::take(&mut attached.pending);
         let every = attached.snapshot_every;
-        let append = |store: &mut Store| store.append_group(&pending);
-        let Ok(first) = self.store_io(attached, "WAL group append", append) else {
+        let Ok(first) = attached.store.append_group(&pending) else {
             return false;
         };
         if every != 0 && (first + pending.len() as u64) / every != first / every {
@@ -170,6 +138,10 @@ impl TrafficMonitor {
     /// Attaches a durable store: every subsequent commit appends one WAL
     /// record, and (when `snapshot_every > 0`) every `snapshot_every`-th
     /// record also triggers a full-state snapshot plus log compaction.
+    /// The store's log must continue at this monitor's commit count, so
+    /// that every record's commit sequence number is its WAL sequence
+    /// number: an empty store on a fresh monitor, or the store of the
+    /// directory this monitor was [`recover`](Self::recover)ed from.
     /// Appends happen inside the ordered commit phase, so the log is a
     /// faithful serialization of the monitor's one mutation stream —
     /// parallel ingest produces the same log as serial ingest.
@@ -185,13 +157,40 @@ impl TrafficMonitor {
     /// record frame, the pre-group log format byte for byte. A SIGKILL
     /// can lose at most the window of the call in flight — never an
     /// upload acknowledged after a sync.
+    ///
+    /// # Panics
+    ///
+    /// When [`check_resumes`](Self::check_resumes) refuses `store`.
     pub fn attach_store_grouped(&self, store: Store, snapshot_every: u64, group_every: u64) {
+        if let Err(e) = self.check_resumes(&store) {
+            panic!("{e}");
+        }
         self.commit.lock().store = Some(AttachedStore {
             store,
             snapshot_every,
             group_every: group_every.max(1),
             pending: Vec::new(),
         });
+    }
+
+    /// `Ok` when `store`'s log continues at this monitor's
+    /// [`commit_count`](Self::commit_count), as attaching it requires;
+    /// else an `InvalidInput` error: the store holds history this monitor
+    /// has not replayed (recover the monitor from its directory first),
+    /// or lacks history the monitor has.
+    pub fn check_resumes(&self, store: &Store) -> io::Result<()> {
+        let (next_seq, commits) = (store.next_seq(), self.commit_count());
+        if next_seq == commits {
+            return Ok(());
+        }
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "the store under {:?} continues at seq {next_seq} but the monitor has \
+                 {commits} commits; recover the monitor from that directory first",
+                store.dir()
+            ),
+        ))
     }
 
     /// Fsyncs the attached store's WAL, making every commit appended so
@@ -207,10 +206,7 @@ impl TrafficMonitor {
     /// callers gating acknowledgements on durability never release them.
     pub fn sync_store(&self) -> io::Result<()> {
         let mut state = self.commit.lock();
-        match state.store.as_mut() {
-            Some(attached) => self.store_io(attached, "WAL fsync", Store::sync),
-            None => Ok(()),
-        }
+        state.store.as_mut().map_or(Ok(()), |a| a.store.sync())
     }
 
     /// The WAL sequence number below which every record is known
@@ -240,31 +236,28 @@ impl TrafficMonitor {
     /// [`checkpoint`](Self::checkpoint) under a held commit lock.
     fn checkpoint_locked(&self, state: &mut CommitState) -> io::Result<Option<u64>> {
         self.flush_group(state);
-        let Some(covered) = state.store.as_ref().map(AttachedStore::next_seq) else {
+        if state.store.is_none() {
             return Ok(None);
-        };
-        let payload = self.state_at(state, covered).encode();
+        }
+        let payload = self.state_at(state).encode();
         // invariant: the store was attached three lines up.
         let attached = state.store.as_mut().expect("store attached");
-        self.store_io(attached, "checkpoint", |store| store.checkpoint(&payload))
-            .map(Some)
+        attached.store.checkpoint(&payload).map(Some)
     }
 
     /// The complete durable state — what [`checkpoint`](Self::checkpoint)
-    /// encodes — as of the WAL records written so far (the commit
-    /// count when no store is attached, or once it fail-stopped).
+    /// encodes — as of every commit so far: with a sound store attached,
+    /// the WAL records written so far.
     #[must_use]
     pub fn export_state(&self) -> PersistedState {
-        let state = self.commit.lock();
-        let sound = state.store.as_ref().filter(|a| a.sound());
-        self.state_at(&state, sound.map_or(state.commits, AttachedStore::next_seq))
+        self.state_at(&self.commit.lock())
     }
 
-    /// The durable state, stamped as covering `commits` WAL records.
-    fn state_at(&self, state: &CommitState, commits: u64) -> PersistedState {
+    /// The durable state as of `state`'s commits.
+    fn state_at(&self, state: &CommitState) -> PersistedState {
         let seen = self.seen.lock().export();
         PersistedState {
-            commits,
+            commits: state.commits,
             config: self.config,
             fusion: state.fusion.clone(),
             database: self.database(),
@@ -313,8 +306,7 @@ impl TrafficMonitor {
     ) -> io::Result<(Self, RecoveryTrace)> {
         let mut snapshot: Option<PersistedState> = None;
         let recovered = Store::recover_with(dir, |seq, payload| match decode_snapshot(payload) {
-            Ok(mut state) => {
-                state.commits = state.commits.max(seq);
+            Ok(state) => {
                 snapshot = Some(state);
                 true
             }
@@ -339,7 +331,10 @@ impl TrafficMonitor {
                  replay is well-defined but no longer matches the original run",
             );
         }
-        let state = snapshot.unwrap_or_else(|| PersistedState::fresh(initial_db, config));
+        let mut state = snapshot.unwrap_or_else(|| PersistedState::fresh(initial_db, config));
+        // The store says where its log continues; sequence numbers go on
+        // from there, as they would on a monitor that never crashed.
+        state.commits = recovered.report.next_seq;
         // Replay owns the monitor outright: it reaches the parts by
         // `&mut`, takes no lock, and shares nothing until it returns.
         let mut monitor = Self::from_state(network, config, state);
@@ -370,14 +365,15 @@ impl TrafficMonitor {
                         "core::store",
                         format!("WAL record {seq} undecodable ({e:?}); skipped"),
                     );
-                    continue;
                 }
             }
-            commit.commits = commit.commits.max(seq + 1);
         }
-        // Trace sequence numbers continue from the recovered commit
-        // count, as they would on a monitor that never crashed.
-        *monitor.committed.get_mut() = commit.commits;
+        let history_lost = snapshot_seq.map_or(recovered.report.log_start, |_| 0);
+        if history_lost > 0 {
+            let lost =
+                format!("no snapshot; records before seq {history_lost} were compacted away");
+            busprobe_telemetry::event(Level::Warn, "core::store", lost);
+        }
         let summary = RecoveryTrace {
             wal_segments: recovered.report.segments,
             wal_segments_unread: recovered.report.segments_unread,
@@ -388,6 +384,7 @@ impl TrafficMonitor {
             skipped_records: recovered.report.skipped_records() + undecodable,
             corrupt_tails: recovered.report.corrupt_tails(),
             snapshots_skipped: recovered.snapshots_skipped,
+            history_lost,
             duration_s: recovered.duration_s,
         };
         busprobe_telemetry::event(
@@ -530,13 +527,14 @@ mod tests {
         let mut store = Store::open(&dir).unwrap();
         store.inject_io_faults(true, false);
         monitor.attach_store_grouped(store, 0, 1);
-        let before = monitor.metrics.store_failstop.get();
+        let failstops = busprobe_telemetry::counter("busprobe_store_failstops_total");
+        let before = failstops.get();
         let trip = ride(&monitor, &scanner, 5, 3, 80.0, 1);
         let report = monitor.ingest_upload(&trip, None);
         assert!(report.observations > 0, "the commit itself still lands");
         assert!(monitor.store_failed(), "one fault latched the store");
         assert!(
-            monitor.metrics.store_failstop.get() > before,
+            failstops.get() > before,
             "fail-stop attributed in telemetry"
         );
         // Availability over durability: later uploads still ingest.

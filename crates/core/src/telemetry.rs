@@ -38,10 +38,6 @@ pub(crate) struct PipelineMetrics {
     // trip that yields zero observations increments exactly one of
     // these, at commit.
     pub drops: [Counter; DropReason::ALL.len()],
-    // Store failures that latched the durability fail-stop: one per
-    // store, at its first failed WAL write or fsync (ingestion
-    // continues; nothing since is durable).
-    pub store_failstop: Counter,
     // Distribution of observations per accepted trip.
     pub obs_per_trip: Arc<Histogram>,
     // Wall time per pipeline stage.
@@ -69,7 +65,6 @@ impl PipelineMetrics {
             salvaged_trips: registry.counter("busprobe_core_salvaged_trips_total"),
             salvage_dropped_visits: registry.counter("busprobe_core_salvage_dropped_visits_total"),
             drops: DropReason::counters(),
-            store_failstop: registry.counter("busprobe_core_store_failstop_total"),
             obs_per_trip: registry.histogram("busprobe_core_observations_per_trip", &OBS_BUCKETS),
             stages: busprobe_telemetry::stage_timers(),
         }

@@ -127,10 +127,11 @@ pub fn city_layout(state: &Path, requested: Option<usize>) -> io::Result<Option<
     }
 }
 
-/// Where shard `s` of the city under `state` keeps its store: the root
-/// for a manifest-less directory, `shard-NNNN/` otherwise.
-fn store_dir(state: &Path, s: usize) -> PathBuf {
-    if has_manifest(state) {
+/// Where shard `s` of the city of `shards` under `state` keeps its
+/// store: the root for one shard in a manifest-less directory,
+/// `shard-NNNN/` otherwise.
+fn store_dir(state: &Path, shards: usize, s: usize) -> PathBuf {
+    if shards > 1 || has_manifest(state) {
         shard_dir(state, s)
     } else {
         state.to_path_buf()
@@ -321,8 +322,11 @@ impl ShardedMonitor {
 
     /// Attaches a grouped WAL store to every shard under `state`,
     /// writing the city manifest when there are two or more. Directory
-    /// layout is in the module docs; a directory already holding a city
-    /// of another size is refused before anything is written.
+    /// layout is in the module docs. A directory already holding a city
+    /// of another size, or a store whose log does not continue at its
+    /// shard's commit count (a city stored there that this monitor was
+    /// not recovered from), is refused before the manifest is written
+    /// or any shard attached.
     pub fn attach_stores(
         &self,
         state: &Path,
@@ -330,7 +334,12 @@ impl ShardedMonitor {
         group_every: u64,
     ) -> io::Result<()> {
         city_layout(state, Some(self.shards.len()))?;
-        std::fs::create_dir_all(state)?;
+        let mut stores = Vec::with_capacity(self.shards.len());
+        for (s, shard) in self.shards.iter().enumerate() {
+            let store = Store::open(store_dir(state, self.shards.len(), s))?;
+            shard.check_resumes(&store)?;
+            stores.push(store);
+        }
         if self.shards.len() > 1 {
             let manifest = CityManifest {
                 format: CITY_FORMAT.to_string(),
@@ -340,8 +349,7 @@ impl ShardedMonitor {
             let json = serde_json::to_string_pretty(&manifest).map_err(io::Error::other)?;
             std::fs::write(state.join(CITY_MANIFEST), json + "\n")?;
         }
-        for (s, shard) in self.shards.iter().enumerate() {
-            let store = Store::open(store_dir(state, s))?;
+        for (shard, store) in self.shards.iter().zip(stores) {
             shard.attach_store_grouped(store, snapshot_every, group_every);
         }
         Ok(())
@@ -377,7 +385,7 @@ impl ShardedMonitor {
                 Arc::clone(&network),
                 plan.sub_db(db, s),
                 config,
-                store_dir(state, s),
+                store_dir(state, manifest.shards, s),
             )?;
             monitors.push(Arc::new(monitor));
             summaries.push(summary);

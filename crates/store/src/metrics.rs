@@ -30,6 +30,8 @@ pub(crate) struct StoreMetrics {
     /// End-to-end `Store::recover` wall time (scan + snapshot load +
     /// WAL tail collection) — the number `busprobe recover` reports.
     pub recovery_duration: Arc<Histogram>,
+    /// The store's fail-stop latch, counted once per store.
+    pub failstops: Counter,
 }
 
 impl StoreMetrics {
@@ -55,6 +57,7 @@ impl StoreMetrics {
                 "busprobe_store_recovery_duration_seconds",
                 &REPLAY_SECONDS_BUCKETS,
             ),
+            failstops: registry.counter("busprobe_store_failstops_total"),
         }
     }
 }

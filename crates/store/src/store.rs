@@ -6,6 +6,7 @@
 use crate::snapshot::{self, LoadedSnapshot};
 use crate::wal::{self, ReplayReport, WalWriter};
 use crate::StoreMetrics;
+use busprobe_telemetry::Level;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -71,13 +72,14 @@ impl Store {
 
     /// Opens (or creates) the store at `dir`.
     ///
-    /// Positions the appender after the last valid WAL record (repairing
-    /// a torn tail by truncation) and floors the sequence counter at the
-    /// newest snapshot's file name, so compacted history can never cause
-    /// a sequence number to be reused. The name is enough: a snapshot is
-    /// only written once the WAL reached its coverage point, and whether
-    /// its payload is intact is [`recover`](Self::recover)'s question,
-    /// not this one's.
+    /// Positions the appender where the log continues (repairing a torn
+    /// tail by truncation), by the rule [`recover`](Self::recover)
+    /// reports as [`ReplayReport::next_seq`]: past the last valid WAL
+    /// record, every segment's name and the newest snapshot's file name,
+    /// so compacted history can never cause a sequence number to be
+    /// reused. The name is enough: a snapshot is only written once the
+    /// WAL reached its coverage point, and whether its payload is intact
+    /// is [`recover`](Self::recover)'s question, not this one's.
     pub fn open_with(dir: impl AsRef<Path>, config: StoreConfig) -> io::Result<Self> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
@@ -114,7 +116,9 @@ impl Store {
     /// [`append_group`](Self::append_group), [`sync`](Self::sync) and
     /// [`checkpoint`](Self::checkpoint) returns an error of this kind
     /// without touching the WAL. A failed snapshot write or compaction
-    /// does not latch: the WAL still holds every record it covers.
+    /// does not latch: the WAL still holds every record it covers. The
+    /// store counts its latch once (`busprobe_store_failstops_total`)
+    /// and logs it at error level, naming the operation that failed.
     #[must_use]
     pub fn failed(&self) -> Option<io::ErrorKind> {
         self.failed
@@ -131,10 +135,17 @@ impl Store {
         }
     }
 
-    /// Latches `result`'s error, if any, as the store's failure.
-    fn latch<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+    /// Latches `result`'s error, if any, as the store's failure, and
+    /// reports the one transition: `what` failed.
+    fn latch<T>(&mut self, what: &str, result: io::Result<T>) -> io::Result<T> {
         if let Err(e) = &result {
             self.failed = Some(e.kind());
+            self.metrics.failstops.inc();
+            busprobe_telemetry::event(
+                Level::Error,
+                "store",
+                format!("{what} failed; durability fail-stop, nothing more is appended: {e}"),
+            );
         }
         result
     }
@@ -172,7 +183,7 @@ impl Store {
         } else {
             self.wal.append_group(payloads)
         };
-        self.latch(result)
+        self.latch("WAL group append", result)
     }
 
     /// Flushes and fsyncs the WAL. A failure latches the store (see
@@ -180,7 +191,7 @@ impl Store {
     pub fn sync(&mut self) -> io::Result<()> {
         self.check()?;
         let result = self.wal.sync();
-        self.latch(result)
+        self.latch("WAL fsync", result)
     }
 
     /// Writes `payload` as a snapshot covering everything appended so

@@ -11,6 +11,7 @@
 //! after it never share a segment.
 
 use crate::frame::{self, GROUP_MAGIC, HEADER_LEN, RECORD_MAGIC};
+use crate::snapshot;
 use crate::{StoreConfig, StoreMetrics};
 use busprobe_telemetry::Counter;
 use std::fs::{self, File, OpenOptions};
@@ -43,25 +44,26 @@ pub enum ReplayOutcome {
     },
 }
 
-/// What a full replay of the log saw: volume, sequence range and every
-/// anomaly, attributed to its segment and offset.
+/// What a full replay of the log saw: the segments read and left unread,
+/// every anomaly, attributed to its segment and offset, and where the
+/// log continues.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayReport {
-    /// Valid records decoded.
-    pub records: u64,
-    /// Payload + header bytes of valid records.
-    pub bytes: u64,
     /// Segments read.
     pub segments: u64,
     /// Segments left unopened because a snapshot covers every record in
     /// them: the next segment starts at or before its coverage point.
     pub segments_unread: u64,
-    /// Lowest sequence number seen, if any record decoded.
-    pub first_seq: Option<u64>,
-    /// Highest sequence number seen, if any record decoded.
-    pub last_seq: Option<u64>,
     /// Every damaged span, in replay order.
     pub anomalies: Vec<ReplayOutcome>,
+    /// The sequence number the log continues at — past the newest
+    /// snapshot's name, every segment's name and the last valid record,
+    /// the rule [`Store::open`](crate::Store::open) resumes by.
+    pub next_seq: u64,
+    /// The first sequence number the log still holds: the first
+    /// segment's name (`next_seq` when there is none). Without a
+    /// snapshot, every record below it was compacted away.
+    pub log_start: u64,
 }
 
 impl ReplayReport {
@@ -99,9 +101,13 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     u64::from_str_radix(stem, 16).ok()
 }
 
-/// All segment files under `dir`, sorted by first sequence number.
+/// All segment files under `dir`, sorted by first sequence number; none
+/// when `dir` does not exist yet.
 pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut segments = Vec::new();
+    if !dir.exists() {
+        return Ok(segments);
+    }
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
@@ -143,23 +149,12 @@ fn scan_segment(
     while offset < buf.len() {
         match decode_any(&buf[offset..]) {
             Ok(AnyFrame::Record(f)) => {
-                report.records += 1;
-                report.bytes += f.consumed as u64;
-                report.first_seq = Some(report.first_seq.map_or(f.seq, |s| s.min(f.seq)));
-                report.last_seq = Some(report.last_seq.map_or(f.seq, |s| s.max(f.seq)));
                 sink(f.seq, f.payload);
                 offset += f.consumed;
                 valid_end = offset;
             }
             Ok(AnyFrame::Group(f)) => match frame::decode_group_payload(f.payload) {
                 Some(members) => {
-                    report.records += members.len() as u64;
-                    report.bytes += f.consumed as u64;
-                    if !members.is_empty() {
-                        let last = f.seq + members.len() as u64 - 1;
-                        report.first_seq = Some(report.first_seq.map_or(f.seq, |s| s.min(f.seq)));
-                        report.last_seq = Some(report.last_seq.map_or(last, |s| s.max(last)));
-                    }
                     for (i, member) in members.iter().enumerate() {
                         sink(f.seq + i as u64, member);
                     }
@@ -244,23 +239,38 @@ fn find_magic(buf: &[u8]) -> Option<usize> {
         .position(|w| w == RECORD_MAGIC || w == GROUP_MAGIC)
 }
 
+/// Where the log continues — the one rule [`WalWriter::open`] and
+/// [`replay_into`] share. Past the newest snapshot's name, intact or
+/// not: a snapshot is only written once the log reached its coverage
+/// point. Past every segment's name: a segment's records may all have
+/// been torn away. And past the last valid record. So a sequence number
+/// is never issued twice, even after compaction deleted every record
+/// below it.
+pub(crate) fn resume_seq(
+    newest_snapshot: u64,
+    segments: &[(u64, PathBuf)],
+    last_record: Option<u64>,
+) -> u64 {
+    let newest_segment = segments.last().map_or(0, |(first_seq, _)| *first_seq);
+    let past_last = last_record.map_or(0, |seq| seq + 1);
+    newest_snapshot.max(newest_segment).max(past_last)
+}
+
 /// Replays the segments under `dir` in order, feeding valid records to
 /// `sink` and accounting anomalies. A segment whose successor starts at
 /// or before `covered` — a snapshot's coverage point, 0 for none — holds
 /// only records that snapshot covers: it is counted under
 /// [`ReplayReport::segments_unread`] and never opened, so damage in it is
-/// not reported either. `dir` may not exist yet (an empty report is
-/// returned).
+/// not reported either. The report also says where the log continues
+/// ([`ReplayReport::next_seq`]), whether or not a snapshot covers the
+/// records. `dir` may not exist yet (an empty report is returned).
 pub fn replay_into(
     dir: &Path,
     covered: u64,
     sink: &mut dyn FnMut(u64, &[u8]),
 ) -> io::Result<ReplayReport> {
-    let mut report = ReplayReport::default();
-    if !dir.exists() {
-        return Ok(report);
-    }
     let segments = list_segments(dir)?;
+    let mut report = ReplayReport::default();
     // Segment `i` is covered when segment `i + 1` starts at or before
     // `covered`; names ascend, so the covered segments are a prefix, one
     // per successor that starts that early.
@@ -270,11 +280,20 @@ pub fn replay_into(
         .take_while(|(next, _)| *next <= covered)
         .count();
     report.segments_unread = unread as u64;
+    let mut last_record = None;
     for (first_seq, path) in &segments[unread..] {
         let buf = fs::read(path)?;
         report.segments += 1;
-        scan_segment(*first_seq, &buf, &mut report, sink);
+        scan_segment(*first_seq, &buf, &mut report, &mut |seq, payload| {
+            last_record = last_record.max(Some(seq));
+            sink(seq, payload);
+        });
     }
+    let newest_snapshot = snapshot::list_snapshots(dir)?
+        .last()
+        .map_or(0, |(seq, _)| *seq);
+    report.next_seq = resume_seq(newest_snapshot, &segments, last_record);
+    report.log_start = segments.first().map_or(report.next_seq, |(seq, _)| *seq);
     Ok(report)
 }
 
@@ -302,29 +321,25 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Opens (or creates) the log under `dir` and positions the writer
-    /// after the last valid record. Only the newest segment is read —
-    /// after a checkpoint, the fresh one its roll started.
+    /// where the log continues, given the name of the newest snapshot in
+    /// `dir` (0 for none): past that name, every segment's name and the
+    /// last valid record. Only the newest segment is
+    /// read — after a checkpoint, the fresh one its roll started.
     ///
     /// A torn tail on the newest segment is truncated away (replay
     /// already reported it); damage *between* valid records is left in
     /// place for replay to skip, so appending after recovery never
-    /// overwrites evidence or valid data. `min_next_seq` floors the next
-    /// sequence number — pass the newest snapshot's coverage point so
-    /// sequence numbers stay monotone even when every covered segment
-    /// has been compacted away.
-    pub fn open(dir: &Path, config: StoreConfig, min_next_seq: u64) -> io::Result<Self> {
+    /// overwrites evidence or valid data.
+    pub fn open(dir: &Path, config: StoreConfig, newest_snapshot: u64) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
-        let metrics = StoreMetrics::new();
         let segments = list_segments(dir)?;
-        let mut next_seq = min_next_seq;
-        let mut active: Option<(u64, PathBuf)> = None;
+        let mut last_record = None;
         if let Some((first_seq, path)) = segments.last() {
             let buf = fs::read(path)?;
             let mut report = ReplayReport::default();
-            let valid_end = scan_segment(*first_seq, &buf, &mut report, &mut |_, _| {});
-            if let Some(last) = report.last_seq {
-                next_seq = next_seq.max(last + 1);
-            }
+            let valid_end = scan_segment(*first_seq, &buf, &mut report, &mut |seq, _| {
+                last_record = last_record.max(Some(seq));
+            });
             if valid_end < buf.len() {
                 // Only trailing garbage is dropped; scan_segment keeps
                 // everything up to the last frame that decodes.
@@ -332,24 +347,14 @@ impl WalWriter {
                 file.set_len(valid_end as u64)?;
                 file.sync_all()?;
             }
-            active = Some((*first_seq, path.clone()));
         }
-        // Also respect older segments' sequence numbers if the newest
-        // segment was entirely unreadable.
-        for (first_seq, _) in &segments {
-            next_seq = next_seq.max(*first_seq);
-        }
-        let (segment_first, file, segment_bytes) = match active {
-            Some((first_seq, path)) => {
-                let file = OpenOptions::new().append(true).open(&path)?;
-                let len = file.metadata()?.len();
-                (first_seq, file, len)
-            }
-            None => {
-                let path = dir.join(segment_file_name(next_seq));
-                (next_seq, File::create(&path)?, 0)
-            }
-        };
+        let next_seq = resume_seq(newest_snapshot, &segments, last_record);
+        let (segment_first, path) = segments
+            .last()
+            .cloned()
+            .unwrap_or_else(|| (next_seq, dir.join(segment_file_name(next_seq))));
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let segment_bytes = file.metadata()?.len();
         Ok(WalWriter {
             dir: dir.to_path_buf(),
             config,
@@ -360,7 +365,7 @@ impl WalWriter {
             synced_seq: next_seq,
             dir_dirty: true,
             scratch: Vec::new(),
-            metrics,
+            metrics: StoreMetrics::new(),
             fail_next_fsync: false,
         })
     }
@@ -522,7 +527,7 @@ mod tests {
         assert_eq!(records[7].0, 7);
         assert_eq!(records[7].1, b"payload-7");
         assert!(report.anomalies.is_empty());
-        assert_eq!(report.last_seq, Some(19));
+        assert_eq!(records.last().map(|(seq, _)| *seq), Some(19));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -656,8 +661,6 @@ mod tests {
                 (4, b"solo-4".to_vec()),
             ]
         );
-        assert_eq!(report.records, 5);
-        assert_eq!(report.last_seq, Some(4));
         assert!(report.anomalies.is_empty());
 
         // Reopen resumes the sequence after the group.
@@ -740,7 +743,7 @@ mod tests {
         assert!(segments.len() > 1, "expected rotation: {segments:?}");
         let (records, report) = collect(&dir);
         assert_eq!(records.len(), 12);
-        assert_eq!(report.last_seq, Some(11));
+        assert_eq!(records.last().map(|(seq, _)| *seq), Some(11));
         assert!(report.anomalies.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }

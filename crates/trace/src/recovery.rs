@@ -18,6 +18,11 @@ pub struct RecoveryTrace {
     pub snapshot_seq: Option<u64>,
     /// Newer snapshots that failed validation and were passed over.
     pub snapshots_skipped: u64,
+    /// With no snapshot to seed from, the first record the WAL still
+    /// holds: every record before it was compacted away, and the state
+    /// does not reflect them. 0 when a snapshot was used or nothing was
+    /// lost.
+    pub history_lost: u64,
     /// Commit records replayed from the WAL tail.
     pub replayed_commits: u64,
     /// Database-refresh markers replayed.
@@ -52,6 +57,13 @@ impl RecoveryTrace {
         match self.snapshot_seq {
             Some(seq) => {
                 let _ = writeln!(out, "  seeded from snapshot covering {seq} commits");
+            }
+            None if self.history_lost > 0 => {
+                let lost = self.history_lost;
+                let _ = writeln!(
+                    out,
+                    "  no usable snapshot; records before seq {lost} were compacted away"
+                );
             }
             None => {
                 let _ = writeln!(out, "  no usable snapshot; cold start + full WAL replay");
@@ -92,6 +104,7 @@ mod tests {
             wal_segments_unread: 2,
             snapshot_seq: Some(10),
             snapshots_skipped: 1,
+            history_lost: 0,
             replayed_commits: 5,
             replayed_refreshes: 1,
             skipped_records: 2,

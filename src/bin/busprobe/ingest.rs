@@ -92,8 +92,13 @@ pub fn open(
     })
 }
 
+/// Everything a recovery passed over or could not account for: damaged
+/// records, torn tails, refused snapshots and compacted-away history.
 fn damage(summary: &RecoveryTrace) -> u64 {
-    summary.skipped_records + summary.corrupt_tails + summary.snapshots_skipped
+    summary.skipped_records
+        + summary.corrupt_tails
+        + summary.snapshots_skipped
+        + summary.history_lost
 }
 
 /// What a recovery brought back: one line for one shard, a per-shard

@@ -657,3 +657,226 @@ fn a_refresh_is_counted_alike_live_and_recovered() {
     assert_eq!(next_seq(&recovered), next_seq(&live));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Flips the last byte of every snapshot in `dir`, so recovery refuses
+/// them all.
+fn corrupt_every_snapshot(dir: &std::path::Path) -> usize {
+    let snapshots = busprobe::store::snapshot::list_snapshots(dir).unwrap();
+    for (_, path) in &snapshots {
+        let mut bytes = std::fs::read(path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        std::fs::write(path, &bytes).unwrap();
+    }
+    snapshots.len()
+}
+
+/// When every retained snapshot is refused, recovery replays what
+/// compaction left of the WAL and says that the history before it is
+/// gone, instead of claiming a cold start and a full replay: a
+/// 24-upload ingest checkpointed at 16 and 24 keeps segments from 16
+/// on, so with both snapshots damaged the 8 records after 16 replay and
+/// the 16 before them are named lost. The commit count still resumes
+/// where the log does.
+#[test]
+fn refused_snapshots_name_the_history_compaction_removed() {
+    let fx = Fixture::build();
+    let dir = scratch_dir("history-lost");
+    {
+        let monitor = fx.world.monitor();
+        monitor.attach_store_grouped(Store::open(&dir).unwrap(), 16, 1);
+        let _ = monitor.ingest_batch_received_parallel(&fx.trips[..24], &fx.received[..24], 1);
+        assert_eq!(monitor.checkpoint().unwrap(), Some(24));
+    }
+    assert_eq!(corrupt_every_snapshot(&dir), 2, "two generations kept");
+
+    let (monitor, summary) = fx.recover(&dir);
+    assert_eq!(summary.snapshot_seq, None, "{summary:?}");
+    assert_eq!(summary.snapshots_skipped, 2, "{summary:?}");
+    assert_eq!(summary.history_lost, 16, "{summary:?}");
+    assert_eq!(summary.replayed_commits, 8, "{summary:?}");
+    assert_eq!(monitor.commit_count(), 24);
+    let story = summary.narrative();
+    assert!(
+        story.contains("records before seq 16 were compacted away"),
+        "{story}"
+    );
+    assert!(!story.contains("cold start + full WAL replay"), "{story}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One sequence: a last WAL record that passes its CRC but does not
+/// decode still takes its sequence number, so the recovered commit count
+/// is where the store's log continues, and the next durable commit is
+/// traced under the sequence number its WAL record has.
+#[test]
+fn an_undecodable_last_record_keeps_its_sequence_number() {
+    use busprobe::trace::{TracePolicy, Tracer};
+    use std::sync::Arc;
+
+    let fx = Fixture::build();
+    let dir = scratch_dir("undecodable-tail");
+    let n = 12;
+    {
+        let monitor = fx.world.monitor();
+        monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, 1);
+        let _ = monitor.ingest_batch_received_parallel(&fx.trips[..n], &fx.received[..n], 1);
+    }
+    {
+        let mut store = Store::open(&dir).unwrap();
+        assert_eq!(store.append_group(&[vec![0xFF]]).unwrap(), n as u64);
+        store.sync().unwrap();
+    }
+
+    let (monitor, summary) = fx.recover(&dir);
+    assert_eq!(summary.skipped_records, 1, "{summary:?}");
+    assert_eq!(summary.replayed_commits, n as u64, "{summary:?}");
+    assert_eq!(
+        monitor.commit_count(),
+        Store::open(&dir).unwrap().next_seq()
+    );
+    assert_eq!(monitor.commit_count(), n as u64 + 1);
+
+    monitor.attach_store_grouped(Store::open(&dir).unwrap(), 0, 1);
+    let tracer = Arc::new(Tracer::new(TracePolicy::export_all()));
+    monitor.set_trace_sink(Some(Arc::clone(&tracer)));
+    let _ = monitor.ingest_upload(&fx.trips[n], Some(fx.received[n]));
+    let trace = &tracer.exported()[0].trace;
+    assert_eq!(trace.seq, n as u64 + 1);
+    assert_eq!(
+        trace.wal_seq,
+        Some(trace.seq),
+        "the trace names its WAL record"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable ingest of `n` fixture uploads into `dir` by a fresh
+/// monitor, dropped afterwards.
+fn ingest_durably(fx: &Fixture, dir: &std::path::Path, n: usize) {
+    let monitor = fx.world.monitor();
+    monitor.attach_store_grouped(Store::open(dir).unwrap(), 0, 1);
+    let _ = monitor.ingest_batch_received_parallel(&fx.trips[..n], &fx.received[..n], 1);
+}
+
+/// A store that already holds records cannot be attached to a monitor
+/// that has not replayed them: its commit sequence numbers would name
+/// other records than the WAL's.
+#[test]
+#[should_panic(expected = "recover the monitor from that directory first")]
+fn attaching_a_stored_log_to_a_fresh_monitor_panics() {
+    let fx = Fixture::build();
+    let dir = scratch_dir("attach-fresh");
+    ingest_durably(&fx, &dir, 6);
+    let store = Store::open(&dir).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    fx.world.monitor().attach_store_grouped(store, 0, 1);
+}
+
+/// The city refuses the same mismatch with an error, before it writes
+/// its manifest or attaches any shard.
+#[test]
+fn attaching_a_stored_city_to_a_fresh_city_is_refused() {
+    use busprobe::shard::{CityManifest, OverflowPolicy, ShardedMonitor, CITY_MANIFEST};
+
+    let fx = Fixture::build();
+    let state = scratch_dir("attach-city");
+    let city = || {
+        ShardedMonitor::new(
+            fx.world.network.clone(),
+            &fx.world.db,
+            MonitorConfig::default(),
+            2,
+            OverflowPolicy::Score,
+        )
+    };
+    {
+        let stored = city();
+        stored.attach_stores(&state, 0, 1).unwrap();
+        let _ = stored.ingest_batch_received_parallel(&fx.trips[..12], &fx.received[..12], 1);
+        stored.sync_all().unwrap();
+    }
+    // The same manifest, written compactly: an attach that rewrote it
+    // would pretty-print it again.
+    let path = state.join(CITY_MANIFEST);
+    let manifest: CityManifest =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let compact = serde_json::to_string(&manifest).unwrap();
+    std::fs::write(&path, &compact).unwrap();
+
+    let fresh = city();
+    let err = fresh.attach_stores(&state, 0, 1).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(
+        err.to_string()
+            .contains("recover the monitor from that directory first"),
+        "{err}"
+    );
+    assert!(
+        fresh.shards().iter().all(|s| s.synced_seq().is_none()),
+        "no shard got a store"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        compact,
+        "the manifest was rewritten"
+    );
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// `Store::recover` and `Store::open` resume the log at the same
+/// sequence number whatever damage the directory took: each of
+/// `damage_store_dir`'s kinds, and a newest snapshot that is refused.
+#[test]
+fn recovery_and_reopening_resume_at_the_same_sequence_number() {
+    let fx = Fixture::build();
+    let template = scratch_dir("resume-template");
+    {
+        let monitor = fx.world.monitor();
+        monitor.attach_store_grouped(Store::open(&template).unwrap(), 0, 1);
+        let _ = monitor.ingest_batch_received_parallel(&fx.trips[..20], &fx.received[..20], 1);
+        monitor.checkpoint().unwrap();
+        let _ = monitor.ingest_batch_received_parallel(&fx.trips[20..40], &fx.received[20..40], 1);
+        monitor.checkpoint().unwrap();
+        let _ = monitor.ingest_batch_received_parallel(&fx.trips[40..], &fx.received[40..], 1);
+    }
+    let plans = [
+        WalFaultPlan::clean(),
+        WalFaultPlan::torn_tail(9),
+        WalFaultPlan::torn_tail(100_000),
+        WalFaultPlan {
+            torn_append_bytes: 11,
+            ..WalFaultPlan::clean()
+        },
+        WalFaultPlan {
+            bit_flips: 6,
+            ..WalFaultPlan::clean()
+        },
+        WalFaultPlan {
+            snapshot_bit_flips: 2,
+            ..WalFaultPlan::clean()
+        },
+    ];
+    for (k, plan) in plans.iter().enumerate() {
+        for seed in 0..4 {
+            let dir = scratch_dir(&format!("resume-{k}-{seed}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            for (_, path) in busprobe::store::wal::list_segments(&template).unwrap() {
+                std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+            }
+            for (_, path) in busprobe::store::snapshot::list_snapshots(&template).unwrap() {
+                std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+            }
+            damage_store_dir(&dir, plan, seed).unwrap();
+            let recovered = Store::recover(&dir).unwrap().report.next_seq;
+            let refusing = Store::recover_with(&dir, |_, _| false)
+                .unwrap()
+                .report
+                .next_seq;
+            let reopened = Store::open(&dir).unwrap().next_seq();
+            assert_eq!(recovered, reopened, "{plan:?}, seed {seed}");
+            assert_eq!(refusing, reopened, "{plan:?}, seed {seed}, all refused");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&template);
+}
